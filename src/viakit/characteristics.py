@@ -30,8 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import BLOWUP_NORM, INF
-from .dynamics import VectorField, flow, integrate, step_schedule
+from .common import INF
+from .dynamics import VectorField, _march, flow, integrate
 from .errors import ParamDomain
 from .kernels import exit_time
 from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
@@ -61,8 +61,9 @@ class CharProblem:
 
     Exactly one of ``phi`` (y-independent speed, single-valued solutions)
     or ``f`` (general (t, x, y) speed, set-valued graphs) should be set.
-    ``g`` drives the output ODE y' = g(t, x, y).  All callables take
-    batched rows and broadcast over a leading axis.
+    ``g`` drives the output ODE y' = g(t, x, y).  ``f``, ``g`` and
+    ``phi`` are batch-only: x and y arrive as (m, n) and (m, p) rows, t
+    as a scalar or an (m, 1) per-row column.
     """
 
     g: Callable
@@ -166,15 +167,11 @@ def boundary_trace(data: BoundaryData, s: float, c, K: SetOracle,
 
 
 def _coupled_field(prob: CharProblem) -> VectorField:
+    """The characteristic system over z = (x, y): z' = (f or phi, g)."""
     n = prob.state_dim
 
     def ev(t, z):
-        Z = np.atleast_2d(np.asarray(z, dtype=float))
-        xs, ys = Z[:, :n], Z[:, n:]
-        dx = np.atleast_2d(prob.phi(t, xs))
-        dy = np.atleast_2d(prob.g(t, xs, ys))
-        out = np.concatenate([dx, dy], axis=1)
-        return out if np.asarray(z).ndim > 1 else out[0]
+        return np.concatenate(_char_rhs(prob, t, z[:, :n], z[:, n:]), axis=1)
 
     return VectorField(n + prob.out_dim, ev, name="characteristic")
 
@@ -336,24 +333,10 @@ class GraphCloud:
         return len(self.points)
 
 
-def _char_rhs(prob: CharProblem, tvec, X, Y):
-    if prob.f is not None:
-        dx = np.atleast_2d(prob.f(tvec, X, Y))
-    else:
-        dx = np.atleast_2d(prob.phi(tvec, X))
-    dy = np.atleast_2d(prob.g(tvec, X, Y))
-    return dx, dy
-
-
-def _char_rk4_batch(prob: CharProblem, tvec, X, Y, h):
-    """One RK4 step of the characteristic system with per-row times."""
-    k1x, k1y = _char_rhs(prob, tvec, X, Y)
-    k2x, k2y = _char_rhs(prob, tvec + 0.5 * h, X + 0.5 * h * k1x, Y + 0.5 * h * k1y)
-    k3x, k3y = _char_rhs(prob, tvec + 0.5 * h, X + 0.5 * h * k2x, Y + 0.5 * h * k2y)
-    k4x, k4y = _char_rhs(prob, tvec + h, X + h * k3x, Y + h * k3y)
-    Xn = X + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    Yn = Y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return Xn, Yn
+def _char_rhs(prob: CharProblem, t, X, Y):
+    """(dx, dy) of the characteristic system at rows (X, Y); t scalar or (m, 1)."""
+    dx = prob.f(t, X, Y) if prob.f is not None else prob.phi(t, X)
+    return dx, prob.g(t, X, Y)
 
 
 def _initial_seeds(prob: CharProblem, seeds_per_face: int, seed_lo, seed_hi):
@@ -374,8 +357,10 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     Seeds the initial slice on the window [seed_lo, seed_hi] (filtered
     by K), plus (s, xi) pairs for each xi in boundary_points at the
     impulse times or a uniform time grid.  Integrates the characteristic
-    system forward to T, recording every step while the state stays
-    within the K-dilation; rows that blow up are skipped from there on.
+    system forward from each seed's own start s to T (the nodes of
+    ``step_schedule(s, T, h)``), recording every step while the state
+    stays within the K-dilation; rows that blow up are skipped from
+    there on.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -398,52 +383,21 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
                 rows.append((float(s), xi,
                              np.atleast_1d(np.asarray(prob.data.boundary(s, xi), dtype=float))))
 
-    k = len(rows)
     seeds = np.array([np.concatenate([[s], c, y]) for s, c, y in rows])
-    s0 = seeds[:, 0]
-    X = seeds[:, 1:1 + n].copy()
-    Y = seeds[:, 1 + n:].copy()
-
-    pts = [seeds.copy()]
-    idxs = [np.arange(k)]
-    active = s0 <= T
-    count = 0
-    while active.any():
-        tvec = s0[active] + count * h
-        headroom = T - tvec
-        if np.all(headroom <= h * 1e-9):
-            break
-        hs = np.minimum(h, headroom)[:, None]
-        Xn, Yn = _char_rk4_batch(prob, tvec, X[active], Y[active], hs)
-        nrm = np.linalg.norm(Xn, axis=1) + np.linalg.norm(Yn, axis=1)
-        ok = np.isfinite(nrm) & (nrm <= BLOWUP_NORM)
-        inside = prob.domain.margin_many(Xn) <= dilation
-        sub = np.flatnonzero(active)
-        keep = ok & inside & (hs[:, 0] > h * 1e-9)
-        X[sub[keep]] = Xn[keep]
-        Y[sub[keep]] = Yn[keep]
-        full = keep & (hs[:, 0] >= h * (1.0 - 1e-9))
-        if keep.any():
-            tt = (tvec + hs[:, 0])[keep]
-            pts.append(np.concatenate([tt[:, None], Xn[keep], Yn[keep]], axis=1))
-            idxs.append(sub[keep])
-        active[sub[~full]] = False
-        count += 1
+    z = seeds[:, 1:].copy()
+    pts = [seeds]
+    idxs = [np.arange(len(seeds))]
+    live = np.ones(len(seeds), dtype=bool)
+    for sub, t, hs, _ in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
+        zn = z[sub]
+        inside = prob.domain.margin_many(zn[:, :n]) <= dilation
+        live[sub[~inside]] = False
+        pts.append(np.concatenate([(t + hs)[inside], zn[inside]], axis=1))
+        idxs.append(sub[inside])
 
     points = np.vstack(pts)
-    seed_index = np.concatenate(idxs)
-    if tol > 0 and len(points) > 1:
-        merged = _merge_points(points, tol / 2.0)
-        # recover kept rows to carry provenance through the dedup
-        keep_mask = np.zeros(len(points), dtype=bool)
-        tree_pts = {tuple(row) for row in merged}
-        for i, row in enumerate(points):
-            if tuple(row) in tree_pts:
-                keep_mask[i] = True
-                tree_pts.discard(tuple(row))
-        points = points[keep_mask]
-        seed_index = seed_index[keep_mask]
-    return GraphCloud(points, n, p, tol, h, seed_index, seeds)
+    keep = _merge_points(points, tol / 2.0)
+    return GraphCloud(points[keep], n, p, tol, h, np.concatenate(idxs)[keep], seeds)
 
 
 def query_graph(cloud: GraphCloud, t: float, x, radius: float):
@@ -522,7 +476,7 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
     for j, i in enumerate(pick):
         z = cloud.points[i]
         tau, xs, ys = z[0], z[1:1 + n], z[1 + n:]
-        dx, dy = _char_rhs(prob, np.array([tau]), xs[None, :], ys[None, :])
+        dx, dy = _char_rhs(prob, tau, xs[None, :], ys[None, :])
         v = np.concatenate([[1.0], dx[0], dy[0]])
         fwd[j] = tangent_residual(oracle, z, v, h_min=h_min, h_max=h_max)
         on_psi = boundary_trace(prob.data, tau, xs, prob.domain,
@@ -563,7 +517,7 @@ def phi_invariance_check(prob: CharProblem, samples, h: float) -> PhiInvarianceR
     for (t, xs, ys) in samples:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        dx, dy = _char_rhs(prob, np.array([t]), xs[None, :], ys[None, :])
+        dx, dy = _char_rhs(prob, t, xs[None, :], ys[None, :])
         best = np.inf
         eta = 8.0 * h
         while eta >= h * (1.0 - 1e-12):
@@ -612,19 +566,15 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
 
     seed_tree = cKDTree(cloud.seeds)
 
-    def data_margin(z):
-        Z = np.atleast_2d(np.asarray(z, dtype=float))
+    def data_margin(Z):
         d, _ = seed_tree.query(Z)
-        r = np.asarray(d, dtype=float) - eps
-        return r if np.asarray(z).ndim > 1 else float(r[0])
+        return d - eps
 
     target = Sublevel(data_margin, 3)
 
-    def ev(_, z):
-        Z = np.atleast_2d(np.asarray(z, dtype=float))
-        dx, dy = _char_rhs(prob, Z[:, 0], Z[:, 1:2], Z[:, 2:])
-        out = -np.concatenate([np.ones((len(Z), 1)), dx, dy], axis=1)
-        return out if np.asarray(z).ndim > 1 else out[0]
+    def ev(_, Z):
+        dx, dy = _char_rhs(prob, Z[:, :1], Z[:, 1:2], Z[:, 2:])
+        return -np.concatenate([np.ones((len(Z), 1)), dx, dy], axis=1)
 
     rev = VectorField(3, ev, name="reversed-characteristic")
     T_scan = float(grid3d.hi[0] - grid3d.lo[0]) + 4.0 * eps
@@ -658,16 +608,13 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     m = len(cloud)
     count = max(1, int(math.ceil(fraction * m)))
     pick = np.linspace(0, m - 1, count).astype(int)
-    worst = 0.0
+    seeds = cloud.seeds[cloud.seed_index[pick]]
+    z = seeds[:, 1:].copy()
+    for _ in _march(_coupled_field(prob), z, seeds[:, 0], cloud.times[pick], cloud.step,
+                    np.ones(count, dtype=bool)):
+        pass
     n = cloud.state_dim
-    for i in pick:
-        z = cloud.points[i]
-        seed = cloud.seeds[cloud.seed_index[i]]
-        s = seed[0]
-        X = seed[None, 1:1 + n].copy()
-        Y = seed[None, 1 + n:].copy()
-        for t, hj in step_schedule(s, z[0], cloud.step):
-            X, Y = _char_rk4_batch(prob, np.array([t]), X, Y, hj)
-        err = float(np.linalg.norm(X[0] - z[1:1 + n]) + np.linalg.norm(Y[0] - z[1 + n:]))
-        worst = max(worst, err)
-    return worst
+    want = cloud.points[pick, 1:]
+    err = np.linalg.norm(z[:, :n] - want[:, :n], axis=1) + \
+        np.linalg.norm(z[:, n:] - want[:, n:], axis=1)
+    return float(err.max())

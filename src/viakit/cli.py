@@ -127,9 +127,12 @@ def _build_set(spec: dict, where: str = "set"):
 
 
 def _build_grid(spec: dict) -> GridSpec:
-    return GridSpec(np.array(_need(spec, "lo", "grid"), dtype=float),
-                    np.array(_need(spec, "hi", "grid"), dtype=float),
-                    np.array(_need(spec, "counts", "grid"), dtype=int))
+    try:
+        return GridSpec(np.array(_need(spec, "lo", "grid"), dtype=float),
+                        np.array(_need(spec, "hi", "grid"), dtype=float),
+                        np.array(_need(spec, "counts", "grid"), dtype=int))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in section 'grid'", section="grid") from exc
 
 
 def _build_func(spec: dict, where: str):

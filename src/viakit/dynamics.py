@@ -7,9 +7,11 @@ sides are supported directly: ``eval`` receives ``t``, no augmented
 state is materialized.
 
 Everything here is pure.  ``VectorField.eval`` must be safe to call
-concurrently and should broadcast over a leading batch axis (all the
-built-in fields do), which is what the grid sweeps in
-:mod:`viakit.kernels` rely on.
+concurrently and is batch-only: it receives ``x`` as ``(m, dim)`` rows
+and ``t`` as a scalar or an ``(m, 1)`` per-row column.  Single states
+are lifted to one row by ``VectorField.__call__``.  Every row sweep
+(reachable sets, event sweeps, graph sweeps, value tabulation) steps
+through one batched RK4 core, :func:`_march`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ class VectorField:
 
     Attributes:
         dim: state dimension.
-        eval: callable ``(t, x) -> velocity``; must accept ``x`` of shape
-            ``(dim,)`` or ``(m, dim)`` and broadcast.
+        eval: batch-only callable ``(t, x) -> velocity`` of shape
+            ``(m, dim)``; ``x`` arrives as ``(m, dim)`` rows and ``t`` as
+            a scalar or an ``(m, 1)`` per-row column.
         growth_c: optional c with ``|f(t,x)| <= c (|x| + 1)`` (checked on
             test lattices, see :func:`verify_growth`).
         lipschitz: optional Lipschitz constant in x.
@@ -46,7 +49,11 @@ class VectorField:
     name: str = "field"
 
     def __call__(self, t, x):
-        return np.asarray(self.eval(t, np.asarray(x, dtype=float)), dtype=float)
+        """Velocity at ``(m, dim)`` rows, or at one ``(dim,)`` state lifted to a row."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.asarray(self.eval(t, x[None, :]), dtype=float)[0]
+        return np.asarray(self.eval(t, x), dtype=float)
 
     def negated(self) -> "VectorField":
         """The reversed field -f (backward flow generator)."""
@@ -163,6 +170,54 @@ def flow(field: VectorField, t: float, x, step: float):
     return integrate(field, x, 0.0, t, step).states[-1]
 
 
+def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray):
+    """The batched RK4 stepping core behind every row sweep; a generator.
+
+    Advances the live rows of x (shape (m, dim), updated in place) from
+    t0 to t1, each row on :func:`step_schedule`'s nodes: ``t0 + j*step``
+    and a shorter tail.  t0 and t1 are scalars or (m,) per-row arrays;
+    per-row times reach the field as (k, 1) columns.  A stepped row whose
+    norm is not finite or passes BLOWUP_NORM is retired (live cleared)
+    and set to NaN.  Callers retire rows by clearing ``live`` in place.
+
+    Yields (rows, t, h, prev) after each step: the indices of the rows
+    just advanced, their start times and step sizes (scalars, or (k, 1)
+    columns for per-row schedules) and their states before the step.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    per_row = np.ndim(t0) > 0 or np.ndim(t1) > 0
+    if per_row:
+        t0 = np.broadcast_to(np.asarray(t0, dtype=float), live.shape)
+    span = np.asarray(t1, dtype=float) - t0
+    if np.any(span < 0):
+        raise ValueError("t1 must be >= t0")
+    n_full = np.floor(span / step + 1e-9).astype(int)
+    rem = span - n_full * step
+    n_steps = n_full + (rem > step * 1e-9)
+    for j in range(int(np.max(n_steps, initial=0))):
+        rows = np.flatnonzero(live & (n_steps > j) if per_row else live)
+        if len(rows) == 0:
+            break
+        if per_row:
+            t = (t0[rows] + j * step)[:, None]
+            h = np.where(n_full[rows] > j, step, rem[rows])[:, None]
+        else:
+            t, h = t0 + j * step, (step if j < n_full else float(rem))
+        prev = x[rows]
+        xn = rk4_step(field, t, prev, h)
+        norms = np.linalg.norm(xn, axis=1)
+        good = np.isfinite(norms) & (norms <= BLOWUP_NORM)
+        if not good.all():
+            live[rows[~good]] = False
+            x[rows[~good]] = np.nan
+            rows, prev, xn = rows[good], prev[good], xn[good]
+            if per_row:
+                t, h = t[good], h[good]
+        x[rows] = xn
+        yield rows, t, h, prev
+
+
 def reach_set(field: VectorField, t: float, seeds, step: float):
     """Pointwise image of the seed list at time t >= 0, order preserved.
 
@@ -173,19 +228,10 @@ def reach_set(field: VectorField, t: float, seeds, step: float):
     """
     if t < 0:
         raise ValueError("reach_set requires t >= 0")
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    x = seeds.copy()
-    ok = np.ones(len(seeds), dtype=bool)
-    for tj, h in step_schedule(0.0, t, step):
-        if not ok.any():
-            break
-        xn = rk4_step(field, tj, x[ok], h)
-        norms = np.linalg.norm(xn, axis=1)
-        good = np.isfinite(norms) & (norms <= BLOWUP_NORM)
-        idx = np.flatnonzero(ok)
-        x[idx[good]] = xn[good]
-        x[idx[~good]] = np.nan
-        ok[idx[~good]] = False
+    x = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
+    ok = np.ones(len(x), dtype=bool)
+    for _ in _march(field, x, 0.0, t, step, ok):
+        pass
     return x, ok
 
 
@@ -194,7 +240,7 @@ def verify_growth(field: VectorField, states, times=(0.0,)) -> float:
     states = np.atleast_2d(np.asarray(states, dtype=float))
     worst = 0.0
     for t in times:
-        v = np.atleast_2d(field(t, states))
+        v = field(t, states)
         ratio = np.linalg.norm(v, axis=1) / (np.linalg.norm(states, axis=1) + 1.0)
         worst = max(worst, float(ratio.max()))
     return worst

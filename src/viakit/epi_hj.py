@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .common import INF
-from .dynamics import VectorField, integrate, rk4_step, step_schedule
-from .errors import CapTooSmall, DescentViolation
+from .dynamics import VectorField, _march, integrate, rk4_step, step_schedule
+from .errors import CapTooSmall, DescentViolation, NonFinite
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
@@ -69,12 +69,10 @@ def lift(p: LagrangianProblem) -> LiftedField:
     n = p.field.dim
 
     def ev(t, z):
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        x, y = z2[:, :n], z2[:, n]
-        fx = np.atleast_2d(p.field(t, x))
+        x, y = z[:, :n], z[:, n]
+        fx = p.field(t, x)
         ly = np.asarray(p.lagrangian(x, fx), dtype=float)
-        out = np.concatenate([fx, (-p.discount * y - ly)[:, None]], axis=1)
-        return out if np.asarray(z).ndim > 1 else out[0]
+        return np.concatenate([fx, (-p.discount * y - ly)[:, None]], axis=1)
 
     return LiftedField(p, VectorField(n + 1, ev, name=p.field.name + "+cost"))
 
@@ -141,8 +139,8 @@ class CostPath:
         dt = t - times[j]
         xj = self.states[j]
         xt = rk4_step(p.field, times[j], xj, dt) if dt > 0 else xj
-        x2 = np.atleast_2d(np.vstack([xj, xt]))
-        f2 = np.atleast_2d(p.field(times[j], x2))
+        x2 = np.vstack([xj, xt])
+        f2 = p.field(times[j], x2)
         lw = p.lagrangian(x2, f2) * np.exp(p.discount * np.array([times[j], t]))
         cum = self.cumulative[j] + 0.5 * (lw[0] + lw[1]) * dt
         ut = float(p.obstacle(xt[None, :])[0])
@@ -156,7 +154,7 @@ def running_cost_path(p: LagrangianProblem, x, T_max: float, h: float) -> CostPa
     """Sampled cost J along the trajectory from x; J(0) = u(x)."""
     traj = integrate(p.field, x, 0.0, T_max, h)
     times, states = traj.times, traj.states
-    F = np.atleast_2d(p.field(0.0, states))
+    F = p.field(0.0, states)
     L = np.asarray(p.lagrangian(states, F), dtype=float)
     w = np.exp(p.discount * times)
     integrand = w * L
@@ -254,7 +252,7 @@ def lyapunov(p: LagrangianProblem, x, T_max: float, h: float) -> float:
             along the trajectory (T_max too small or sampling too coarse).
     """
     probe = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(np.asarray(p.lagrangian(probe, np.atleast_2d(p.field(0.0, probe)))) != 0.0):
+    if np.any(np.asarray(p.lagrangian(probe, p.field(0.0, probe))) != 0.0):
         raise ValueError("lyapunov requires a problem with l identically 0")
     path = running_cost_path(p, x, T_max, h)
     val = _finish_sup(path.values)
@@ -290,22 +288,25 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float,
     Stores the whole (steps, m, dim) state history, so keep it for
     modest tabulations (1D/2D value fields); the per-row finishing rules
     are exactly those of the scalar operations.
+
+    Raises:
+        NonFinite: if any row blows up before T_max.
     """
     if mode not in ("sup", "inf"):
         raise ValueError("mode must be 'sup' or 'inf'")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m = len(xs)
-    schedule = list(step_schedule(0.0, T_max, h))
-    k = len(schedule) + 1
-    times = np.array([0.0] + [t + hj for t, hj in schedule])
+    times = np.array([0.0] + [t + hj for t, hj in step_schedule(0.0, T_max, h)])
+    k = len(times)
     states = np.empty((k, m, xs.shape[1]))
-    states[0] = xs
-    x = xs.copy()
-    for j, (t, hj) in enumerate(schedule):
-        x = rk4_step(p.field, t, x, hj)
-        states[j + 1] = x
+    states[0] = x = xs.copy()
+    live = np.ones(m, dtype=bool)
+    for j, _ in enumerate(_march(p.field, x, 0.0, T_max, h, live), start=1):
+        states[j] = x
+    if not live.all():
+        raise NonFinite("state blew up during tabulate_values")
     flat = states.reshape(k * m, xs.shape[1])
-    F = np.atleast_2d(p.field(0.0, flat))
+    F = p.field(0.0, flat)
     L = np.asarray(p.lagrangian(flat, F), dtype=float).reshape(k, m)
     U = np.asarray(p.obstacle(flat), dtype=float).reshape(k, m)
     w = np.exp(p.discount * times)[:, None]
@@ -333,10 +334,8 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float,
 def epigraph_oracle(obstacle, state_dim: int, lipschitz: float = 1.0) -> Sublevel:
     """{(x, y) : u(x) <= y} as a sublevel oracle (membership is exact)."""
 
-    def fn(z):
-        Z = np.atleast_2d(np.asarray(z, dtype=float))
-        r = np.asarray(obstacle(Z[:, :state_dim]), dtype=float) - Z[:, state_dim]
-        return r if np.asarray(z).ndim > 1 else float(r[0])
+    def fn(Z):
+        return np.asarray(obstacle(Z[:, :state_dim]), dtype=float) - Z[:, state_dim]
 
     return Sublevel(fn, state_dim + 1, lipschitz=lipschitz)
 
@@ -448,7 +447,7 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0
     X, norms = X[keep], norms[keep]
-    F = np.atleast_2d(p.field(0.0, X))
+    F = p.field(0.0, X)
     radial = np.einsum("ij,ij->i", X, F) / norms
     gamma = float(np.min(radial / (norms + 1.0)))
     delta = float(np.min(np.asarray(p.lagrangian(X, F)) / (norms + 1.0)))
@@ -539,7 +538,7 @@ def hj_check_sup(p: LagrangianProblem, u_field: GridFunction, sample_points,
     r_bwd = np.full(m, np.nan)
     comp = np.zeros(m)
     violations = []
-    F = np.atleast_2d(p.field(0.0, X))
+    F = p.field(0.0, X)
     L = np.asarray(p.lagrangian(X, F), dtype=float)
     U = np.asarray(p.obstacle(X), dtype=float)
     for i in range(m):
@@ -575,7 +574,7 @@ def hj_check_inf(p: LagrangianProblem, u_field: GridFunction, sample_points,
     r_bwd = np.full(m, np.nan)
     comp = np.zeros(m)
     violations = []
-    F = np.atleast_2d(p.field(0.0, X))
+    F = p.field(0.0, X)
     L = np.asarray(p.lagrangian(X, F), dtype=float)
     U = np.asarray(p.obstacle(X), dtype=float)
     for i in range(m):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .common import BLOWUP_NORM, INF
-from .dynamics import VectorField, rk4_step, step_schedule
+from .common import INF
+from .dynamics import VectorField, _march, reach_set, rk4_step
 from .errors import NoConvergence, NonFinite
 from .sets import SetOracle
 
@@ -155,61 +155,36 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
     n = len(X0)
     if refine_tol is None:
         refine_tol = REFINE_FRAC * max(T_max, 1.0)
-    want_exit = K is not None
-    want_hit = C is not None
 
     exit_t = np.full(n, INF)
     hit_t = np.full(n, INF)
-    failed = np.zeros(n, dtype=bool)
-
-    if want_hit:
-        hit_t[C.contains_many(X0)] = 0.0
-    if want_exit:
+    need_exit = np.zeros(n, dtype=bool)
+    need_hit = np.zeros(n, dtype=bool)
+    events = []  # (rows still looking, event times, crossed(rows), crossed(state))
+    if K is not None:
         inside = k_inside0 if k_inside0 is not None else K.contains_many(X0)
-        exit_t[~inside] = 0.0
+        need_exit = np.array(inside, dtype=bool)
+        exit_t[~need_exit] = 0.0
+        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X),
+                       lambda z: not K.contains(z)))
+    if C is not None:
+        need_hit = ~C.contains_many(X0)
+        hit_t[~need_hit] = 0.0
+        events.append((need_hit, hit_t, C.contains_many, C.contains))
 
     x = X0.copy()
-    need_exit = np.full(n, want_exit) & (exit_t > 0.0)
-    need_hit = np.full(n, want_hit) & (hit_t > 0.0)
-    active = need_exit | need_hit
-
-    for t, hj in step_schedule(0.0, T_max, h):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        xa = x[idx]
-        xn = rk4_step(field, t, xa, hj)
-        norms = np.linalg.norm(xn, axis=1)
-        bad = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
-        if bad.any():
-            failed[idx[bad]] = True
-            active[idx[bad]] = False
-            good = ~bad
-            idx, xa, xn = idx[good], xa[good], xn[good]
-            if len(idx) == 0:
-                continue
-
-        if want_exit:
-            sub = need_exit[idx]
+    live = need_exit | need_hit
+    for rows, t, hj, prev in _march(field, x, 0.0, T_max, h, live):
+        for need, times, crossed_many, crossed in events:
+            sub = need[rows]
             if sub.any():
-                left = ~K.contains_many(xn[sub])
-                for row, xprev in zip(idx[sub][left], xa[sub][left]):
-                    s = _bisect_crossing(field, t, xprev,
-                                         hj, lambda z: not K.contains(z), refine_tol)
-                    exit_t[row] = t + s
-                    need_exit[row] = False
-        if want_hit:
-            sub = need_hit[idx]
-            if sub.any():
-                entered = C.contains_many(xn[sub])
-                for row, xprev in zip(idx[sub][entered], xa[sub][entered]):
-                    s = _bisect_crossing(field, t, xprev,
-                                         hj, lambda z: C.contains(z), refine_tol)
-                    hit_t[row] = t + s
-                    need_hit[row] = False
-
-        x[idx] = xn
-        active = need_exit | need_hit
+                flip = crossed_many(x[rows[sub]])
+                for row, xprev in zip(rows[sub][flip], prev[sub][flip]):
+                    times[row] = t + _bisect_crossing(field, t, xprev, hj, crossed,
+                                                      refine_tol)
+                    need[row] = False
+        live &= need_exit | need_hit
+    failed = ~live & (need_exit | need_hit)
     return exit_t, hit_t, failed
 
 
@@ -372,22 +347,11 @@ def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,
 
     idx = np.flatnonzero(alive)
     pts = nodes[idx]
-    speed = np.linalg.norm(np.atleast_2d(field(0.0, pts)), axis=1)
+    speed = np.linalg.norm(field(0.0, pts), axis=1)
     radius = grid.cell_diagonal + h * speed
 
-    def fly(s, e):
-        x = pts[s:e].copy()
-        ok = np.ones(len(x), dtype=bool)
-        for t, hj in step_schedule(0.0, h, flow_step):
-            xn = rk4_step(field, t, x[ok], hj)
-            nrm = np.linalg.norm(xn, axis=1)
-            good = np.isfinite(nrm) & (nrm <= BLOWUP_NORM)
-            sub = np.flatnonzero(ok)
-            x[sub[good]] = xn[good]
-            ok[sub[~good]] = False
-        return x, ok
-
-    parts = _run_chunks(fly, len(pts), workers)
+    parts = _run_chunks(lambda s, e: reach_set(field, h, pts[s:e], flow_step),
+                        len(pts), workers)
     images = np.vstack([p for p, _ in parts])
     img_ok = np.concatenate([o for _, o in parts])
 

@@ -413,7 +413,11 @@ class Complement(SetOracle):
 
 
 class Sublevel(SetOracle):
-    """{x : fn(x) <= 0}; membership exact, distance a Lipschitz lower bound."""
+    """{x : fn(x) <= 0}; membership exact, distance a Lipschitz lower bound.
+
+    ``fn`` is batch-only: it receives ``(m, dim)`` rows and returns ``m``
+    values; ``margin`` lifts a single state to one row.
+    """
 
     kind = "sublevel"
 
@@ -423,8 +427,7 @@ class Sublevel(SetOracle):
         self.lipschitz = float(lipschitz)
 
     def margin(self, x):
-        v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        return float(v.reshape(-1)[0])
+        return float(self.margin_many(x)[0])
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -475,6 +478,7 @@ def complement(base: SetOracle) -> Complement:
 
 
 def sublevel(fn, dim: int, lipschitz: float = 1.0) -> Sublevel:
+    """{x : fn(x) <= 0} for a batch-only fn: (m, dim) rows -> (m,) values."""
     return Sublevel(fn, dim, lipschitz)
 
 
@@ -505,8 +509,7 @@ class PointCloud:
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.tol > 0 and len(points) > 1:
-            points = _merge_points(points, self.tol / 2.0)
+        points = points[_merge_points(points, self.tol / 2.0)]
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
@@ -518,18 +521,21 @@ class PointCloud:
 
 
 def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
-    """Greedy dedup keeping the earliest representative of each cluster."""
-    if radius <= 0 or len(points) < 2:
-        return points.copy()
-    tree = cKDTree(points)
+    """Greedy dedup keeping the earliest representative of each cluster.
+
+    Returns the keep mask over the rows of points.
+    """
     keep = np.ones(len(points), dtype=bool)
+    if radius <= 0 or len(points) < 2:
+        return keep
+    tree = cKDTree(points)
     for i in range(len(points)):
         if not keep[i]:
             continue
         for j in tree.query_ball_point(points[i], radius):
             if j > i:
                 keep[j] = False
-    return points[keep]
+    return keep
 
 
 def tangent_residual(K: SetOracle, x, v, h_min: float = 1e-6, h_max: float = 1e-2) -> float:

@@ -366,6 +366,21 @@ def test_replay_check_consistency():
     assert vk.replay_check(cloud, prob, fraction=0.02) <= 1e-9
 
 
+def test_time_dependent_characteristics():
+    # x' = 1, y' = -t y from u0 = 1: y(t) = exp(-t^2 / 2) on every characteristic
+    data = vk.BoundaryData(lambda x: np.array([1.0]))
+    prob = vk.CharProblem(lambda t, x, y: -t * y, vk.whole_space(1), data, 1, phi=one)
+    want = math.exp(-0.5)
+    assert abs(vk.solve_char(prob, 1.0, [0.3], 0.01)[0] - want) <= 1e-8
+    cloud = vk.graph_sample(prob, 1.0, 0.01, 11, [-1.0], [1.0])
+    last = np.abs(cloud.times - 1.0) <= 1e-9
+    assert np.count_nonzero(last) == 11
+    assert_allclose(cloud.states[last, 0], np.linspace(-1.0, 1.0, 11) + 1.0, atol=1e-12)
+    assert_allclose(cloud.outputs[last, 0], want, rtol=0.0, atol=1e-8)
+    # the sweep and the replay step by one rule: the replay is exact
+    assert vk.replay_check(cloud, prob, fraction=1.0) == 0.0
+
+
 def test_graph_sample_impulse_slices():
     u0 = lambda x: np.array([0.0])
     v = lambda s, xi: np.array([s])

@@ -69,6 +69,28 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     assert "integrate" in capsys.readouterr().err
 
 
+def test_hj_check_blowup_exit_3(tmp_path, capsys):
+    cfg = _write(tmp_path, "hjblow.json", {
+        "field": {"kind": "polynomial", "coeffs": [0, 0, 1]},
+        "lagrangian": {"kind": "zero"}, "obstacle": {"kind": "abs"},
+        "grid": {"lo": [-1.0], "hi": [3.0], "counts": [8]},
+        "mode": "sup", "points": [[0.1]], "horizon": 5.0, "step": 0.01,
+    })
+    assert main(["hj-check", cfg, "-o", str(tmp_path)]) == 3
+    assert "hj-check" in capsys.readouterr().err
+    assert not (tmp_path / "value_field.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"lo": [1.0], "hi": [-1.0], "counts": [10]},
+    {"lo": [-1.0], "hi": [1.0], "counts": [1]},
+])
+def test_bad_grid_exit_2(tmp_path, capsys, grid):
+    cfg = _write(tmp_path, "badgrid.json", dict(VIAB_CFG, grid=grid))
+    assert main(["viab", cfg, "-o", str(tmp_path)]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_flow_and_exit_time(tmp_path):
     cfg = _write(tmp_path, "flow.json", {
         "field": {"kind": "linear", "a": 1.0}, "t": 1.0, "x0": [1.0], "step": 1e-3,

@@ -113,12 +113,24 @@ def test_blowup_raises_nonfinite():
     quad = vk.VectorField(1, lambda t, x: x * x, name="quadratic")
     with pytest.raises(vk.NonFinite):
         vk.integrate(quad, [3.0], 0.0, 5.0, 1e-3)
+    # a batched sweep retires and flags the blown-up row, the other finishes
+    pts, ok = vk.reach_set(quad, 5.0, [[3.0], [-1.0]], 1e-3)
+    assert list(ok) == [False, True]
+    assert np.isnan(pts[0, 0])
+    assert pts[1, 0] == pytest.approx(-1.0 / 6.0, abs=1e-9)
 
 
 def test_time_dependent_field():
     f = vk.VectorField(1, lambda t, x: np.full_like(x, t), name="ramp")
     traj = vk.integrate(f, [0.0], 0.0, 2.0, 1e-3)
     assert abs(traj.states[-1][0] - 2.0) <= 1e-9
+    # x' = t adds t1^2 / 2 to every row of a batched sweep
+    pts, ok = vk.reach_set(f, 2.0, [[0.0], [1.0]], 1e-3)
+    assert np.all(ok)
+    assert_allclose(pts[:, 0], [2.0, 3.0], atol=1e-9)
+    # x(t) = t^2 / 2 leaves (-inf, 1] at sqrt(2)
+    tau = vk.exit_time(f, vk.box([-np.inf], [1.0]), [0.0], 3.0, 1e-3)
+    assert abs(tau - np.sqrt(2.0)) <= 1e-7
 
 
 def test_trajectory_spacing_and_partial_last_step():
