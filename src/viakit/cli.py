@@ -261,6 +261,11 @@ def _run(args) -> int:
         K = _build_set(_need(cfg, "set", "config"))
         fn = exit_time if op == "exit-time" else hitting_time
         rows = _points(cfg, "x0")
+        if op == "exit-time":
+            outside = np.flatnonzero(~K.contains_many(rows))
+            if len(outside):
+                raise ConfigError(f"x0 row {outside[0]} {rows[outside[0]].tolist()} is "
+                                  "outside the set", section="x0")
         vals = [fn(field, K, x, float(_need(cfg, "horizon", "config")),
                    float(_need(cfg, "step", "config"))) for x in rows]
         csvio.write_values(out(op.replace("-", "_") + ".csv"), rows, vals)

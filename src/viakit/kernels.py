@@ -6,7 +6,8 @@ bundles collapses to evaluation along one trajectory per start (stated
 prominently in the README).  Exit and hitting events are bracketed by a
 membership sign change between consecutive RK4 nodes and refined by
 bisection on a single sub-step; a grazing touch that flips membership
-counts as the event (closed-set convention).
+counts as the event (closed-set convention).  Detection and refinement
+test the same batched ``contains_many`` predicate.
 
 Grid sweeps advance all nodes in one vectorized batch; per-node
 arithmetic is elementwise, so splitting the node list across workers
@@ -47,8 +48,8 @@ class GridSpec:
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         counts = np.atleast_1d(np.asarray(self.counts, dtype=int))
-        if np.any(lo >= hi):
-            raise ValueError("grid needs lo < hi componentwise")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise ValueError("grid needs finite lo < hi componentwise")
         if np.any(counts < 2):
             raise ValueError("grid needs at least 2 cells per axis")
         for a in (lo, hi, counts):
@@ -124,10 +125,11 @@ class TimeField:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_crossing(field, t0, x0, h, entered, tol):
-    """First s in (0, h] with entered(state at t0+s); assumes entered at h.
+def _bisect_crossing(field, t0, x0, h, crossed, tol):
+    """First s in (0, h] with crossed(state at t0+s); assumes crossed at h.
 
-    Uses a single RK4 sub-step of size s from (t0, x0); its local error
+    ``crossed`` is the sweep's batched predicate, tested on the one-row
+    state of a single RK4 sub-step of size s from (t0, x0); its local error
     is far below the trajectory's own. Returns the "first true" end of
     the shrinking bracket so a grazing tie counts as the event.
     """
@@ -136,7 +138,7 @@ def _bisect_crossing(field, t0, x0, h, entered, tol):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if entered(rk4_step(field, t0, x0, mid)):
+        if crossed(rk4_step(field, t0, x0, mid)[None, :])[0]:
             hi = mid
         else:
             lo = mid
@@ -160,25 +162,24 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
     hit_t = np.full(n, INF)
     need_exit = np.zeros(n, dtype=bool)
     need_hit = np.zeros(n, dtype=bool)
-    events = []  # (rows still looking, event times, crossed(rows), crossed(state))
+    events = []  # (rows still looking, event times, crossed(rows))
     if K is not None:
         inside = k_inside0 if k_inside0 is not None else K.contains_many(X0)
         need_exit = np.array(inside, dtype=bool)
         exit_t[~need_exit] = 0.0
-        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X),
-                       lambda z: not K.contains(z)))
+        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X)))
     if C is not None:
         need_hit = ~C.contains_many(X0)
         hit_t[~need_hit] = 0.0
-        events.append((need_hit, hit_t, C.contains_many, C.contains))
+        events.append((need_hit, hit_t, C.contains_many))
 
     x = X0.copy()
     live = need_exit | need_hit
     for rows, t, hj, prev in _march(field, x, 0.0, T_max, h, live):
-        for need, times, crossed_many, crossed in events:
+        for need, times, crossed in events:
             sub = need[rows]
             if sub.any():
-                flip = crossed_many(x[rows[sub]])
+                flip = crossed(x[rows[sub]])
                 for row, xprev in zip(rows[sub][flip], prev[sub][flip]):
                     times[row] = t + _bisect_crossing(field, t, xprev, hj, crossed,
                                                       refine_tol)
@@ -232,15 +233,12 @@ def capture_margin(field: VectorField, K: SetOracle, C: SetOracle, x,
     ex, ht, failed = _event_sweep(field, x[None, :], T_max, h, K=K, C=C)
     if failed[0] and ht[0] >= INF and ex[0] >= INF:
         raise NonFinite("trajectory blew up before either event")
-    return _margin_of(float(ex[0]), float(ht[0]))
+    return float(_margin_of(ex, ht)[0])
 
 
-def _margin_of(exit_t: float, hit_t: float) -> float:
-    if hit_t >= INF:
-        return INF
-    if exit_t >= INF:
-        return -INF
-    return hit_t - exit_t
+def _margin_of(exit_t: np.ndarray, hit_t: np.ndarray) -> np.ndarray:
+    """hit - exit per row; +INF where no hit, -INF where a hit but no exit."""
+    return np.where(hit_t >= INF, INF, np.where(exit_t >= INF, -INF, hit_t - exit_t))
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +269,14 @@ def viab_field(field: VectorField, K: SetOracle, grid: GridSpec, T_max: float,
     """
     nodes = grid.nodes()
     inside = K.contains_many(nodes)
-    values = np.zeros(len(nodes))
 
     def run(s, e):
         blk = slice(s, e)
         ex, _, failed = _event_sweep(field, nodes[blk], T_max, h, K=K,
                                      k_inside0=inside[blk])
-        ex = ex.copy()
-        ex[failed & (ex >= INF)] = 0.0
-        return ex
+        return np.where(failed & (ex >= INF), 0.0, ex)
 
-    parts = _run_chunks(run, len(nodes), workers)
-    values = np.concatenate(parts)
+    values = np.concatenate(_run_chunks(run, len(nodes), workers))
     values[~inside] = 0.0
     return TimeField(grid, values, inside)
 
@@ -315,7 +309,7 @@ def viable_capt_field(field: VectorField, K: SetOracle, C: SetOracle,
         blk = slice(s, e)
         ex, ht, _ = _event_sweep(field, nodes[blk], T_max, h, K=K, C=C,
                                  k_inside0=inside[blk])
-        return np.array([_margin_of(a, b) for a, b in zip(ex, ht)])
+        return _margin_of(ex, ht)
 
     values = np.concatenate(_run_chunks(run, len(nodes), workers))
     values[~inside] = INF

@@ -1,9 +1,11 @@
 """Closed-set oracles: membership, distance, best-approximation projection.
 
 Sets are represented by oracles rather than meshes; every construction
-downstream consumes only membership, distance, and projection.  The
-primitive kinds (box, ball, halfspace, point cloud) have exact analytic
-rules; composites are built on top:
+downstream consumes only membership, distance, and projection.  A kind
+implements only ``margin_many`` on ``(m, dim)`` rows; ``margin`` and
+``contains`` lift one state to one row (point clouds: 1e-9 membership
+tolerance).  The primitive kinds (box, ball, halfspace, point cloud) have
+exact analytic rules; composites are built on top:
 
   * product       - exact (per-factor slices)
   * union         - exact (min of member distances, argmin projection)
@@ -34,7 +36,11 @@ from .errors import Unsupported
 
 
 class SetOracle:
-    """A closed subset of R^dim described by membership/distance/projection."""
+    """A closed subset of R^dim described by membership/distance/projection.
+
+    A kind implements only ``margin_many``; ``margin``/``contains`` lift one
+    state to one row of it and point clouds use a 1e-9 membership tolerance.
+    """
 
     kind = "abstract"
 
@@ -42,19 +48,18 @@ class SetOracle:
         self.dim = int(dim)
 
     # -- membership --------------------------------------------------------
-    def margin(self, x) -> float:
-        """Signed residual: <= 0 inside, > 0 outside (exact zero test)."""
-        raise NotImplementedError
-
     def margin_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.margin(row) for row in X])
-
-    def contains(self, x) -> bool:
-        return bool(self.margin(np.asarray(x, dtype=float)) <= 0.0)
+        """Signed residuals of (m, dim) rows: <= 0 inside, > 0 outside."""
+        raise NotImplementedError
 
     def contains_many(self, X) -> np.ndarray:
         return self.margin_many(X) <= 0.0
+
+    def margin(self, x) -> float:
+        return float(self.margin_many(x)[0])
+
+    def contains(self, x) -> bool:
+        return bool(self.contains_many(x)[0])
 
     # -- metric -------------------------------------------------------------
     def distance(self, x) -> float:
@@ -91,9 +96,6 @@ class Box(SetOracle):
             raise ValueError("box needs lo <= hi componentwise")
         super().__init__(len(lo))
         self.lo, self.hi = lo, hi
-
-    def margin(self, x):
-        return float(np.max(np.maximum(self.lo - x, x - self.hi)))
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -141,9 +143,6 @@ class Ball(SetOracle):
         super().__init__(len(center))
         self.center, self.radius = center, float(radius)
 
-    def margin(self, x):
-        return float(np.linalg.norm(x - self.center) - self.radius)
-
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.linalg.norm(X - self.center, axis=1) - self.radius
@@ -187,9 +186,6 @@ class Halfspace(SetOracle):
         self._unit = normal / nn
         self._scaled_offset = offset / nn
 
-    def margin(self, x):
-        return float(x @ self._unit - self._scaled_offset)
-
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X @ self._unit - self._scaled_offset
@@ -221,12 +217,6 @@ class PointCloudSet(SetOracle):
         self.points = points
         self._tree = cKDTree(points) if len(points) else None
 
-    def margin(self, x):
-        if self._tree is None:
-            return INF
-        d, _ = self._tree.query(np.asarray(x, dtype=float))
-        return float(d)
-
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._tree is None:
@@ -234,11 +224,8 @@ class PointCloudSet(SetOracle):
         d, _ = self._tree.query(X)
         return np.asarray(d, dtype=float)
 
-    def contains(self, x) -> bool:
-        # membership tolerance for float round-off on exact points
-        return bool(self.margin(x) <= 1e-9)
-
     def contains_many(self, X):
+        # membership tolerance for float round-off on exact points
         return self.margin_many(X) <= 1e-9
 
     def distance(self, x):
@@ -278,9 +265,6 @@ class Product(SetOracle):
     def _parts(self, x):
         return [np.asarray(x)[s] for s in self._slices]
 
-    def margin(self, x):
-        return max(f.margin(p) for f, p in zip(self.factors, self._parts(x)))
-
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full(len(X), -np.inf)
@@ -309,9 +293,6 @@ class Union(SetOracle):
             raise ValueError("union needs at least one member")
         super().__init__(members[0].dim)
         self.members = members
-
-    def margin(self, x):
-        return min(m.margin(x) for m in self.members)
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -343,9 +324,6 @@ class Intersection(SetOracle):
         super().__init__(members[0].dim)
         self.members = members
         self.max_sweeps = max_sweeps
-
-    def margin(self, x):
-        return max(m.margin(x) for m in self.members)
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -391,9 +369,6 @@ class Complement(SetOracle):
         super().__init__(base.dim)
         self.base = base
 
-    def margin(self, x):
-        return -self.base.margin(x)
-
     def margin_many(self, X):
         return -self.base.margin_many(X)
 
@@ -415,8 +390,7 @@ class Complement(SetOracle):
 class Sublevel(SetOracle):
     """{x : fn(x) <= 0}; membership exact, distance a Lipschitz lower bound.
 
-    ``fn`` is batch-only: it receives ``(m, dim)`` rows and returns ``m``
-    values; ``margin`` lifts a single state to one row.
+    ``fn`` is batch-only: it receives ``(m, dim)`` rows, returns ``m`` values.
     """
 
     kind = "sublevel"
@@ -425,9 +399,6 @@ class Sublevel(SetOracle):
         super().__init__(dim)
         self.fn = fn
         self.lipschitz = float(lipschitz)
-
-    def margin(self, x):
-        return float(self.margin_many(x)[0])
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -84,6 +84,7 @@ def test_hj_check_blowup_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("grid", [
     {"lo": [1.0], "hi": [-1.0], "counts": [10]},
     {"lo": [-1.0], "hi": [1.0], "counts": [1]},
+    {"lo": [float("nan")], "hi": [1.0], "counts": [4]},
 ])
 def test_bad_grid_exit_2(tmp_path, capsys, grid):
     cfg = _write(tmp_path, "badgrid.json", dict(VIAB_CFG, grid=grid))
@@ -107,6 +108,18 @@ def test_flow_and_exit_time(tmp_path):
     assert main(["exit-time", cfg2, "-o", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "exit_time.csv")
     assert rows[0][-1] == pytest.approx(0.7, abs=1e-6)
+
+
+def test_exit_time_start_outside_set_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "et_out.json", {
+        "field": {"kind": "transport", "velocity": [1.0]},
+        "set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+        "x0": [[0.0], [3.0]], "horizon": 5.0, "step": 1e-3,
+    })
+    assert main(["exit-time", cfg, "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "x0 row 1" in err
+    assert not (tmp_path / "exit_time.csv").exists()
 
 
 def test_env_var_output_override(tmp_path, monkeypatch):

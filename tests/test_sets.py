@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
@@ -64,6 +64,40 @@ def test_distance_one_lipschitz(vals):
     y = np.array(vals[2:])
     for K in (unit_ball, unit_box, vk.halfspace([1.0, 2.0], 1.0)):
         assert abs(K.distance(x) - K.distance(y)) <= np.linalg.norm(x - y) + 1e-12
+
+
+def _all_kinds(dim, v):
+    """One oracle of every kind in R^dim, all with boundaries near the unit sphere."""
+    zero = np.zeros(dim)
+    unit = v / np.linalg.norm(v)
+    ball = vk.ball(zero, 1.0)
+    cube = vk.box(-np.ones(dim), np.ones(dim))
+    half = vk.halfspace(v, 1.0)
+    factors = (vk.box([-1.0], [1.0]),) if dim == 1 else \
+        (vk.ball(np.zeros(dim - 1), 1.0), vk.box([-1.0], [1.0]))
+    return [ball, cube, half, vk.point_cloud_set([unit, -unit, zero]),
+            vk.product(*factors), vk.union(ball, half), vk.intersection(ball, cube),
+            vk.complement(ball), vk.sphere(zero, 1.0),
+            vk.sublevel(lambda X: np.sum(X * X, axis=1) - 1.0, dim)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.integers(-2, 2))
+@example(2, [0.8726843189280901, -0.48828483439178805, 0.0, 0.0], 0)
+def test_scalar_and_batch_membership_agree(dim, vals, ulps):
+    # points on or a few ulps off the boundaries of every kind
+    v = np.array(vals[:dim])
+    assume(np.linalg.norm(v) > 1e-3)
+    s = 1.0 + ulps * 2.0 ** -52
+    unit = v / np.linalg.norm(v)
+    head = v[:-1] / max(np.linalg.norm(v[:-1]), 1e-3)  # on the product's ball factor
+    points = [v, s * unit, s * unit / np.max(np.abs(unit)), s * v / (v @ v),
+              (1.0 + 1e-9) * unit, np.concatenate([s * head, [0.5]])]
+    for K in _all_kinds(dim, v):
+        for x in points:
+            assert K.margin(x) == K.margin_many(x[None])[0]
+            assert K.contains(x) == bool(K.contains_many(x[None])[0])
 
 
 def test_tangent_residual_circle_tangent_direction():
