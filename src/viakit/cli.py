@@ -53,20 +53,33 @@ def _need(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def _num(spec: dict, key: str, where: str, default=_REQUIRED) -> float:
+    """``spec[key]`` (or ``default`` when given and the key is absent) as a float."""
+    value = _need(spec, key, where) if default is _REQUIRED else spec.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} in section {where!r} must be a number, got {value!r}",
+                          section=where) from None
+
+
 def _build_field(spec: dict, where: str = "field") -> VectorField:
     kind = _need(spec, "kind", where)
     if kind == "linear":
         if "matrix" in spec:
             return linear_field(np.array(spec["matrix"], dtype=float))
-        return linear_field(float(_need(spec, "a", where)), dim=int(spec.get("dim", 1)))
+        return linear_field(_num(spec, "a", where), dim=int(spec.get("dim", 1)))
     if kind == "rotation":
-        return rotation_field(float(spec.get("omega", 1.0)))
+        return rotation_field(_num(spec, "omega", where, default=1.0))
     if kind == "logistic":
-        return logistic_field(float(_need(spec, "beta", where)), float(_need(spec, "b", where)))
+        return logistic_field(_num(spec, "beta", where), _num(spec, "b", where))
     if kind == "transport":
         return transport_field(np.array(_need(spec, "velocity", where), dtype=float))
     if kind == "demographic":
-        return demographic_field(*(float(_need(spec, k, where))
+        return demographic_field(*(_num(spec, k, where)
                                    for k in ("rho", "sigma", "beta", "b")))
     if kind == "polynomial":
         coeffs = np.array(_need(spec, "coeffs", where), dtype=float)
@@ -98,13 +111,13 @@ def _build_set(spec: dict, where: str = "set"):
         return box(lo, hi)
     if kind == "ball":
         return ball(np.array(_need(spec, "center", where), dtype=float),
-                    float(_need(spec, "radius", where)))
+                    _num(spec, "radius", where))
     if kind == "sphere":
         return sphere(np.array(_need(spec, "center", where), dtype=float),
-                      float(_need(spec, "radius", where)))
+                      _num(spec, "radius", where))
     if kind == "halfspace":
         return halfspace(np.array(_need(spec, "normal", where), dtype=float),
-                         float(_need(spec, "offset", where)))
+                         _num(spec, "offset", where))
     if kind == "point-cloud":
         return point_cloud_set(np.array(_need(spec, "points", where), dtype=float))
     if kind == "product":
@@ -139,10 +152,10 @@ def _build_func(spec: dict, where: str):
     """Small scalar-function library for data: w.z + c, sin(w.z + c), const."""
     kind = _need(spec, "kind", where)
     if kind == "const":
-        v = float(_need(spec, "value", where))
+        v = _num(spec, "value", where)
         return lambda *args: np.array([v])
     w = np.array(_need(spec, "weights", where), dtype=float)
-    c = float(spec.get("offset", 0.0))
+    c = _num(spec, "offset", where, default=0.0)
 
     def dot(args):
         z = np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)) for a in args])
@@ -164,7 +177,7 @@ def _build_problem(cfg: dict) -> LagrangianProblem:
     elif kind == "unit":
         lag = unit_lagrangian
     elif kind == "const":
-        lag = const_lagrangian(float(_need(lspec, "value", "lagrangian")))
+        lag = const_lagrangian(_num(lspec, "value", "lagrangian"))
     elif kind == "speed":
         lag = speed_lagrangian
     else:
@@ -179,8 +192,8 @@ def _build_problem(cfg: dict) -> LagrangianProblem:
         obs = indicator_obstacle(_build_set(_need(ospec, "set", "obstacle"), "obstacle.set"))
     else:
         raise ConfigError(f"unknown obstacle kind {okind!r}", section="obstacle")
-    return LagrangianProblem(field, lag, float(cfg.get("discount", 0.0)), obs,
-                             value_cap=float(cfg.get("value_cap", 1e6)))
+    return LagrangianProblem(field, lag, _num(cfg, "discount", "config", default=0.0), obs,
+                             value_cap=_num(cfg, "value_cap", "config", default=1e6))
 
 
 def _build_pde(cfg: dict) -> CharProblem:
@@ -195,7 +208,7 @@ def _build_pde(cfg: dict) -> CharProblem:
     if gkind == "zero":
         g = lambda t, x, y: np.zeros_like(y)
     elif gkind == "decay":
-        lam = float(_need(gspec, "rate", "pde.g"))
+        lam = _num(gspec, "rate", "pde.g")
         g = lambda t, x, y: -lam * y
     else:
         raise ConfigError(f"unknown pde.g kind {gkind!r}", section="pde.g")
@@ -223,6 +236,14 @@ def _eval_lattice(cfg: dict):
     return flat[0], np.stack(flat[1:], axis=1)
 
 
+def _require_inside(K, rows, where: str, set_name: str):
+    """ConfigError naming the first of ``rows`` outside ``K``."""
+    outside = np.flatnonzero(~K.contains_many(rows))
+    if len(outside):
+        raise ConfigError(f"{where} row {outside[0]} {rows[outside[0]].tolist()} is "
+                          f"outside {set_name}", section=where)
+
+
 def _points(cfg: dict, key: str = "points"):
     return np.atleast_2d(np.array(_need(cfg, key, "config"), dtype=float))
 
@@ -242,19 +263,19 @@ def _run(args) -> int:
     if op == "integrate":
         field = _build_field(_need(cfg, "field", "config"))
         traj = integrate(field, np.array(_need(cfg, "x0", "config"), dtype=float),
-                         float(cfg.get("t0", 0.0)), float(_need(cfg, "horizon", "config")),
-                         float(_need(cfg, "step", "config")))
+                         _num(cfg, "t0", "config", default=0.0), _num(cfg, "horizon", "config"),
+                         _num(cfg, "step", "config"))
         csvio.write_trajectory(out("trajectory.csv"), traj)
     elif op == "flow":
         field = _build_field(_need(cfg, "field", "config"))
-        x = flow(field, float(_need(cfg, "t", "config")),
+        x = flow(field, _num(cfg, "t", "config"),
                  np.array(_need(cfg, "x0", "config"), dtype=float),
-                 float(_need(cfg, "step", "config")))
+                 _num(cfg, "step", "config"))
         csvio.write_points(out("flow.csv"), x[None, :])
     elif op == "reach":
         field = _build_field(_need(cfg, "field", "config"))
-        pts, ok = reach_set(field, float(_need(cfg, "t", "config")),
-                            _points(cfg, "seeds"), float(_need(cfg, "step", "config")))
+        pts, ok = reach_set(field, _num(cfg, "t", "config"),
+                            _points(cfg, "seeds"), _num(cfg, "step", "config"))
         csvio.write_values(out("reach.csv"), pts, ok.astype(float), label="ok")
     elif op in ("exit-time", "hitting-time"):
         field = _build_field(_need(cfg, "field", "config"))
@@ -262,17 +283,14 @@ def _run(args) -> int:
         fn = exit_time if op == "exit-time" else hitting_time
         rows = _points(cfg, "x0")
         if op == "exit-time":
-            outside = np.flatnonzero(~K.contains_many(rows))
-            if len(outside):
-                raise ConfigError(f"x0 row {outside[0]} {rows[outside[0]].tolist()} is "
-                                  "outside the set", section="x0")
-        vals = [fn(field, K, x, float(_need(cfg, "horizon", "config")),
-                   float(_need(cfg, "step", "config"))) for x in rows]
+            _require_inside(K, rows, "x0", "the set")
+        vals = [fn(field, K, x, _num(cfg, "horizon", "config"),
+                   _num(cfg, "step", "config")) for x in rows]
         csvio.write_values(out(op.replace("-", "_") + ".csv"), rows, vals)
     elif op in ("viab", "capt", "viable-capt"):
         field = _build_field(_need(cfg, "field", "config"))
         grid = _build_grid(_need(cfg, "grid", "config"))
-        T, h = float(_need(cfg, "horizon", "config")), float(_need(cfg, "step", "config"))
+        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
         if op == "viab":
             tf = viab_field(field, _build_set(_need(cfg, "set", "config")), grid, T, h,
                             workers=workers)
@@ -289,12 +307,12 @@ def _run(args) -> int:
         field = _build_field(_need(cfg, "field", "config"))
         grid = _build_grid(_need(cfg, "grid", "config"))
         alive, _ = discrete_kernel(field, _build_set(_need(cfg, "set", "config")), grid,
-                                   float(_need(cfg, "step", "config")),
+                                   _num(cfg, "step", "config"),
                                    flow_step=cfg.get("flow_step"), workers=workers)
         csvio.write_boolfield(out("kernel.csv"), grid, alive)
     elif op in ("value-sup", "value-inf", "lyapunov"):
         p = _build_problem(cfg)
-        T, h = float(_need(cfg, "horizon", "config")), float(_need(cfg, "step", "config"))
+        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
         rows = _points(cfg)
         fn = {"value-sup": value_sup, "value-inf": value_inf, "lyapunov": lyapunov}[op]
         vals = [fn(p, x, T, h) for x in rows]
@@ -302,27 +320,32 @@ def _run(args) -> int:
     elif op in ("mintime", "minlength"):
         field = _build_field(_need(cfg, "field", "config"))
         K = _build_set(_need(cfg, "set", "config"))
-        T, h = float(_need(cfg, "horizon", "config")), float(_need(cfg, "step", "config"))
+        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
         rows = _points(cfg)
         fn = minimal_time if op == "mintime" else minimal_length
         vals = [fn(field, K, x, T, h) for x in rows]
         csvio.write_values(out(op + ".csv"), rows, vals)
     elif op == "hj-check":
         p = _build_problem(cfg)
-        T, h = float(_need(cfg, "horizon", "config")), float(_need(cfg, "step", "config"))
+        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
         mode = cfg.get("mode", "sup")
         grid = _build_grid(_need(cfg, "grid", "config"))
         vals = tabulate_values(p, grid.nodes(), mode, T, h)
         field_fn = GridFunction(grid, vals)
         check = hj_check_sup if mode == "sup" else hj_check_inf
-        report = check(p, field_fn, _points(cfg), tol=float(cfg.get("tol", 0.05)))
+        report = check(p, field_fn, _points(cfg), tol=_num(cfg, "tol", "config", default=0.05))
         csvio.write_hj_report(out("hj_residuals.csv"), report)
         csvio.write_gridfunction(out("value_field.csv"), field_fn)
         print(f"hj-check {mode}: {len(report.violations)} violation(s)")
     elif op == "pde-char":
         prob = _build_pde(cfg)
-        h = float(_need(cfg, "step", "config"))
+        h = _num(cfg, "step", "config")
         ts, xs = _eval_lattice(cfg)
+        _require_inside(prob.domain, xs, "eval", "pde.K")
+        negative = np.flatnonzero(~(ts >= 0.0))
+        if len(negative):
+            raise ConfigError(f"eval time {negative[0]} ({ts[negative[0]]}) must be >= 0",
+                              section="eval")
         us = []
         for t, x in zip(ts, xs):
             u = solve_char(prob, float(t), x, h)
@@ -331,8 +354,8 @@ def _run(args) -> int:
     elif op == "pde-graph":
         prob = _build_pde(cfg)
         gcfg = _need(cfg, "graph", "config")
-        cloud = graph_sample(prob, float(_need(gcfg, "T", "graph")),
-                             float(_need(cfg, "step", "config")),
+        cloud = graph_sample(prob, _num(gcfg, "T", "graph"),
+                             _num(cfg, "step", "config"),
                              int(_need(gcfg, "seeds_per_face", "graph")),
                              np.array(_need(gcfg, "seed_lo", "graph"), dtype=float),
                              np.array(_need(gcfg, "seed_hi", "graph"), dtype=float),
@@ -340,9 +363,9 @@ def _run(args) -> int:
         csvio.write_graphcloud(out("graph_cloud.csv"), cloud)
     elif op == "demo4d":
         d = _need(cfg, "demo4d", "config")
-        oracle = demo4d(*(float(_need(d, k, "demo4d"))
+        oracle = demo4d(*(_num(d, k, "demo4d")
                           for k in ("rho", "sigma", "beta", "b", "r2")),
-                        float(_need(d, "A", "demo4d")),
+                        _num(d, "A", "demo4d"),
                         _build_func(_need(d, "u0", "demo4d"), "demo4d.u0"),
                         _build_func(_need(d, "v1", "demo4d"), "demo4d.v1"),
                         _build_func(_need(d, "v_r2", "demo4d"), "demo4d.v_r2"))
@@ -350,11 +373,11 @@ def _run(args) -> int:
         us = np.array([oracle(float(t), x) for t, x in zip(ts, xs)])
         csvio.write_solution_field(out("demo4d_solution.csv"), ts, xs, us)
         if cfg.get("step"):
-            h = float(cfg["step"])
+            h = _num(cfg, "step", "config")
             prob = CharProblem(
-                lambda t, x, y: -float(_need(d, "A", "demo4d")) * y,
-                product(box([0.0], [np.inf]), box([0.0], [float(d["r2"])]),
-                        box([0.0], [np.inf]), box([0.0], [float(d["b"])])),
+                lambda t, x, y: -oracle.A * y,
+                product(box([0.0], [np.inf]), box([0.0], [oracle.r2]),
+                        box([0.0], [np.inf]), box([0.0], [oracle.b])),
                 BoundaryData(
                     oracle.u0,
                     lambda s, xi: oracle.v1(s, xi[1], xi[2], xi[3])

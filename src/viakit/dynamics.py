@@ -108,11 +108,17 @@ class Trajectory:
         return (1.0 - w) * states[j] + w * states[j + 1]
 
 
-def rk4_step(field: VectorField, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step; broadcasts over a leading batch axis of x."""
+def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
+    """One classical RK4 step; broadcasts over a leading batch axis of x.
+
+    t and h are scalars, or (m, 1) columns of per-row start times and
+    step sizes for (m, dim) rows; each row's arithmetic is the same
+    either way.
+    """
+    half = 0.5 * h
     k1 = field(t, x)
-    k2 = field(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = field(t + 0.5 * h, x + 0.5 * h * k2)
+    k2 = field(t + half, x + half * k1)
+    k3 = field(t + half, x + half * k2)
     k4 = field(t + h, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 

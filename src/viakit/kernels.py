@@ -4,10 +4,13 @@ Everything is evaluated along the RK4-selected solution: the toolkit
 assumes the unique-solution regime, so the inf/sup over solution
 bundles collapses to evaluation along one trajectory per start (stated
 prominently in the README).  Exit and hitting events are bracketed by a
-membership sign change between consecutive RK4 nodes and refined by
-bisection on a single sub-step; a grazing touch that flips membership
-counts as the event (closed-set convention).  Detection and refinement
-test the same batched ``contains_many`` predicate.
+membership sign change between consecutive RK4 nodes while marching and
+refined after the march by bisection on a single sub-step, one batched
+bisection per event kind over all of a sweep's brackets; a grazing touch
+that flips membership counts as the event (closed-set convention).
+Detection and refinement test the same batched ``contains_many``
+predicate, and a row's refined time does not depend on the rows it is
+batched with.
 
 Grid sweeps advance all nodes in one vectorized batch; per-node
 arithmetic is elementwise, so splitting the node list across workers
@@ -125,29 +128,44 @@ class TimeField:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_crossing(field, t0, x0, h, crossed, tol):
-    """First s in (0, h] with crossed(state at t0+s); assumes crossed at h.
+def _bisect_crossings(field, t0, x0, h, crossed, tol):
+    """Per row, the first s in (0, h] with crossed(state at t0+s); crossed at h.
 
-    ``crossed`` is the sweep's batched predicate, tested on the one-row
-    state of a single RK4 sub-step of size s from (t0, x0); its local error
-    is far below the trajectory's own. Returns the "first true" end of
-    the shrinking bracket so a grazing tie counts as the event.
+    t0 and h are (k,) start times and step sizes and x0 the (k, dim)
+    states of k bracketed rows. Each round retires the brackets no wider
+    than tol and steps the others by one batched RK4 sub-step of per-row
+    size mid from (t0, x0), then tests the sweep's batched predicate
+    ``crossed`` on the result; the sub-step's local error is far below
+    the trajectory's own. Each row runs the same arithmetic it would
+    alone, so a row's result does not depend on its batch. Returns the
+    "first true" ends of the shrinking brackets, so a grazing tie counts
+    as the event.
     """
-    lo, hi = 0.0, h
+    out = np.empty_like(h)
+    rows, t0, lo, hi = np.arange(len(h)), t0[:, None], np.zeros_like(h), h
     for _ in range(80):
-        if hi - lo <= tol:
-            break
+        wide = hi - lo > tol
+        if not wide.all():
+            out[rows[~wide]] = hi[~wide]
+            rows, t0, x0, lo, hi = (a[wide] for a in (rows, t0, x0, lo, hi))
+            if len(rows) == 0:
+                break
         mid = 0.5 * (lo + hi)
-        if crossed(rk4_step(field, t0, x0, mid)[None, :])[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        flip = crossed(rk4_step(field, t0, x0, mid[:, None]))
+        hi = np.where(flip, mid, hi)
+        lo = np.where(flip, lo, mid)
+    out[rows] = hi
+    return out
 
 
 def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
                  k_inside0=None):
     """Batched RK4 sweep recording first-exit (from K) and first-hit (of C).
+
+    While marching, the rows whose membership flips in a step are
+    bracketed (row, step start, step size, state before the step) and
+    retired from that event; after the march each event kind refines all
+    of its brackets in one batched bisection.
 
     Returns (exit_times, hit_times, failed); missing events are INF.
     Rows whose integration blows up get failed=True and keep whatever
@@ -162,29 +180,36 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
     hit_t = np.full(n, INF)
     need_exit = np.zeros(n, dtype=bool)
     need_hit = np.zeros(n, dtype=bool)
-    events = []  # (rows still looking, event times, crossed(rows))
+    events = []  # (rows still looking, event times, crossed(rows), brackets)
     if K is not None:
         inside = k_inside0 if k_inside0 is not None else K.contains_many(X0)
         need_exit = np.array(inside, dtype=bool)
         exit_t[~need_exit] = 0.0
-        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X)))
+        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X), []))
     if C is not None:
         need_hit = ~C.contains_many(X0)
         hit_t[~need_hit] = 0.0
-        events.append((need_hit, hit_t, C.contains_many))
+        events.append((need_hit, hit_t, C.contains_many, []))
 
     x = X0.copy()
     live = need_exit | need_hit
     for rows, t, hj, prev in _march(field, x, 0.0, T_max, h, live):
-        for need, times, crossed in events:
+        for need, _, crossed, brackets in events:
             sub = need[rows]
             if sub.any():
                 flip = crossed(x[rows[sub]])
-                for row, xprev in zip(rows[sub][flip], prev[sub][flip]):
-                    times[row] = t + _bisect_crossing(field, t, xprev, hj, crossed,
-                                                      refine_tol)
-                    need[row] = False
+                if flip.any():
+                    found = rows[sub][flip]
+                    k = len(found)
+                    brackets.append((found, np.full(k, t), np.full(k, hj),
+                                     prev[sub][flip]))
+                    need[found] = False
         live &= need_exit | need_hit
+    for _, times, crossed, brackets in events:
+        if brackets:
+            found, t0, hs, x0 = (np.concatenate(a) for a in zip(*brackets))
+            times[found] = t0 + _bisect_crossings(field, t0, x0, hs, crossed,
+                                                refine_tol)
     failed = ~live & (need_exit | need_hit)
     return exit_t, hit_t, failed
 

@@ -122,6 +122,18 @@ def test_exit_time_start_outside_set_exit_2(tmp_path, capsys):
     assert not (tmp_path / "exit_time.csv").exists()
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"field": {"kind": "linear", "a": "abc"}}, "'a' in section 'field'"),
+    ({"set": {"kind": "ball", "center": [0.0], "radius": [1.0]}}, "'radius' in section 'set'"),
+    ({"horizon": None}, "'horizon' in section 'config'"),
+])
+def test_non_numeric_parameter_exit_2(tmp_path, capsys, edit, key):
+    cfg = _write(tmp_path, "nan.json", dict(VIAB_CFG, **edit))
+    assert main(["viab", cfg, "-o", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "viab.csv").exists()
+
+
 def test_env_var_output_override(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "flow.json", {
         "field": {"kind": "linear", "a": -1.0}, "t": math.log(2.0),
@@ -205,6 +217,25 @@ def test_pde_char_lattice(tmp_path):
     _, rows = _read_csv(tmp_path / "pde_solution.csv")
     assert rows[0][-1] == pytest.approx(math.sin(1.5), abs=1e-6)
     assert rows[1][-1] == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("ev, message", [
+    ({"ts": [0.5, 0.5], "xs": [[1.0], [-1.0]]}, "eval row 1 [-1.0] is outside pde.K"),
+    ({"ts": [0.5, -0.5], "xs": [[1.0], [1.0]]}, "eval time 1 (-0.5) must be >= 0"),
+])
+def test_pde_char_eval_outside_domain_exit_2(tmp_path, capsys, ev, message):
+    cfg = _write(tmp_path, "pde_out.json", {
+        "pde": {
+            "phi": {"kind": "transport", "velocity": [1.0]},
+            "K": {"kind": "box", "lo": [0.0], "hi": [None]},
+            "u0": {"kind": "sin", "weights": [1.0]},
+        },
+        "step": 0.01,
+        "eval": ev,
+    })
+    assert main(["pde-char", cfg, "-o", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pde_solution.csv").exists()
 
 
 def test_pde_graph_shock(tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
 from viakit.common import INF
+from viakit.dynamics import _march, rk4_step
+from viakit.kernels import REFINE_FRAC, _margin_of
 
 one = vk.transport_field([1.0])
 grow = vk.linear_field(1.0)
@@ -290,3 +293,121 @@ def test_grid_nodes_row_major():
     assert_allclose(nodes[0], [0.0, 10.0])
     assert_allclose(nodes[1], [0.0, 10.5])  # last axis varies fastest
     assert_allclose(nodes[3], [0.5, 10.0])
+
+
+# ---------------------------------------------------------------------------
+# Batched event refinement against the one-row scalar bisection
+# ---------------------------------------------------------------------------
+
+
+def _bisect_crossing_ref(field, t0, x0, h, crossed, tol):
+    """The scalar refinement loop: one-row RK4 sub-steps, one crossing at a time."""
+    lo, hi = 0.0, h
+    for _ in range(80):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if crossed(rk4_step(field, t0, x0, mid)[None, :])[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _events_ref(field, X0, T_max, h, K=None, C=None):
+    """(exit, hit, failed) with each crossing refined alone as the march finds it."""
+    n = len(X0)
+    tol = REFINE_FRAC * max(T_max, 1.0)
+    exit_t, hit_t = np.full(n, INF), np.full(n, INF)
+    need_exit, need_hit = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    events = []
+    if K is not None:
+        need_exit = K.contains_many(X0)
+        exit_t[~need_exit] = 0.0
+        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X)))
+    if C is not None:
+        need_hit = ~C.contains_many(X0)
+        hit_t[~need_hit] = 0.0
+        events.append((need_hit, hit_t, C.contains_many))
+    x = X0.copy()
+    live = need_exit | need_hit
+    for rows, t, hj, prev in _march(field, x, 0.0, T_max, h, live):
+        for need, times, crossed in events:
+            for row, xprev in zip(rows, prev):
+                if need[row] and crossed(x[row][None, :])[0]:
+                    times[row] = t + _bisect_crossing_ref(field, t, xprev, hj, crossed, tol)
+                    need[row] = False
+        live &= need_exit | need_hit
+    return exit_t, hit_t, ~live & (need_exit | need_hit)
+
+
+def _wobble(t, x):
+    """x' = (cos 3t - 0.2 x1, 0.7 sin t x1 + 0.1 x2); t scalar or an (m, 1) column."""
+    return np.concatenate([np.cos(3 * t) - 0.2 * x[:, :1],
+                           0.7 * np.sin(t) * x[:, :1] + 0.1 * x[:, 1:]], axis=1)
+
+
+FIELDS = {
+    (1, False): vk.VectorField(1, lambda t, x: 0.8 * x + 0.3),
+    (1, True): vk.VectorField(1, lambda t, x: np.cos(3 * t) - 0.2 * x),
+    (2, False): vk.linear_field([[0.3, -1.0], [1.0, 0.2]]),
+    (2, True): vk.VectorField(2, _wobble),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.booleans(), st.integers(2, 7), st.floats(-1.4, -0.6),
+       st.floats(0.6, 1.4), st.floats(0.02, 0.3), st.floats(0.3, 4.0),
+       st.floats(0.5, 1.1), st.floats(-0.6, 0.6), st.sampled_from([1, 3]))
+def test_batched_refinement_matches_scalar(dim, timed, count, lo, hi, h, T, radius,
+                                           centre, workers):
+    field = FIELDS[dim, timed]
+    K = vk.ball(np.zeros(dim), radius)
+    C = vk.ball(np.full(dim, centre), 0.3)
+    grid = vk.GridSpec([lo] * dim, [hi] * dim, [count] * dim)
+    nodes = grid.nodes()
+    inside = K.contains_many(nodes)
+    ex, _, failed = _events_ref(field, nodes, T, h, K=K)
+    viab_ref = np.where(failed & (ex >= INF), 0.0, ex)
+    viab_ref[~inside] = 0.0
+    capt_ref = _events_ref(field, nodes, T, h, C=C)[1]
+    margin_ref = _margin_of(*_events_ref(field, nodes, T, h, K=K, C=C)[:2])
+    margin_ref[~inside] = INF
+
+    viab = vk.viab_field(field, K, grid, T, h, workers=workers).values
+    capt = vk.capt_field(field, C, grid, T, h, workers=workers).values
+    margin = vk.viable_capt_field(field, K, C, grid, T, h, workers=workers).values
+    assert np.array_equal(viab, viab_ref)
+    assert np.array_equal(capt, capt_ref)
+    assert np.array_equal(margin, margin_ref)
+    # a row's time does not depend on the rows refined with it
+    for i in np.flatnonzero(inside)[::3]:
+        assert vk.exit_time(field, K, nodes[i], T, h) == viab[i]
+    for i in range(0, len(nodes), 5):
+        assert vk.hitting_time(field, C, nodes[i], T, h) == capt[i]
+
+
+ramp = vk.VectorField(1, lambda t, x: np.zeros_like(x) + t, name="ramp")
+
+
+def test_time_dependent_events_closed_form():
+    # x' = t from x0: x0 + t^2/2, so K = [-1, 1] is left at sqrt(2 (1 - x0));
+    # RK4 integrates this polynomial exactly, and the bisection's sub-steps
+    # see their per-row stage times.
+    K = vk.box([-1.0], [1.0])
+    grid = vk.GridSpec([-1.0], [1.0], [40])
+    T, h = 3.0, 0.05
+    xs = grid.nodes().ravel()
+    expect = np.sqrt(2.0 * (1.0 - xs))
+    tf = vk.viab_field(ramp, K, grid, T, h)
+    assert np.max(np.abs(tf.values - expect)) <= REFINE_FRAC * T
+    assert len(np.unique(np.floor(tf.values / h))) > 10  # rows cross in different steps
+    for i in (0, 7, 23, 39):
+        assert vk.exit_time(ramp, K, [xs[i]], T, h) == tf.values[i]
+
+    C = vk.box([1.0], [2.0])
+    wide = vk.GridSpec([-1.0], [1.5], [50])
+    xw = wide.nodes().ravel()
+    cf = vk.capt_field(ramp, C, wide, T, h)
+    expect = np.where(xw >= 1.0, 0.0, np.sqrt(2.0 * np.maximum(1.0 - xw, 0.0)))
+    assert np.max(np.abs(cf.values - expect)) <= REFINE_FRAC * T
