@@ -115,6 +115,7 @@ from .characteristics import (
     query_graph,
     replay_check,
     solve_char,
+    solve_char_many,
 )
 
 __version__ = "0.1.0"

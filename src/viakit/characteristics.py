@@ -9,9 +9,10 @@ scales to the 4-5 dimensional examples where gridding (t, x, y) does not.
 Two regimes:
 
   * y-independent transport speed phi(x): the solution is single-valued;
-    ``solve_char`` backtracks to the data manifold (backward exit time,
-    capped at t) and integrates the output ODE forward along the stored
-    characteristic.
+    ``solve_char_many`` backtracks a batch of points to the data manifold
+    (backward exit time, capped at t) and integrates the output ODE
+    forward along their characteristics in one batched march;
+    ``solve_char`` is its one-row lift.
   * general f(t, x, y): characteristics may cross in (t, x) and the
     solution is a set-valued graph; ``graph_sample`` accumulates an
     occupancy cloud and ``query_graph`` clusters the output fibers.
@@ -30,10 +31,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import INF
-from .dynamics import VectorField, _march, flow, integrate
-from .errors import ParamDomain
-from .kernels import exit_time
+from .common import BLOWUP_NORM, INF
+from .dynamics import VectorField, _march
+from .errors import NonFinite, ParamDomain
+from .kernels import _event_sweep, exit_time
 from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
 
 
@@ -85,18 +86,60 @@ class CharProblem:
 # ---------------------------------------------------------------------------
 
 
+def _shared(times: np.ndarray):
+    """times as one scalar when every row holds the same value, else as is.
+
+    Rows sharing a schedule step with scalar times, which costs less per
+    step (one-row lifts, single-time lattices); the arithmetic per row is
+    the same either way.
+    """
+    return float(times[0]) if len(times) and np.all(times == times[0]) else times
+
+
+def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float,
+                    refine_tol: float = 1e-8) -> np.ndarray:
+    """Per row, min(t, first time the backward flow from x leaves K).
+
+    One event sweep of -phi over all rows, each up to its own horizon t;
+    rows with t = 0 take no step and read 0.
+    """
+    if np.any(ts < 0):
+        raise ValueError("backward_exit_time requires t >= 0")
+    inside = K.contains_many(xs)
+    if not inside.all():
+        raise ValueError("backward_exit_time requires x in K")
+    ex, _, failed = _event_sweep(phi.negated(), xs, _shared(ts), h, K=K,
+                                 refine_tol=refine_tol, k_inside0=inside)
+    if failed.any():
+        raise NonFinite("trajectory blew up before exiting K")
+    return np.where(ts == 0.0, 0.0, np.where(ex >= INF, ts, np.minimum(ex, ts)))
+
+
+def _exitors(phi: VectorField, K: SetOracle, ts, xs, h: float):
+    """Per-row feet (s, c) of the characteristics through the rows (t, x).
+
+    Each row flows back by its own tau on ``step_schedule(0, tau, h)``'s
+    nodes, as :func:`flow` does; rows with tau = 0 keep x.
+    """
+    tau = _backward_exits(phi, K, ts, xs, h)
+    c = xs.copy()
+    live = np.ones(len(c), dtype=bool)
+    for _ in _march(phi.negated(), c, 0.0, _shared(tau), h, live):
+        pass
+    if not live.all():
+        raise NonFinite("state blew up during the backward flow")
+    return ts - tau, c
+
+
+def _rows(t, x):
+    """One evaluation point (t, x) as a (1,) time and a (1, dim) row."""
+    return np.array([t], dtype=float), np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+
+
 def backward_exit_time(phi: VectorField, K: SetOracle, t: float, x, h: float,
                        refine_tol: float = 1e-8) -> float:
     """min(t, first time the backward flow from x leaves K)."""
-    if t < 0:
-        raise ValueError("backward_exit_time requires t >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not K.contains(x):
-        raise ValueError("backward_exit_time requires x in K")
-    if t == 0.0:
-        return 0.0
-    tau = exit_time(phi.negated(), K, x, t, h, refine_tol=refine_tol)
-    return t if tau >= INF else min(tau, t)
+    return float(_backward_exits(phi, K, *_rows(t, x), h, refine_tol)[0])
 
 
 def exitor(phi: VectorField, K: SetOracle, t: float, x, h: float):
@@ -107,11 +150,8 @@ def exitor(phi: VectorField, K: SetOracle, t: float, x, h: float):
     tau < t, c lies on the boundary (within integration tolerance);
     when tau = t, s = 0 exactly and c is the initial-slice point.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    tau = backward_exit_time(phi, K, t, x, h)
-    s = t - tau
-    c = x.copy() if tau == 0.0 else flow(phi, -tau, x, h)
-    return s, c
+    s, c = _exitors(phi, K, *_rows(t, x), h)
+    return float(s[0]), c[0]
 
 
 def product_exit_time(axis_fields: Sequence[VectorField],
@@ -176,27 +216,64 @@ def _coupled_field(prob: CharProblem) -> VectorField:
     return VectorField(n + prob.out_dim, ev, name="characteristic")
 
 
-def solve_char(prob: CharProblem, t: float, x, h: float):
-    """Single-valued solution value at (t, x) for a y-independent speed.
+def solve_char_many(prob: CharProblem, ts, xs, h: float):
+    """Single-valued solution values at the rows (t, x), y-independent speed.
 
-    Backtracks to the data manifold, reads the datum there (None when
-    the manifold is not reached, e.g. between impulse slices), then
-    integrates y' = g(tau, x(tau), y) forward along the characteristic.
-    The output depends on the initial datum alone when t <= the backward
-    exit time, and on the boundary datum alone otherwise.
+    Backtracks every row to the data manifold in one backward event
+    sweep (per-row horizon t) and one backward flow (per-row tau), reads
+    the datum at each foot with :func:`boundary_trace`, then integrates
+    y' = g(tau, x(tau), y) forward along all characteristics at once,
+    each row from its own s to its own t.  The unique-solution caveat
+    applies: each row follows the one RK4-selected characteristic.
+
+    Returns:
+        (values, reached): an (m, out_dim) array and an (m,) mask; rows
+        whose foot misses the data manifold (e.g. between impulse slices)
+        are NaN with reached=False.
+
+    Raises:
+        NonFinite: if any row blows up in any phase.
     """
     if prob.phi is None:
         raise ValueError("solve_char needs a y-independent speed (phi)")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s, c = exitor(prob.phi, prob.domain, t, x, h)
-    y0 = boundary_trace(prob.data, s, c, prob.domain, s_tol=h, x_tol=prob.x_tol)
-    if y0 is None:
-        return None
-    if t - s <= 0.0:
-        return y0
-    z0 = np.concatenate([c, y0])
-    traj = integrate(_coupled_field(prob), z0, s, t, h)
-    return traj.states[-1][prob.state_dim:]
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = prob.state_dim
+    s, c = _exitors(prob.phi, prob.domain, ts, xs, h)
+    values = np.full((len(ts), prob.out_dim), np.nan)
+    reached = np.zeros(len(ts), dtype=bool)
+    z = np.empty((len(ts), n + prob.out_dim))
+    for i in range(len(ts)):
+        y0 = boundary_trace(prob.data, float(s[i]), c[i], prob.domain,
+                            s_tol=h, x_tol=prob.x_tol)
+        if y0 is not None:
+            reached[i] = True
+            values[i] = y0
+            z[i, :n], z[i, n:] = c[i], y0
+    fwd = np.flatnonzero(reached & (ts - s > 0.0))
+    if len(fwd):
+        z = z[fwd]
+        norms = np.linalg.norm(z, axis=1)
+        if not np.all(np.isfinite(norms) & (norms <= BLOWUP_NORM)):
+            raise NonFinite("state blew up at the data manifold")
+        live = np.ones(len(fwd), dtype=bool)
+        for _ in _march(_coupled_field(prob), z, _shared(s[fwd]), _shared(ts[fwd]), h, live):
+            pass
+        if not live.all():
+            raise NonFinite("state blew up along a characteristic")
+        values[fwd] = z[:, n:]
+    return values, reached
+
+
+def solve_char(prob: CharProblem, t: float, x, h: float):
+    """Single-valued solution value at (t, x): one row of :func:`solve_char_many`.
+
+    Returns None when the data manifold is not reached.  The output
+    depends on the initial datum alone when t <= the backward exit time,
+    and on the boundary datum alone otherwise.
+    """
+    values, reached = solve_char_many(prob, *_rows(t, x), h)
+    return values[0] if reached[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import csvio
+# solve_char stays importable here: perfbench/tracer.py wraps cli.solve_char
 from .characteristics import (BoundaryData, CharProblem, demo4d, graph_sample,
-                              solve_char)
+                              solve_char, solve_char_many)
 from .dynamics import (VectorField, demographic_field, flow, integrate,
                        linear_field, logistic_field, reach_set, rotation_field,
                        transport_field)
@@ -66,23 +68,53 @@ def _num(spec: dict, key: str, where: str, default=_REQUIRED) -> float:
                           section=where) from None
 
 
+def _vec(spec: dict, key: str, where: str, none=None) -> np.ndarray:
+    """``spec[key]`` as a float array; with ``none``, null list entries read as it."""
+    value = _need(spec, key, where)
+    try:
+        if none is not None:
+            return np.array([none if v is None else v for v in value], dtype=float)
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} in section {where!r} must be numeric, got {value!r}",
+                          section=where) from None
+
+
+def _step(spec: dict, key: str = "step", where: str = "config") -> float:
+    """``spec[key]`` as a finite, positive step."""
+    h = _num(spec, key, where)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigError(f"{key!r} in section {where!r} must be finite and > 0, got {h!r}",
+                          section=where)
+    return h
+
+
+def _horizon(spec: dict, key: str = "horizon", where: str = "config") -> float:
+    """``spec[key]`` as a finite, nonnegative horizon."""
+    T = _num(spec, key, where)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ConfigError(f"{key!r} in section {where!r} must be finite and >= 0, got {T!r}",
+                          section=where)
+    return T
+
+
 def _build_field(spec: dict, where: str = "field") -> VectorField:
     kind = _need(spec, "kind", where)
     if kind == "linear":
         if "matrix" in spec:
-            return linear_field(np.array(spec["matrix"], dtype=float))
+            return linear_field(_vec(spec, "matrix", where))
         return linear_field(_num(spec, "a", where), dim=int(spec.get("dim", 1)))
     if kind == "rotation":
         return rotation_field(_num(spec, "omega", where, default=1.0))
     if kind == "logistic":
         return logistic_field(_num(spec, "beta", where), _num(spec, "b", where))
     if kind == "transport":
-        return transport_field(np.array(_need(spec, "velocity", where), dtype=float))
+        return transport_field(_vec(spec, "velocity", where))
     if kind == "demographic":
         return demographic_field(*(_num(spec, k, where)
                                    for k in ("rho", "sigma", "beta", "b")))
     if kind == "polynomial":
-        coeffs = np.array(_need(spec, "coeffs", where), dtype=float)
+        coeffs = _vec(spec, "coeffs", where)
 
         def ev(t, x):
             acc = np.zeros_like(x)
@@ -106,20 +138,15 @@ def _build_field(spec: dict, where: str = "field") -> VectorField:
 def _build_set(spec: dict, where: str = "set"):
     kind = _need(spec, "kind", where)
     if kind == "box":
-        lo = [(-np.inf if v is None else v) for v in _need(spec, "lo", where)]
-        hi = [(np.inf if v is None else v) for v in _need(spec, "hi", where)]
-        return box(lo, hi)
+        return box(_vec(spec, "lo", where, none=-np.inf), _vec(spec, "hi", where, none=np.inf))
     if kind == "ball":
-        return ball(np.array(_need(spec, "center", where), dtype=float),
-                    _num(spec, "radius", where))
+        return ball(_vec(spec, "center", where), _num(spec, "radius", where))
     if kind == "sphere":
-        return sphere(np.array(_need(spec, "center", where), dtype=float),
-                      _num(spec, "radius", where))
+        return sphere(_vec(spec, "center", where), _num(spec, "radius", where))
     if kind == "halfspace":
-        return halfspace(np.array(_need(spec, "normal", where), dtype=float),
-                         _num(spec, "offset", where))
+        return halfspace(_vec(spec, "normal", where), _num(spec, "offset", where))
     if kind == "point-cloud":
-        return point_cloud_set(np.array(_need(spec, "points", where), dtype=float))
+        return point_cloud_set(_vec(spec, "points", where))
     if kind == "product":
         return product(*[_build_set(s, where) for s in _need(spec, "factors", where)])
     if kind == "union":
@@ -154,7 +181,7 @@ def _build_func(spec: dict, where: str):
     if kind == "const":
         v = _num(spec, "value", where)
         return lambda *args: np.array([v])
-    w = np.array(_need(spec, "weights", where), dtype=float)
+    w = _vec(spec, "weights", where)
     c = _num(spec, "offset", where, default=0.0)
 
     def dot(args):
@@ -223,8 +250,8 @@ def _build_pde(cfg: dict) -> CharProblem:
 def _eval_lattice(cfg: dict):
     ev = _need(cfg, "eval", "config")
     if "ts" in ev and "xs" in ev:
-        ts = np.array(ev["ts"], dtype=float)
-        xs = np.atleast_2d(np.array(ev["xs"], dtype=float))
+        ts = _vec(ev, "ts", "eval")
+        xs = np.atleast_2d(_vec(ev, "xs", "eval"))
         if len(ts) != len(xs):
             raise ConfigError("eval.ts and eval.xs must have equal length", section="eval")
         return ts, xs
@@ -244,8 +271,17 @@ def _require_inside(K, rows, where: str, set_name: str):
                           f"outside {set_name}", section=where)
 
 
+def _check_eval(ts, xs, K, set_name: str):
+    """ConfigError unless every eval time is finite and >= 0 and every row is in K."""
+    _require_inside(K, xs, "eval", set_name)
+    for bad, rule in ((~np.isfinite(ts), "be finite"), (ts < 0.0, "be >= 0")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigError(f"eval time {i} ({ts[i]}) must {rule}", section="eval")
+
+
 def _points(cfg: dict, key: str = "points"):
-    return np.atleast_2d(np.array(_need(cfg, key, "config"), dtype=float))
+    return np.atleast_2d(_vec(cfg, key, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +298,22 @@ def _run(args) -> int:
 
     if op == "integrate":
         field = _build_field(_need(cfg, "field", "config"))
-        traj = integrate(field, np.array(_need(cfg, "x0", "config"), dtype=float),
-                         _num(cfg, "t0", "config", default=0.0), _num(cfg, "horizon", "config"),
-                         _num(cfg, "step", "config"))
+        t0, t1 = _num(cfg, "t0", "config", default=0.0), _horizon(cfg)
+        if not (math.isfinite(t0) and t0 <= t1):
+            raise ConfigError(f"'t0' must be finite and <= the horizon, got {t0!r}",
+                              section="config")
+        traj = integrate(field, _vec(cfg, "x0", "config"), t0, t1, _step(cfg))
         csvio.write_trajectory(out("trajectory.csv"), traj)
     elif op == "flow":
         field = _build_field(_need(cfg, "field", "config"))
-        x = flow(field, _num(cfg, "t", "config"),
-                 np.array(_need(cfg, "x0", "config"), dtype=float),
-                 _num(cfg, "step", "config"))
+        t = _num(cfg, "t", "config")
+        if not math.isfinite(t):
+            raise ConfigError(f"'t' must be finite, got {t!r}", section="config")
+        x = flow(field, t, _vec(cfg, "x0", "config"), _step(cfg))
         csvio.write_points(out("flow.csv"), x[None, :])
     elif op == "reach":
         field = _build_field(_need(cfg, "field", "config"))
-        pts, ok = reach_set(field, _num(cfg, "t", "config"),
-                            _points(cfg, "seeds"), _num(cfg, "step", "config"))
+        pts, ok = reach_set(field, _horizon(cfg, "t"), _points(cfg, "seeds"), _step(cfg))
         csvio.write_values(out("reach.csv"), pts, ok.astype(float), label="ok")
     elif op in ("exit-time", "hitting-time"):
         field = _build_field(_need(cfg, "field", "config"))
@@ -284,13 +322,13 @@ def _run(args) -> int:
         rows = _points(cfg, "x0")
         if op == "exit-time":
             _require_inside(K, rows, "x0", "the set")
-        vals = [fn(field, K, x, _num(cfg, "horizon", "config"),
-                   _num(cfg, "step", "config")) for x in rows]
+        T, h = _horizon(cfg), _step(cfg)
+        vals = [fn(field, K, x, T, h) for x in rows]
         csvio.write_values(out(op.replace("-", "_") + ".csv"), rows, vals)
     elif op in ("viab", "capt", "viable-capt"):
         field = _build_field(_need(cfg, "field", "config"))
         grid = _build_grid(_need(cfg, "grid", "config"))
-        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
+        T, h = _horizon(cfg), _step(cfg)
         if op == "viab":
             tf = viab_field(field, _build_set(_need(cfg, "set", "config")), grid, T, h,
                             workers=workers)
@@ -306,13 +344,13 @@ def _run(args) -> int:
     elif op == "kernel":
         field = _build_field(_need(cfg, "field", "config"))
         grid = _build_grid(_need(cfg, "grid", "config"))
+        flow_step = _step(cfg, "flow_step") if cfg.get("flow_step") is not None else None
         alive, _ = discrete_kernel(field, _build_set(_need(cfg, "set", "config")), grid,
-                                   _num(cfg, "step", "config"),
-                                   flow_step=cfg.get("flow_step"), workers=workers)
+                                   _step(cfg), flow_step=flow_step, workers=workers)
         csvio.write_boolfield(out("kernel.csv"), grid, alive)
     elif op in ("value-sup", "value-inf", "lyapunov"):
         p = _build_problem(cfg)
-        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
+        T, h = _horizon(cfg), _step(cfg)
         rows = _points(cfg)
         fn = {"value-sup": value_sup, "value-inf": value_inf, "lyapunov": lyapunov}[op]
         vals = [fn(p, x, T, h) for x in rows]
@@ -320,14 +358,14 @@ def _run(args) -> int:
     elif op in ("mintime", "minlength"):
         field = _build_field(_need(cfg, "field", "config"))
         K = _build_set(_need(cfg, "set", "config"))
-        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
+        T, h = _horizon(cfg), _step(cfg)
         rows = _points(cfg)
         fn = minimal_time if op == "mintime" else minimal_length
         vals = [fn(field, K, x, T, h) for x in rows]
         csvio.write_values(out(op + ".csv"), rows, vals)
     elif op == "hj-check":
         p = _build_problem(cfg)
-        T, h = _num(cfg, "horizon", "config"), _num(cfg, "step", "config")
+        T, h = _horizon(cfg), _step(cfg)
         mode = cfg.get("mode", "sup")
         grid = _build_grid(_need(cfg, "grid", "config"))
         vals = tabulate_values(p, grid.nodes(), mode, T, h)
@@ -339,26 +377,17 @@ def _run(args) -> int:
         print(f"hj-check {mode}: {len(report.violations)} violation(s)")
     elif op == "pde-char":
         prob = _build_pde(cfg)
-        h = _num(cfg, "step", "config")
+        h = _step(cfg)
         ts, xs = _eval_lattice(cfg)
-        _require_inside(prob.domain, xs, "eval", "pde.K")
-        negative = np.flatnonzero(~(ts >= 0.0))
-        if len(negative):
-            raise ConfigError(f"eval time {negative[0]} ({ts[negative[0]]}) must be >= 0",
-                              section="eval")
-        us = []
-        for t, x in zip(ts, xs):
-            u = solve_char(prob, float(t), x, h)
-            us.append(np.full(prob.out_dim, np.nan) if u is None else u)
-        csvio.write_solution_field(out("pde_solution.csv"), ts, xs, np.array(us))
+        _check_eval(ts, xs, prob.domain, "pde.K")
+        us, _ = solve_char_many(prob, ts, xs, h)
+        csvio.write_solution_field(out("pde_solution.csv"), ts, xs, us)
     elif op == "pde-graph":
         prob = _build_pde(cfg)
         gcfg = _need(cfg, "graph", "config")
-        cloud = graph_sample(prob, _num(gcfg, "T", "graph"),
-                             _num(cfg, "step", "config"),
+        cloud = graph_sample(prob, _horizon(gcfg, "T", "graph"), _step(cfg),
                              int(_need(gcfg, "seeds_per_face", "graph")),
-                             np.array(_need(gcfg, "seed_lo", "graph"), dtype=float),
-                             np.array(_need(gcfg, "seed_hi", "graph"), dtype=float),
+                             _vec(gcfg, "seed_lo", "graph"), _vec(gcfg, "seed_hi", "graph"),
                              boundary_points=gcfg.get("boundary_points"))
         csvio.write_graphcloud(out("graph_cloud.csv"), cloud)
     elif op == "demo4d":
@@ -369,27 +398,24 @@ def _run(args) -> int:
                         _build_func(_need(d, "u0", "demo4d"), "demo4d.u0"),
                         _build_func(_need(d, "v1", "demo4d"), "demo4d.v1"),
                         _build_func(_need(d, "v_r2", "demo4d"), "demo4d.v_r2"))
+        domain = product(box([0.0], [np.inf]), box([0.0], [oracle.r2]),
+                         box([0.0], [np.inf]), box([0.0], [oracle.b]))
         ts, xs = _eval_lattice(cfg)
+        _check_eval(ts, xs, domain, "the demo4d domain")
         us = np.array([oracle(float(t), x) for t, x in zip(ts, xs)])
         csvio.write_solution_field(out("demo4d_solution.csv"), ts, xs, us)
         if cfg.get("step"):
-            h = _num(cfg, "step", "config")
             prob = CharProblem(
-                lambda t, x, y: -oracle.A * y,
-                product(box([0.0], [np.inf]), box([0.0], [oracle.r2]),
-                        box([0.0], [np.inf]), box([0.0], [oracle.b])),
+                lambda t, x, y: -oracle.A * y, domain,
                 BoundaryData(
                     oracle.u0,
                     lambda s, xi: oracle.v1(s, xi[1], xi[2], xi[3])
                     if xi[0] <= 1e-6 else oracle.v_r2(s, xi[0], xi[2], xi[3])),
                 1,
                 phi=demographic_field(oracle.rho, oracle.sigma, oracle.beta, oracle.b))
-            diffs = []
-            for t, x in zip(ts, xs):
-                u_num = solve_char(prob, float(t), x, h)
-                u_ref = oracle(float(t), x)
-                diffs.append([np.nan] if u_num is None
-                             else [float(np.linalg.norm(u_num - u_ref))])
+            u_num, reached = solve_char_many(prob, ts, xs, _step(cfg))
+            diffs = [[float(np.linalg.norm(u - u_ref))] if ok else [np.nan]
+                     for u, u_ref, ok in zip(u_num, us, reached)]
             csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, np.array(diffs))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown subcommand {op!r}")

@@ -16,6 +16,7 @@ through one batched RK4 core, :func:`_march`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -124,7 +125,13 @@ def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
 
 
 def step_schedule(t0: float, t1: float, step: float):
-    """Yield (t, h) pairs covering [t0, t1] with uniform h and a shorter tail."""
+    """Yield (t, h) pairs covering [t0, t1] with uniform h and a shorter tail.
+
+    Raises ValueError on a non-finite t0, t1 or step, a nonpositive step
+    or t1 < t0.
+    """
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(step)):
+        raise ValueError("t0, t1 and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     span = t1 - t0
@@ -182,14 +189,17 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     Advances the live rows of x (shape (m, dim), updated in place) from
     t0 to t1, each row on :func:`step_schedule`'s nodes: ``t0 + j*step``
     and a shorter tail.  t0 and t1 are scalars or (m,) per-row arrays;
-    per-row times reach the field as (k, 1) columns.  A stepped row whose
-    norm is not finite or passes BLOWUP_NORM is retired (live cleared)
-    and set to NaN.  Callers retire rows by clearing ``live`` in place.
+    per-row times reach the field as (k, 1) columns.  Non-finite times or
+    steps raise ValueError.  A stepped row whose norm is not finite or
+    passes BLOWUP_NORM is retired (live cleared) and set to NaN.  Callers
+    retire rows by clearing ``live`` in place.
 
     Yields (rows, t, h, prev) after each step: the indices of the rows
     just advanced, their start times and step sizes (scalars, or (k, 1)
     columns for per-row schedules) and their states before the step.
     """
+    if not (np.isfinite(step) and np.all(np.isfinite(t0)) and np.all(np.isfinite(t1))):
+        raise ValueError("t0, t1 and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     per_row = np.ndim(t0) > 0 or np.ndim(t1) > 0

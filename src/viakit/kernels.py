@@ -132,14 +132,14 @@ def _bisect_crossings(field, t0, x0, h, crossed, tol):
     """Per row, the first s in (0, h] with crossed(state at t0+s); crossed at h.
 
     t0 and h are (k,) start times and step sizes and x0 the (k, dim)
-    states of k bracketed rows. Each round retires the brackets no wider
-    than tol and steps the others by one batched RK4 sub-step of per-row
-    size mid from (t0, x0), then tests the sweep's batched predicate
-    ``crossed`` on the result; the sub-step's local error is far below
-    the trajectory's own. Each row runs the same arithmetic it would
-    alone, so a row's result does not depend on its batch. Returns the
-    "first true" ends of the shrinking brackets, so a grazing tie counts
-    as the event.
+    states of k bracketed rows; tol is a scalar or (k,). Each round
+    retires the brackets no wider than tol and steps the others by one
+    batched RK4 sub-step of per-row size mid from (t0, x0), then tests
+    the sweep's batched predicate ``crossed`` on the result; the
+    sub-step's local error is far below the trajectory's own. Each row
+    runs the same arithmetic it would alone, so a row's result does not
+    depend on its batch. Returns the "first true" ends of the shrinking
+    brackets, so a grazing tie counts as the event.
     """
     out = np.empty_like(h)
     rows, t0, lo, hi = np.arange(len(h)), t0[:, None], np.zeros_like(h), h
@@ -148,6 +148,8 @@ def _bisect_crossings(field, t0, x0, h, crossed, tol):
         if not wide.all():
             out[rows[~wide]] = hi[~wide]
             rows, t0, x0, lo, hi = (a[wide] for a in (rows, t0, x0, lo, hi))
+            if np.ndim(tol):
+                tol = tol[wide]
             if len(rows) == 0:
                 break
         mid = 0.5 * (lo + hi)
@@ -167,6 +169,11 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
     retired from that event; after the march each event kind refines all
     of its brackets in one batched bisection.
 
+    T_max is a scalar horizon or an (m,) per-row one; each row marches on
+    its own ``step_schedule(0, T_max, h)`` nodes, so an event in a row's
+    shorter last step is bracketed there.  refine_tol defaults to
+    ``REFINE_FRAC * max(T_max, 1)`` per row.
+
     Returns (exit_times, hit_times, failed); missing events are INF.
     Rows whose integration blows up get failed=True and keep whatever
     events were already found.
@@ -174,7 +181,7 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n = len(X0)
     if refine_tol is None:
-        refine_tol = REFINE_FRAC * max(T_max, 1.0)
+        refine_tol = REFINE_FRAC * np.maximum(T_max, 1.0)
 
     exit_t = np.full(n, INF)
     hit_t = np.full(n, INF)
@@ -200,16 +207,19 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
                 flip = crossed(x[rows[sub]])
                 if flip.any():
                     found = rows[sub][flip]
-                    k = len(found)
-                    brackets.append((found, np.full(k, t), np.full(k, hj),
-                                     prev[sub][flip]))
+                    if np.ndim(t):  # (k, 1) columns on per-row horizons
+                        pick = np.flatnonzero(sub)[flip]
+                        t_f, h_f = t[pick, 0], hj[pick, 0]
+                    else:
+                        t_f, h_f = np.full(len(found), t), np.full(len(found), hj)
+                    brackets.append((found, t_f, h_f, prev[sub][flip]))
                     need[found] = False
         live &= need_exit | need_hit
     for _, times, crossed, brackets in events:
         if brackets:
             found, t0, hs, x0 = (np.concatenate(a) for a in zip(*brackets))
-            times[found] = t0 + _bisect_crossings(field, t0, x0, hs, crossed,
-                                                refine_tol)
+            tol = refine_tol[found] if np.ndim(refine_tol) else refine_tol
+            times[found] = t0 + _bisect_crossings(field, t0, x0, hs, crossed, tol)
     failed = ~live & (need_exit | need_hit)
     return exit_t, hit_t, failed
 

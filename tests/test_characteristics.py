@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
@@ -202,6 +203,111 @@ def test_solve_char_none_between_impulses():
     assert vk.solve_char(prob, 4.0, [2.0], 1e-3) is None
     # landing on the s = 1.0 impulse slice carries its datum
     assert_allclose(vk.solve_char(prob, 3.0, [2.0], 1e-3), [11.0])
+
+
+# -- batched solver ------------------------------------------------------------
+
+
+def _pointwise_solve_char(prob, t, x, h):
+    """Reference: the per-point solver the batched one replaced, step for step."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if t == 0.0:
+        tau = 0.0
+    else:
+        ex = vk.exit_time(prob.phi.negated(), prob.domain, x, t, h, refine_tol=1e-8)
+        tau = t if ex >= INF else min(ex, t)
+    s = t - tau
+    c = x.copy() if tau == 0.0 else vk.flow(prob.phi, -tau, x, h)
+    y0 = vk.boundary_trace(prob.data, s, c, prob.domain, s_tol=h, x_tol=prob.x_tol)
+    if y0 is None or t - s <= 0.0:
+        return y0
+    n = prob.state_dim
+    coupled = vk.VectorField(n + prob.out_dim, lambda tt, z: np.concatenate(
+        [prob.phi(tt, z[:, :n]), prob.g(tt, z[:, :n], z[:, n:])], axis=1))
+    return vk.integrate(coupled, np.concatenate([c, y0]), s, t, h).states[-1][n:]
+
+
+def _assert_matches_pointwise(prob, ts, xs, h):
+    got, reached = vk.solve_char_many(prob, ts, xs, h)
+    assert got.shape == (len(ts), prob.out_dim)
+    for i, (t, x) in enumerate(zip(ts, xs)):
+        want = _pointwise_solve_char(prob, float(t), x, h)
+        one = vk.solve_char(prob, float(t), x, h)
+        if want is None:
+            assert not reached[i] and np.all(np.isnan(got[i])) and one is None
+        else:
+            assert reached[i]
+            assert np.array_equal(got[i], want) and np.array_equal(one, want)
+    return reached
+
+
+_coord = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False)
+_steps = st.sampled_from([0.1, 0.07, 0.03])
+
+
+def _with_special_rows(pts, h, v):
+    """pts plus a t = 0 row, a corner row (exit exactly at t) and a row whose
+    exit falls in the shorter tail step of its horizon."""
+    ts = [p[0] for p in pts] + [0.0, 1.0, 7.5 * h]
+    xs = [[p[1]] for p in pts] + [[0.7], [v * 1.0], [v * 7.25 * h]]
+    return np.array(ts), np.array(xs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(v=st.floats(0.5, 1.5), lam=st.floats(0.0, 2.0), h=_steps,
+       pts=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+def test_solve_char_many_matches_pointwise_transport(v, lam, h, pts):
+    # time-dependent decay, so the forward march's per-row stage times count
+    data = vk.BoundaryData(lambda x: np.array([np.sin(2.0 * x[0])]),
+                           lambda s, xi: np.array([0.5 * s - 0.2]))
+    prob = vk.CharProblem(lambda t, x, y: -lam * y * (1.0 + 0.5 * t), halfline, data, 1,
+                          phi=vk.transport_field([v]))
+    ts, xs = _with_special_rows(pts, h, v)
+    _assert_matches_pointwise(prob, ts, xs, h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=_steps, pts=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+def test_solve_char_many_matches_pointwise_impulses(h, pts):
+    data = vk.BoundaryData(lambda x: np.array([1.0 + x[0]]),
+                           lambda s, xi: np.array([10.0 + s]),
+                           impulse_times=(0.5, 1.0, 2.0))
+    prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline, data, 1, phi=one)
+    ts, xs = _with_special_rows(pts, h, 1.0)
+    # feet on the s = 1.0 slice and between slices (s = 1.5)
+    ts = np.concatenate([ts, [2.0, 2.5]])
+    xs = np.concatenate([xs, [[1.0], [1.0]]])
+    reached = _assert_matches_pointwise(prob, ts, xs, h)
+    assert reached[-2] and not reached[-1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(A=st.floats(0.0, 1.0), h=st.sampled_from([0.1, 0.05]),
+       pts=st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 3.0),
+                              st.floats(0.05, R2), st.floats(0.1, 1.9)),
+                    min_size=1, max_size=6))
+def test_solve_char_many_matches_pointwise_demo4d(A, h, pts):
+    oracle = _demo_oracle(A)
+    # one point of each regime, plus a t = 0 row
+    rows = [(0.5, 2.0, 1.0, 1.0), (3.0, 0.4, 1.0, 1.0), (3.0, 2.5, 2.5, 0.8),
+            (0.0, 1.0, 1.0, 1.0)]
+    rows += [(t, x1, x2, x4) for t, x1, x2, x4 in pts]
+    ts = np.array([r[0] for r in rows])
+    xs = np.array([[x1, x2, 0.7, x4] for _, x1, x2, x4 in rows])
+    assert [oracle.regime(t, x) for t, x in zip(ts[:3], xs[:3])] == [1, 2, 3]
+    reached = _assert_matches_pointwise(_demo_problem(A), ts, xs, h)
+    assert reached.all()
+
+
+def test_solve_char_many_blowup_raises():
+    # y' = y^2 from u0 = 1 blows up at time 1 along every characteristic
+    data = vk.BoundaryData(lambda x: np.array([1.0]))
+    prob = vk.CharProblem(lambda t, x, y: y * y, halfline, data, 1, phi=one)
+    ts, xs = np.array([0.5, 2.0]), np.array([[5.0], [5.0]])
+    with pytest.raises(vk.NonFinite):
+        vk.solve_char_many(prob, ts, xs, 1e-2)
+    got, reached = vk.solve_char_many(prob, ts[:1], xs[:1], 1e-2)
+    assert reached[0] and got[0, 0] == pytest.approx(2.0, abs=1e-6)
 
 
 # -- demo4d closed forms -------------------------------------------------------

@@ -238,6 +238,102 @@ def test_pde_char_eval_outside_domain_exit_2(tmp_path, capsys, ev, message):
     assert not (tmp_path / "pde_solution.csv").exists()
 
 
+PDE_CFG = {
+    "pde": {
+        "phi": {"kind": "transport", "velocity": [1.0]},
+        "g": {"kind": "decay", "rate": 1.0},
+        "K": {"kind": "box", "lo": [0.0], "hi": [None]},
+        "u0": {"kind": "sin", "weights": [1.0]},
+        "v": {"kind": "const", "value": 0.25},
+    },
+    "step": 0.01,
+    "eval": {"ts": [0.5, 2.0], "xs": [[2.0], [0.5]]},
+}
+
+DEMO_CFG = {
+    "demo4d": {
+        "rho": 1.0, "sigma": 0.5, "beta": 0.3, "b": 2.0, "r2": math.e, "A": 0.4,
+        "u0": {"kind": "affine", "weights": [0.3, 0.5, 0.1, 0.2], "offset": 1.0},
+        "v1": {"kind": "affine", "weights": [1.0, 0.1, 0.05, 0.0]},
+        "v_r2": {"kind": "affine", "weights": [0.3, 0.2, 0.1, -0.05]},
+    },
+    "step": 0.01,
+    "eval": {"ts": [0.4, 1.5], "xs": [[2.0, 1.0, 1.0, 1.0], [0.4, 1.0, 0.5, 1.5]]},
+}
+
+
+@pytest.mark.parametrize("op, base", [("pde-char", PDE_CFG), ("demo4d", DEMO_CFG)],
+                         ids=["pde-char", "demo4d"])
+@pytest.mark.parametrize("bad, message", [
+    ({"t": -0.5}, "eval time 1 (-0.5) must be >= 0"),
+    ({"t": float("inf")}, "eval time 1 (inf) must be finite"),
+    ({"t": float("nan")}, "eval time 1 (nan) must be finite"),
+    ({"x1": -1.0}, "eval row 1"),
+], ids=["negative-time", "inf-time", "nan-time", "outside"])
+def test_eval_lattice_checked_exit_2(tmp_path, capsys, op, base, bad, message):
+    ev = {"ts": list(base["eval"]["ts"]), "xs": [list(x) for x in base["eval"]["xs"]]}
+    if "t" in bad:
+        ev["ts"][1] = bad["t"]
+    else:
+        ev["xs"][1][0] = bad["x1"]
+    cfg = _write(tmp_path, "ev.json", dict(base, eval=ev))
+    assert main([op, cfg, "-o", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_pde_char_blowup_exit_3(tmp_path, capsys):
+    # a negative decay rate grows y like e^{100 t}: the t = 1 row passes the
+    # blow-up guard while the t = 0.1 row finishes
+    pde = dict(PDE_CFG["pde"], g={"kind": "decay", "rate": -100.0})
+    cfg = _write(tmp_path, "blow.json", dict(PDE_CFG, pde=pde,
+                                              eval={"ts": [0.1, 1.0], "xs": [[5.0], [5.0]]}))
+    assert main(["pde-char", cfg, "-o", str(tmp_path)]) == 3
+    assert "pde-char" in capsys.readouterr().err
+    assert not (tmp_path / "pde_solution.csv").exists()
+
+
+@pytest.mark.parametrize("op, base, edit, key", [
+    ("viab", VIAB_CFG, {"field": {"kind": "transport", "velocity": "abc"}},
+     "'velocity' in section 'field'"),
+    ("viab", VIAB_CFG, {"set": {"kind": "ball", "center": "abc", "radius": 1.0}},
+     "'center' in section 'set'"),
+    ("viab", VIAB_CFG, {"set": {"kind": "box", "lo": ["abc"], "hi": [None]}},
+     "'lo' in section 'set'"),
+    ("pde-char", PDE_CFG, {"eval": {"ts": ["x", 1.0], "xs": [[1.0], [1.0]]}},
+     "'ts' in section 'eval'"),
+], ids=["velocity", "center", "box-lo", "eval-ts"])
+def test_non_numeric_array_parameter_exit_2(tmp_path, capsys, op, base, edit, key):
+    cfg = _write(tmp_path, "arr.json", dict(base, **edit))
+    assert main([op, cfg, "-o", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+ET_CFG = {
+    "field": {"kind": "transport", "velocity": [1.0]},
+    "set": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+    "x0": [[0.3]], "horizon": 5.0, "step": 1e-3,
+}
+
+
+@pytest.mark.parametrize("op, base, edit, key", [
+    ("viab", VIAB_CFG, {"step": 0}, "'step' in section 'config' must be finite and > 0"),
+    ("pde-char", PDE_CFG, {"step": 0}, "'step' in section 'config' must be finite and > 0"),
+    ("exit-time", ET_CFG, {"step": float("inf")}, "'step' in section 'config'"),
+    ("exit-time", ET_CFG, {"horizon": -1.0},
+     "'horizon' in section 'config' must be finite and >= 0"),
+    ("exit-time", ET_CFG, {"horizon": float("inf")}, "'horizon' in section 'config'"),
+    ("viab", VIAB_CFG, {"horizon": float("nan")}, "'horizon' in section 'config'"),
+], ids=["viab-step-0", "pde-char-step-0", "exit-time-step-inf", "exit-time-horizon-negative",
+        "exit-time-horizon-inf", "viab-horizon-nan"])
+def test_bad_step_or_horizon_exit_2(tmp_path, capsys, op, base, edit, key):
+    cfg = _write(tmp_path, "sh.json", dict(base, **edit))
+    assert main([op, cfg, "-o", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_pde_graph_shock(tmp_path):
     cfg = _write(tmp_path, "graph.json", {
         "pde": {

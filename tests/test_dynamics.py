@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
+from viakit.dynamics import _march, step_schedule
 
 
 def test_zero_field_constant():
@@ -171,3 +172,36 @@ def test_trajectory_csv_roundtrip(tmp_path):
     vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(vals[:, 0], traj.times)   # 17 digits reproduce exactly
     assert np.array_equal(vals[:, 1:], traj.states)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_times_raise(bad):
+    # floor(inf) cast to int is negative: without the check a non-finite
+    # horizon read as zero steps and came back as a value
+    one = vk.transport_field([1.0])
+    x = np.array([[0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        list(step_schedule(0.0, bad, 0.1))
+    with pytest.raises(ValueError, match="finite"):
+        list(step_schedule(bad, 1.0, 0.1))
+    with pytest.raises(ValueError, match="finite"):
+        list(step_schedule(0.0, 1.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        list(_march(one, x.copy(), 0.0, bad, 0.1, np.ones(1, dtype=bool)))
+    with pytest.raises(ValueError, match="finite"):
+        list(_march(one, x.copy(), 0.0, np.array([1.0]), bad, np.ones(1, dtype=bool)))
+    with pytest.raises(ValueError, match="finite"):
+        list(_march(one, np.zeros((2, 1)), np.array([0.0, bad]), 1.0, 0.1,
+                    np.ones(2, dtype=bool)))
+    with pytest.raises(ValueError, match="finite"):
+        vk.integrate(one, [0.0], 0.0, bad, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        vk.flow(one, bad, [0.0], 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        vk.reach_set(one, abs(bad), [[0.0]], 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        vk.reach_set(one, 1.0, [[0.0]], bad)
+    with pytest.raises(ValueError, match="finite"):
+        vk.exit_time(one, vk.box([-1.0], [1.0]), [0.0], bad, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        vk.hitting_time(one, vk.box([5.0], [6.0]), [0.0], bad, 0.1)

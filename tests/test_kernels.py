@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import viakit as vk
 from viakit.common import INF
 from viakit.dynamics import _march, rk4_step
-from viakit.kernels import REFINE_FRAC, _margin_of
+from viakit.kernels import REFINE_FRAC, _event_sweep, _margin_of
 
 one = vk.transport_field([1.0])
 grow = vk.linear_field(1.0)
@@ -411,3 +411,25 @@ def test_time_dependent_events_closed_form():
     cf = vk.capt_field(ramp, C, wide, T, h)
     expect = np.where(xw >= 1.0, 0.0, np.sqrt(2.0 * np.maximum(1.0 - xw, 0.0)))
     assert np.max(np.abs(cf.values - expect)) <= REFINE_FRAC * T
+
+
+def test_per_row_horizons_match_scalar_sweeps():
+    # each row of an (m,) horizon marches on its own step_schedule(0, T_i, h)
+    # nodes: an exit inside a row's shorter last step is bracketed there, and
+    # the default tolerance is REFINE_FRAC * max(T_i, 1) per row
+    K = vk.box([-1.0], [1.0])
+    h = 0.05
+    x0 = np.array([[0.9], [0.0], [-0.5], [0.99], [0.3]])
+    T = np.array([0.4375, 2.0, 0.0, 0.13, 1.19])
+    for tol in (None, 1e-8):
+        ex, _, failed = _event_sweep(ramp, x0, T, h, K=K, refine_tol=tol)
+        assert not failed.any()
+        for i in range(len(x0)):
+            assert ex[i] == vk.exit_time(ramp, K, x0[i], T[i], h, refine_tol=tol)
+    # x0 + t^2/2 leaves K at sqrt(2 (1 - x0)): after the horizon for rows 0
+    # and 3, never for the t = 0 row, in a full step for row 1 and in the
+    # tail step [1.15, 1.19] for row 4 (sqrt(1.4) = 1.1832)
+    assert ex[0] >= INF and ex[2] >= INF and ex[3] >= INF
+    assert abs(ex[1] - math.sqrt(2.0)) <= REFINE_FRAC * 2.0
+    assert 1.15 < ex[4] < 1.19
+    assert abs(ex[4] - math.sqrt(1.4)) <= REFINE_FRAC
