@@ -31,6 +31,7 @@ from .errors import (
     DescentViolation,
     NoConvergence,
     NonFinite,
+    NonzeroLagrangian,
     ParamDomain,
     Unsupported,
     ViakitError,
@@ -84,7 +85,9 @@ from .epi_hj import (
     lift,
     lyapunov,
     minimal_length,
+    minimal_length_problem,
     minimal_time,
+    minimal_time_problem,
     repeller_condition,
     running_cost_path,
     speed_lagrangian,

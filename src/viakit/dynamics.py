@@ -314,7 +314,9 @@ def transport_field(velocity) -> VectorField:
     v = np.atleast_1d(np.asarray(velocity, dtype=float))
 
     def ev(t, x):
-        return np.broadcast_to(v, x.shape).copy()
+        out = np.empty_like(x)
+        out[...] = v
+        return out
 
     return VectorField(len(v), ev, growth_c=float(np.linalg.norm(v)),
                        lipschitz=0.0, name="transport")

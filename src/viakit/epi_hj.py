@@ -29,9 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import INF
-from .dynamics import VectorField, _march, integrate, rk4_step, step_schedule
-from .errors import CapTooSmall, DescentViolation, NonFinite
+from .common import BLOWUP_NORM, INF
+from .dynamics import VectorField, _march, rk4_step, step_schedule
+from .errors import CapTooSmall, DescentViolation, NonFinite, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
@@ -115,7 +115,7 @@ def indicator_obstacle(K: SetOracle):
 
 
 # ---------------------------------------------------------------------------
-# Cost paths and the direct value functions
+# The direct route: one batched value engine
 # ---------------------------------------------------------------------------
 
 
@@ -130,171 +130,26 @@ class CostPath:
     problem: LagrangianProblem
 
     def value_at(self, t: float) -> float:
-        """J(t) for arbitrary t in [0, T]; single sub-step re-integration."""
-        p = self.problem
-        times = self.times
-        t = min(max(t, times[0]), times[-1])
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(j, len(times) - 2)
-        dt = t - times[j]
-        xj = self.states[j]
-        xt = rk4_step(p.field, times[j], xj, dt) if dt > 0 else xj
-        x2 = np.vstack([xj, xt])
-        f2 = p.field(times[j], x2)
-        lw = p.lagrangian(x2, f2) * np.exp(p.discount * np.array([times[j], t]))
-        cum = self.cumulative[j] + 0.5 * (lw[0] + lw[1]) * dt
-        ut = float(p.obstacle(xt[None, :])[0])
-        if ut >= INF:
-            return INF
-        J = math.exp(p.discount * t) * ut + cum
-        return INF if J > p.value_cap else J
+        """J(t) for arbitrary t in [0, T]; a one-row lift of :func:`_values_at`."""
+        return float(_values_at(self.problem, self.times, self.states[:, None, :],
+                                self.cumulative[:, None], np.zeros(1, dtype=int),
+                                np.array([t], dtype=float))[0])
 
 
-def running_cost_path(p: LagrangianProblem, x, T_max: float, h: float) -> CostPath:
-    """Sampled cost J along the trajectory from x; J(0) = u(x)."""
-    traj = integrate(p.field, x, 0.0, T_max, h)
-    times, states = traj.times, traj.states
-    F = p.field(0.0, states)
-    L = np.asarray(p.lagrangian(states, F), dtype=float)
-    w = np.exp(p.discount * times)
-    integrand = w * L
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))])
-    U = np.asarray(p.obstacle(states), dtype=float)
-    J = np.where(U >= INF, INF, w * U + cum)
-    J = np.where(J > p.value_cap, INF, J)
-    return CostPath(times, states, J, cum, p)
+def _cost_history(p: LagrangianProblem, xs, T_max: float, h: float):
+    """J sampled along the RK4 trajectory of every row of xs, in one sweep.
 
-
-def _finish_sup(values: np.ndarray) -> float:
-    if np.any(values >= INF):
-        return INF
-    i = int(np.argmax(values))  # first attainment
-    if i == len(values) - 1:
-        return INF  # still climbing at the horizon: divergent at desk scale
-    return float(values[i])
-
-
-def _golden_min(fn, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum value of fn on [a, b] (INF-safe comparisons)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = min(fn(a), fn(b), fc, fd)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-            best = min(best, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-            best = min(best, fd)
-    return best
-
-
-def _bisect_finite(fn, t_bad: float, t_good: float, tol: float) -> float:
-    """Edge of the finite region between an INF point and a finite one."""
-    for _ in range(80):
-        if abs(t_good - t_bad) <= tol:
-            break
-        mid = 0.5 * (t_bad + t_good)
-        if fn(mid) < INF:
-            t_good = mid
-        else:
-            t_bad = mid
-    return t_good
-
-
-def _finish_inf(path: CostPath, refine: bool, t_tol: float = 1e-8) -> float:
-    values = path.values
-    if np.all(values >= INF):
-        return INF
-    i = int(np.argmin(values))
-    best = float(values[i])
-    if refine:
-        k = len(values)
-        a = path.times[max(i - 1, 0)]
-        b = path.times[min(i + 1, k - 1)]
-        # indicator-style obstacles make J infinite off a narrow valley;
-        # locate the finite edges first so golden section has a real bracket
-        if i > 0 and values[i - 1] >= INF:
-            a = _bisect_finite(path.value_at, a, path.times[i], t_tol)
-        if i < k - 1 and values[i + 1] >= INF:
-            b = _bisect_finite(path.value_at, b, path.times[i], t_tol)
-        best = min(best, path.value_at(a), path.value_at(b))
-        if b > a:
-            best = min(best, _golden_min(path.value_at, a, b, t_tol))
-    return best
-
-
-def value_sup(p: LagrangianProblem, x, T_max: float, h: float) -> float:
-    """sup_t J(t) over [0, T_max] along the solution from x (INF if divergent)."""
-    return _finish_sup(running_cost_path(p, x, T_max, h).values)
-
-
-def value_inf(p: LagrangianProblem, x, T_max: float, h: float,
-              refine: bool = True) -> float:
-    """inf_t J(t); the arg-min bracket is golden-section refined to 1e-8 in t."""
-    return _finish_inf(running_cost_path(p, x, T_max, h), refine)
-
-
-def lyapunov(p: LagrangianProblem, x, T_max: float, h: float) -> float:
-    """value_sup specialization for l = 0, with the descent inequality verified.
+    Returns (times, states, U, cum, J): the (k,) sample times, the
+    (k, m, dim) state history, and (k, m) arrays of the obstacle u, the
+    running cost int_0^{t_j} e^{a tau} l dtau and J (INF-clamped).
 
     Raises:
-        DescentViolation: if u(x(t)) <= e^{-at} * result fails beyond 1e-6
-            along the trajectory (T_max too small or sampling too coarse).
+        NonFinite: if a row starts non-finite or blows up before T_max.
     """
-    probe = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(np.asarray(p.lagrangian(probe, p.field(0.0, probe))) != 0.0):
-        raise ValueError("lyapunov requires a problem with l identically 0")
-    path = running_cost_path(p, x, T_max, h)
-    val = _finish_sup(path.values)
-    if val < INF:
-        U = np.asarray(p.obstacle(path.states), dtype=float)
-        bound = np.exp(-p.discount * path.times) * val + 1e-6
-        if np.any(U > bound):
-            raise DescentViolation("u(x(t)) exceeded e^{-at} * value along the path")
-    return val
-
-
-def minimal_time(field: VectorField, K: SetOracle, x, T_max: float, h: float) -> float:
-    """First-arrival value: value_inf with u = psi_K, l = 1, a = 0."""
-    p = LagrangianProblem(field, unit_lagrangian, 0.0, indicator_obstacle(K))
-    return value_inf(p, x, T_max, h)
-
-
-def minimal_length(field: VectorField, K: SetOracle, x, T_max: float, h: float) -> float:
-    """Arc length to reach K: value_inf with l(x, p) = |p|, u = psi_K, a = 0."""
-    p = LagrangianProblem(field, speed_lagrangian, 0.0, indicator_obstacle(K))
-    return value_inf(p, x, T_max, h)
-
-
-# ---------------------------------------------------------------------------
-# Batched tabulation (shares exact semantics with the scalar ops)
-# ---------------------------------------------------------------------------
-
-
-def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float,
-                    refine: bool = True) -> np.ndarray:
-    """value_sup/value_inf at every row of xs via one vectorized sweep.
-
-    Stores the whole (steps, m, dim) state history, so keep it for
-    modest tabulations (1D/2D value fields); the per-row finishing rules
-    are exactly those of the scalar operations.
-
-    Raises:
-        NonFinite: if any row blows up before T_max.
-    """
-    if mode not in ("sup", "inf"):
-        raise ValueError("mode must be 'sup' or 'inf'")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    norms = np.linalg.norm(xs, axis=1)
+    if not np.all(np.isfinite(norms) & (norms <= BLOWUP_NORM)):
+        raise NonFinite("initial state is not finite")
     m = len(xs)
     times = np.array([0.0] + [t + hj for t, hj in step_schedule(0.0, T_max, h)])
     k = len(times)
@@ -315,15 +170,216 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float,
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)[:, None], axis=0)])
     J = np.where(U >= INF, INF, w * U + cum)
     J = np.where(J > p.value_cap, INF, J)
+    return times, states, U, cum, J
 
-    out = np.empty(m)
-    for i in range(m):
-        if mode == "sup":
-            out[i] = _finish_sup(J[:, i])
-        else:
-            path = CostPath(times, states[:, i, :], J[:, i], cum[:, i], p)
-            out[i] = _finish_inf(path, refine)
-    return out
+
+def _values_at(p: LagrangianProblem, times, states, cum, rows, t) -> np.ndarray:
+    """J at per-entry times t along the history columns rows (which may repeat).
+
+    times, states and cum are a :func:`_cost_history`.  Each entry takes
+    one RK4 sub-step from the last node j at or before its t, adds one
+    trapezoid of running cost with the field time held at times[j] for
+    both ends, and weights the obstacle by ``math.exp`` per entry (an
+    array ``np.exp`` can differ from it in the last ulp).
+    """
+    t = np.minimum(np.maximum(t, times[0]), times[-1])
+    j = np.minimum(np.searchsorted(times, t, side="right") - 1, len(times) - 2)
+    tj, dt = times[j], t - times[j]
+    xj = states[j, rows]
+    xt = np.where((dt > 0)[:, None], rk4_step(p.field, tj[:, None], xj, dt[:, None]), xj)
+    x2 = np.concatenate([xj, xt])
+    f2 = p.field(np.concatenate([tj, tj])[:, None], x2)
+    lw = np.asarray(p.lagrangian(x2, f2), dtype=float) * \
+        np.exp(p.discount * np.concatenate([tj, t]))
+    n = len(t)
+    run = cum[j, rows] + 0.5 * (lw[:n] + lw[n:]) * dt
+    ut = np.asarray(p.obstacle(xt), dtype=float)
+    J = np.fromiter(map(math.exp, p.discount * t), float, n) * ut + run
+    return np.where((ut >= INF) | (J > p.value_cap), INF, J)
+
+
+def _finish_sup(J: np.ndarray) -> np.ndarray:
+    """Column maxima of J; INF where a column reaches INF or peaks at the horizon."""
+    i = np.argmax(J, axis=0)  # first attainment
+    # a peak at the horizon is still climbing: divergent at desk scale
+    unbounded = np.any(J >= INF, axis=0) | (i == len(J) - 1)
+    return np.where(unbounded, INF, J[i, np.arange(J.shape[1])])
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _bisect_finite(values_at, rows, bad, good, tol: float):
+    """Per entry, the edge of the finite region between an INF time and a finite one."""
+    bad, good = bad.copy(), good.copy()
+    for _ in range(80):
+        act = np.flatnonzero(~(np.abs(good - bad) <= tol))
+        if len(act) == 0:
+            break
+        mid = 0.5 * (bad[act] + good[act])
+        finite = values_at(rows[act], mid) < INF
+        good[act] = np.where(finite, mid, good[act])
+        bad[act] = np.where(finite, bad[act], mid)
+    return good
+
+
+def _golden_min(values_at, rows, a, b, fa, fb, tol: float):
+    """Per entry, the golden-section minimum value of J on [a, b] (fa, fb its ends)."""
+    n, a, b = len(rows), a.copy(), b.copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    f = values_at(np.concatenate([rows, rows]), np.concatenate([c, d]))
+    fc, fd = f[:n], f[n:]
+    best = fa
+    for v in (fb, fc, fd):
+        best = np.where(v < best, v, best)
+    for _ in range(200):
+        act = np.flatnonzero(~(b - a <= tol))
+        if len(act) == 0:
+            break
+        fc_, fd_ = fc[act], fd[act]
+        left = fc_ <= fd_  # the minimum lies in [a, d]: drop (d, b]
+        na = np.where(left, a[act], c[act])
+        nb = np.where(left, d[act], b[act])
+        nc = np.where(left, nb - _INVPHI * (nb - na), d[act])
+        nd = np.where(left, c[act], na + _INVPHI * (nb - na))
+        fn = values_at(rows[act], np.where(left, nc, nd))
+        a[act], b[act], c[act], d[act] = na, nb, nc, nd
+        fc[act] = np.where(left, fn, fd_)
+        fd[act] = np.where(left, fc_, fn)
+        best[act] = np.where(fn < best[act], fn, best[act])
+    return best
+
+
+def _finish_inf(p: LagrangianProblem, times, states, cum, J, refine: bool,
+                t_tol: float = 1e-8) -> np.ndarray:
+    """Column minima of J, each refined between the nodes around its arg-min.
+
+    Per row, refinement bisects the finite edge of J toward the arg-min
+    node where a neighbouring node reads INF (indicator obstacles make J
+    infinite off a narrow valley, so golden section needs a real
+    bracket), then golden-section searches the bracket to t_tol in t.
+    Every row keeps its own sequence of comparisons; each round serves
+    all of its rows with one batched :func:`_values_at`.
+    """
+    k, m = J.shape
+    i = np.argmin(J, axis=0)
+    empty = np.all(J >= INF, axis=0)
+    best = np.where(empty, INF, J[i, np.arange(m)])
+    if not refine:
+        return best
+    rows = np.flatnonzero(~empty)
+    i = i[rows]
+    prev, nxt = np.maximum(i - 1, 0), np.minimum(i + 1, k - 1)
+    a, b = times[prev], times[nxt]
+    left = (i > 0) & (J[prev, rows] >= INF)
+    right = (i < k - 1) & (J[nxt, rows] >= INF)
+
+    def values_at(r, t):
+        return _values_at(p, times, states, cum, r, t)
+
+    edges = _bisect_finite(values_at, np.concatenate([rows[left], rows[right]]),
+                           np.concatenate([a[left], b[right]]),
+                           times[np.concatenate([i[left], i[right]])], t_tol)
+    a[left], b[right] = np.split(edges, [np.count_nonzero(left)])
+    fa, fb = np.split(values_at(np.concatenate([rows, rows]), np.concatenate([a, b])), 2)
+    r_best = best[rows]
+    for v in (fa, fb):
+        r_best = np.where(v < r_best, v, r_best)
+    g = b > a
+    gold = _golden_min(values_at, rows[g], a[g], b[g], fa[g], fb[g], t_tol)
+    r_best[g] = np.where(gold < r_best[g], gold, r_best[g])
+    best[rows] = r_best
+    return best
+
+
+def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float,
+                    refine: bool = True) -> np.ndarray:
+    """The direct-route value at every row of xs, from one batched sweep.
+
+    mode 'sup' gives sup_t J(t) over [0, T_max] (INF if divergent),
+    'inf' gives inf_t J(t) with the arg-min bracket golden-section
+    refined to 1e-8 in t (unless refine is False), and 'lyapunov' the
+    'sup' value of a problem with l = 0, with the descent inequality
+    verified.  Each value is taken along the one RK4-selected solution
+    from its row, so where solutions are not unique 'sup' is a lower
+    and 'inf' an upper bound.  The scalar operations are one-row lifts
+    of this.  Stores the whole (steps, m, dim) state history, so chunk
+    large tabulations by rows; results do not depend on the chunking.
+
+    Raises:
+        NonFinite: if any row starts non-finite or blows up before T_max.
+        NonzeroLagrangian: in mode 'lyapunov', if l is nonzero at a row.
+        DescentViolation: in mode 'lyapunov', if u(x(t)) <= e^{-at} *
+            value fails beyond 1e-6 along a row's path (T_max too small
+            or sampling too coarse).
+    """
+    if mode not in ("sup", "inf", "lyapunov"):
+        raise ValueError("mode must be 'sup', 'inf' or 'lyapunov'")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if mode == "lyapunov" and np.any(np.asarray(p.lagrangian(xs, p.field(0.0, xs))) != 0.0):
+        raise NonzeroLagrangian("lyapunov needs a lagrangian that is 0 at every point")
+    times, states, U, cum, J = _cost_history(p, xs, T_max, h)
+    if mode == "inf":
+        return _finish_inf(p, times, states, cum, J, refine)
+    vals = _finish_sup(J)
+    if mode == "lyapunov":
+        ok = vals < INF
+        bound = np.exp(-p.discount * times)[:, None] * vals[ok] + 1e-6
+        if np.any(U[:, ok] > bound):
+            raise DescentViolation("u(x(t)) exceeded e^{-at} * value along the path")
+    return vals
+
+
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def running_cost_path(p: LagrangianProblem, x, T_max: float, h: float) -> CostPath:
+    """Sampled cost J along the trajectory from x; J(0) = u(x)."""
+    times, states, _, cum, J = _cost_history(p, _one_row(x), T_max, h)
+    return CostPath(times, states[:, 0], J[:, 0], cum[:, 0], p)
+
+
+def value_sup(p: LagrangianProblem, x, T_max: float, h: float) -> float:
+    """sup_t J(t) over [0, T_max] along the solution from x (INF if divergent)."""
+    return float(tabulate_values(p, _one_row(x), "sup", T_max, h)[0])
+
+
+def value_inf(p: LagrangianProblem, x, T_max: float, h: float,
+              refine: bool = True) -> float:
+    """inf_t J(t); the arg-min bracket is golden-section refined to 1e-8 in t."""
+    return float(tabulate_values(p, _one_row(x), "inf", T_max, h, refine)[0])
+
+
+def lyapunov(p: LagrangianProblem, x, T_max: float, h: float) -> float:
+    """value_sup specialization for l = 0, with the descent inequality verified.
+
+    Raises:
+        DescentViolation: if u(x(t)) <= e^{-at} * result fails beyond 1e-6
+            along the trajectory (T_max too small or sampling too coarse).
+    """
+    return float(tabulate_values(p, _one_row(x), "lyapunov", T_max, h)[0])
+
+
+def minimal_time_problem(field: VectorField, K: SetOracle) -> LagrangianProblem:
+    """The first-arrival problem: u = psi_K, l = 1, a = 0."""
+    return LagrangianProblem(field, unit_lagrangian, 0.0, indicator_obstacle(K))
+
+
+def minimal_length_problem(field: VectorField, K: SetOracle) -> LagrangianProblem:
+    """The arc-length-to-K problem: u = psi_K, l(x, p) = |p|, a = 0."""
+    return LagrangianProblem(field, speed_lagrangian, 0.0, indicator_obstacle(K))
+
+
+def minimal_time(field: VectorField, K: SetOracle, x, T_max: float, h: float) -> float:
+    """First-arrival value: value_inf of :func:`minimal_time_problem`."""
+    return value_inf(minimal_time_problem(field, K), x, T_max, h)
+
+
+def minimal_length(field: VectorField, K: SetOracle, x, T_max: float, h: float) -> float:
+    """Arc length to reach K: value_inf of :func:`minimal_length_problem`."""
+    return value_inf(minimal_length_problem(field, K), x, T_max, h)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ class NoConvergence(ViakitError):
     """An iteration that must terminate failed to (guards implementation bugs)."""
 
 
+class NonzeroLagrangian(ViakitError, ValueError):
+    """A Lyapunov value was asked of a problem whose running cost is not 0."""
+
+
 class DescentViolation(ViakitError):
     """The verified Lyapunov descent inequality failed beyond tolerance."""
 

@@ -334,6 +334,128 @@ def test_bad_step_or_horizon_exit_2(tmp_path, capsys, op, base, edit, key):
     assert not any(tmp_path.glob("*.csv"))
 
 
+VALUE_CFG = {
+    "field": {"kind": "linear", "a": -1.0},
+    "lagrangian": {"kind": "zero"}, "obstacle": {"kind": "abs"},
+    "points": [[0.7]], "horizon": 1.0, "step": 0.01,
+}
+HJ_CFG = dict(VALUE_CFG, grid={"lo": [-1.0], "hi": [1.0], "counts": [8]}, mode="inf")
+BOX_2D = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("op, base, edit, key", [
+    ("viab", VIAB_CFG, {"set": {"kind": "box", "lo": [1.0], "hi": [-1.0]}},
+     "box needs lo <= hi componentwise in section 'set'"),
+    ("viab", VIAB_CFG, {"set": {"kind": "ball", "center": [0.0], "radius": -1}},
+     "radius must be nonnegative in section 'set'"),
+    ("viab", VIAB_CFG, {"field": {"kind": "rotation"}},
+     "section 'set' has dimension 1, but the field has dimension 2"),
+    ("viab", VIAB_CFG, {"field": {"kind": "rotation"}, "set": BOX_2D},
+     "section 'grid' has dimension 1, but the field has dimension 2"),
+    ("viab", VIAB_CFG, {"field": {"kind": "linear", "a": 1.0, "dim": "x"}},
+     "'dim' in section 'field' must be an integer >= 1"),
+    ("viab", VIAB_CFG, {"field": {"kind": "linear", "a": 1.0, "dim": 2}},
+     "section 'set' has dimension 1, but the field has dimension 2"),
+    ("viab", VIAB_CFG, {"field": {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                        "set": BOX_2D},
+     "section 'grid' has dimension 1, but the field has dimension 2"),
+    ("viab", VIAB_CFG, {"field": {"kind": "linear", "matrix": [[1.0, 0.0]]}},
+     "'matrix' in section 'field' must be a square matrix"),
+    ("exit-time", ET_CFG, {"x0": [[0.3, 0.0]]},
+     "section 'set' has dimension 1, but the field has dimension 2"),
+    ("exit-time", ET_CFG, {"field": {"kind": "transport", "velocity": [1.0, 0.0]}},
+     "section 'set' has dimension 1, but the field has dimension 2"),
+    ("value-sup", VALUE_CFG, {"points": []},
+     "section 'points' has dimension 0, but the field has dimension 1"),
+    ("value-inf", VALUE_CFG, {"obstacle": {"kind": "indicator", "set": BOX_2D}},
+     "section 'obstacle.set' has dimension 2"),
+    ("mintime", VALUE_CFG, {"field": {"kind": "rotation"},
+                            "set": {"kind": "ball", "center": [0.0], "radius": 0.1}},
+     "section 'set' has dimension 1, but the field has dimension 2"),
+    ("lyapunov", VALUE_CFG, {"lagrangian": {"kind": "unit"}},
+     "lyapunov needs a lagrangian that is 0 at every point"),
+    ("hj-check", HJ_CFG, {"mode": "lyapunov"}, "'mode' in section 'config' must be"),
+    ("pde-char", PDE_CFG, {"eval": {"t_range": "abc", "x_range": []}},
+     "eval.t_range and each eval.x_range entry must be [lo, hi, count]"),
+    ("pde-char", PDE_CFG, {"eval": {"t_range": [0.0, 1.0, -3], "x_range": [[0.0, 1.0, 2]]}},
+     "eval.t_range and each eval.x_range entry must be [lo, hi, count]"),
+], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
+        "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
+        "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
+        "lyapunov-nonzero-lagrangian", "hj-check-mode", "eval-t-range-text",
+        "eval-negative-count"])
+def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
+    cfg = _write(tmp_path, "dims.json", dict(base, **edit))
+    assert main([op, cfg, "-o", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+BOX_2D_GRID = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [12, 12]}
+TARGET_2D = {"kind": "ball", "center": [1.0, 1.0], "radius": 0.1}
+
+
+@pytest.mark.parametrize("op, cfg, field, same", [
+    ("viab", dict(VIAB_CFG, set=BOX_2D, grid=BOX_2D_GRID, horizon=2.0),
+     {"kind": "linear", "a": 1.0}, {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("value-sup", dict(VALUE_CFG, points=[[0.7, -0.2], [0.1, 0.4]]),
+     {"kind": "polynomial", "coeffs": [0.0, -1.0]},
+     {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}),
+    ("mintime", {"set": TARGET_2D, "points": [[0.0, 0.0], [0.5, 0.3]], "horizon": 3.0,
+                 "step": 0.01},
+     {"kind": "transport", "velocity": [1.0]}, {"kind": "transport", "velocity": [1.0, 1.0]}),
+    ("hj-check", dict(HJ_CFG, grid=BOX_2D_GRID, points=[[0.2, 0.3]]),
+     {"kind": "linear", "a": -1.0}, {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}),
+], ids=["viab-scalar-linear", "value-sup-polynomial", "mintime-transport", "hj-check-linear"])
+def test_componentwise_fields_take_the_data_dimension(tmp_path, op, cfg, field, same):
+    """Scalar linear, polynomial and one-element transport fields run on 2-D data
+    and agree with the fixed-layout field that acts the same way."""
+    values = []
+    for f in (field, same):
+        out = tmp_path / f"out{len(values)}"
+        assert main([op, _write(tmp_path, "cw.json", dict(cfg, field=f)), "-o", str(out)]) == 0
+        name = "value_field.csv" if op == "hj-check" else op.replace("-", "_") + ".csv"
+        header, rows = _read_csv(out / name)
+        assert header[:2] == ["x1", "x2"]
+        values.append(rows)
+    assert np.allclose(values[0], values[1], rtol=1e-12, atol=0.0)
+
+
+def test_logistic_field_runs_per_component(tmp_path):
+    cfg = {"field": {"kind": "logistic", "beta": 1.0, "b": 1.0}, "x0": [0.5, 0.2],
+           "horizon": 1.0, "step": 0.01}
+    assert main(["flow", _write(tmp_path, "lg.json", dict(cfg, t=1.0)), "-o", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "flow.csv")
+    expect = [1.0 / (1.0 + (1.0 / y0 - 1.0) * math.exp(-1.0)) for y0 in cfg["x0"]]
+    assert np.allclose(rows[0], expect, rtol=1e-8)
+
+
+@pytest.mark.parametrize("op, cfg", [
+    ("value-inf", dict(VALUE_CFG, lagrangian={"kind": "unit"}, discount=0.2, horizon=3.0)),
+    ("lyapunov", dict(VALUE_CFG, discount=0.5)),
+    ("mintime", {"field": {"kind": "rotation"}, "set": {"kind": "ball", "center": [1.0, 0.0],
+                                                        "radius": 0.05},
+                 "horizon": 7.0, "step": 0.01}),
+])
+def test_value_subcommands_chunk_rows(tmp_path, monkeypatch, op, cfg):
+    """Row chunks of the batched value call leave every CSV byte unchanged."""
+    dim = 2 if op == "mintime" else 1
+    rng = np.random.default_rng(3)
+    cfg = dict(cfg, points=rng.uniform(-1.5, 1.5, (9, dim)).tolist())
+    path = _write(tmp_path, "chunk.json", cfg)
+    name = op.replace("-", "_") + ".csv"
+    outputs = []
+    for budget in (None, 1, 2 * (int(cfg["horizon"] / cfg["step"]) + 2) * dim):
+        if budget is not None:
+            monkeypatch.setattr("viakit.cli.HISTORY_FLOATS", budget)
+        out = tmp_path / f"out{len(outputs)}"
+        assert main([op, path, "-o", str(out)]) == 0
+        outputs.append((out / name).read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    _, rows = _read_csv(tmp_path / "out0" / name)
+    assert len(rows) == 9
+
+
 def test_pde_graph_shock(tmp_path):
     cfg = _write(tmp_path, "graph.json", {
         "pde": {

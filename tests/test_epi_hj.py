@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
 from viakit.common import INF
+from viakit.dynamics import rk4_step
+from viakit.epi_hj import CostPath, _cost_history, _values_at
 
 decay = vk.linear_field(-1.0)
 grow = vk.linear_field(1.0)
@@ -68,7 +71,7 @@ def test_lyapunov_examples():
 
 
 def test_lyapunov_rejects_nonzero_lagrangian():
-    with pytest.raises(ValueError):
+    with pytest.raises(vk.NonzeroLagrangian):
         vk.lyapunov(P_INF, [1.0], 5.0, 1e-2)
 
 
@@ -268,6 +271,8 @@ def test_monotone_refinement_in_horizon():
 
 
 def test_tabulate_matches_scalar_ops():
+    """Every scalar value op equals (on bytes) its row of tabulate_values: 1-D and
+    2-D, time-dependent or not, discounted or not."""
     xs = np.linspace(-1.5, 1.5, 7)[:, None]
     tab = vk.tabulate_values(P_SUP, xs, "sup", 10.0, 1e-2)
     direct = [vk.value_sup(P_SUP, x, 10.0, 1e-2) for x in xs]
@@ -275,3 +280,199 @@ def test_tabulate_matches_scalar_ops():
     tab_i = vk.tabulate_values(P_INF, xs, "inf", 10.0, 1e-2)
     direct_i = [vk.value_inf(P_INF, x, 10.0, 1e-2) for x in xs]
     assert np.array_equal(tab_i, direct_i)
+    T, h = 1.5, 0.01
+
+    def rows_equal(op, mode, p, xs, *lead):
+        tab = vk.tabulate_values(p, xs, mode, T, h)
+        assert np.array([op(*lead, x, T, h) for x in xs]).tobytes() == tab.tobytes()
+        return tab
+
+    for dim, timedep, discount in [(1, False, 0.0), (1, True, 0.3), (2, False, 0.2),
+                                   (2, True, 0.0)]:
+        cases, xs = _inf_cases(dim, timedep, "unit", discount, 0.05)
+        for p in cases:
+            rows_equal(lambda *a: vk.value_inf(p, *a), "inf", p, xs)
+            rows_equal(lambda *a: vk.value_sup(p, *a), "sup", p, xs)
+        field, K = cases[0].field, vk.box(np.full(dim, 0.7), np.full(dim, 0.9))
+        rows_equal(vk.minimal_time, "inf", vk.minimal_time_problem(field, K), xs, field, K)
+        rows_equal(vk.minimal_length, "inf", vk.minimal_length_problem(field, K), xs, field, K)
+        p = vk.LagrangianProblem(field, vk.zero_lagrangian, discount, vk.abs_obstacle)
+        tab = rows_equal(lambda *a: vk.lyapunov(p, *a), "lyapunov", p, xs)
+        assert tab.tobytes() == vk.tabulate_values(p, xs, "sup", T, h).tobytes()
+
+
+# -- the batched inf finishing against the per-row loop it replaced ------------
+
+
+def _ref_value_at(path, t):
+    """The per-row J(t) sub-step (copy of the scalar CostPath.value_at)."""
+    p, times = path.problem, path.times
+    t = min(max(t, times[0]), times[-1])
+    j = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+    dt = t - times[j]
+    xj = path.states[j]
+    xt = rk4_step(p.field, times[j], xj, dt) if dt > 0 else xj
+    x2 = np.vstack([xj, xt])
+    f2 = p.field(times[j], x2)
+    lw = p.lagrangian(x2, f2) * np.exp(p.discount * np.array([times[j], t]))
+    cum = path.cumulative[j] + 0.5 * (lw[0] + lw[1]) * dt
+    ut = float(p.obstacle(xt[None, :])[0])
+    if ut >= INF:
+        return INF
+    J = math.exp(p.discount * t) * ut + cum
+    return INF if J > p.value_cap else J
+
+
+def _ref_golden_min(fn, a, b, tol):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = min(fn(a), fn(b), fc, fd)
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+            best = min(best, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+            best = min(best, fd)
+    return best
+
+
+def _ref_bisect_finite(fn, t_bad, t_good, tol):
+    for _ in range(80):
+        if abs(t_good - t_bad) <= tol:
+            break
+        mid = 0.5 * (t_bad + t_good)
+        if fn(mid) < INF:
+            t_good = mid
+        else:
+            t_bad = mid
+    return t_good
+
+
+def _ref_finish_inf(path, refine, t_tol=1e-8):
+    """The per-row inf finishing rule (copy of the scalar loop), with its
+    events: which edges were bisected and where the arg-min node sits."""
+    values = path.values
+    if np.all(values >= INF):
+        return INF, "empty"
+    i = int(np.argmin(values))
+    best = float(values[i])
+    k = len(values)
+    kind = {0: "first", k - 1: "last"}.get(i, "inner")
+    if refine:
+        fn = lambda t: _ref_value_at(path, t)
+        a = path.times[max(i - 1, 0)]
+        b = path.times[min(i + 1, k - 1)]
+        if i > 0 and values[i - 1] >= INF:
+            a = _ref_bisect_finite(fn, a, path.times[i], t_tol)
+            kind += "+left"
+        if i < k - 1 and values[i + 1] >= INF:
+            b = _ref_bisect_finite(fn, b, path.times[i], t_tol)
+            kind += "+right"
+        best = min(best, fn(a), fn(b))
+        if b > a:
+            best = min(best, _ref_golden_min(fn, a, b, t_tol))
+    return best, kind
+
+
+def _swirl(dim, timedep):
+    """Drift +1 along x1 plus a coupling; with timedep, a cos(2t) pulse on x1."""
+
+    def ev(t, x):
+        out = np.ones_like(x)
+        if dim == 2:
+            out[:, 1:] = 0.3 * x[:, :1] - 0.2 * x[:, 1:]
+        if timedep:
+            out[:, :1] += 0.8 * np.cos(2.0 * t)
+        return out
+
+    return vk.VectorField(dim, ev, name="swirl")
+
+
+_LAGRANGIANS = {"unit": vk.unit_lagrangian, "speed": vk.speed_lagrangian,
+                "half": vk.const_lagrangian(0.5)}
+
+
+def _well(x):
+    """A smooth obstacle with its bottom at x1 = 0.8: J has interior minima."""
+    return (x[:, 0] - 0.8) ** 2 + 0.5 * np.sum(x[:, 1:] ** 2, axis=1)
+
+
+def _inf_cases(dim, timedep, lag, discount, radius):
+    """Problems whose rows start inside a target, reach it, miss it, pass
+    the bottom of a well, or (abs obstacle, cost 1/2) still descend at the
+    horizon."""
+    field = _swirl(dim, timedep)
+    centre = np.zeros(dim)
+    centre[0] = 0.8
+    targets = [vk.box(centre - radius, centre + radius), vk.ball(centre, radius)]
+    rows = np.zeros((6, dim))
+    rows[:, 0] = [0.8, 0.8 - 0.4 * radius, 0.3, -0.4, 2.5, -1.9]
+    if dim == 2:
+        rows[4:, 1] = [0.1, 3.0]
+    cases = [vk.LagrangianProblem(field, _LAGRANGIANS[lag], discount,
+                                  vk.indicator_obstacle(K)) for K in targets]
+    cases += [vk.LagrangianProblem(field, _LAGRANGIANS[lag], discount, u)
+              for u in (vk.abs_obstacle, _well)]
+    return cases, rows
+
+
+def _check_inf_finishing(dim, timedep, lag, discount, radius, h):
+    """tabulate_values(..., "inf") == the per-row loop, bytewise; returns the
+    finishing branches the rows took."""
+    T, kinds = 1.5, set()
+    cases, xs = _inf_cases(dim, timedep, lag, discount, radius)
+    for p in cases:
+        times, states, _, cum, J = _cost_history(p, xs, T, h)
+        for refine in (True, False):
+            ref = [_ref_finish_inf(CostPath(times, states[:, i], J[:, i], cum[:, i], p),
+                                   refine) for i in range(len(xs))]
+            got = vk.tabulate_values(p, xs, "inf", T, h, refine=refine)
+            assert got.tobytes() == np.array([v for v, _ in ref]).tobytes()
+            kinds.update(kind for _, kind in ref)
+        # one batched sub-step per entry == the scalar sub-step, and
+        # CostPath.value_at is a one-row lift of it
+        ts = np.linspace(0.0, T, 97) + 0.37 * h
+        rows = np.repeat(np.arange(len(xs)), len(ts))
+        got = _values_at(p, times, states, cum, rows, np.tile(ts, len(xs)))
+        paths = [vk.running_cost_path(p, x, T, h) for x in xs]
+        ref = [_ref_value_at(paths[r], t) for r, t in zip(rows, np.tile(ts, len(xs)))]
+        assert got.tobytes() == np.array(ref).tobytes()
+        for t in ts[::20]:
+            assert np.float64(paths[1].value_at(t)).tobytes() == \
+                np.float64(_ref_value_at(paths[1], t)).tobytes()
+    return kinds
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=st.sampled_from([1, 2]), timedep=st.booleans(),
+       lag=st.sampled_from(sorted(_LAGRANGIANS)),
+       discount=st.sampled_from([0.0, 0.35]) | st.floats(0.0, 0.6),
+       radius=st.floats(0.004, 0.2), h=st.sampled_from([0.01, 0.023, 0.05]))
+def test_batched_inf_finishing_matches_per_row_loop(dim, timedep, lag, discount, radius, h):
+    _check_inf_finishing(dim, timedep, lag, discount, radius, h)
+
+
+def test_inf_finishing_branches_covered():
+    """Two fixed cases (one 2-D, time-dependent and discounted) take every
+    branch: an all-INF row, arg-min at the first and the last node, and
+    left and left+right edge bisection."""
+    kinds = _check_inf_finishing(1, False, "half", 0.0, 0.01, 0.05)
+    kinds |= _check_inf_finishing(2, True, "speed", 0.35, 0.1, 0.023)
+    for kind in ("empty", "first", "last", "inner+left", "inner+left+right"):
+        assert kind in kinds, sorted(kinds)
+
+
+def test_tabulate_rejects_non_finite_start():
+    with pytest.raises(vk.NonFinite):
+        vk.tabulate_values(P_SUP, [[0.5], [np.nan]], "sup", 0.0, 1e-2)
+    with pytest.raises(vk.NonFinite):
+        vk.value_inf(P_INF, [np.inf], 1.0, 1e-2)
