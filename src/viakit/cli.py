@@ -218,13 +218,16 @@ def _build_grid(spec: dict) -> GridSpec:
         raise ConfigError(f"{exc} in section 'grid'", section="grid") from exc
 
 
-def _build_func(spec: dict, where: str):
-    """Small scalar-function library for data: w.z + c, sin(w.z + c), const."""
+def _build_func(spec: dict, where: str, n: int):
+    """Small library for data of n numbers z: w.z + c, sin(w.z + c), const."""
     kind = _need(spec, "kind", where)
     if kind == "const":
         v = _num(spec, "value", where)
         return lambda *args: np.array([v])
     w = _vec(spec, "weights", where)
+    if w.shape != (n,):
+        raise ConfigError(f"'weights' in section {where!r} must be a vector of length {n}, "
+                          f"got shape {w.shape}", section=where)
     c = _num(spec, "offset", where, default=0.0)
 
     def dot(args):
@@ -272,8 +275,8 @@ def _build_problem(cfg: dict, dim: int = 1) -> LagrangianProblem:
 def _build_pde(cfg: dict) -> CharProblem:
     pde = _need(cfg, "pde", "config")
     K = _build_set(_need(pde, "K", "pde"), "pde.K")
-    u0 = _build_func(_need(pde, "u0", "pde"), "pde.u0")
-    v = _build_func(pde["v"], "pde.v") if pde.get("v") else None
+    u0 = _build_func(_need(pde, "u0", "pde"), "pde.u0", K.dim)
+    v = _build_func(pde["v"], "pde.v", 1 + K.dim) if pde.get("v") else None
     impulses = tuple(pde["impulses"]) if pde.get("impulses") else None
     data = BoundaryData(u0, v, impulses)
     gspec = pde.get("g", {"kind": "zero"})
@@ -289,7 +292,8 @@ def _build_pde(cfg: dict) -> CharProblem:
     fspec = pde.get("f")
     if fspec and _need(fspec, "kind", "pde.f") == "output":
         return CharProblem(g, K, data, out_dim, f=lambda t, x, y: y)
-    phi = _build_field(_need(pde, "phi", "pde"), "pde.phi")
+    phi = _build_field(_need(pde, "phi", "pde"), "pde.phi", dim=K.dim)
+    _check_dims(phi.dim, ("pde.K", K.dim))
     return CharProblem(g, K, data, out_dim, phi=phi)
 
 
@@ -488,9 +492,8 @@ def _run(args) -> int:
         oracle = demo4d(*(_num(d, k, "demo4d")
                           for k in ("rho", "sigma", "beta", "b", "r2")),
                         _num(d, "A", "demo4d"),
-                        _build_func(_need(d, "u0", "demo4d"), "demo4d.u0"),
-                        _build_func(_need(d, "v1", "demo4d"), "demo4d.v1"),
-                        _build_func(_need(d, "v_r2", "demo4d"), "demo4d.v_r2"))
+                        *(_build_func(_need(d, k, "demo4d"), "demo4d." + k, 4)
+                          for k in ("u0", "v1", "v_r2")))
         domain = product(box([0.0], [np.inf]), box([0.0], [oracle.r2]),
                          box([0.0], [np.inf]), box([0.0], [oracle.b]))
         ts, xs = _eval_lattice(cfg)

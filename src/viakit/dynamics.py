@@ -145,28 +145,38 @@ def step_schedule(t0: float, t1: float, step: float):
         yield t0 + n_full * step, rem
 
 
-def _check_finite(x: np.ndarray, context: str):
-    if not np.all(np.isfinite(x)) or np.linalg.norm(np.atleast_1d(x)) > BLOWUP_NORM:
-        raise NonFinite(f"state blew up during {context}")
+def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str):
+    """Node times and (k, m, dim) RK4 states of the rows of xs, from :func:`_march`.
+
+    Raises:
+        NonFinite: if a row starts non-finite or blows up before t1.
+    """
+    norms = np.linalg.norm(xs, axis=1)
+    if not np.all(np.isfinite(norms) & (norms <= BLOWUP_NORM)):
+        raise NonFinite(f"initial state is not finite in {what}")
+    times = np.array([t0] + [t + h for t, h in step_schedule(t0, t1, step)])
+    states = np.empty((len(times),) + xs.shape)
+    states[0] = x = xs.copy()
+    live = np.ones(len(xs), dtype=bool)
+    for j, _ in enumerate(_march(field, x, t0, t1, step, live), start=1):
+        states[j] = x
+    if not live.all():
+        raise NonFinite(f"state blew up during {what}")
+    return times, states
 
 
 def integrate(field: VectorField, x0, t0: float, t1: float, step: float) -> Trajectory:
     """Fixed-step RK4 samples of the solution of x' = f(t, x) on [t0, t1].
 
+    A one-row lift of the batched stepping core.
+
     Raises:
         NonFinite: if any state component becomes NaN/inf or the norm
             passes the blow-up guard before t1.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    _check_finite(x, "integrate (initial state)")
-    times = [t0]
-    states = [x]
-    for t, h in step_schedule(t0, t1, step):
-        x = rk4_step(field, t, x, h)
-        _check_finite(x, "integrate")
-        times.append(t + h)
-        states.append(x)
-    return Trajectory(np.array(times), np.array(states), step)
+    x = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
+    times, states = _record(field, x, t0, t1, step, "integrate")
+    return Trajectory(times, states[:, 0], step)
 
 
 def flow(field: VectorField, t: float, x, step: float):
@@ -178,9 +188,7 @@ def flow(field: VectorField, t: float, x, step: float):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0:
         return x.copy()
-    if t < 0:
-        return integrate(field.negated(), x, 0.0, -t, step).states[-1]
-    return integrate(field, x, 0.0, t, step).states[-1]
+    return integrate(field.negated() if t < 0 else field, x, 0.0, abs(t), step).states[-1]
 
 
 def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray):

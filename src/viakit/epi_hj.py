@@ -29,9 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import BLOWUP_NORM, INF
-from .dynamics import VectorField, _march, rk4_step, step_schedule
-from .errors import CapTooSmall, DescentViolation, NonFinite, NonzeroLagrangian
+from .common import INF
+from .dynamics import VectorField, _record, rk4_step
+from .errors import CapTooSmall, DescentViolation, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
@@ -147,19 +147,8 @@ def _cost_history(p: LagrangianProblem, xs, T_max: float, h: float):
         NonFinite: if a row starts non-finite or blows up before T_max.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    norms = np.linalg.norm(xs, axis=1)
-    if not np.all(np.isfinite(norms) & (norms <= BLOWUP_NORM)):
-        raise NonFinite("initial state is not finite")
-    m = len(xs)
-    times = np.array([0.0] + [t + hj for t, hj in step_schedule(0.0, T_max, h)])
-    k = len(times)
-    states = np.empty((k, m, xs.shape[1]))
-    states[0] = x = xs.copy()
-    live = np.ones(m, dtype=bool)
-    for j, _ in enumerate(_march(p.field, x, 0.0, T_max, h, live), start=1):
-        states[j] = x
-    if not live.all():
-        raise NonFinite("state blew up during tabulate_values")
+    times, states = _record(p.field, xs, 0.0, T_max, h, "tabulate_values")
+    k, m = states.shape[:2]
     flat = states.reshape(k * m, xs.shape[1])
     F = p.field(0.0, flat)
     L = np.asarray(p.lagrangian(flat, F), dtype=float).reshape(k, m)
@@ -411,28 +400,33 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     def interp(self, x) -> float:
+        """The value at one point; a one-row lift of :meth:`interp_many`."""
+        return float(self.interp_many(_one_row(x))[0])
+
+    def interp_many(self, X) -> np.ndarray:
+        """Multilinear interpolation at the (m, dim) rows of X (INF-aware).
+
+        Corners of weight below 1e-12 are skipped; an INF value at any other
+        corner, or lying outside the grid, makes a row INF.  Corners and axis
+        factors go in one fixed order, so no value depends on the batch.
+        """
         g = self.grid
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         sp = g.spacing
-        if np.any(x < g.lo - 1e-9 * sp) or np.any(x > g.hi + 1e-9 * sp):
-            return INF
-        pos = (x - g.lo) / sp
+        inside = np.all((X >= g.lo - 1e-9 * sp) & (X <= g.hi + 1e-9 * sp), axis=1)
+        pos = (np.where(inside[:, None], X, g.lo) - g.lo) / sp
         base = np.clip(np.floor(pos).astype(int), 0, g.counts - 1)
         frac = pos - base
-        shape = g.shape
-        total, wsum = 0.0, 0.0
+        total, wsum, blocked = np.zeros(len(X)), np.zeros(len(X)), ~inside
         for corner in range(1 << g.dim):
             offs = np.array([(corner >> k) & 1 for k in range(g.dim)])
-            w = float(np.prod(np.where(offs == 1, frac, 1.0 - frac)))
-            if w < 1e-12:
-                continue
-            idx = np.ravel_multi_index(tuple(base + offs), shape)
-            v = self.values[idx]
-            if v >= INF:
-                return INF
-            total += w * v
-            wsum += w
-        return total / wsum if wsum > 0 else INF
+            w = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
+            use = w >= 1e-12
+            v = self.values[np.ravel_multi_index(tuple((base + offs).T), g.shape)]
+            blocked |= use & (v >= INF)
+            total = np.where(use, total + w * v, total)
+            wsum = np.where(use, wsum + w, wsum)
+        return np.where(blocked | ~(wsum > 0), INF, total / wsum)
 
 
 @dataclass(frozen=True)
@@ -516,6 +510,34 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
 # ---------------------------------------------------------------------------
 
 
+def _epiderivatives(u_field: GridFunction, X, V, h_min: Optional[float] = None,
+                    h_max: Optional[float] = None, perturb: Optional[float] = None):
+    """(u(x), D_up u(x)(v)) at the row pairs of the (m, dim) arrays X and V.
+
+    See :func:`epiderivative`; every base point and probe goes through
+    one :meth:`GridFunction.interp_many` call.
+    """
+    cell = float(np.min(u_field.grid.spacing))
+    h = 4.0 * cell if h_max is None else h_max
+    h_min = 0.5 * cell if h_min is None else h_min
+    perturb = 0.5 * cell if perturb is None else perturb
+    hs = []
+    while h >= h_min * (1.0 - 1e-12):
+        hs.append(h)
+        h *= 0.5
+    m, n = X.shape
+    stencil = np.zeros((1 + 2 * n, n))  # v, v + delta e_0, v - delta e_0, v + delta e_1, ...
+    stencil[1::2], stencil[2::2] = perturb * np.eye(n), -perturb * np.eye(n)
+    hs = np.array(hs)[:, None, None]
+    probes = X[:, None, None] + hs * (V[:, None] + stencil)[:, None]
+    u = u_field.interp_many(np.concatenate([X, probes.reshape(-1, n)]))
+    u0, uv = u[:m], u[m:].reshape(probes.shape[:3])
+    q = (uv - u0[:, None, None]) / hs[:, :, 0]
+    # a NaN quotient never wins the scalar min, which starts at INF
+    best = np.min(np.where((uv < INF) & (q < INF), q, INF), axis=(1, 2), initial=INF)
+    return u0, np.where(u0 >= INF, INF, best)
+
+
 def epiderivative(u_field: GridFunction, x, v, h_min: Optional[float] = None,
                   h_max: Optional[float] = None, perturb: Optional[float] = None) -> float:
     """Lower difference-quotient estimate of D_up u(x)(v) on a gridded field.
@@ -523,35 +545,11 @@ def epiderivative(u_field: GridFunction, x, v, h_min: Optional[float] = None,
     Minimizes (u(x + h v') - u(x)) / h over a geometric h-ladder (ratio
     1/2) and a small direction stencil v' = v, v +- delta e_k, with
     multilinear interpolation of the field; +inf when every probe lands
-    outside the finite domain.  Defaults scale with the grid cell.
+    outside the finite domain.  Defaults scale with the grid cell.  A
+    one-row lift of the batched estimate behind the HJ checks.
     """
-    g = u_field.grid
-    cell = float(np.min(g.spacing))
-    if h_max is None:
-        h_max = 4.0 * cell
-    if h_min is None:
-        h_min = 0.5 * cell
-    if perturb is None:
-        perturb = 0.5 * cell
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    u0 = u_field.interp(x)
-    if u0 >= INF:
-        return INF
-    dirs = [v]
-    for k in range(g.dim):
-        e = np.zeros(g.dim)
-        e[k] = perturb
-        dirs.extend([v + e, v - e])
-    best = INF
-    h = h_max
-    while h >= h_min * (1.0 - 1e-12):
-        for d in dirs:
-            uv = u_field.interp(x + h * d)
-            if uv < INF:
-                best = min(best, (uv - u0) / h)
-        h *= 0.5
-    return best
+    return float(_epiderivatives(u_field, _one_row(x), _one_row(v), h_min, h_max,
+                                 perturb)[1][0])
 
 
 @dataclass(frozen=True)
@@ -576,6 +574,28 @@ class HJReport:
         return len(self.violations) == 0
 
 
+def _hj_residuals(p: LagrangianProblem, u_field: GridFunction, sample_points):
+    """The samples X, v = u_field(X), the obstacle U, the mask of finite v,
+    and D_up v(x)(f) + l + a v and D_up v(x)(-f) - l - a v at every row, in
+    one batched pass; each check keeps the rows its clauses apply to."""
+    X = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    m = len(X)
+    F = p.field(0.0, X)
+    L = np.asarray(p.lagrangian(X, F), dtype=float)
+    U = np.asarray(p.obstacle(X), dtype=float)
+    v, D = _epiderivatives(u_field, np.concatenate([X, X]), np.concatenate([F, -F]))
+    av = p.discount * v[:m]
+    return X, v[:m], U, ~(v[:m] >= INF), D[:m] + L + av, D[m:] - L - av
+
+
+def _violations(*clauses) -> list:
+    """(name, sample, value) wherever a (name, failed, value) clause fails,
+    by sample, then by clause in the given order."""
+    rows, kinds = np.nonzero(np.stack([bad for _, bad, _ in clauses], axis=1))
+    values = np.stack([val for _, _, val in clauses], axis=1)[rows, kinds]
+    return [(clauses[k][0], int(i), float(x)) for i, k, x in zip(rows, kinds, values)]
+
+
 def hj_check_sup(p: LagrangianProblem, u_field: GridFunction, sample_points,
                  tol: float = 0.05, comp_tol: Optional[float] = None) -> HJReport:
     """Check the sup-value characterization at the samples.
@@ -584,33 +604,17 @@ def hj_check_sup(p: LagrangianProblem, u_field: GridFunction, sample_points,
     everywhere; and where u(x) < v(x) - comp_tol additionally
     D_up v(x)(-f(x)) - l - a v <= 0 (the complementarity side).  The
     off-obstacle threshold comp_tol decouples from the residual
-    tolerance; both default to 0.05 in grid units.
+    tolerance; both default to 0.05 in grid units.  Samples where v is
+    INF are skipped.
     """
-    if comp_tol is None:
-        comp_tol = tol
-    X = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    m = len(X)
-    r_fwd = np.full(m, np.nan)
-    r_bwd = np.full(m, np.nan)
-    comp = np.zeros(m)
-    violations = []
-    F = p.field(0.0, X)
-    L = np.asarray(p.lagrangian(X, F), dtype=float)
-    U = np.asarray(p.obstacle(X), dtype=float)
-    for i in range(m):
-        v = u_field.interp(X[i])
-        if v >= INF:
-            continue
-        if v < U[i] - comp_tol:
-            violations.append(("obstacle", i, float(U[i] - v)))
-        r_fwd[i] = epiderivative(u_field, X[i], F[i]) + L[i] + p.discount * v
-        if r_fwd[i] > tol:
-            violations.append(("forward", i, float(r_fwd[i])))
-        if U[i] < v - comp_tol:
-            r_bwd[i] = epiderivative(u_field, X[i], -F[i]) - L[i] - p.discount * v
-            comp[i] = max(r_bwd[i], 0.0)
-            if r_bwd[i] > tol:
-                violations.append(("complementarity", i, float(r_bwd[i])))
+    comp_tol = tol if comp_tol is None else comp_tol
+    X, v, U, live, r_fwd, r_bwd = _hj_residuals(p, u_field, sample_points)
+    off = live & (U < v - comp_tol)
+    r_fwd, r_bwd = np.where(live, r_fwd, np.nan), np.where(off, r_bwd, np.nan)
+    comp = np.where(off & ~(r_bwd < 0.0), r_bwd, 0.0)  # max(r, 0.0) as Python takes it
+    violations = _violations(("obstacle", live & (v < U - comp_tol), U - v),
+                             ("forward", r_fwd > tol, r_fwd),
+                             ("complementarity", r_bwd > tol, r_bwd))
     return HJReport(X, r_fwd, r_bwd, comp, violations, tol)
 
 
@@ -621,32 +625,15 @@ def hj_check_inf(p: LagrangianProblem, u_field: GridFunction, sample_points,
     Clauses: 0 <= v <= u; where v(x) < u(x) - comp_tol the forward
     inequality D_up v(x)(f(x)) + l + a v <= 0; and the backward
     inequality D_up v(x)(-f(x)) - l - a v <= 0 everywhere on the domain.
+    Samples where v is INF are skipped.
     """
-    if comp_tol is None:
-        comp_tol = tol
-    X = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    m = len(X)
-    r_fwd = np.full(m, np.nan)
-    r_bwd = np.full(m, np.nan)
-    comp = np.zeros(m)
-    violations = []
-    F = p.field(0.0, X)
-    L = np.asarray(p.lagrangian(X, F), dtype=float)
-    U = np.asarray(p.obstacle(X), dtype=float)
-    for i in range(m):
-        v = u_field.interp(X[i])
-        if v >= INF:
-            continue
-        if v < -comp_tol:
-            violations.append(("lower-bound", i, float(-v)))
-        if v > U[i] + comp_tol:
-            violations.append(("upper-bound", i, float(v - U[i])))
-        if v < U[i] - comp_tol:
-            r_fwd[i] = epiderivative(u_field, X[i], F[i]) + L[i] + p.discount * v
-            comp[i] = max(r_fwd[i], 0.0)
-            if r_fwd[i] > tol:
-                violations.append(("forward", i, float(r_fwd[i])))
-        r_bwd[i] = epiderivative(u_field, X[i], -F[i]) - L[i] - p.discount * v
-        if r_bwd[i] > tol:
-            violations.append(("backward", i, float(r_bwd[i])))
+    comp_tol = tol if comp_tol is None else comp_tol
+    X, v, U, live, r_fwd, r_bwd = _hj_residuals(p, u_field, sample_points)
+    on = live & (v < U - comp_tol)
+    r_fwd, r_bwd = np.where(on, r_fwd, np.nan), np.where(live, r_bwd, np.nan)
+    comp = np.where(on & ~(r_fwd < 0.0), r_fwd, 0.0)
+    violations = _violations(("lower-bound", live & (v < -comp_tol), -v),
+                             ("upper-bound", live & (v > U + comp_tol), v - U),
+                             ("forward", r_fwd > tol, r_fwd),
+                             ("backward", r_bwd > tol, r_bwd))
     return HJReport(X, r_fwd, r_bwd, comp, violations, tol)

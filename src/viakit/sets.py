@@ -138,7 +138,7 @@ class Ball(SetOracle):
 
     def __init__(self, center, radius: float):
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius < 0:
+        if not radius >= 0:  # NaN too
             raise ValueError("radius must be nonnegative")
         super().__init__(len(center))
         self.center, self.radius = center, float(radius)
@@ -289,8 +289,8 @@ class Union(SetOracle):
     kind = "union"
 
     def __init__(self, *members: SetOracle):
-        if not members:
-            raise ValueError("union needs at least one member")
+        if len({m.dim for m in members}) != 1:
+            raise ValueError("union needs one or more members of one dimension")
         super().__init__(members[0].dim)
         self.members = members
 
@@ -319,8 +319,8 @@ class Intersection(SetOracle):
     kind = "intersection"
 
     def __init__(self, *members: SetOracle, max_sweeps: int = 50):
-        if not members:
-            raise ValueError("intersection needs at least one member")
+        if len({m.dim for m in members}) != 1:
+            raise ValueError("intersection needs one or more members of one dimension")
         super().__init__(members[0].dim)
         self.members = members
         self.max_sweeps = max_sweeps

@@ -18,6 +18,8 @@ import viakit as vk
 from viakit.cli import main as cli_main
 from viakit.common import INF
 
+import hj_reference
+
 
 def _report(num: int, ok: bool, detail: str):
     print(f"CRITERION {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
@@ -253,12 +255,20 @@ def test_criterion_08_hj_residuals():
     zero_field = vk.GridFunction(grid, np.zeros(grid.node_count))
     rep_zero = vk.hj_check_inf(P_INF, zero_field, samples, tol=0.05)
 
+    # the batched residual pass == the per-sample loops, bit for bit
+    ref_sup, ref_inf = hj_reference.hj_check_sup, hj_reference.hj_check_inf
+    same = [hj_reference.same_report(rep, ref(p, field, s, tol=0.05))
+            for rep, ref, p, field, s in ((rep_sup, ref_sup, P_SUP, sup_field, samples),
+                                          (rep_inf, ref_inf, p_mt, mt_field, s_mt),
+                                          (rep_shift, ref_sup, P_SUP, shifted, samples),
+                                          (rep_zero, ref_inf, P_INF, zero_field, samples))]
     ok = rep_sup.ok and rep_inf.ok and len(rep_shift.violations) >= 1 \
-        and len(rep_zero.violations) >= 1
+        and len(rep_zero.violations) >= 1 and all(same)
     _report(8, ok,
             f"clean checks: sup {len(rep_sup.violations)}, inf {len(rep_inf.violations)} "
             f"violations; negative controls flag {len(rep_shift.violations)} "
-            f"(shifted) and {len(rep_zero.violations)} (zero) violations")
+            f"(shifted) and {len(rep_zero.violations)} (zero) violations; "
+            f"{sum(same)}/4 reports equal the per-sample loops")
     assert ok
 
 

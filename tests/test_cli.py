@@ -379,11 +379,28 @@ BOX_2D = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
      "eval.t_range and each eval.x_range entry must be [lo, hi, count]"),
     ("pde-char", PDE_CFG, {"eval": {"t_range": [0.0, 1.0, -3], "x_range": [[0.0, 1.0, 2]]}},
      "eval.t_range and each eval.x_range entry must be [lo, hi, count]"),
+    ("viab", VIAB_CFG, {"set": {"kind": "union", "members": [
+        {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5}]}},
+     "union needs one or more members of one dimension in section 'set'"),
+    ("viab", VIAB_CFG, {"set": {"kind": "ball", "center": [0.0], "radius": math.nan}},
+     "radius must be nonnegative in section 'set'"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], phi={"kind": "rotation"})},
+     "section 'pde.K' has dimension 1, but the field has dimension 2"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], u0={"kind": "affine",
+                                                           "weights": [1.0, 2.0, 3.0]})},
+     "'weights' in section 'pde.u0' must be a vector of length 1, got shape (3,)"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], v={"kind": "sin", "weights": [1.0]})},
+     "'weights' in section 'pde.v' must be a vector of length 2, got shape (1,)"),
+    ("demo4d", DEMO_CFG, {"demo4d": dict(DEMO_CFG["demo4d"],
+                                         v1={"kind": "affine", "weights": [1.0, 0.1]})},
+     "'weights' in section 'demo4d.v1' must be a vector of length 4, got shape (2,)"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
         "lyapunov-nonzero-lagrangian", "hj-check-mode", "eval-t-range-text",
-        "eval-negative-count"])
+        "eval-negative-count", "union-mixed-dims", "ball-nan-radius", "pde-rotation-on-1d-k",
+        "pde-u0-weights-length", "pde-v-weights-length", "demo4d-v1-weights-length"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
-from viakit.dynamics import _march, step_schedule
+from viakit.dynamics import _march, rk4_step, step_schedule
 
 
 def test_zero_field_constant():
@@ -119,6 +119,41 @@ def test_blowup_raises_nonfinite():
     assert list(ok) == [False, True]
     assert np.isnan(pts[0, 0])
     assert pts[1, 0] == pytest.approx(-1.0 / 6.0, abs=1e-9)
+
+
+def _ref_integrate(field, x0, t0, t1, step):
+    """The scalar RK4 loop integrate replaced: one 1-D rk4_step per node."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    times, states = [t0], [x]
+    for t, h in step_schedule(t0, t1, step):
+        x = rk4_step(field, t, x, h)
+        times.append(t + h)
+        states.append(x)
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize("field, x0, t0, t1, step", [
+    (vk.linear_field(-1.0), [1.0], 0.0, 2.0, 0.01),
+    (vk.rotation_field(1.3), [1.0, 0.2], 0.4, 3.33, 0.07),
+    (vk.logistic_field(1.0, 2.0), [0.3], 0.0, 5.0, 0.013),
+    (vk.demographic_field(1.0, 0.5, 0.3, 2.0), [0.1, 1.0, 0.5, 1.0], 0.2, 1.7, 0.01),
+    (vk.VectorField(1, lambda t, x: np.cos(3.0 * t) * x, name="pulse"), [0.7], -1.0, 1.0, 0.3),
+    (vk.linear_field(0.5), [2.0], 1.0, 1.0, 0.1),
+], ids=["linear", "rotation-tail", "logistic", "demographic", "time-dependent", "empty-span"])
+def test_integrate_matches_scalar_rk4_loop(field, x0, t0, t1, step):
+    """integrate, a one-row lift of the batched core, == the scalar loop bit for bit."""
+    times, states = _ref_integrate(field, x0, t0, t1, step)
+    traj = vk.integrate(field, x0, t0, t1, step)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.reshape(len(times), -1).tobytes()
+    if t0 == 0.0:
+        assert vk.flow(field, t1, x0, step).tobytes() == states[-1].tobytes()
+
+
+def test_integrate_rejects_non_finite_start():
+    for x0 in ([np.nan], [np.inf, 0.0], [2e12]):
+        with pytest.raises(vk.NonFinite):
+            vk.integrate(vk.linear_field(-1.0, dim=len(x0)), x0, 0.0, 1.0, 0.1)
 
 
 def test_time_dependent_field():

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 import viakit as vk
 from viakit.common import INF
 from viakit.dynamics import rk4_step
-from viakit.epi_hj import CostPath, _cost_history, _values_at
+from viakit.epi_hj import CostPath, _cost_history, _epiderivatives, _values_at
+
+import hj_reference
 
 decay = vk.linear_field(-1.0)
 grow = vk.linear_field(1.0)
@@ -476,3 +478,80 @@ def test_tabulate_rejects_non_finite_start():
         vk.tabulate_values(P_SUP, [[0.5], [np.nan]], "sup", 0.0, 1e-2)
     with pytest.raises(vk.NonFinite):
         vk.value_inf(P_INF, [np.inf], 1.0, 1e-2)
+
+
+# -- the batched HJ residual pass against the per-sample loops it replaced ----
+
+
+def _hj_case(dim, counts, seed, slab):
+    """A value field with an INF slab (x1 > slab) and samples at random,
+    on nodes, on cell faces, just off a finite node toward an INF one
+    (a corner of weight < 1e-12), near and beyond the grid's edge."""
+    rng = np.random.default_rng(seed)
+    grid = vk.GridSpec(np.full(dim, -1.0), 1.0 + 0.5 * np.arange(dim), counts[:dim])
+    nodes, sp = grid.nodes(), grid.spacing
+    vals = rng.uniform(0.0, 2.0, len(nodes)) + np.abs(nodes).sum(axis=1)
+    vals[nodes[:, 0] > slab] = INF
+    gf = vk.GridFunction(grid, vals)
+    a0 = grid.axes()[0]
+    edge = nodes[np.isin(nodes[:, 0], a0[:-1][(a0[:-1] <= slab) & (a0[1:] > slab)])]
+    lo, hi = grid.lo, grid.hi
+    faces = rng.uniform(lo, hi, (6, dim))
+    faces[:, 0] = nodes[rng.integers(0, len(nodes), 6), 0]
+    X = np.vstack([
+        rng.uniform(lo, hi, (12, dim)),
+        nodes[rng.integers(0, len(nodes), 6)],
+        faces,
+        edge[:3] + np.eye(dim)[0] * 1e-13 * sp[0],   # the INF corner weighs < 1e-12
+        edge[:3] - np.eye(dim)[0] * 1e-13 * sp[0],
+        [lo - 0.5e-9 * sp, hi + 0.5e-9 * sp],         # inside the edge tolerance
+        [lo - 2e-9 * sp, hi + 0.3, np.full(dim, -0.0)],
+    ])
+    return gf, X, edge
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([1, 2]), counts=st.tuples(st.integers(2, 9), st.integers(2, 7)),
+       seed=st.integers(0, 2 ** 32 - 1), slab=st.floats(-0.5, 0.9),
+       discount=st.sampled_from([0.0, 0.35]) | st.floats(0.0, 0.6),
+       lag=st.sampled_from(["zero", "unit", "speed"]), indicator=st.booleans(),
+       tol=st.sampled_from([0.05, 0.5]), comp_tol=st.sampled_from([None, 0.0, 0.3]))
+def test_batched_hj_pass_matches_per_sample_loop(dim, counts, seed, slab, discount, lag,
+                                                 indicator, tol, comp_tol):
+    """interp_many, the epiderivatives and both HJ reports == the scalar loops,
+    bit for bit (NaN where NaN), violations in the same order."""
+    gf, X, edge = _hj_case(dim, counts, seed, slab)
+    assert len(edge)
+    ref_v = np.array([hj_reference.interp(gf, x) for x in X])
+    assert gf.interp_many(X).tobytes() == ref_v.tobytes()
+    assert np.array([gf.interp(x) for x in X]).tobytes() == ref_v.tobytes()
+    assert (ref_v >= INF).any() and (ref_v < INF).any()
+    V = np.random.default_rng(seed + 1).normal(size=X.shape)
+    V[::5] = 0.0
+    V[1::5, 0] = -0.0
+    ref_d = np.array([hj_reference.epiderivative(gf, x, v) for x, v in zip(X, V)])
+    assert _epiderivatives(gf, X, V)[1].tobytes() == ref_d.tobytes()
+    assert np.array([vk.epiderivative(gf, x, v) for x, v in zip(X, V)]).tobytes() == \
+        ref_d.tobytes()
+    A = np.random.default_rng(seed + 2).normal(size=(dim, dim))
+    obstacle = vk.indicator_obstacle(vk.ball(np.zeros(dim), 0.6)) if indicator \
+        else vk.abs_obstacle
+    lagrangian = {"zero": vk.zero_lagrangian, "unit": vk.unit_lagrangian,
+                  "speed": vk.speed_lagrangian}[lag]
+    p = vk.LagrangianProblem(vk.linear_field(A), lagrangian, discount, obstacle)
+    for check, ref in ((vk.hj_check_sup, hj_reference.hj_check_sup),
+                       (vk.hj_check_inf, hj_reference.hj_check_inf)):
+        got = check(p, gf, X, tol=tol, comp_tol=comp_tol)
+        assert hj_reference.same_report(got, ref(p, gf, X, tol=tol, comp_tol=comp_tol))
+
+
+def test_interp_skips_inf_corner_of_tiny_weight():
+    """A point 1e-13 cells off a finite node toward an INF node reads the
+    finite node; a point beyond the edge tolerance reads INF."""
+    gf = vk.GridFunction(vk.GridSpec([0.0], [1.0], [4]), [1.0, 2.0, 3.0, INF, INF])
+    x = np.array([[0.5 + 1e-13 * 0.25], [0.5 + 1e-6], [1.0 + 0.5e-9 * 0.25], [1.0 + 1e-6]])
+    got = gf.interp_many(x)
+    assert got[0] == 3.0 and got[1] >= INF and got[2] >= INF and got[3] >= INF
+    gf = vk.GridFunction(vk.GridSpec([0.0], [1.0], [4]), [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert gf.interp_many([[1.0 + 0.5e-9 * 0.25], [1.0 + 1e-6], [-1e-6]]).tolist() == \
+        [5.0, INF, INF]

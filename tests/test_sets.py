@@ -177,6 +177,23 @@ def test_union_min_rule():
     assert U.contains([3.5]) and not U.contains([2.0])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: vk.union(vk.box([0.0], [1.0]), vk.ball([0.0, 0.0], 1.0)),
+     "union needs one or more members of one dimension"),
+    (lambda: vk.intersection(vk.ball([0.0, 0.0], 1.0), vk.halfspace([1.0], 0.0)),
+     "intersection needs one or more members of one dimension"),
+    (lambda: vk.union(), "union needs one or more members of one dimension"),
+    (lambda: vk.ball([0.0], float("nan")), "radius must be nonnegative"),
+    (lambda: vk.ball([0.0], -1.0), "radius must be nonnegative"),
+    (lambda: vk.sphere([0.0, 0.0], float("nan")), "radius must be nonnegative"),
+], ids=["union-dims", "intersection-dims", "union-empty", "ball-nan", "ball-negative",
+        "sphere-nan"])
+def test_set_constructors_reject_bad_parts(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_complement_projection_and_unsupported():
     C = vk.complement(vk.ball([0.0, 0.0], 1.0))
     assert C.contains([2.0, 0.0]) and not C.contains([0.2, 0.0])
