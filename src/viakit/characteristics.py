@@ -31,8 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import BLOWUP_NORM, INF
-from .dynamics import VectorField, _march
+from .common import INF
+from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
 from .kernels import _event_sweep, exit_time
 from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
@@ -96,12 +96,12 @@ def _shared(times: np.ndarray):
     return float(times[0]) if len(times) and np.all(times == times[0]) else times
 
 
-def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float,
-                    refine_tol: float = 1e-8) -> np.ndarray:
+def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float) -> np.ndarray:
     """Per row, min(t, first time the backward flow from x leaves K).
 
-    One event sweep of -phi over all rows, each up to its own horizon t;
-    rows with t = 0 take no step and read 0.
+    One event sweep of -phi over all rows, each up to its own horizon t,
+    with exits refined to a fixed 1e-8; rows with t = 0 take no step and
+    read 0.
     """
     if np.any(ts < 0):
         raise ValueError("backward_exit_time requires t >= 0")
@@ -109,7 +109,7 @@ def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float,
     if not inside.all():
         raise ValueError("backward_exit_time requires x in K")
     ex, _, failed = _event_sweep(phi.negated(), xs, _shared(ts), h, K=K,
-                                 refine_tol=refine_tol, k_inside0=inside)
+                                 refine_tol=1e-8, k_inside0=inside)
     if failed.any():
         raise NonFinite("trajectory blew up before exiting K")
     return np.where(ts == 0.0, 0.0, np.where(ex >= INF, ts, np.minimum(ex, ts)))
@@ -123,10 +123,7 @@ def _exitors(phi: VectorField, K: SetOracle, ts, xs, h: float):
     """
     tau = _backward_exits(phi, K, ts, xs, h)
     c = xs.copy()
-    live = np.ones(len(c), dtype=bool)
-    for _ in _march(phi.negated(), c, 0.0, _shared(tau), h, live):
-        pass
-    if not live.all():
+    if not _advance(phi.negated(), c, 0.0, _shared(tau), h).all():
         raise NonFinite("state blew up during the backward flow")
     return ts - tau, c
 
@@ -136,10 +133,9 @@ def _rows(t, x):
     return np.array([t], dtype=float), np.atleast_1d(np.asarray(x, dtype=float))[None, :]
 
 
-def backward_exit_time(phi: VectorField, K: SetOracle, t: float, x, h: float,
-                       refine_tol: float = 1e-8) -> float:
-    """min(t, first time the backward flow from x leaves K)."""
-    return float(_backward_exits(phi, K, *_rows(t, x), h, refine_tol)[0])
+def backward_exit_time(phi: VectorField, K: SetOracle, t: float, x, h: float) -> float:
+    """min(t, first time the backward flow from x leaves K), refined to 1e-8."""
+    return float(_backward_exits(phi, K, *_rows(t, x), h)[0])
 
 
 def exitor(phi: VectorField, K: SetOracle, t: float, x, h: float):
@@ -253,13 +249,9 @@ def solve_char_many(prob: CharProblem, ts, xs, h: float):
     fwd = np.flatnonzero(reached & (ts - s > 0.0))
     if len(fwd):
         z = z[fwd]
-        norms = np.linalg.norm(z, axis=1)
-        if not np.all(np.isfinite(norms) & (norms <= BLOWUP_NORM)):
+        if not _finite_rows(z).all():
             raise NonFinite("state blew up at the data manifold")
-        live = np.ones(len(fwd), dtype=bool)
-        for _ in _march(_coupled_field(prob), z, _shared(s[fwd]), _shared(ts[fwd]), h, live):
-            pass
-        if not live.all():
+        if not _advance(_coupled_field(prob), z, _shared(s[fwd]), _shared(ts[fwd]), h).all():
             raise NonFinite("state blew up along a characteristic")
         values[fwd] = z[:, n:]
     return values, reached
@@ -427,8 +419,7 @@ def _initial_seeds(prob: CharProblem, seeds_per_face: int, seed_lo, seed_hi):
 
 
 def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
-                 seed_lo, seed_hi, boundary_points=None, dilation: float = 0.0,
-                 tol: Optional[float] = None) -> GraphCloud:
+                 seed_lo, seed_hi, boundary_points=None) -> GraphCloud:
     """Sweep characteristics from the data manifold; accumulate Graph(U).
 
     Seeds the initial slice on the window [seed_lo, seed_hi] (filtered
@@ -436,14 +427,12 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     impulse times or a uniform time grid.  Integrates the characteristic
     system forward from each seed's own start s to T (the nodes of
     ``step_schedule(s, T, h)``), recording every step while the state
-    stays within the K-dilation; rows that blow up are skipped from
-    there on.
+    stays in K; rows that blow up are skipped from there on.  Points
+    closer than h/2 are merged, and the cloud's tol is h.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     n, p = prob.state_dim, prob.out_dim
-    if tol is None:
-        tol = h
 
     rows = []
     init_pts = _initial_seeds(prob, seeds_per_face, seed_lo, seed_hi)
@@ -467,14 +456,14 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     live = np.ones(len(seeds), dtype=bool)
     for sub, t, hs, _ in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
         zn = z[sub]
-        inside = prob.domain.margin_many(zn[:, :n]) <= dilation
+        inside = prob.domain.margin_many(zn[:, :n]) <= 0.0
         live[sub[~inside]] = False
         pts.append(np.concatenate([(t + hs)[inside], zn[inside]], axis=1))
         idxs.append(sub[inside])
 
     points = np.vstack(pts)
-    keep = _merge_points(points, tol / 2.0)
-    return GraphCloud(points[keep], n, p, tol, h, np.concatenate(idxs)[keep], seeds)
+    keep = _merge_points(points, h / 2.0)
+    return GraphCloud(points[keep], n, p, h, h, np.concatenate(idxs)[keep], seeds)
 
 
 def query_graph(cloud: GraphCloud, t: float, x, radius: float):
@@ -687,9 +676,7 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     pick = np.linspace(0, m - 1, count).astype(int)
     seeds = cloud.seeds[cloud.seed_index[pick]]
     z = seeds[:, 1:].copy()
-    for _ in _march(_coupled_field(prob), z, seeds[:, 0], cloud.times[pick], cloud.step,
-                    np.ones(count, dtype=bool)):
-        pass
+    _advance(_coupled_field(prob), z, seeds[:, 0], cloud.times[pick], cloud.step)
     n = cloud.state_dim
     want = cloud.points[pick, 1:]
     err = np.linalg.norm(z[:, :n] - want[:, :n], axis=1) + \

@@ -29,7 +29,7 @@ from . import csvio
 # solve_char stays importable here: perfbench/tracer.py wraps cli.solve_char
 from .characteristics import (BoundaryData, CharProblem, demo4d, graph_sample,
                               solve_char, solve_char_many)
-from .dynamics import (VectorField, demographic_field, flow, integrate,
+from .dynamics import (VectorField, _schedule, demographic_field, flow, integrate,
                        linear_field, logistic_field, reach_set, rotation_field,
                        transport_field)
 from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
@@ -52,6 +52,9 @@ SUBCOMMANDS = [
 
 
 def _need(cfg: dict, key: str, where: str):
+    """``cfg[key]``; ConfigError naming section where if cfg is not a JSON object or lacks key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"section {where!r} must be a JSON object, got {cfg!r}", section=where)
     if key not in cfg:
         raise ConfigError(f"missing {key!r} in section {where!r}", section=where)
     return cfg[key]
@@ -299,7 +302,7 @@ def _build_pde(cfg: dict) -> CharProblem:
 
 def _eval_lattice(cfg: dict):
     ev = _need(cfg, "eval", "config")
-    if "ts" in ev and "xs" in ev:
+    if isinstance(ev, dict) and "ts" in ev and "xs" in ev:
         ts = _vec(ev, "ts", "eval")
         xs = np.atleast_2d(_vec(ev, "xs", "eval"))
         if len(ts) != len(xs):
@@ -355,8 +358,8 @@ HISTORY_FLOATS = 1 << 20
 
 
 def _tabulate_chunked(p: LagrangianProblem, rows, mode: str, T: float, h: float):
-    steps = math.floor(T / h + 1e-9) + 2
-    chunk = max(1, HISTORY_FLOATS // (steps * rows.shape[1]))
+    nodes = _schedule(0.0, T, h)[2] + 1
+    chunk = max(1, HISTORY_FLOATS // (nodes * rows.shape[1]))
     return np.concatenate([tabulate_values(p, rows[i:i + chunk], mode, T, h)
                            for i in range(0, len(rows), chunk)])
 
@@ -532,7 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, NonzeroLagrangian, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, NonzeroLagrangian, json.JSONDecodeError) as exc:
         if isinstance(exc, json.JSONDecodeError):
             print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}",
                   file=sys.stderr)

@@ -20,10 +20,6 @@ def is_inf(v):
     return np.asarray(v) >= INF
 
 
-def is_neg_inf(v):
-    return np.asarray(v) <= -INF
-
-
 def fmt17(v):
     """Format one float with 17 significant digits; sentinels become inf."""
     v = float(v)

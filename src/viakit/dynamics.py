@@ -16,7 +16,6 @@ through one batched RK4 core, :func:`_march`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -124,25 +123,44 @@ def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _schedule(t0, t1, step):
+    """(n_full, rem, n_steps) of the steps covering [t0, t1]: the one schedule rule.
+
+    n_full steps of size step, then a shorter tail rem when it is longer
+    than ``step * 1e-9`` (n_steps counts it); a span within ``1e-9``
+    steps of a multiple takes no tail.  t0 and t1 are scalars or (m,)
+    per-row arrays, and so are the results.
+
+    Raises ValueError on a non-finite t0, t1 or step, a nonpositive step
+    or t1 < t0.
+    """
+    if not (np.isfinite(step) and np.all(np.isfinite(t0)) and np.all(np.isfinite(t1))):
+        raise ValueError("t0, t1 and step must be finite")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    span = np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float)
+    if np.any(span < 0):
+        raise ValueError("t1 must be >= t0")
+    n_full = np.floor(span / step + 1e-9).astype(int)
+    rem = span - n_full * step
+    return n_full, rem, n_full + (rem > step * 1e-9)
+
+
 def step_schedule(t0: float, t1: float, step: float):
     """Yield (t, h) pairs covering [t0, t1] with uniform h and a shorter tail.
 
     Raises ValueError on a non-finite t0, t1 or step, a nonpositive step
     or t1 < t0.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(step)):
-        raise ValueError("t0, t1 and step must be finite")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    span = t1 - t0
-    if span < 0:
-        raise ValueError("t1 must be >= t0")
-    n_full = int(np.floor(span / step + 1e-9))
-    for j in range(n_full):
-        yield t0 + j * step, step
-    rem = span - n_full * step
-    if rem > step * 1e-9:
-        yield t0 + n_full * step, rem
+    n_full, rem, n_steps = _schedule(t0, t1, step)
+    for j in range(n_steps):
+        yield t0 + j * step, (step if j < n_full else float(rem))
+
+
+def _finite_rows(x: np.ndarray) -> np.ndarray:
+    """Mask of the (m, dim) rows of x whose norm is finite and at most BLOWUP_NORM."""
+    norms = np.linalg.norm(x, axis=1)
+    return np.isfinite(norms) & (norms <= BLOWUP_NORM)
 
 
 def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str):
@@ -151,15 +169,15 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
     Raises:
         NonFinite: if a row starts non-finite or blows up before t1.
     """
-    norms = np.linalg.norm(xs, axis=1)
-    if not np.all(np.isfinite(norms) & (norms <= BLOWUP_NORM)):
+    if not _finite_rows(xs).all():
         raise NonFinite(f"initial state is not finite in {what}")
-    times = np.array([t0] + [t + h for t, h in step_schedule(t0, t1, step)])
-    states = np.empty((len(times),) + xs.shape)
-    states[0] = x = xs.copy()
+    k = _schedule(t0, t1, step)[2] + 1
+    times, states = np.empty(k), np.empty((k,) + xs.shape)
+    times[0], states[0] = t0, xs
+    x = xs.copy()
     live = np.ones(len(xs), dtype=bool)
-    for j, _ in enumerate(_march(field, x, t0, t1, step, live), start=1):
-        states[j] = x
+    for j, (_, t, h, _) in enumerate(_march(field, x, t0, t1, step, live), start=1):
+        times[j], states[j] = t + h, x
     if not live.all():
         raise NonFinite(f"state blew up during {what}")
     return times, states
@@ -183,11 +201,9 @@ def flow(field: VectorField, t: float, x, step: float):
     """The reachable-map value at time t from x.
 
     Nonnegative t integrates f forward; negative t integrates the
-    reversed field -f over |t| (the inverse flow).
+    reversed field -f over |t| (the inverse flow).  At t = 0 x comes
+    back unchanged once it passes the start check.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == 0:
-        return x.copy()
     return integrate(field.negated() if t < 0 else field, x, 0.0, abs(t), step).states[-1]
 
 
@@ -195,30 +211,21 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     """The batched RK4 stepping core behind every row sweep; a generator.
 
     Advances the live rows of x (shape (m, dim), updated in place) from
-    t0 to t1, each row on :func:`step_schedule`'s nodes: ``t0 + j*step``
+    t0 to t1, each row on :func:`_schedule`'s nodes: ``t0 + j*step``
     and a shorter tail.  t0 and t1 are scalars or (m,) per-row arrays;
     per-row times reach the field as (k, 1) columns.  Non-finite times or
-    steps raise ValueError.  A stepped row whose norm is not finite or
-    passes BLOWUP_NORM is retired (live cleared) and set to NaN.  Callers
-    retire rows by clearing ``live`` in place.
+    steps raise ValueError.  A stepped row that fails :func:`_finite_rows`
+    is retired (live cleared) and set to NaN.  Callers retire rows by
+    clearing ``live`` in place.
 
     Yields (rows, t, h, prev) after each step: the indices of the rows
     just advanced, their start times and step sizes (scalars, or (k, 1)
     columns for per-row schedules) and their states before the step.
     """
-    if not (np.isfinite(step) and np.all(np.isfinite(t0)) and np.all(np.isfinite(t1))):
-        raise ValueError("t0, t1 and step must be finite")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    per_row = np.ndim(t0) > 0 or np.ndim(t1) > 0
+    n_full, rem, n_steps = _schedule(t0, t1, step)
+    per_row = np.ndim(n_steps) > 0
     if per_row:
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), live.shape)
-    span = np.asarray(t1, dtype=float) - t0
-    if np.any(span < 0):
-        raise ValueError("t1 must be >= t0")
-    n_full = np.floor(span / step + 1e-9).astype(int)
-    rem = span - n_full * step
-    n_steps = n_full + (rem > step * 1e-9)
     for j in range(int(np.max(n_steps, initial=0))):
         rows = np.flatnonzero(live & (n_steps > j) if per_row else live)
         if len(rows) == 0:
@@ -230,8 +237,7 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
             t, h = t0 + j * step, (step if j < n_full else float(rem))
         prev = x[rows]
         xn = rk4_step(field, t, prev, h)
-        norms = np.linalg.norm(xn, axis=1)
-        good = np.isfinite(norms) & (norms <= BLOWUP_NORM)
+        good = _finite_rows(xn)
         if not good.all():
             live[rows[~good]] = False
             x[rows[~good]] = np.nan
@@ -240,6 +246,42 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
                 t, h = t[good], h[good]
         x[rows] = xn
         yield rows, t, h, prev
+
+
+def _advance(field: VectorField, x: np.ndarray, t0, t1, step: float) -> np.ndarray:
+    """March every row of x (in place) from t0 to t1; the live mask at the end.
+
+    Rows that blew up are NaN with live False; times are as in :func:`_march`.
+    """
+    live = np.ones(len(x), dtype=bool)
+    for _ in _march(field, x, t0, t1, step, live):
+        pass
+    return live
+
+
+def _bisect(test, t_false, t_true, tol):
+    """Per entry, shrink [t_false, t_true] (either order) to tol; the t_true ends.
+
+    The one batched bisection behind event refinement and the value
+    engine's finite-edge search.  tol is a scalar or per entry.  Each
+    round bisects every entry still wider than tol at its midpoint and
+    calls the batched predicate ``test(idx, mid)`` for the entries idx;
+    where it holds the midpoint becomes the new t_true end, else the new
+    t_false end.  Stops after 80 rounds.  An entry's result does not
+    depend on the entries it is batched with.
+    """
+    t_false, t_true = np.array(t_false, dtype=float), np.array(t_true, dtype=float)
+    tol = np.broadcast_to(tol, t_true.shape)
+    idx = np.arange(len(t_true))
+    for _ in range(80):
+        idx = idx[np.abs(t_true[idx] - t_false[idx]) > tol[idx]]
+        if len(idx) == 0:
+            break
+        mid = 0.5 * (t_false[idx] + t_true[idx])
+        hit = test(idx, mid)
+        t_true[idx] = np.where(hit, mid, t_true[idx])
+        t_false[idx] = np.where(hit, t_false[idx], mid)
+    return t_true
 
 
 def reach_set(field: VectorField, t: float, seeds, step: float):
@@ -253,10 +295,7 @@ def reach_set(field: VectorField, t: float, seeds, step: float):
     if t < 0:
         raise ValueError("reach_set requires t >= 0")
     x = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
-    ok = np.ones(len(x), dtype=bool)
-    for _ in _march(field, x, 0.0, t, step, ok):
-        pass
-    return x, ok
+    return x, _advance(field, x, 0.0, t, step)
 
 
 def verify_growth(field: VectorField, states, times=(0.0,)) -> float:

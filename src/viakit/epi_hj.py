@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .common import INF
-from .dynamics import VectorField, _record, rk4_step
+from .dynamics import VectorField, _bisect, _record, rk4_step
 from .errors import CapTooSmall, DescentViolation, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
@@ -198,20 +198,6 @@ def _finish_sup(J: np.ndarray) -> np.ndarray:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _bisect_finite(values_at, rows, bad, good, tol: float):
-    """Per entry, the edge of the finite region between an INF time and a finite one."""
-    bad, good = bad.copy(), good.copy()
-    for _ in range(80):
-        act = np.flatnonzero(~(np.abs(good - bad) <= tol))
-        if len(act) == 0:
-            break
-        mid = 0.5 * (bad[act] + good[act])
-        finite = values_at(rows[act], mid) < INF
-        good[act] = np.where(finite, mid, good[act])
-        bad[act] = np.where(finite, bad[act], mid)
-    return good
-
-
 def _golden_min(values_at, rows, a, b, fa, fb, tol: float):
     """Per entry, the golden-section minimum value of J on [a, b] (fa, fb its ends)."""
     n, a, b = len(rows), a.copy(), b.copy()
@@ -267,9 +253,10 @@ def _finish_inf(p: LagrangianProblem, times, states, cum, J, refine: bool,
     def values_at(r, t):
         return _values_at(p, times, states, cum, r, t)
 
-    edges = _bisect_finite(values_at, np.concatenate([rows[left], rows[right]]),
-                           np.concatenate([a[left], b[right]]),
-                           times[np.concatenate([i[left], i[right]])], t_tol)
+    e_rows = np.concatenate([rows[left], rows[right]])
+    edges = _bisect(lambda e, t: values_at(e_rows[e], t) < INF,
+                    np.concatenate([a[left], b[right]]),
+                    times[np.concatenate([i[left], i[right]])], t_tol)
     a[left], b[right] = np.split(edges, [np.count_nonzero(left)])
     fa, fb = np.split(values_at(np.concatenate([rows, rows]), np.concatenate([a, b])), 2)
     r_best = best[rows]

@@ -26,11 +26,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .common import INF
-from .dynamics import VectorField, _march, reach_set, rk4_step
+from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
 from .errors import NoConvergence, NonFinite
 from .sets import SetOracle
 
-#: default exit-time refinement: |error| <= REFINE_FRAC * T_max
+#: default exit-time refinement: |error| <= REFINE_FRAC * max(T_max, 1)
 REFINE_FRAC = 1e-8
 
 
@@ -128,36 +128,21 @@ class TimeField:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_crossings(field, t0, x0, h, crossed, tol):
-    """Per row, the first s in (0, h] with crossed(state at t0+s); crossed at h.
+def _refine_crossings(field, crossed, t0, x0, h, tol):
+    """Per bracket, t0 + the first s in (0, h] with crossed(state at t0+s).
 
     t0 and h are (k,) start times and step sizes and x0 the (k, dim)
-    states of k bracketed rows; tol is a scalar or (k,). Each round
-    retires the brackets no wider than tol and steps the others by one
-    batched RK4 sub-step of per-row size mid from (t0, x0), then tests
-    the sweep's batched predicate ``crossed`` on the result; the
-    sub-step's local error is far below the trajectory's own. Each row
-    runs the same arithmetic it would alone, so a row's result does not
-    depend on its batch. Returns the "first true" ends of the shrinking
-    brackets, so a grazing tie counts as the event.
+    states of k bracketed rows, with (k,) tolerances tol.  Runs
+    :func:`_bisect` on s: each round steps the brackets still wider than
+    tol by one batched RK4 sub-step of per-row size mid from (t0, x0)
+    and tests the sweep's batched predicate ``crossed`` on the result;
+    the sub-step's local error is far below the trajectory's own.  The
+    "first true" ends are returned, so a grazing tie counts as the event.
     """
-    out = np.empty_like(h)
-    rows, t0, lo, hi = np.arange(len(h)), t0[:, None], np.zeros_like(h), h
-    for _ in range(80):
-        wide = hi - lo > tol
-        if not wide.all():
-            out[rows[~wide]] = hi[~wide]
-            rows, t0, x0, lo, hi = (a[wide] for a in (rows, t0, x0, lo, hi))
-            if np.ndim(tol):
-                tol = tol[wide]
-            if len(rows) == 0:
-                break
-        mid = 0.5 * (lo + hi)
-        flip = crossed(rk4_step(field, t0, x0, mid[:, None]))
-        hi = np.where(flip, mid, hi)
-        lo = np.where(flip, lo, mid)
-    out[rows] = hi
-    return out
+    def test(i, s):
+        return crossed(rk4_step(field, t0[i, None], x0[i], s[:, None]))
+
+    return t0 + _bisect(test, np.zeros_like(h), h, tol)
 
 
 def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
@@ -206,20 +191,17 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
             if sub.any():
                 flip = crossed(x[rows[sub]])
                 if flip.any():
-                    found = rows[sub][flip]
-                    if np.ndim(t):  # (k, 1) columns on per-row horizons
-                        pick = np.flatnonzero(sub)[flip]
-                        t_f, h_f = t[pick, 0], hj[pick, 0]
-                    else:
-                        t_f, h_f = np.full(len(found), t), np.full(len(found), hj)
-                    brackets.append((found, t_f, h_f, prev[sub][flip]))
-                    need[found] = False
+                    pick = np.flatnonzero(sub)[flip]
+                    # t and hj are scalars, or (k, 1) columns on per-row horizons
+                    t_f, h_f = (np.broadcast_to(a, (len(rows), 1))[pick, 0] for a in (t, hj))
+                    brackets.append((rows[pick], t_f, h_f, prev[pick]))
+                    need[rows[pick]] = False
         live &= need_exit | need_hit
+    refine_tol = np.broadcast_to(refine_tol, (n,))
     for _, times, crossed, brackets in events:
         if brackets:
             found, t0, hs, x0 = (np.concatenate(a) for a in zip(*brackets))
-            tol = refine_tol[found] if np.ndim(refine_tol) else refine_tol
-            times[found] = t0 + _bisect_crossings(field, t0, x0, hs, crossed, tol)
+            times[found] = _refine_crossings(field, crossed, t0, x0, hs, refine_tol[found])
     failed = ~live & (need_exit | need_hit)
     return exit_t, hit_t, failed
 
@@ -295,6 +277,22 @@ def _run_chunks(fn, n: int, workers: int):
         return list(pool.map(lambda se: fn(*se), spans))
 
 
+def _grid_events(field, grid: GridSpec, T_max, h, workers, K=None, C=None):
+    """One :func:`_event_sweep` over every grid node, in row chunks across workers.
+
+    Returns (inside, exit_t, hit_t, failed) per node, with inside the
+    nodes' membership of K (all True without K).
+    """
+    nodes = grid.nodes()
+    inside = K.contains_many(nodes) if K is not None else np.ones(len(nodes), dtype=bool)
+
+    def run(s, e):
+        return _event_sweep(field, nodes[s:e], T_max, h, K=K, C=C, k_inside0=inside[s:e])
+
+    parts = _run_chunks(run, len(nodes), workers)
+    return (inside, *(np.concatenate(a) for a in zip(*parts)))
+
+
 def viab_field(field: VectorField, K: SetOracle, grid: GridSpec, T_max: float,
                h: float, workers: int = 1) -> TimeField:
     """Exit time of K at every grid node; {value >= T} is the T-viability kernel.
@@ -302,18 +300,8 @@ def viab_field(field: VectorField, K: SetOracle, grid: GridSpec, T_max: float,
     Nodes outside K are marked inside=False and get value 0 (they are
     already out).  Per-node integration failures are recorded as 0.
     """
-    nodes = grid.nodes()
-    inside = K.contains_many(nodes)
-
-    def run(s, e):
-        blk = slice(s, e)
-        ex, _, failed = _event_sweep(field, nodes[blk], T_max, h, K=K,
-                                     k_inside0=inside[blk])
-        return np.where(failed & (ex >= INF), 0.0, ex)
-
-    values = np.concatenate(_run_chunks(run, len(nodes), workers))
-    values[~inside] = 0.0
-    return TimeField(grid, values, inside)
+    inside, ex, _, failed = _grid_events(field, grid, T_max, h, workers, K=K)
+    return TimeField(grid, np.where(~inside | (failed & (ex >= INF)), 0.0, ex), inside)
 
 
 def capt_field(field: VectorField, C: SetOracle, grid: GridSpec, T_max: float,
@@ -323,32 +311,16 @@ def capt_field(field: VectorField, C: SetOracle, grid: GridSpec, T_max: float,
     Nodes already in C get 0. A node whose integration blows up without
     hitting keeps INF (it never reached C).
     """
-    nodes = grid.nodes()
-
-    def run(s, e):
-        _, ht, _ = _event_sweep(field, nodes[s:e], T_max, h, C=C)
-        return ht
-
-    values = np.concatenate(_run_chunks(run, len(nodes), workers))
-    return TimeField(grid, values, np.ones(len(nodes), dtype=bool))
+    inside, _, ht, _ = _grid_events(field, grid, T_max, h, workers, C=C)
+    return TimeField(grid, ht, inside)
 
 
 def viable_capt_field(field: VectorField, K: SetOracle, C: SetOracle,
                       grid: GridSpec, T_max: float, h: float,
                       workers: int = 1) -> TimeField:
     """Capture margin at every in-K node; {value <= 0} is the viable-capture basin."""
-    nodes = grid.nodes()
-    inside = K.contains_many(nodes)
-
-    def run(s, e):
-        blk = slice(s, e)
-        ex, ht, _ = _event_sweep(field, nodes[blk], T_max, h, K=K, C=C,
-                                 k_inside0=inside[blk])
-        return _margin_of(ex, ht)
-
-    values = np.concatenate(_run_chunks(run, len(nodes), workers))
-    values[~inside] = INF
-    return TimeField(grid, values, inside)
+    inside, ex, ht, _ = _grid_events(field, grid, T_max, h, workers, K=K, C=C)
+    return TimeField(grid, np.where(inside, _margin_of(ex, ht), INF), inside)
 
 
 def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,

@@ -318,12 +318,11 @@ class Intersection(SetOracle):
 
     kind = "intersection"
 
-    def __init__(self, *members: SetOracle, max_sweeps: int = 50):
+    def __init__(self, *members: SetOracle):
         if len({m.dim for m in members}) != 1:
             raise ValueError("intersection needs one or more members of one dimension")
         super().__init__(members[0].dim)
         self.members = members
-        self.max_sweeps = max_sweeps
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -336,9 +335,9 @@ class Intersection(SetOracle):
         return max(m.distance(x) for m in self.members)
 
     def project(self, y):
-        """Alternating projections; the result certifies the upper bound."""
+        """Alternating projections (at most 50 sweeps); the result certifies the upper bound."""
         z = np.asarray(y, dtype=float).copy()
-        for _ in range(self.max_sweeps):
+        for _ in range(50):
             moved = 0.0
             for m in self.members:
                 zn = m.project(z)

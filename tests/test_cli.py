@@ -69,6 +69,14 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     assert "integrate" in capsys.readouterr().err
 
 
+def test_flow_checks_its_start_at_t0(tmp_path, capsys):
+    cfg = _write(tmp_path, "nan.json", {"field": {"kind": "linear", "a": 1.0},
+                                        "x0": [math.nan], "t": 0.0, "step": 0.01})
+    assert main(["flow", cfg, "-o", str(tmp_path)]) == 3
+    assert "flow" in capsys.readouterr().err
+    assert not (tmp_path / "flow.csv").exists()
+
+
 def test_hj_check_blowup_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "hjblow.json", {
         "field": {"kind": "polynomial", "coeffs": [0, 0, 1]},
@@ -341,6 +349,7 @@ VALUE_CFG = {
 }
 HJ_CFG = dict(VALUE_CFG, grid={"lo": [-1.0], "hi": [1.0], "counts": [8]}, mode="inf")
 BOX_2D = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+FLOW_CFG = {"field": {"kind": "linear", "a": 1.0}, "x0": [1.0], "t": 1.0, "step": 0.01}
 
 
 @pytest.mark.parametrize("op, base, edit, key", [
@@ -395,12 +404,17 @@ BOX_2D = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
     ("demo4d", DEMO_CFG, {"demo4d": dict(DEMO_CFG["demo4d"],
                                          v1={"kind": "affine", "weights": [1.0, 0.1]})},
      "'weights' in section 'demo4d.v1' must be a vector of length 4, got shape (2,)"),
+    ("flow", FLOW_CFG, {"field": ["kind"]}, "section 'field' must be a JSON object"),
+    ("flow", FLOW_CFG, {"field": "kind"}, "section 'field' must be a JSON object"),
+    ("viab", VIAB_CFG, {"grid": ["lo", "hi", "counts"]}, "section 'grid' must be a JSON object"),
+    ("pde-char", PDE_CFG, {"eval": 5}, "section 'eval' must be a JSON object"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
         "lyapunov-nonzero-lagrangian", "hj-check-mode", "eval-t-range-text",
         "eval-negative-count", "union-mixed-dims", "ball-nan-radius", "pde-rotation-on-1d-k",
-        "pde-u0-weights-length", "pde-v-weights-length", "demo4d-v1-weights-length"])
+        "pde-u0-weights-length", "pde-v-weights-length", "demo4d-v1-weights-length",
+        "field-list", "field-string", "grid-list", "eval-number"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
-from viakit.dynamics import _march, rk4_step, step_schedule
+from viakit.dynamics import _bisect, _march, _record, rk4_step, step_schedule
 
 
 def test_zero_field_constant():
@@ -36,9 +36,12 @@ def test_flow_forward_backward_inverse():
 
 def test_flow_zero_time_exact():
     f = vk.rotation_field()
-    x = np.array([0.3, -0.7])
+    x = np.array([0.3, -0.0])
     out = vk.flow(f, 0.0, x, 1e-2)
-    assert np.array_equal(out, x)
+    assert out.tobytes() == x.tobytes() and out is not x
+    # t = 0 checks the start like any other t
+    with pytest.raises(vk.NonFinite):
+        vk.flow(vk.linear_field(1.0), 0.0, [np.nan], 1e-2)
 
 
 def test_flow_decay():
@@ -240,3 +243,57 @@ def test_non_finite_times_raise(bad):
         vk.exit_time(one, vk.box([-1.0], [1.0]), [0.0], bad, 0.1)
     with pytest.raises(ValueError, match="finite"):
         vk.hitting_time(one, vk.box([5.0], [6.0]), [0.0], bad, 0.1)
+
+
+# a span's offset from a multiple of the step, in steps: exact, within the
+# 1e-9 rule on either side, tails just above and below step * 1e-9, any tail
+_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 0.5e-9, -0.5e-9, 0.99e-9, 1.01e-9, 2e-9]),
+    st.floats(-1e-9, 1e-9), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(-10.0, 10.0), step=st.floats(1e-3, 1.0), n=st.integers(0, 40),
+       offset=_OFFSETS, offset2=_OFFSETS)
+def test_step_schedule_is_one_rule(t0, step, n, offset, offset2):
+    """step_schedule, _march on scalar and (m,) horizons and _record give the same nodes."""
+    t1, t1b = (t0 + max(n * step + off * step, 0.0) for off in (offset, offset2))
+    want = np.array([t + h for t, h in step_schedule(t0, t1, step)])
+    want_b = np.array([t + h for t, h in step_schedule(t0, t1b, step)])
+    one = vk.transport_field([1.0])
+
+    def nodes(t0_, t1_, m):
+        x, live = np.zeros((m, 1)), np.ones(m, dtype=bool)
+        out = [[] for _ in range(m)]
+        for rows, t, h, _ in _march(one, x, t0_, t1_, step, live):
+            for i, v in zip(rows, np.broadcast_to(t + h, (len(rows), 1))[:, 0]):
+                out[i].append(v)
+        return [np.array(o, dtype=float) for o in out]
+
+    scalar = nodes(t0, t1, 1)[0]
+    per_row = nodes(np.array([t0, t0]), np.array([t1, t1b]), 2)
+    recorded = _record(one, np.zeros((1, 1)), t0, t1, step, "test")[0][1:]
+    for got in (scalar, per_row[0], recorded):
+        assert got.tobytes() == want.tobytes()
+    assert per_row[1].tobytes() == want_b.tobytes()
+    last = want[-1] if len(want) else t0
+    assert abs(last - t1) <= 2e-9 * step + 1e-14
+
+
+def test_bisect_skips_narrow_entries_and_stops_after_80_rounds():
+    calls = []
+
+    def test(idx, mid):
+        calls.append(idx.copy())
+        return np.where(idx == 3, mid <= 0.3, mid >= 0.3)
+
+    # entries 1 and 2 start no wider than their tol; entry 3 runs backwards
+    t_false = np.array([0.0, 0.5, 0.2, 1.0])
+    t_true = np.array([1.0, 0.5 + 1e-9, 0.2, 0.0])
+    out = _bisect(test, t_false, t_true, np.array([0.0, 2e-9, 0.0, 0.0]))
+    assert out[1] == 0.5 + 1e-9 and out[2] == 0.2
+    assert all(set(idx) == {0, 3} for idx in calls)
+    assert len(calls) == 80   # tol 0 never stops entries 0 and 3 early
+    assert 0.3 <= out[0] <= 0.3 + 2.0 ** -80
+    assert 0.3 - 2.0 ** -80 <= out[3] <= 0.3
+    assert t_true[0] == 1.0   # the inputs are not written to
