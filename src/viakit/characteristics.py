@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .common import INF
 from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
-from .kernels import _event_sweep, exit_time
+from .kernels import _event_sweep, exit_time, lattice_points
 from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
 
 
@@ -412,9 +413,7 @@ def _initial_seeds(prob: CharProblem, seeds_per_face: int, seed_lo, seed_hi):
     n = prob.state_dim
     lo = np.atleast_1d(np.asarray(seed_lo, dtype=float))
     hi = np.atleast_1d(np.asarray(seed_hi, dtype=float))
-    axes = [np.linspace(lo[k], hi[k], seeds_per_face) for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    pts = lattice_points([np.linspace(lo[k], hi[k], seeds_per_face) for k in range(n)])
     return pts[prob.domain.contains_many(pts)]
 
 
@@ -469,8 +468,9 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
 def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     """Clustered output values of cloud points near (t, x).
 
-    Single-linkage clustering with merge radius cloud.tol; returns the
-    cluster means sorted lexicographically (deterministic).
+    Single-linkage clustering with merge radius cloud.tol (the connected
+    components of the pairs within it); returns the cluster means, each
+    over its rows in index order, sorted lexicographically (deterministic).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mask = (np.abs(cloud.times - t) <= radius) & \
@@ -478,22 +478,15 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     ys = cloud.outputs[mask]
     if len(ys) == 0:
         return []
-    parent = list(range(len(ys)))
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            if np.linalg.norm(ys[i] - ys[j]) <= cloud.tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(ys)):
-        groups.setdefault(find(i), []).append(ys[i])
-    means = [np.mean(g, axis=0) for g in groups.values()]
+    pairs = cKDTree(ys).query_pairs(2.0 * cloud.tol, output_type="ndarray")
+    pairs = pairs[np.linalg.norm(ys[pairs[:, 0]] - ys[pairs[:, 1]], axis=1) <= cloud.tol]
+    edges = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(ys), len(ys)))
+    count, label = connected_components(edges, directed=False)
+    means = [ys[label == c].mean(axis=0) for c in range(count)]
     return sorted(means, key=lambda v: tuple(v))
 
 
@@ -621,7 +614,6 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
     """
     from .kernels import GridSpec, capt_field
     from .sets import Sublevel
-    from scipy.spatial import cKDTree
 
     if prob.state_dim != 1 or prob.out_dim != 1:
         raise ValueError("gridded cross-check is provided for 1+1-D problems only")

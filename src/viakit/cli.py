@@ -40,7 +40,7 @@ from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
 from .errors import (CapTooSmall, ConfigError, DescentViolation, NonFinite,
                      NonzeroLagrangian, ParamDomain)
 from .kernels import (GridSpec, capt_field, discrete_kernel, exit_time,
-                      hitting_time, viab_field, viable_capt_field)
+                      hitting_time, lattice_points, viab_field, viable_capt_field)
 from .sets import (ball, box, complement, halfspace, intersection,
                    point_cloud_set, product, sphere, union)
 
@@ -73,16 +73,20 @@ def _num(spec: dict, key: str, where: str, default=_REQUIRED) -> float:
                           section=where) from None
 
 
-def _vec(spec: dict, key: str, where: str, none=None) -> np.ndarray:
-    """``spec[key]`` as a float array; with ``none``, null list entries read as it."""
+def _vec(spec: dict, key: str, where: str, none=None, ndim=None) -> np.ndarray:
+    """``spec[key]`` as a float array, with ``ndim`` dimensions when given; with
+    ``none``, null list entries read as it."""
     value = _need(spec, key, where)
     try:
-        if none is not None:
-            return np.array([none if v is None else v for v in value], dtype=float)
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} in section {where!r} must be numeric, got {value!r}",
-                          section=where) from None
+        arr = np.array(value if none is None else [none if v is None else v for v in value],
+                       dtype=float)
+        if ndim in (None, arr.ndim):
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "numeric" if ndim is None else f"a {ndim}-D numeric list"
+    raise ConfigError(f"{key!r} in section {where!r} must be {what}, got {value!r}",
+                      section=where)
 
 
 def _int(spec: dict, key: str, where: str, default=_REQUIRED) -> int:
@@ -181,6 +185,10 @@ def _build_set(spec: dict, where: str = "set"):
         raise ConfigError(f"{exc} in section {where!r}", section=where) from exc
 
 
+#: The set kinds built from a JSON list of sets (``factors`` or ``members``).
+SET_COMBINATORS = {"product": product, "union": union, "intersection": intersection}
+
+
 def _set_of_kind(spec: dict, where: str):
     kind = _need(spec, "kind", where)
     if kind == "box":
@@ -193,12 +201,13 @@ def _set_of_kind(spec: dict, where: str):
         return halfspace(_vec(spec, "normal", where), _num(spec, "offset", where))
     if kind == "point-cloud":
         return point_cloud_set(_vec(spec, "points", where))
-    if kind == "product":
-        return product(*[_build_set(s, where) for s in _need(spec, "factors", where)])
-    if kind == "union":
-        return union(*[_build_set(s, where) for s in _need(spec, "members", where)])
-    if kind == "intersection":
-        return intersection(*[_build_set(s, where) for s in _need(spec, "members", where)])
+    if kind in SET_COMBINATORS:
+        key = "factors" if kind == "product" else "members"
+        parts = _need(spec, key, where)
+        if not isinstance(parts, list):
+            raise ConfigError(f"{key!r} in section {where!r} must be a list, got {parts!r}",
+                              section=where)
+        return SET_COMBINATORS[kind](*[_build_set(s, where) for s in parts])
     if kind == "complement":
         return complement(_build_set(_need(spec, "of", where), where))
     if kind == "epigraph":
@@ -280,7 +289,8 @@ def _build_pde(cfg: dict) -> CharProblem:
     K = _build_set(_need(pde, "K", "pde"), "pde.K")
     u0 = _build_func(_need(pde, "u0", "pde"), "pde.u0", K.dim)
     v = _build_func(pde["v"], "pde.v", 1 + K.dim) if pde.get("v") else None
-    impulses = tuple(pde["impulses"]) if pde.get("impulses") else None
+    impulses = tuple(_vec(pde, "impulses", "pde", ndim=1).tolist()) \
+        if pde.get("impulses") else None
     data = BoundaryData(u0, v, impulses)
     gspec = pde.get("g", {"kind": "zero"})
     gkind = _need(gspec, "kind", "pde.g")
@@ -316,9 +326,8 @@ def _eval_lattice(cfg: dict):
     if spans is None or any(n < 1 for _, _, n in spans):
         raise ConfigError("eval.t_range and each eval.x_range entry must be [lo, hi, count] "
                           "with a count >= 1", section="eval")
-    mesh = np.meshgrid(*(np.linspace(a, b, n) for a, b, n in spans), indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    return flat[0], np.stack(flat[1:], axis=1)
+    pts = lattice_points([np.linspace(a, b, n) for a, b, n in spans])
+    return pts[:, 0], pts[:, 1:]
 
 
 def _require_inside(K, rows, where: str, set_name: str):
@@ -330,7 +339,8 @@ def _require_inside(K, rows, where: str, set_name: str):
 
 
 def _check_eval(ts, xs, K, set_name: str):
-    """ConfigError unless every eval time is finite and >= 0 and every row is in K."""
+    """ConfigError unless every row is in K, of K's dimension, and every time finite, >= 0."""
+    _check_dims(K.dim, ("eval", xs.shape[1]))
     _require_inside(K, xs, "eval", set_name)
     for bad, rule in ((~np.isfinite(ts), "be finite"), (ts < 0.0, "be >= 0")):
         if bad.any():
@@ -485,10 +495,13 @@ def _run(args) -> int:
     elif op == "pde-graph":
         prob = _build_pde(cfg)
         gcfg = _need(cfg, "graph", "config")
+        xis = _vec(gcfg, "boundary_points", "graph", ndim=2) if gcfg.get("boundary_points") \
+            else np.empty((0, prob.domain.dim))
+        _check_dims(prob.domain.dim, ("graph.boundary_points", xis.shape[1]))
         cloud = graph_sample(prob, _horizon(gcfg, "T", "graph"), _step(cfg),
                              _int(gcfg, "seeds_per_face", "graph"),
                              _vec(gcfg, "seed_lo", "graph"), _vec(gcfg, "seed_hi", "graph"),
-                             boundary_points=gcfg.get("boundary_points"))
+                             boundary_points=xis)
         csvio.write_graphcloud(out("graph_cloud.csv"), cloud)
     elif op == "demo4d":
         d = _need(cfg, "demo4d", "config")

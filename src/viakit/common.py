@@ -19,12 +19,3 @@ def is_inf(v):
     """True where v encodes +infinity."""
     return np.asarray(v) >= INF
 
-
-def fmt17(v):
-    """Format one float with 17 significant digits; sentinels become inf."""
-    v = float(v)
-    if v >= INF:
-        return "inf"
-    if v <= -INF:
-        return "-inf"
-    return "%.17g" % v

@@ -1,45 +1,47 @@
 """CSV export with a fixed, diffable format.
 
-All floats are written with 17 significant digits; the +inf sentinel is
-emitted literally as ``inf``.  Node ordering is the producing grid's
-row-major order, so repeated runs are byte-identical.
+All floats are written with 17 significant digits; the +/-INF sentinels
+are emitted literally as ``inf`` and ``-inf``.  Node ordering is the
+producing grid's row-major order, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .common import fmt17
+from .common import INF
 from .dynamics import Trajectory
 from .epi_hj import GridFunction, HJReport
 from .kernels import GridSpec, TimeField
 
 
-def _write_rows(path, header, rows):
+def _write_rows(path, header, *columns):
+    """Write the columns side by side under header, one ``%.17g`` table row per line.
+
+    Each column is an (N,) or (N, k) array; values >= INF read ``inf`` and
+    values <= -INF read ``-inf``.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    table[table >= INF] = np.inf
+    table[table <= -INF] = -np.inf
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+        for row in table:
+            fh.write(fmt % tuple(row))
 
 
 def write_trajectory(path, traj: Trajectory):
     header = ["t"] + [f"x{i+1}" for i in range(traj.dim)]
-    rows = (np.concatenate([[t], x]) for t, x in zip(traj.times, traj.states))
-    _write_rows(path, header, rows)
+    _write_rows(path, header, traj.times, traj.states)
 
 
 def write_timefield(path, tf: TimeField):
-    nodes = tf.grid.nodes()
-    header = [f"x{i+1}" for i in range(tf.grid.dim)] + ["value"]
-    rows = (np.concatenate([x, [v]]) for x, v in zip(nodes, tf.values))
-    _write_rows(path, header, rows)
+    write_values(path, tf.grid.nodes(), tf.values)
 
 
 def write_boolfield(path, grid: GridSpec, mask):
-    nodes = grid.nodes()
-    header = [f"x{i+1}" for i in range(grid.dim)] + ["member"]
-    rows = (np.concatenate([x, [1.0 if m else 0.0]]) for x, m in zip(nodes, mask))
-    _write_rows(path, header, rows)
+    write_values(path, grid.nodes(), np.asarray(mask, dtype=bool), label="member")
 
 
 def write_points(path, points):
@@ -51,8 +53,7 @@ def write_points(path, points):
 def write_values(path, xs, values, label: str = "value"):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     header = [f"x{i+1}" for i in range(xs.shape[1])] + [label]
-    rows = (np.concatenate([x, [v]]) for x, v in zip(xs, values))
-    _write_rows(path, header, rows)
+    _write_rows(path, header, xs, values)
 
 
 def write_gridfunction(path, gf: GridFunction):
@@ -63,10 +64,8 @@ def write_hj_report(path, report: HJReport):
     dim = report.samples.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + \
         ["residual_fwd", "residual_bwd", "complementarity"]
-    rows = (np.concatenate([x, [f, b, c]]) for x, f, b, c in
-            zip(report.samples, report.residual_fwd, report.residual_bwd,
-                report.complementarity))
-    _write_rows(path, header, rows)
+    _write_rows(path, header, report.samples, report.residual_fwd, report.residual_bwd,
+                report.complementarity)
 
 
 def write_graphcloud(path, cloud):
@@ -81,5 +80,4 @@ def write_solution_field(path, ts, xs, us):
     us = np.atleast_2d(np.asarray(us, dtype=float))
     header = ["t"] + [f"x{i+1}" for i in range(xs.shape[1])] + \
         [f"u{i+1}" for i in range(us.shape[1])]
-    rows = (np.concatenate([[t], x, u]) for t, x, u in zip(ts, xs, us))
-    _write_rows(path, header, rows)
+    _write_rows(path, header, ts, xs, us)

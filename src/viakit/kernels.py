@@ -39,6 +39,12 @@ REFINE_FRAC = 1e-8
 # ---------------------------------------------------------------------------
 
 
+def lattice_points(axes) -> np.ndarray:
+    """The product of the 1-D axes as (N, len(axes)) rows in row-major (C) order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling lattice: counts[k] cells (counts[k]+1 nodes) per axis."""
@@ -87,8 +93,7 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         """All nodes as an (N, dim) array in row-major (C) order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return lattice_points(self.axes())
 
 
 @dataclass(frozen=True)

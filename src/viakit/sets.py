@@ -493,18 +493,17 @@ class PointCloud:
 def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
     """Greedy dedup keeping the earliest representative of each cluster.
 
-    Returns the keep mask over the rows of points.
+    Returns the keep mask over the rows of points.  The close pairs (i < j)
+    are scanned in order of i, so keep[i] is final when i's pairs come up.
     """
     keep = np.ones(len(points), dtype=bool)
     if radius <= 0 or len(points) < 2:
         return keep
-    tree = cKDTree(points)
-    for i in range(len(points)):
-        if not keep[i]:
-            continue
-        for j in tree.query_ball_point(points[i], radius):
-            if j > i:
-                keep[j] = False
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    for i, j in zip(pairs[:, 0], pairs[:, 1]):
+        if keep[i]:
+            keep[j] = False
     return keep
 
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import cloud_reference
 import viakit as vk
+from viakit.characteristics import GraphCloud
 from viakit.common import INF
+from viakit.kernels import lattice_points
 
 one = vk.transport_field([1.0])
 halfline = vk.box([0.0], [np.inf])
@@ -404,6 +407,30 @@ def test_graph_sample_zero_horizon_is_seeds():
 def test_query_graph_empty_neighborhood():
     cloud = vk.graph_sample(_shock_problem(), 1.0, 0.01, 11, [-1.0], [1.0])
     assert vk.query_graph(cloud, 0.5, [50.0], 0.02) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(out_dim=st.integers(1, 2), count=st.integers(1, 10), tol=st.sampled_from([0.5, 0.1, 1 / 3]),
+       gap=st.sampled_from([0.5, 1.0, 1.5]), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from([0.0, 1e-17, 0.1]), far=st.booleans())
+def test_query_graph_matches_union_find(out_dim, count, tol, gap, seed, noise, far):
+    """Connected components give the union-find clusters bit for bit: the same
+    groups, the same rows in each mean in the same order, and the same cluster
+    order, with outputs spaced at exactly the merge radius, off it, with noise
+    that makes each mean depend on its summation order, and with no point in
+    the window."""
+    rng = np.random.default_rng(seed)
+    ys = lattice_points([tol * gap * np.arange(count)] * out_dim)
+    ys = ys[rng.permutation(len(ys))][: max(1, len(ys) - int(rng.integers(0, 3)))]
+    ys = ys + noise * tol * rng.uniform(-1.0, 1.0, ys.shape)
+    m = len(ys)
+    points = np.column_stack([rng.choice([1.0, 1.005, 1.02], m),
+                              rng.choice([-0.01, 0.0, 0.03], m), ys])
+    cloud = GraphCloud(points, 1, out_dim, tol, tol, np.zeros(m, dtype=int), points[:1])
+    x = [5.0] if far else [0.0]
+    got = vk.query_graph(cloud, 1.0, x, 0.01)
+    want = cloud_reference.query_graph(cloud, 1.0, x, 0.01)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_query_graph_transport_value():

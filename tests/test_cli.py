@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import viakit
 from viakit.cli import main
 
 
@@ -350,6 +354,12 @@ VALUE_CFG = {
 HJ_CFG = dict(VALUE_CFG, grid={"lo": [-1.0], "hi": [1.0], "counts": [8]}, mode="inf")
 BOX_2D = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
 FLOW_CFG = {"field": {"kind": "linear", "a": 1.0}, "x0": [1.0], "t": 1.0, "step": 0.01}
+GRAPH_CFG = {
+    "pde": dict(PDE_CFG["pde"], v={"kind": "const", "value": 0.25}),
+    "step": 0.05,
+    "graph": {"T": 0.5, "seeds_per_face": 5, "seed_lo": [0.0], "seed_hi": [1.0],
+              "boundary_points": [[0.0]]},
+}
 
 
 @pytest.mark.parametrize("op, base, edit, key", [
@@ -408,13 +418,38 @@ FLOW_CFG = {"field": {"kind": "linear", "a": 1.0}, "x0": [1.0], "t": 1.0, "step"
     ("flow", FLOW_CFG, {"field": "kind"}, "section 'field' must be a JSON object"),
     ("viab", VIAB_CFG, {"grid": ["lo", "hi", "counts"]}, "section 'grid' must be a JSON object"),
     ("pde-char", PDE_CFG, {"eval": 5}, "section 'eval' must be a JSON object"),
+    ("viab", VIAB_CFG, {"set": {"kind": "union", "members": 5}},
+     "'members' in section 'set' must be a list, got 5"),
+    ("viab", VIAB_CFG, {"set": {"kind": "product", "factors": 5}},
+     "'factors' in section 'set' must be a list, got 5"),
+    ("viab", VIAB_CFG, {"set": {"kind": "box", "lo": [10 ** 400], "hi": [1.0]}},
+     "'lo' in section 'set' must be numeric"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], impulses=5)},
+     "'impulses' in section 'pde' must be a 1-D numeric list, got 5"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], impulses=["a"])},
+     "'impulses' in section 'pde' must be a 1-D numeric list, got ['a']"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], boundary_points=5)},
+     "'boundary_points' in section 'graph' must be a 2-D numeric list, got 5"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], boundary_points=[["a"]])},
+     "'boundary_points' in section 'graph' must be a 2-D numeric list"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], boundary_points=[[1.0, 2.0]])},
+     "section 'graph.boundary_points' has dimension 2, but the field has dimension 1"),
+    ("pde-char", PDE_CFG, {"eval": {"ts": [0.5], "xs": [[0.2, 0.3]]}},
+     "section 'eval' has dimension 2, but the field has dimension 1"),
+    ("demo4d", DEMO_CFG, {"eval": {"ts": [0.4], "xs": [[2.0, 1.0, 1.0]]}},
+     "section 'eval' has dimension 3, but the field has dimension 4"),
+    ("demo4d", DEMO_CFG, {"eval": {"ts": [0.4], "xs": [[2.0, 1.0, 1.0, 1.0, 1.0]]}},
+     "section 'eval' has dimension 5, but the field has dimension 4"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
         "lyapunov-nonzero-lagrangian", "hj-check-mode", "eval-t-range-text",
         "eval-negative-count", "union-mixed-dims", "ball-nan-radius", "pde-rotation-on-1d-k",
         "pde-u0-weights-length", "pde-v-weights-length", "demo4d-v1-weights-length",
-        "field-list", "field-string", "grid-list", "eval-number"])
+        "field-list", "field-string", "grid-list", "eval-number", "union-members-number",
+        "product-factors-number", "box-lo-overflow", "impulses-number", "impulses-text",
+        "boundary-points-number", "boundary-points-text", "boundary-points-dim",
+        "pde-char-eval-dim", "demo4d-eval-3-columns", "demo4d-eval-5-columns"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2
@@ -618,3 +653,15 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("viab", "capt", "demo4d", "pde-char", "hj-check"):
         assert name in out
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    """``query_graph`` imports scipy.sparse.csgraph itself, so no other run pays for it."""
+    src = os.path.dirname(os.path.dirname(viakit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, viakit.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

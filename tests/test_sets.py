@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import cloud_reference
 import viakit as vk
 from viakit.common import INF
-from viakit.sets import PointCloud
+from viakit.kernels import lattice_points
+from viakit.sets import PointCloud, _merge_points
 
 
 unit_ball = vk.ball([0.0, 0.0], 1.0)
@@ -224,6 +226,32 @@ def test_point_cloud_merge_invariant():
     d = np.abs(pc.points - pc.points.T)
     np.fill_diagonal(d, 1.0)
     assert d.min() >= 0.05
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(1, 3), count=st.integers(1, 6), spacing=st.sampled_from([0.5, 0.1, 1 / 3]),
+       reach=st.sampled_from([0.5, 1.0, math.sqrt(2.0), 2.0]), repeats=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), jitter=st.booleans())
+def test_merge_points_matches_per_row_loop(dim, count, spacing, reach, repeats, seed, jitter):
+    """The pair scan keeps exactly the rows the per-row query_ball_point loop keeps,
+    on shuffled lattices whose neighbours sit at exactly the merge radius."""
+    rng = np.random.default_rng(seed)
+    axis = spacing * np.arange(count)
+    points = np.repeat(lattice_points([axis] * dim), repeats, axis=0)
+    points = points[rng.permutation(len(points))]
+    if jitter:
+        points = points + 1e-17 * rng.integers(-1, 2, points.shape)
+    radius = spacing * reach
+    assert np.array_equal(_merge_points(points, radius),
+                          cloud_reference.merge_points(points, radius))
+
+
+@pytest.mark.parametrize("points", [np.empty((0, 2)), np.array([[0.3, -1.0]]),
+                                    np.array([[0.0], [0.0]]), np.zeros((4, 3))])
+@pytest.mark.parametrize("radius", [0.0, 0.5])
+def test_merge_points_small_clouds(points, radius):
+    assert np.array_equal(_merge_points(points, radius),
+                          cloud_reference.merge_points(points, radius))
 
 
 def test_set_limit_singletons():
