@@ -481,6 +481,8 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
+    # Any candidate radius above tol works: cKDTree's squared-distance test may
+    # round differently from norm <= tol, and the norm filter fixes the edges.
     pairs = cKDTree(ys).query_pairs(2.0 * cloud.tol, output_type="ndarray")
     pairs = pairs[np.linalg.norm(ys[pairs[:, 0]] - ys[pairs[:, 1]], axis=1) <= cloud.tol]
     edges = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),

@@ -185,8 +185,9 @@ def _build_set(spec: dict, where: str = "set"):
         raise ConfigError(f"{exc} in section {where!r}", section=where) from exc
 
 
-#: The set kinds built from a JSON list of sets (``factors`` or ``members``).
-SET_COMBINATORS = {"product": product, "union": union, "intersection": intersection}
+# The set kinds built from a JSON list of sets: the key of the list and the constructor.
+_COMBINATORS = {"product": ("factors", product), "union": ("members", union),
+                "intersection": ("members", intersection)}
 
 
 def _set_of_kind(spec: dict, where: str):
@@ -201,13 +202,13 @@ def _set_of_kind(spec: dict, where: str):
         return halfspace(_vec(spec, "normal", where), _num(spec, "offset", where))
     if kind == "point-cloud":
         return point_cloud_set(_vec(spec, "points", where))
-    if kind in SET_COMBINATORS:
-        key = "factors" if kind == "product" else "members"
+    if kind in _COMBINATORS:
+        key, combine = _COMBINATORS[kind]
         parts = _need(spec, key, where)
         if not isinstance(parts, list):
             raise ConfigError(f"{key!r} in section {where!r} must be a list, got {parts!r}",
                               section=where)
-        return SET_COMBINATORS[kind](*[_build_set(s, where) for s in parts])
+        return combine(*[_build_set(s, where) for s in parts])
     if kind == "complement":
         return complement(_build_set(_need(spec, "of", where), where))
     if kind == "epigraph":
@@ -495,9 +496,10 @@ def _run(args) -> int:
     elif op == "pde-graph":
         prob = _build_pde(cfg)
         gcfg = _need(cfg, "graph", "config")
-        xis = _vec(gcfg, "boundary_points", "graph", ndim=2) if gcfg.get("boundary_points") \
-            else np.empty((0, prob.domain.dim))
-        _check_dims(prob.domain.dim, ("graph.boundary_points", xis.shape[1]))
+        xis = None
+        if gcfg.get("boundary_points"):
+            xis = _vec(gcfg, "boundary_points", "graph", ndim=2)
+            _check_dims(prob.domain.dim, ("graph.boundary_points", xis.shape[1]))
         cloud = graph_sample(prob, _horizon(gcfg, "T", "graph"), _step(cfg),
                              _int(gcfg, "seeds_per_face", "graph"),
                              _vec(gcfg, "seed_lo", "graph"), _vec(gcfg, "seed_hi", "graph"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,35 @@ def test_merge_points_matches_per_row_loop(dim, count, spacing, reach, repeats, 
                                     np.array([[0.0], [0.0]]), np.zeros((4, 3))])
 @pytest.mark.parametrize("radius", [0.0, 0.5])
 def test_merge_points_small_clouds(points, radius):
+    assert np.array_equal(_merge_points(points, radius),
+                          cloud_reference.merge_points(points, radius))
+
+
+def test_merge_points_dense_cluster_keeps_memory_linear():
+    """A tight cluster of c rows has c^2/2 close pairs: 3000 rows give 4.5M, a
+    72 MB pair list.  The dedup queries each kept row's neighbours there
+    instead, holding memory linear in the rows, and keeps what the per-row
+    loop keeps; so does a PointCloud of the same rows."""
+    rng = np.random.default_rng(5)
+    points = np.concatenate([1e-3 * rng.uniform(-1.0, 1.0, (3000, 2)),
+                             rng.uniform(2.0, 50.0, (500, 2))])
+    tracemalloc.start()
+    try:
+        keep = _merge_points(points, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.array_equal(keep, cloud_reference.merge_points(points, 0.5))
+    assert np.array_equal(PointCloud(points, tol=1.0).points, points[keep])
+
+
+@pytest.mark.parametrize("per_row", [0.5, 3.0, 20.0])
+def test_merge_points_sampled_density_matches_per_row_loop(per_row):
+    """Both dedup routes keep the per-row loop's rows on 5000 uniform 2-D rows
+    with about per_row neighbours each (the route is chosen from every 4th row)."""
+    points = np.random.default_rng(7).uniform(0.0, 1.0, (5000, 2))
+    radius = math.sqrt(per_row / (5000 * math.pi))
     assert np.array_equal(_merge_points(points, radius),
                           cloud_reference.merge_points(points, radius))
 
