@@ -10,7 +10,7 @@ Everything operates in the unique-solution regime: time functionals and
 value functions are evaluated along the RK4-selected trajectory.
 """
 
-from .common import BLOWUP_NORM, INF, is_inf
+from .common import BLOWUP_NORM, INF
 from .dynamics import (
     Trajectory,
     VectorField,

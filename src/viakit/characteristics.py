@@ -427,7 +427,12 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     system forward from each seed's own start s to T (the nodes of
     ``step_schedule(s, T, h)``), recording every step while the state
     stays in K; rows that blow up are skipped from there on.  Points
-    closer than h/2 are merged, and the cloud's tol is h.
+    closer than h/2 are merged, and the cloud's tol is h.  No seed in K
+    gives an empty cloud.
+
+    Raises:
+        NonFinite: if a seed's (state, output) row is not finite or
+            passes the blow-up norm.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -449,6 +454,9 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
                              np.atleast_1d(np.asarray(prob.data.boundary(s, xi), dtype=float))))
 
     seeds = np.array([np.concatenate([[s], c, y]) for s, c, y in rows])
+    seeds = seeds.reshape(len(rows), 1 + n + p)  # also with no seed in K
+    if not _finite_rows(seeds[:, 1:]).all():
+        raise NonFinite("a seed is not finite or passes the blow-up norm in graph_sample")
     z = seeds[:, 1:].copy()
     pts = [seeds]
     idxs = [np.arange(len(seeds))]

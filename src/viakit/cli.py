@@ -3,15 +3,16 @@
 Usage: ``viakit SUBCOMMAND CONFIG.json [-o OUTDIR] [--workers N]``.
 
 The config format is JSON (chosen over TOML so the stdlib covers it on
-Python 3.10); sections are documented in the README.  Output is
-deterministic: fixed row-major node ordering and 17-significant-digit
-floats, so runs are diffable, and ``--workers 1`` is byte-identical to
-any other worker count.  The only environment override is ``VIAKIT_OUT``
-for the output directory.
+Python 3.10); sections are documented in the README.  A config is read
+into typed values by its subcommand's schema entry before anything runs.
+Output is deterministic: fixed row-major node ordering and
+17-significant-digit floats, so runs are diffable, and ``--workers 1`` is
+byte-identical to any other worker count.  The only environment override
+is ``VIAKIT_OUT`` for the output directory.
 
 Exit codes: 0 success; 2 config error (with a field diagnostic);
-3 numeric failure (NonFinite, CapTooSmall, DescentViolation), naming the
-operation.
+3 numeric failure (NonFinite, CapTooSmall, DescentViolation, ParamDomain,
+float overflow), naming the operation.
 """
 
 from __future__ import annotations
@@ -44,291 +45,108 @@ from .kernels import (GridSpec, capt_field, discrete_kernel, exit_time,
 from .sets import (ball, box, complement, halfspace, intersection,
                    point_cloud_set, product, sphere, union)
 
-SUBCOMMANDS = [
-    "integrate", "flow", "reach", "exit-time", "hitting-time", "viab", "capt",
-    "viable-capt", "kernel", "value-sup", "value-inf", "lyapunov", "mintime",
-    "minlength", "hj-check", "pde-char", "pde-graph", "demo4d",
-]
-
-
-def _need(cfg: dict, key: str, where: str):
-    """``cfg[key]``; ConfigError naming section where if cfg is not a JSON object or lacks key."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"section {where!r} must be a JSON object, got {cfg!r}", section=where)
-    if key not in cfg:
-        raise ConfigError(f"missing {key!r} in section {where!r}", section=where)
-    return cfg[key]
-
-
 _REQUIRED = object()
 
 
-def _num(spec: dict, key: str, where: str, default=_REQUIRED) -> float:
-    """``spec[key]`` (or ``default`` when given and the key is absent) as a float."""
-    value = _need(spec, key, where) if default is _REQUIRED else spec.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} in section {where!r} must be a number, got {value!r}",
-                          section=where) from None
+def _rows(value) -> np.ndarray:
+    """A list of rows, or one flat row, as an (m, n) array."""
+    arr = np.array(value, dtype=float)
+    return np.atleast_2d(arr) if arr.ndim else arr  # a number is no row
 
 
-def _vec(spec: dict, key: str, where: str, none=None, ndim=None) -> np.ndarray:
-    """``spec[key]`` as a float array, with ``ndim`` dimensions when given; with
-    ``none``, null list entries read as it."""
-    value = _need(spec, key, where)
-    try:
-        arr = np.array(value if none is None else [none if v is None else v for v in value],
-                       dtype=float)
-        if ndim in (None, arr.ndim):
-            return arr
-    except (TypeError, ValueError, OverflowError):
-        pass
-    what = "numeric" if ndim is None else f"a {ndim}-D numeric list"
-    raise ConfigError(f"{key!r} in section {where!r} must be {what}, got {value!r}",
-                      section=where)
+def _bounds(fill):
+    """The form of box bounds: a list of numbers, null for no bound (read as fill)."""
+    return ("numeric (null for no bound)",
+            lambda value: np.array([fill if v is None else v for v in value], dtype=float),
+            lambda a: a.ndim == 1 and not np.isnan(a).any())
 
 
-def _int(spec: dict, key: str, where: str, default=_REQUIRED) -> int:
-    """``spec[key]`` (or ``default`` when given and the key is absent) as an int >= 1."""
-    value = _need(spec, key, where) if default is _REQUIRED else spec.get(key, default)
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = 0
-    if n < 1:
-        raise ConfigError(f"{key!r} in section {where!r} must be an integer >= 1, "
-                          f"got {value!r}", section=where)
-    return n
+#: Each leaf form: what the value must be (for the diagnostic), its conversion
+#: (which raises TypeError, ValueError or OverflowError on other values), and a
+#: test of the converted value (None: any).  Counts must fit in int64.
+_FORMS = {
+    "number": ("a number", float, None),
+    "finite": ("a finite number", float, math.isfinite),
+    "step": ("finite and > 0", float, lambda h: math.isfinite(h) and h > 0.0),
+    "horizon": ("finite and >= 0", float, lambda T: math.isfinite(T) and T >= 0.0),
+    "count": ("an integer >= 1", int, lambda n: 1 <= n < 2 ** 63),
+    "counts": ("a 1-D list of integers", lambda v: np.array(v, dtype=np.int64),
+               lambda a: a.ndim == 1),
+    "vector": ("a 1-D numeric list", lambda v: np.array(v, dtype=float), lambda a: a.ndim == 1),
+    "finites": ("a 1-D list of finite numbers", lambda v: np.array(v, dtype=float),
+                lambda a: a.ndim == 1 and np.isfinite(a).all()),
+    "rows": ("a 2-D numeric list", _rows, lambda a: a.ndim == 2),
+    "matrix": ("a square matrix of finite numbers", lambda v: np.array(v, dtype=float),
+               lambda a: a.ndim == 2 and a.shape[0] == a.shape[1] and np.isfinite(a).all()),
+    "lo": _bounds(-np.inf),
+    "hi": _bounds(np.inf),
+    "list": ("a list", lambda v: v, lambda v: isinstance(v, list)),
+    "mode": ("'sup' or 'inf'", str, lambda m: m in ("sup", "inf")),
+}
 
 
-def _step(spec: dict, key: str = "step", where: str = "config") -> float:
-    """``spec[key]`` as a finite, positive step."""
-    h = _num(spec, key, where)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ConfigError(f"{key!r} in section {where!r} must be finite and > 0, got {h!r}",
-                          section=where)
-    return h
+class _Section:
+    """A JSON object of the config, named by its dotted path for diagnostics."""
 
-
-def _horizon(spec: dict, key: str = "horizon", where: str = "config") -> float:
-    """``spec[key]`` as a finite, nonnegative horizon."""
-    T = _num(spec, key, where)
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ConfigError(f"{key!r} in section {where!r} must be finite and >= 0, got {T!r}",
-                          section=where)
-    return T
-
-
-def _check_dims(dim: int, *parts):
-    """ConfigError naming the first ``(section, dimension)`` part whose dimension is not dim."""
-    for where, d in parts:
-        if d != dim:
-            raise ConfigError(f"section {where!r} has dimension {d}, but the field has "
-                              f"dimension {dim}", section=where)
-
-
-def _build_field(spec: dict, where: str = "field", dim: int = 1) -> VectorField:
-    """The field of spec; dim is the dimension of the data it runs on.
-
-    Fields that act component by component (a scalar ``linear`` without
-    ``dim``, ``logistic``, ``polynomial``, a one-element ``transport``)
-    take that dimension (at least 1); the others fix their own.
-    """
-    kind = _need(spec, "kind", where)
-    dim = max(dim, 1)
-    if kind == "linear":
-        if "matrix" in spec:
-            A = _vec(spec, "matrix", where)
-            if A.ndim and (A.ndim != 2 or A.shape[0] != A.shape[1]):
-                raise ConfigError(f"'matrix' in section {where!r} must be a square matrix, "
-                                  f"got shape {A.shape}", section=where)
-            return linear_field(A)
-        return linear_field(_num(spec, "a", where), dim=_int(spec, "dim", where, default=dim))
-    if kind == "rotation":
-        return rotation_field(_num(spec, "omega", where, default=1.0))
-    if kind == "logistic":
-        return replace(logistic_field(_num(spec, "beta", where), _num(spec, "b", where)),
-                       dim=dim)
-    if kind == "transport":
-        v = _vec(spec, "velocity", where)
-        return replace(transport_field(v), dim=dim) if v.size == 1 else transport_field(v)
-    if kind == "demographic":
-        return demographic_field(*(_num(spec, k, where)
-                                   for k in ("rho", "sigma", "beta", "b")))
-    if kind == "polynomial":
-        coeffs = _vec(spec, "coeffs", where)
-
-        def ev(t, x):
-            acc = np.zeros_like(x)
-            for c in coeffs[::-1]:
-                acc = acc * x + c
-            return acc
-
-        return VectorField(dim, ev, name="polynomial")
-    if kind == "lifted":
-        # state-cost dynamics of a value problem; pairs with an "epigraph" set
-        sub = {
-            "field": _need(spec, "field", where),
-            "lagrangian": spec.get("lagrangian", {"kind": "zero"}),
-            "obstacle": spec.get("obstacle", {"kind": "zero"}),
-            "discount": spec.get("discount", 0.0),
-        }
-        return lift(_build_problem(sub, dim - 1)).field
-    raise ConfigError(f"unknown field kind {kind!r} in section {where!r}", section=where)
-
-
-def _build_set(spec: dict, where: str = "set"):
-    try:
-        return _set_of_kind(spec, where)
-    except ValueError as exc:  # a constructor's own check, e.g. box lo > hi
-        raise ConfigError(f"{exc} in section {where!r}", section=where) from exc
-
-
-# The set kinds built from a JSON list of sets: the key of the list and the constructor.
-_COMBINATORS = {"product": ("factors", product), "union": ("members", union),
-                "intersection": ("members", intersection)}
-
-
-def _set_of_kind(spec: dict, where: str):
-    kind = _need(spec, "kind", where)
-    if kind == "box":
-        return box(_vec(spec, "lo", where, none=-np.inf), _vec(spec, "hi", where, none=np.inf))
-    if kind == "ball":
-        return ball(_vec(spec, "center", where), _num(spec, "radius", where))
-    if kind == "sphere":
-        return sphere(_vec(spec, "center", where), _num(spec, "radius", where))
-    if kind == "halfspace":
-        return halfspace(_vec(spec, "normal", where), _num(spec, "offset", where))
-    if kind == "point-cloud":
-        return point_cloud_set(_vec(spec, "points", where))
-    if kind in _COMBINATORS:
-        key, combine = _COMBINATORS[kind]
-        parts = _need(spec, key, where)
-        if not isinstance(parts, list):
-            raise ConfigError(f"{key!r} in section {where!r} must be a list, got {parts!r}",
+    def __init__(self, value, where: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"section {where!r} must be a JSON object, got {value!r}",
                               section=where)
-        return combine(*[_build_set(s, where) for s in parts])
-    if kind == "complement":
-        return complement(_build_set(_need(spec, "of", where), where))
-    if kind == "epigraph":
-        okind = _need(_need(spec, "obstacle", where), "kind", where)
-        state_dim = _int(spec, "state_dim", where, default=1)
-        if okind == "abs":
-            return epigraph_oracle(abs_obstacle, state_dim)
-        if okind == "zero":
-            return epigraph_oracle(zero_obstacle, state_dim)
-        raise ConfigError(f"unknown epigraph obstacle {okind!r}", section=where)
-    raise ConfigError(f"unknown set kind {kind!r} in section {where!r}", section=where)
+        self.value, self.where = value, where
+
+    def __contains__(self, key) -> bool:
+        """Whether key is given: present, and neither null nor []."""
+        return self.value.get(key) not in (None, [])
+
+    def sub(self, key: str, default=_REQUIRED) -> "_Section":
+        """Subsection key (dotted keys nest), or default when given and key is not."""
+        s = self
+        for name in key.split("."):
+            where = name if s.where == "config" else f"{s.where}.{name}"
+            s = _Section(s.read(name, default=default), where)
+        return s
+
+    def read(self, key: str, form=None, default=_REQUIRED, length=None):
+        """Leaf key (dotted keys nest) in form, raw when None, or default when given
+        and key is not; with length, a vector of that many numbers."""
+        section, _, key = key.rpartition(".")
+        s = self.sub(section) if section else self
+        if default is not _REQUIRED and key not in s:
+            return default
+        if key not in s.value:
+            raise ConfigError(f"missing {key!r} in section {s.where!r}", section=s.where)
+        value = s.value[key]
+        if form is None:
+            return value
+        what, convert, test = _FORMS[form]
+        try:
+            x = convert(value)
+            ok = test is None or test(x)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key!r} in section {s.where!r} must be {what}, got {value!r}",
+                              section=s.where)
+        if length is not None and x.shape != (length,):
+            raise ConfigError(f"{key!r} in section {s.where!r} must be a vector of length "
+                              f"{length}, got shape {x.shape}", section=s.where)
+        return x
 
 
-def _build_grid(spec: dict) -> GridSpec:
-    try:
-        return GridSpec(np.array(_need(spec, "lo", "grid"), dtype=float),
-                        np.array(_need(spec, "hi", "grid"), dtype=float),
-                        np.array(_need(spec, "counts", "grid"), dtype=int))
-    except ValueError as exc:
-        raise ConfigError(f"{exc} in section 'grid'", section="grid") from exc
+def _kind(s: _Section, table: dict, what: str):
+    """The entry of table under s's kind."""
+    kind = s.read("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r} in section {s.where!r}",
+                          section=s.where)
+    return table[kind]
 
 
-def _build_func(spec: dict, where: str, n: int):
-    """Small library for data of n numbers z: w.z + c, sin(w.z + c), const."""
-    kind = _need(spec, "kind", where)
-    if kind == "const":
-        v = _num(spec, "value", where)
-        return lambda *args: np.array([v])
-    w = _vec(spec, "weights", where)
-    if w.shape != (n,):
-        raise ConfigError(f"'weights' in section {where!r} must be a vector of length {n}, "
-                          f"got shape {w.shape}", section=where)
-    c = _num(spec, "offset", where, default=0.0)
-
-    def dot(args):
-        z = np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)) for a in args])
-        return float(w @ z) + c
-
-    if kind == "affine":
-        return lambda *args: np.array([dot(args)])
-    if kind == "sin":
-        return lambda *args: np.array([np.sin(dot(args))])
-    raise ConfigError(f"unknown function kind {kind!r} in section {where!r}", section=where)
-
-
-def _build_problem(cfg: dict, dim: int = 1) -> LagrangianProblem:
-    """The value problem of cfg; dim as in :func:`_build_field`."""
-    field = _build_field(_need(cfg, "field", "config"), dim=dim)
-    lspec = cfg.get("lagrangian", {"kind": "zero"})
-    kind = _need(lspec, "kind", "lagrangian")
-    if kind == "zero":
-        lag = zero_lagrangian
-    elif kind == "unit":
-        lag = unit_lagrangian
-    elif kind == "const":
-        lag = const_lagrangian(_num(lspec, "value", "lagrangian"))
-    elif kind == "speed":
-        lag = speed_lagrangian
-    else:
-        raise ConfigError(f"unknown lagrangian kind {kind!r}", section="lagrangian")
-    ospec = cfg.get("obstacle", {"kind": "zero"})
-    okind = _need(ospec, "kind", "obstacle")
-    if okind == "zero":
-        obs = zero_obstacle
-    elif okind == "abs":
-        obs = abs_obstacle
-    elif okind == "indicator":
-        K = _build_set(_need(ospec, "set", "obstacle"), "obstacle.set")
-        _check_dims(field.dim, ("obstacle.set", K.dim))
-        obs = indicator_obstacle(K)
-    else:
-        raise ConfigError(f"unknown obstacle kind {okind!r}", section="obstacle")
-    return LagrangianProblem(field, lag, _num(cfg, "discount", "config", default=0.0), obs,
-                             value_cap=_num(cfg, "value_cap", "config", default=1e6))
-
-
-def _build_pde(cfg: dict) -> CharProblem:
-    pde = _need(cfg, "pde", "config")
-    K = _build_set(_need(pde, "K", "pde"), "pde.K")
-    u0 = _build_func(_need(pde, "u0", "pde"), "pde.u0", K.dim)
-    v = _build_func(pde["v"], "pde.v", 1 + K.dim) if pde.get("v") else None
-    impulses = tuple(_vec(pde, "impulses", "pde", ndim=1).tolist()) \
-        if pde.get("impulses") else None
-    data = BoundaryData(u0, v, impulses)
-    gspec = pde.get("g", {"kind": "zero"})
-    gkind = _need(gspec, "kind", "pde.g")
-    if gkind == "zero":
-        g = lambda t, x, y: np.zeros_like(y)
-    elif gkind == "decay":
-        lam = _num(gspec, "rate", "pde.g")
-        g = lambda t, x, y: -lam * y
-    else:
-        raise ConfigError(f"unknown pde.g kind {gkind!r}", section="pde.g")
-    out_dim = _int(pde, "out_dim", "pde", default=1)
-    fspec = pde.get("f")
-    if fspec and _need(fspec, "kind", "pde.f") == "output":
-        return CharProblem(g, K, data, out_dim, f=lambda t, x, y: y)
-    phi = _build_field(_need(pde, "phi", "pde"), "pde.phi", dim=K.dim)
-    _check_dims(phi.dim, ("pde.K", K.dim))
-    return CharProblem(g, K, data, out_dim, phi=phi)
-
-
-def _eval_lattice(cfg: dict):
-    ev = _need(cfg, "eval", "config")
-    if isinstance(ev, dict) and "ts" in ev and "xs" in ev:
-        ts = _vec(ev, "ts", "eval")
-        xs = np.atleast_2d(_vec(ev, "xs", "eval"))
-        if len(ts) != len(xs):
-            raise ConfigError("eval.ts and eval.xs must have equal length", section="eval")
-        return ts, xs
-    try:
-        spans = [(float(a), float(b), int(n))
-                 for a, b, n in [_need(ev, "t_range", "eval"), *_need(ev, "x_range", "eval")]]
-    except (TypeError, ValueError, OverflowError):
-        spans = None
-    if spans is None or any(n < 1 for _, _, n in spans):
-        raise ConfigError("eval.t_range and each eval.x_range entry must be [lo, hi, count] "
-                          "with a count >= 1", section="eval")
-    pts = lattice_points([np.linspace(a, b, n) for a, b, n in spans])
-    return pts[:, 0], pts[:, 1:]
+def _check_dims(dim: int, where: str, d: int):
+    """ConfigError unless the dimension d of section where is dim."""
+    if d != dim:
+        raise ConfigError(f"section {where!r} has dimension {d}, but the field has "
+                          f"dimension {dim}", section=where)
 
 
 def _require_inside(K, rows, where: str, set_name: str):
@@ -339,18 +157,230 @@ def _require_inside(K, rows, where: str, set_name: str):
                           f"outside {set_name}", section=where)
 
 
-def _check_eval(ts, xs, K, set_name: str):
-    """ConfigError unless every row is in K, of K's dimension, and every time finite, >= 0."""
-    _check_dims(K.dim, ("eval", xs.shape[1]))
-    _require_inside(K, xs, "eval", set_name)
+def _field(s: _Section, dim: int) -> VectorField:
+    """The field of s; dim is the dimension of the data it runs on.
+
+    Fields that act component by component (a scalar ``linear`` without
+    ``dim``, ``logistic``, ``polynomial``, a one-element ``transport``)
+    take that dimension (at least 1); the others fix their own.
+    """
+    return _kind(s, _FIELDS, "field")(s, max(dim, 1))
+
+
+def _linear(s: _Section, dim: int) -> VectorField:
+    if "matrix" in s:
+        return linear_field(s.read("matrix", "matrix"))
+    return linear_field(s.read("a", "finite"), dim=s.read("dim", "count", dim))
+
+
+def _transport(s: _Section, dim: int) -> VectorField:
+    v = s.read("velocity", "finites")
+    return replace(transport_field(v), dim=dim) if v.size == 1 else transport_field(v)
+
+
+def _polynomial(s: _Section, dim: int) -> VectorField:
+    coeffs = s.read("coeffs", "finites")
+
+    def ev(t, x):
+        acc = np.zeros_like(x)
+        for c in coeffs[::-1]:
+            acc = acc * x + c
+        return acc
+
+    return VectorField(dim, ev, name="polynomial")
+
+
+_FIELDS = {
+    "linear": _linear,
+    "rotation": lambda s, dim: rotation_field(s.read("omega", "finite", 1.0)),
+    "logistic": lambda s, dim: replace(
+        logistic_field(s.read("beta", "finite"), s.read("b", "finite")), dim=dim),
+    "transport": _transport,
+    "demographic": lambda s, dim: demographic_field(
+        *(s.read(k, "finite") for k in ("rho", "sigma", "beta", "b"))),
+    "polynomial": _polynomial,
+    # state-cost dynamics of a value problem; pairs with an "epigraph" set
+    "lifted": lambda s, dim: lift(_problem(s, dim - 1)).field,
+}
+
+
+def _set(s: _Section, dim=None):
+    """The set of s; with dim, ConfigError unless it has that dimension."""
+    try:
+        K = _kind(s, _SETS, "set")(s)
+    except ValueError as exc:  # a constructor's own check, e.g. box lo > hi
+        raise ConfigError(f"{exc} in section {s.where!r}", section=s.where) from exc
+    if dim is not None:
+        _check_dims(dim, s.where, K.dim)
+    return K
+
+
+def _combination(key: str, combine):
+    """The builder of a set that combines the JSON list of sets under key."""
+    return lambda s: combine(*[_set(_Section(part, s.where)) for part in s.read(key, "list")])
+
+
+_SETS = {
+    "box": lambda s: box(s.read("lo", "lo"), s.read("hi", "hi")),
+    "ball": lambda s: ball(s.read("center", "finites"), s.read("radius", "number")),
+    "sphere": lambda s: sphere(s.read("center", "finites"), s.read("radius", "number")),
+    "halfspace": lambda s: halfspace(s.read("normal", "finites"), s.read("offset", "finite")),
+    "point-cloud": lambda s: point_cloud_set(s.read("points", "rows")),
+    "product": _combination("factors", product),
+    "union": _combination("members", union),
+    "intersection": _combination("members", intersection),
+    "complement": lambda s: complement(_set(s.sub("of"))),
+    "epigraph": lambda s: epigraph_oracle(  # not of "indicator", a value-problem obstacle
+        _kind(s.sub("obstacle"), {"zero": zero_obstacle, "abs": abs_obstacle}, "obstacle"),
+        s.read("state_dim", "count", 1)),
+}
+
+
+_OBSTACLES = {"zero": lambda s, dim: zero_obstacle, "abs": lambda s, dim: abs_obstacle,
+              "indicator": lambda s, dim: indicator_obstacle(_set(s.sub("set"), dim))}
+_LAGRANGIANS = {"zero": lambda s: zero_lagrangian, "unit": lambda s: unit_lagrangian,
+                "const": lambda s: const_lagrangian(s.read("value", "finite")),
+                "speed": lambda s: speed_lagrangian}
+
+
+def _problem(s: _Section, dim: int) -> LagrangianProblem:
+    """The value problem of s's field, lagrangian, obstacle and discount; dim as in
+    :func:`_field`."""
+    field = _field(s.sub("field"), dim)
+    lag, obs = s.sub("lagrangian", {"kind": "zero"}), s.sub("obstacle", {"kind": "zero"})
+    return LagrangianProblem(field, _kind(lag, _LAGRANGIANS, "lagrangian")(lag),
+                             s.read("discount", "finite", 0.0),
+                             _kind(obs, _OBSTACLES, "obstacle")(obs, field.dim),
+                             value_cap=s.read("value_cap", "number", 1e6))
+
+
+#: Data functions of n numbers z by the map applied to w.z + c: affine, sin, or
+#: None for const.  Each gives one number, so a boundary-value problem's output
+#: dimension is 1.
+_FUNCTIONS = {"const": None, "affine": lambda u: u, "sin": np.sin}
+
+
+def _function(s: _Section, n: int):
+    outer = _kind(s, _FUNCTIONS, "function")
+    if outer is None:
+        v = s.read("value", "finite")
+        return lambda *args: np.array([v])
+    w, c = s.read("weights", "finites", length=n), s.read("offset", "finite", 0.0)
+
+    def dot(args):
+        z = np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)) for a in args])
+        return float(w @ z) + c
+
+    return lambda *args: np.array([outer(dot(args))])
+
+
+def _decay(s: _Section):
+    lam = s.read("rate", "finite")
+    return lambda t, x, y: -lam * y
+
+
+_OUTPUT_FIELDS = {"zero": lambda s: lambda t, x, y: np.zeros_like(y), "decay": _decay}
+
+
+def _grid(s: _Section):
+    lo = s.read("lo", "vector")
+    try:
+        grid = GridSpec(lo, s.read("hi", "vector", length=len(lo)),
+                        s.read("counts", "counts", length=len(lo)))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in section 'grid'", section="grid") from exc
+    return {"grid": grid}, grid.dim
+
+
+def _pde(s: _Section):
+    """The characteristic problem of s and its domain pde.K, whose dimension it has."""
+    K = _set(s.sub("K"))
+    n = K.dim
+    data = BoundaryData(_function(s.sub("u0"), n),
+                        _function(s.sub("v"), 1 + n) if "v" in s else None,
+                        tuple(s.read("impulses", "vector").tolist()) if "impulses" in s else None)
+    gs = s.sub("g", {"kind": "zero"})
+    g = _kind(gs, _OUTPUT_FIELDS, "g")(gs)
+    if s.read("out_dim", "count", 1) != 1:
+        raise ConfigError("'out_dim' in section 'pde' must be 1: each data function gives "
+                          "one number", section="pde")
+    if "f" in s:  # x' = y: the state has the output's dimension
+        prob = CharProblem(g, K, data, 1, f=_kind(s.sub("f"), {"output": lambda t, x, y: y}, "f"))
+    else:
+        prob = CharProblem(g, K, data, 1, phi=_field(s.sub("phi"), n))
+    _check_dims(prob.phi.dim if prob.phi else 1, "pde.K", n)
+    return {"pde": prob, "domain": K}, n
+
+
+def _demo4d(s: _Section):
+    """The closed-form demographic oracle of s, and its domain R+ x [0, r2] x R+ x [0, b]."""
+    oracle = demo4d(*(s.read(k, "finite") for k in ("rho", "sigma", "beta", "b", "r2", "A")),
+                    *(_function(s.sub(k), 4) for k in ("u0", "v1", "v_r2")))
+    domain = product(box([0.0], [np.inf]), box([0.0], [oracle.r2]),
+                     box([0.0], [np.inf]), box([0.0], [oracle.b]))
+    return {"oracle": oracle, "domain": domain}, 4
+
+
+def _eval(c: _Section, domain, name: str):
+    """The eval times and rows of c: rows of the domain's dimension inside it, times
+    finite and >= 0."""
+    ev = c.sub("eval")
+    if "ts" in ev and "xs" in ev:
+        ts, xs = ev.read("ts", "vector"), ev.read("xs", "rows")
+        if len(ts) != len(xs):
+            raise ConfigError("eval.ts and eval.xs must have equal length", section="eval")
+    else:
+        try:
+            spans = np.array([ev.read("t_range"), *ev.read("x_range")], dtype=float)
+            ok = spans.ndim == 2 and spans.shape[1] == 3 and \
+                np.all((spans[:, 2] >= 1) & (spans[:, 2] < 2.0 ** 63))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError("eval.t_range and each eval.x_range entry must be "
+                              "[lo, hi, count] with a count >= 1", section="eval")
+        pts = lattice_points([np.linspace(a, b, int(n)) for a, b, n in spans])
+        ts, xs = pts[:, 0], pts[:, 1:]
+    _check_dims(domain.dim, "eval", xs.shape[1])
+    _require_inside(domain, xs, "eval", name)
     for bad, rule in ((~np.isfinite(ts), "be finite"), (ts < 0.0, "be >= 0")):
         if bad.any():
             i = int(np.argmax(bad))
             raise ConfigError(f"eval time {i} ({ts[i]}) must {rule}", section="eval")
+    return ts, xs
 
 
-def _points(cfg: dict, key: str = "points"):
-    return np.atleast_2d(_vec(cfg, key, "config"))
+# The bodies: each computes and writes.  They look their compute functions up on
+# this module at call time, so perfbench/tracer.py can wrap them here.
+
+
+def _integrate(field, x0, t0, horizon, step, out, **_):
+    csvio.write_trajectory(out("trajectory.csv"), integrate(field, x0, t0, horizon, step))
+
+
+def _flow(field, x0, t, step, out, **_):
+    csvio.write_points(out("flow.csv"), flow(field, t, x0, step)[None, :])
+
+
+def _reach(field, seeds, t, step, out, **_):
+    pts, ok = reach_set(field, t, seeds, step)
+    csvio.write_values(out("reach.csv"), pts, ok.astype(float), label="ok")
+
+
+def _first_time(op, field, K, x0, horizon, step, csv, **_):
+    fn = exit_time if op == "exit-time" else hitting_time
+    csvio.write_values(csv, x0, [fn(field, K, x, horizon, step) for x in x0])
+
+
+def _sweep(op, field, K, grid, horizon, step, csv, workers, C=None, **_):
+    sweep = {"viab": viab_field, "capt": capt_field, "viable-capt": viable_capt_field}[op]
+    sets = (K,) if C is None else (K, C)
+    csvio.write_timefield(csv, sweep(field, *sets, grid, horizon, step, workers=workers))
+
+
+def _kernel(field, K, grid, step, flow_step, out, workers, **_):
+    alive, _ = discrete_kernel(field, K, grid, step, flow_step=flow_step, workers=workers)
+    csvio.write_boolfield(out("kernel.csv"), grid, alive)
 
 
 #: The tabulate_values mode behind each value subcommand.
@@ -368,172 +398,130 @@ ARRIVAL_PROBLEMS = {"mintime": minimal_time_problem, "minlength": minimal_length
 HISTORY_FLOATS = 1 << 20
 
 
-def _tabulate_chunked(p: LagrangianProblem, rows, mode: str, T: float, h: float):
-    nodes = _schedule(0.0, T, h)[2] + 1
-    chunk = max(1, HISTORY_FLOATS // (nodes * rows.shape[1]))
-    return np.concatenate([tabulate_values(p, rows[i:i + chunk], mode, T, h)
-                           for i in range(0, len(rows), chunk)])
+def _values(op, field, points, horizon, step, csv, problem=None, K=None, **_):
+    p = ARRIVAL_PROBLEMS[op](field, K) if op in ARRIVAL_PROBLEMS else problem
+    nodes = _schedule(0.0, horizon, step)[2] + 1
+    chunk = max(1, HISTORY_FLOATS // (nodes * points.shape[1]))
+    vals = np.concatenate([tabulate_values(p, points[i:i + chunk], VALUE_MODES[op], horizon, step)
+                           for i in range(0, len(points), chunk)])
+    csvio.write_values(csv, points, vals)
 
 
-# ---------------------------------------------------------------------------
+def _hj_check(problem, grid, horizon, step, mode, points, tol, out, **_):
+    field_fn = GridFunction(grid, tabulate_values(problem, grid.nodes(), mode, horizon, step))
+    check = hj_check_sup if mode == "sup" else hj_check_inf
+    report = check(problem, field_fn, points, tol=tol)
+    csvio.write_hj_report(out("hj_residuals.csv"), report)
+    csvio.write_gridfunction(out("value_field.csv"), field_fn)
+    print(f"hj-check {mode}: {len(report.violations)} violation(s)")
 
 
-def _run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    outdir = os.environ.get("VIAKIT_OUT", args.out)
-    os.makedirs(outdir, exist_ok=True)
-    out = lambda name: os.path.join(outdir, name)
-    op = args.subcommand
-    workers = args.workers
+def _pde_char(pde, ts, xs, step, out, **_):
+    us, _ = solve_char_many(pde, ts, xs, step)
+    csvio.write_solution_field(out("pde_solution.csv"), ts, xs, us)
 
-    if op == "integrate":
-        fspec = _need(cfg, "field", "config")
-        x0 = _vec(cfg, "x0", "config")
-        field = _build_field(fspec, dim=x0.size)
-        t0, t1 = _num(cfg, "t0", "config", default=0.0), _horizon(cfg)
-        if not (math.isfinite(t0) and t0 <= t1):
-            raise ConfigError(f"'t0' must be finite and <= the horizon, got {t0!r}",
-                              section="config")
-        _check_dims(field.dim, ("x0", x0.size))
-        traj = integrate(field, x0, t0, t1, _step(cfg))
-        csvio.write_trajectory(out("trajectory.csv"), traj)
-    elif op == "flow":
-        fspec = _need(cfg, "field", "config")
-        x0 = _vec(cfg, "x0", "config")
-        field = _build_field(fspec, dim=x0.size)
-        t = _num(cfg, "t", "config")
-        if not math.isfinite(t):
-            raise ConfigError(f"'t' must be finite, got {t!r}", section="config")
-        _check_dims(field.dim, ("x0", x0.size))
-        x = flow(field, t, x0, _step(cfg))
-        csvio.write_points(out("flow.csv"), x[None, :])
-    elif op == "reach":
-        fspec = _need(cfg, "field", "config")
-        seeds = _points(cfg, "seeds")
-        field = _build_field(fspec, dim=seeds.shape[1])
-        _check_dims(field.dim, ("seeds", seeds.shape[1]))
-        pts, ok = reach_set(field, _horizon(cfg, "t"), seeds, _step(cfg))
-        csvio.write_values(out("reach.csv"), pts, ok.astype(float), label="ok")
-    elif op in ("exit-time", "hitting-time"):
-        fspec = _need(cfg, "field", "config")
-        rows = _points(cfg, "x0")
-        field = _build_field(fspec, dim=rows.shape[1])
-        K = _build_set(_need(cfg, "set", "config"))
-        fn = exit_time if op == "exit-time" else hitting_time
-        _check_dims(field.dim, ("set", K.dim), ("x0", rows.shape[1]))
-        if op == "exit-time":
-            _require_inside(K, rows, "x0", "the set")
-        T, h = _horizon(cfg), _step(cfg)
-        vals = [fn(field, K, x, T, h) for x in rows]
-        csvio.write_values(out(op.replace("-", "_") + ".csv"), rows, vals)
-    elif op in ("viab", "capt", "viable-capt"):
-        fspec = _need(cfg, "field", "config")
-        grid = _build_grid(_need(cfg, "grid", "config"))
-        field = _build_field(fspec, dim=grid.dim)
-        T, h = _horizon(cfg), _step(cfg)
-        if op == "viable-capt":
-            sets_cfg = _need(cfg, "sets", "config")
-            K = _build_set(_need(sets_cfg, "K", "sets"), "sets.K")
-            C = _build_set(_need(sets_cfg, "C", "sets"), "sets.C")
-            _check_dims(field.dim, ("sets.K", K.dim), ("sets.C", C.dim), ("grid", grid.dim))
-            tf = viable_capt_field(field, K, C, grid, T, h, workers=workers)
-        else:
-            K = _build_set(_need(cfg, "set", "config"))
-            _check_dims(field.dim, ("set", K.dim), ("grid", grid.dim))
-            sweep = viab_field if op == "viab" else capt_field
-            tf = sweep(field, K, grid, T, h, workers=workers)
-        csvio.write_timefield(out(op.replace("-", "_") + ".csv"), tf)
-    elif op == "kernel":
-        fspec = _need(cfg, "field", "config")
-        grid = _build_grid(_need(cfg, "grid", "config"))
-        field = _build_field(fspec, dim=grid.dim)
-        flow_step = _step(cfg, "flow_step") if cfg.get("flow_step") is not None else None
-        K = _build_set(_need(cfg, "set", "config"))
-        _check_dims(field.dim, ("set", K.dim), ("grid", grid.dim))
-        alive, _ = discrete_kernel(field, K, grid, _step(cfg), flow_step=flow_step,
-                                   workers=workers)
-        csvio.write_boolfield(out("kernel.csv"), grid, alive)
-    elif op in VALUE_MODES:
-        fspec = _need(cfg, "field", "config")
-        rows = _points(cfg)
-        if op in ARRIVAL_PROBLEMS:
-            field = _build_field(fspec, dim=rows.shape[1])
-            K = _build_set(_need(cfg, "set", "config"))
-            _check_dims(field.dim, ("set", K.dim))
-            p = ARRIVAL_PROBLEMS[op](field, K)
-        else:
-            p = _build_problem(cfg, dim=rows.shape[1])
-        T, h = _horizon(cfg), _step(cfg)
-        _check_dims(p.field.dim, ("points", rows.shape[1]))
-        vals = _tabulate_chunked(p, rows, VALUE_MODES[op], T, h)
-        csvio.write_values(out(op.replace("-", "_") + ".csv"), rows, vals)
-    elif op == "hj-check":
-        _need(cfg, "field", "config")  # a missing field is reported before the grid
-        grid = _build_grid(_need(cfg, "grid", "config"))
-        p = _build_problem(cfg, dim=grid.dim)
-        T, h = _horizon(cfg), _step(cfg)
-        mode = cfg.get("mode", "sup")
-        if mode not in ("sup", "inf"):
-            raise ConfigError(f"'mode' in section 'config' must be 'sup' or 'inf', got {mode!r}",
-                              section="config")
-        samples = _points(cfg)
-        _check_dims(p.field.dim, ("grid", grid.dim), ("points", samples.shape[1]))
-        vals = tabulate_values(p, grid.nodes(), mode, T, h)
-        field_fn = GridFunction(grid, vals)
-        check = hj_check_sup if mode == "sup" else hj_check_inf
-        report = check(p, field_fn, samples, tol=_num(cfg, "tol", "config", default=0.05))
-        csvio.write_hj_report(out("hj_residuals.csv"), report)
-        csvio.write_gridfunction(out("value_field.csv"), field_fn)
-        print(f"hj-check {mode}: {len(report.violations)} violation(s)")
-    elif op == "pde-char":
-        prob = _build_pde(cfg)
-        h = _step(cfg)
-        ts, xs = _eval_lattice(cfg)
-        _check_eval(ts, xs, prob.domain, "pde.K")
-        us, _ = solve_char_many(prob, ts, xs, h)
-        csvio.write_solution_field(out("pde_solution.csv"), ts, xs, us)
-    elif op == "pde-graph":
-        prob = _build_pde(cfg)
-        gcfg = _need(cfg, "graph", "config")
-        xis = None
-        if gcfg.get("boundary_points"):
-            xis = _vec(gcfg, "boundary_points", "graph", ndim=2)
-            _check_dims(prob.domain.dim, ("graph.boundary_points", xis.shape[1]))
-        cloud = graph_sample(prob, _horizon(gcfg, "T", "graph"), _step(cfg),
-                             _int(gcfg, "seeds_per_face", "graph"),
-                             _vec(gcfg, "seed_lo", "graph"), _vec(gcfg, "seed_hi", "graph"),
-                             boundary_points=xis)
-        csvio.write_graphcloud(out("graph_cloud.csv"), cloud)
-    elif op == "demo4d":
-        d = _need(cfg, "demo4d", "config")
-        oracle = demo4d(*(_num(d, k, "demo4d")
-                          for k in ("rho", "sigma", "beta", "b", "r2")),
-                        _num(d, "A", "demo4d"),
-                        *(_build_func(_need(d, k, "demo4d"), "demo4d." + k, 4)
-                          for k in ("u0", "v1", "v_r2")))
-        domain = product(box([0.0], [np.inf]), box([0.0], [oracle.r2]),
-                         box([0.0], [np.inf]), box([0.0], [oracle.b]))
-        ts, xs = _eval_lattice(cfg)
-        _check_eval(ts, xs, domain, "the demo4d domain")
-        us = np.array([oracle(float(t), x) for t, x in zip(ts, xs)])
-        csvio.write_solution_field(out("demo4d_solution.csv"), ts, xs, us)
-        if cfg.get("step"):
-            prob = CharProblem(
-                lambda t, x, y: -oracle.A * y, domain,
-                BoundaryData(
-                    oracle.u0,
-                    lambda s, xi: oracle.v1(s, xi[1], xi[2], xi[3])
-                    if xi[0] <= 1e-6 else oracle.v_r2(s, xi[0], xi[2], xi[3])),
-                1,
-                phi=demographic_field(oracle.rho, oracle.sigma, oracle.beta, oracle.b))
-            u_num, reached = solve_char_many(prob, ts, xs, _step(cfg))
-            diffs = [[float(np.linalg.norm(u - u_ref))] if ok else [np.nan]
-                     for u, u_ref, ok in zip(u_num, us, reached)]
-            csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, np.array(diffs))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown subcommand {op!r}")
-    return 0
+
+def _pde_graph(pde, T, step, seeds_per_face, seed_lo, seed_hi, boundary_points, out, **_):
+    cloud = graph_sample(pde, T, step, seeds_per_face, seed_lo, seed_hi,
+                         boundary_points=boundary_points)
+    csvio.write_graphcloud(out("graph_cloud.csv"), cloud)
+
+
+def _demo4d_run(oracle, domain, ts, xs, step, out, **_):
+    us = np.array([oracle(float(t), x) for t, x in zip(ts, xs)])
+    csvio.write_solution_field(out("demo4d_solution.csv"), ts, xs, us)
+    if step is not None:
+        prob = CharProblem(
+            lambda t, x, y: -oracle.A * y, domain,
+            BoundaryData(
+                oracle.u0,
+                lambda s, xi: oracle.v1(s, xi[1], xi[2], xi[3])
+                if xi[0] <= 1e-6 else oracle.v_r2(s, xi[0], xi[2], xi[3])),
+            1,
+            phi=demographic_field(oracle.rho, oracle.sigma, oracle.beta, oracle.b))
+        u_num, reached = solve_char_many(prob, ts, xs, step)
+        diffs = [[float(np.linalg.norm(u - u_ref))] if ok else [np.nan]
+                 for u, u_ref, ok in zip(u_num, us, reached)]
+        csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, np.array(diffs))
+
+
+_HORIZON_STEP = ("horizon", "horizon", "step", _REQUIRED)
+_SET = (("set", "set", _REQUIRED),)
+
+#: Per subcommand: its body; the (key, form) that fixes the data dimension (a
+#: section has its reader as the form); what is built at that dimension (a "field",
+#: a value "problem", or None); the time span (key, form) and the step (key,
+#: default: None makes it optional) that marches it, where an "eval" span is the
+#: eval lattice's times; and further (key, form, default) parts.  Sets and rows
+#: are checked against the dimension, and a "vector" has it as its length.
+_SCHEMA = {
+    "integrate": (_integrate, ("x0", "vector"), "field", _HORIZON_STEP, (("t0", "finite", 0.0),)),
+    "flow": (_flow, ("x0", "vector"), "field", ("t", "finite", "step", _REQUIRED), ()),
+    "reach": (_reach, ("seeds", "rows"), "field", ("t", "horizon", "step", _REQUIRED), ()),
+    "exit-time": (_first_time, ("x0", "rows"), "field", _HORIZON_STEP, _SET),
+    "hitting-time": (_first_time, ("x0", "rows"), "field", _HORIZON_STEP, _SET),
+    "viab": (_sweep, ("grid", _grid), "field", _HORIZON_STEP, _SET),
+    "capt": (_sweep, ("grid", _grid), "field", _HORIZON_STEP, _SET),
+    "viable-capt": (_sweep, ("grid", _grid), "field", _HORIZON_STEP,
+                    (("sets.K", "set", _REQUIRED), ("sets.C", "set", _REQUIRED))),
+    # each node flows over one step, in flow_step sub-steps (a hundredth by default)
+    "kernel": (_kernel, ("grid", _grid), "field", ("step", "step", "flow_step", None), _SET),
+    "value-sup": (_values, ("points", "rows"), "problem", _HORIZON_STEP, ()),
+    "value-inf": (_values, ("points", "rows"), "problem", _HORIZON_STEP, ()),
+    "lyapunov": (_values, ("points", "rows"), "problem", _HORIZON_STEP, ()),
+    "mintime": (_values, ("points", "rows"), "field", _HORIZON_STEP, _SET),
+    "minlength": (_values, ("points", "rows"), "field", _HORIZON_STEP, _SET),
+    "hj-check": (_hj_check, ("grid", _grid), "problem", _HORIZON_STEP,
+                 (("mode", "mode", "sup"), ("points", "rows", _REQUIRED), ("tol", "number", 0.05))),
+    "pde-char": (_pde_char, ("pde", _pde), None, ("eval", "eval", "step", _REQUIRED), ()),
+    "pde-graph": (_pde_graph, ("pde", _pde), None, ("graph.T", "horizon", "step", _REQUIRED),
+                  (("graph.seeds_per_face", "count", _REQUIRED),
+                   ("graph.seed_lo", "vector", _REQUIRED), ("graph.seed_hi", "vector", _REQUIRED),
+                   ("graph.boundary_points", "rows", None))),
+    "demo4d": (_demo4d_run, ("demo4d", _demo4d), None, ("eval", "eval", "step", None), ()),
+}
+SUBCOMMANDS = list(_SCHEMA)
+
+
+def _validate(op: str, cfg) -> dict:
+    """op's config as the typed values its body takes, checked against op's schema."""
+    _, (data, form), model, (span, span_form, step, step_default), parts = _SCHEMA[op]
+    c = _Section(cfg, "config")
+    if model:
+        c.read("field")  # a missing field is reported before the data section
+    if callable(form):  # a section, read into (values, dimension)
+        v, dim = form(c.sub(data))
+    else:
+        v = {data: c.read(data, form)}
+        dim = v[data].shape[-1]
+    if model == "problem":
+        v["problem"] = _problem(c, dim)
+        v["field"] = v["problem"].field
+    elif model == "field":
+        v["field"] = _field(c.sub("field"), dim)
+    field_dim = v["field"].dim if model else dim
+    for key, part_form, default in parts:  # named by the key's last part, K for "set"
+        x = _set(c.sub(key), field_dim) if part_form == "set" else \
+            c.read(key, part_form, default, length=dim if part_form == "vector" else None)
+        if part_form == "rows" and x is not None:
+            _check_dims(field_dim, key, x.shape[1])
+        v["K" if key == "set" else key.rpartition(".")[2]] = x
+    _check_dims(field_dim, data, dim)
+    if op == "exit-time":  # an exit time starts inside its set
+        _require_inside(v["K"], v["x0"], "x0", "the set")
+    if span_form == "eval":
+        v["ts"], v["xs"] = _eval(c, v["domain"], "pde.K" if data == "pde" else "the demo4d domain")
+        t0, t1 = 0.0, v["ts"]
+    else:  # a negative flow time runs the reversed field
+        v[span.rpartition(".")[2]] = T = c.read(span, span_form)
+        t0, t1 = v.get("t0", 0.0), abs(T)
+    v[step] = h = c.read(step, "step", step_default)
+    if h is not None:  # the one step-count rule: _schedule's
+        try:
+            _schedule(t0, t1, h)
+        except ValueError as exc:
+            raise ConfigError(f"{span!r} from {t0!r}: {exc}", section=span) from None
+    return v
 
 
 def main(argv=None) -> int:
@@ -548,8 +536,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker-pool width for grid sweeps")
     args = parser.parse_args(argv)
+    op = args.subcommand
     try:
-        return _run(args)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = _validate(op, json.load(fh))
+        outdir = os.environ.get("VIAKIT_OUT", args.out)
+        os.makedirs(outdir, exist_ok=True)
+        out = lambda name: os.path.join(outdir, name)  # noqa: E731
+        _SCHEMA[op][0](op=op, out=out, csv=out(op.replace("-", "_") + ".csv"),
+                       workers=args.workers, **values)
+        return 0
     except (ConfigError, NonzeroLagrangian, json.JSONDecodeError) as exc:
         if isinstance(exc, json.JSONDecodeError):
             print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}",
@@ -557,8 +553,8 @@ def main(argv=None) -> int:
         else:
             print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonFinite, CapTooSmall, DescentViolation, ParamDomain) as exc:
-        print(f"numeric failure in {args.subcommand!r}: {exc}", file=sys.stderr)
+    except (NonFinite, CapTooSmall, DescentViolation, ParamDomain, OverflowError) as exc:
+        print(f"numeric failure in {op!r}: {exc}", file=sys.stderr)
         return 3
 
 

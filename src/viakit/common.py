@@ -6,16 +6,8 @@ files stay plain float arrays: any value >= INF means "+infinity", and
 horizon, so thresholding against it is always safe.
 """
 
-import numpy as np
-
 #: +infinity sentinel for times and values (seconds / cost units).
 INF = 1e18
 
 #: Integration aborts once a state norm passes this (finite-time blow-up).
 BLOWUP_NORM = 1e12
-
-
-def is_inf(v):
-    """True where v encodes +infinity."""
-    return np.asarray(v) >= INF
-

@@ -96,17 +96,6 @@ class Trajectory:
     def dim(self):
         return self.states.shape[1]
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation between stored nodes."""
-        times, states = self.times, self.states
-        if t <= times[0]:
-            return states[0].copy()
-        if t >= times[-1]:
-            return states[-1].copy()
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - w) * states[j] + w * states[j + 1]
-
 
 def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step; broadcasts over a leading batch axis of x.
@@ -131,8 +120,9 @@ def _schedule(t0, t1, step):
     steps of a multiple takes no tail.  t0 and t1 are scalars or (m,)
     per-row arrays, and so are the results.
 
-    Raises ValueError on a non-finite t0, t1 or step, a nonpositive step
-    or t1 < t0.
+    Raises ValueError on a non-finite t0, t1 or step, a nonpositive step,
+    t1 < t0, or a step count that does not fit in int64 (a cast would wrap
+    it to a negative count, and the march would take no step).
     """
     if not (np.isfinite(step) and np.all(np.isfinite(t0)) and np.all(np.isfinite(t1))):
         raise ValueError("t0, t1 and step must be finite")
@@ -141,7 +131,10 @@ def _schedule(t0, t1, step):
     span = np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float)
     if np.any(span < 0):
         raise ValueError("t1 must be >= t0")
-    n_full = np.floor(span / step + 1e-9).astype(int)
+    n_full = np.floor(span / step + 1e-9)
+    if np.any(n_full >= 2.0 ** 63):
+        raise ValueError(f"more than 2^63 steps of {step!r}")
+    n_full = n_full.astype(int)
     rem = span - n_full * step
     return n_full, rem, n_full + (rem > step * 1e-9)
 

@@ -215,7 +215,7 @@ class PointCloudSet(SetOracle):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         super().__init__(points.shape[1] if points.size else 1)
         self.points = points
-        self._tree = cKDTree(points) if len(points) else None
+        self._tree = cKDTree(points) if points.size else None
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -346,12 +346,6 @@ class Intersection(SetOracle):
             if moved <= 1e-12:
                 break
         return z
-
-    def distance_interval(self, y):
-        """(certified lower bound, alternating-projection upper bound)."""
-        lo = self.distance(y)
-        z = self.project(y)
-        return lo, float(np.linalg.norm(z - np.asarray(y, dtype=float)))
 
     def boundary_distance(self, x):
         if self.margin(x) > 0.0:

@@ -6,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import viakit
-from viakit.cli import main
+from viakit.cli import SUBCOMMANDS, main
 
 
 def _write(tmp_path, name, cfg):
@@ -360,6 +361,11 @@ GRAPH_CFG = {
     "graph": {"T": 0.5, "seeds_per_face": 5, "seed_lo": [0.0], "seed_hi": [1.0],
               "boundary_points": [[0.0]]},
 }
+# x' = y on a 2-D K: the data functions give one output, so the state cannot be 2-D
+OUTPUT_PDE_2D = {"f": {"kind": "output"}, "g": {"kind": "zero"},
+                 "K": {"kind": "box", "lo": [None, None], "hi": [None, None]},
+                 "u0": {"kind": "affine", "weights": [-1.0, 0.0]}}
+GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [1.0, 1.0]}
 
 
 @pytest.mark.parametrize("op, base, edit, key", [
@@ -440,6 +446,10 @@ GRAPH_CFG = {
      "section 'eval' has dimension 3, but the field has dimension 4"),
     ("demo4d", DEMO_CFG, {"eval": {"ts": [0.4], "xs": [[2.0, 1.0, 1.0, 1.0, 1.0]]}},
      "section 'eval' has dimension 5, but the field has dimension 4"),
+    ("pde-graph", GRAPH_CFG, {"pde": dict(OUTPUT_PDE_2D, out_dim=2), "graph": GRAPH_2D},
+     "'out_dim' in section 'pde' must be 1"),
+    ("pde-graph", GRAPH_CFG, {"pde": OUTPUT_PDE_2D, "graph": GRAPH_2D},
+     "section 'pde.K' has dimension 2, but the field has dimension 1"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
@@ -449,7 +459,8 @@ GRAPH_CFG = {
         "field-list", "field-string", "grid-list", "eval-number", "union-members-number",
         "product-factors-number", "box-lo-overflow", "impulses-number", "impulses-text",
         "boundary-points-number", "boundary-points-text", "boundary-points-dim",
-        "pde-char-eval-dim", "demo4d-eval-3-columns", "demo4d-eval-5-columns"])
+        "pde-char-eval-dim", "demo4d-eval-3-columns", "demo4d-eval-5-columns",
+        "pde-out-dim-2", "pde-output-field-on-2d-k"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2
@@ -665,3 +676,210 @@ def test_cli_import_leaves_csgraph_unloaded():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("op, base, edit, key", [
+    ("viab", VIAB_CFG, {"grid": dict(VIAB_CFG["grid"], lo={"a": 1})},
+     "'lo' in section 'grid' must be a 1-D numeric list"),
+    ("viab", VIAB_CFG, {"set": dict(VIAB_CFG["set"], kind=["box"])},
+     "unknown set kind ['box'] in section 'set'"),
+    ("viab", VIAB_CFG, {"field": {"kind": {"a": 1}}}, "unknown field kind {'a': 1}"),
+    ("viab", VIAB_CFG, {"grid": dict(VIAB_CFG["grid"], counts=[1e300])},
+     "'counts' in section 'grid' must be a 1-D list of integers"),
+    ("pde-char", PDE_CFG, {"eval": {"ts": math.nan, "xs": [[1.0]]}},
+     "'ts' in section 'eval' must be a 1-D numeric list, got nan"),
+    ("exit-time", ET_CFG, {"field": {"kind": "transport", "velocity": [[1, 2]]}},
+     "'velocity' in section 'field' must be a 1-D list of finite numbers"),
+    ("viab", VIAB_CFG, {"field": {"kind": "linear", "matrix": [[math.nan]]}},
+     "'matrix' in section 'field' must be a square matrix of finite numbers"),
+    ("value-sup", VALUE_CFG, {"points": [[[0.7]]]}, "'points' in section 'config' must be a 2-D"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], out_dim=1e300)},
+     "'out_dim' in section 'pde' must be an integer >= 1"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], seed_lo=[])},
+     "'seed_lo' in section 'graph' must be a vector of length 1, got shape (0,)"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], seeds_per_face=2 ** 63)},
+     "'seeds_per_face' in section 'graph' must be an integer >= 1"),
+    ("demo4d", DEMO_CFG, {"step": "abc"}, "'step' in section 'config' must be finite and > 0"),
+    ("hitting-time", ET_CFG, {"set": {"kind": "ball", "center": [math.nan], "radius": 0.1}},
+     "'center' in section 'set' must be a 1-D list of finite numbers"),
+    ("viab", VIAB_CFG, {"set": {"kind": "box", "lo": [math.nan], "hi": [1.0]}},
+     "'lo' in section 'set' must be numeric (null for no bound), got [nan]"),
+    ("capt", VIAB_CFG, {"field": {"kind": "polynomial", "coeffs": [math.nan]}},
+     "'coeffs' in section 'field' must be a 1-D list of finite numbers"),
+], ids=["grid-lo-dict", "set-kind-list", "field-kind-dict", "grid-counts-overflow",
+        "eval-ts-nan-scalar", "velocity-2d", "matrix-nan", "points-3d", "out-dim-overflow",
+        "seed-lo-short", "seeds-per-face-overflow", "demo4d-step-text", "ball-nan-center",
+        "box-nan-bound", "polynomial-nan-coefficient"])
+def test_malformed_leaf_exit_2(tmp_path, capsys, op, base, edit, key):
+    """Each leaf is read into its declared form before anything runs: no CSV, no traceback."""
+    cfg = _write(tmp_path, "leaf.json", dict(base, **edit))
+    assert main([op, cfg, "-o", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("op, base, edit, key", [
+    ("viab", VIAB_CFG, {"horizon": 1e300}, "'horizon' from 0.0: more than 2^63 steps of 0.01"),
+    ("viab", VIAB_CFG, {"horizon": 1e20}, "'horizon' from 0.0: more than 2^63 steps of 0.01"),
+    ("exit-time", ET_CFG, {"horizon": 1e300}, "'horizon' from 0.0"),
+    ("integrate", {"field": {"kind": "linear", "a": 1.0}, "x0": [1.0], "horizon": 1.0,
+                   "step": 0.01}, {"t0": -1e300}, "'horizon' from -1e+300"),
+    ("flow", FLOW_CFG, {"t": 1e300}, "'t' from 0.0"),
+    ("flow", FLOW_CFG, {"t": -1e300}, "'t' from 0.0"),
+    ("kernel", {"field": {"kind": "linear", "a": 1.0}, "set": VIAB_CFG["set"],
+                "grid": {"lo": [-1.0], "hi": [1.0], "counts": [4]}, "flow_step": 0.01},
+     {"step": 1e300}, "'step' from 0.0: more than 2^63 steps of 0.01"),
+    ("pde-char", PDE_CFG, {"eval": {"ts": [0.5, 1e300], "xs": [[2.0], [0.5]]}}, "'eval' from 0.0"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], T=1e300)}, "'graph.T' from 0.0"),
+], ids=["viab-1e300", "viab-1e20", "exit-time-1e300", "integrate-t0", "flow-1e300",
+        "flow-minus-1e300", "kernel-step", "pde-char-eval-time", "pde-graph-T"])
+def test_horizon_beyond_int64_steps_exit_2(tmp_path, capsys, op, base, edit, key):
+    """A span needing 2^63 steps or more is a config error, never a value from zero steps."""
+    cfg = _write(tmp_path, "huge.json", dict(base, **edit))
+    assert main([op, cfg, "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "more than 2^63 steps" in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_pde_graph_with_no_seed_in_k_writes_an_empty_cloud(tmp_path):
+    cfg = _write(tmp_path, "empty.json", dict(GRAPH_CFG, graph=dict(
+        GRAPH_CFG["graph"], seed_lo=[-2.0], seed_hi=[-1.0], boundary_points=None)))
+    assert main(["pde-graph", cfg, "-o", str(tmp_path)]) == 0
+    assert (tmp_path / "graph_cloud.csv").read_text() == "t,x1,y1\n"
+
+
+@pytest.mark.parametrize("edit", [{"u0": {"kind": "const", "value": 1e300}},
+                                  {"v": {"kind": "affine", "weights": [1e300, 0.0]}}],
+                         ids=["initial", "boundary"])
+def test_pde_graph_seed_past_the_blowup_norm_exit_3(tmp_path, capsys, edit):
+    """A huge seed fails loudly, as a blown-up start does, not in the KD-tree."""
+    cfg = _write(tmp_path, "seed.json", dict(GRAPH_CFG, pde=dict(GRAPH_CFG["pde"], **edit)))
+    assert main(["pde-graph", cfg, "-o", str(tmp_path)]) == 3
+    assert "graph_sample" in capsys.readouterr().err
+
+
+# A tiny working config for every subcommand, between them using every field,
+# set, lagrangian, obstacle, g and data-function kind.  The fuzz test sets one
+# of their leaves (any object value or list entry) to a malformed value.
+FUZZ_CONFIGS = [
+    ("integrate", {"field": {"kind": "linear", "a": 1.0}, "x0": [1.0], "t0": 0.0,
+                   "horizon": 0.2, "step": 0.05}),
+    ("flow", {"field": {"kind": "rotation", "omega": 1.0}, "x0": [1.0, 0.0], "t": 0.2,
+              "step": 0.05}),
+    ("reach", {"field": {"kind": "logistic", "beta": 1.0, "b": 1.0}, "seeds": [[0.5], [0.2]],
+               "t": 0.2, "step": 0.05}),
+    ("exit-time", {"field": {"kind": "transport", "velocity": [1.0]},
+                   "set": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+                   "x0": [[0.3]], "horizon": 1.0, "step": 0.1}),
+    ("hitting-time", {"field": {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]]},
+                      "set": {"kind": "union", "members": [
+                          {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5},
+                          {"kind": "halfspace", "normal": [1.0, 0.0], "offset": -2.0}]},
+                      "x0": [[1.0, 0.5]], "horizon": 1.0, "step": 0.1}),
+    ("viab", {"field": {"kind": "lifted", "field": {"kind": "linear", "a": -1.0},
+                        "lagrangian": {"kind": "zero"}, "obstacle": {"kind": "abs"},
+                        "discount": 0.0},
+              "set": {"kind": "epigraph", "obstacle": {"kind": "abs"}, "state_dim": 1},
+              "grid": {"lo": [-1.0, 0.0], "hi": [1.0, 1.5], "counts": [3, 3]},
+              "horizon": 0.3, "step": 0.1}),
+    ("capt", {"field": {"kind": "polynomial", "coeffs": [1.0, 0.0]},
+              "set": {"kind": "intersection", "members": [
+                  {"kind": "ball", "center": [1.0], "radius": 0.1},
+                  {"kind": "box", "lo": [None], "hi": [None]}]},
+              "grid": {"lo": [0.0], "hi": [1.0], "counts": [4]}, "horizon": 0.5, "step": 0.1}),
+    ("viable-capt", {"field": {"kind": "transport", "velocity": [1.0, 0.0]},
+                     "sets": {"K": {"kind": "product", "factors": [
+                                  {"kind": "box", "lo": [0.0], "hi": [2.0]},
+                                  {"kind": "box", "lo": [-1.0], "hi": [1.0]}]},
+                              "C": {"kind": "complement", "of": {
+                                  "kind": "halfspace", "normal": [1.0, 0.0], "offset": 1.0}}},
+                     "grid": {"lo": [0.0, -1.0], "hi": [2.0, 1.0], "counts": [2, 2]},
+                     "horizon": 0.5, "step": 0.1}),
+    ("kernel", {"field": {"kind": "linear", "a": 1.0},
+                "set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+                "grid": {"lo": [-1.0], "hi": [1.0], "counts": [4]}, "step": 0.5,
+                "flow_step": 0.1}),
+    ("value-sup", {"field": {"kind": "linear", "a": -1.0}, "lagrangian": {"kind": "speed"},
+                   "obstacle": {"kind": "abs"}, "discount": 0.1, "value_cap": 100.0,
+                   "points": [[0.7]], "horizon": 0.3, "step": 0.1}),
+    ("value-inf", {"field": {"kind": "linear", "a": -1.0},
+                   "lagrangian": {"kind": "const", "value": 1.0},
+                   "obstacle": {"kind": "indicator",
+                                "set": {"kind": "sphere", "center": [0.0], "radius": 0.5}},
+                   "points": [[0.7]], "horizon": 0.3, "step": 0.1}),
+    ("lyapunov", {"field": {"kind": "linear", "a": -1.0}, "lagrangian": {"kind": "zero"},
+                  "obstacle": {"kind": "zero"}, "discount": 0.5, "points": [[0.7]],
+                  "horizon": 0.3, "step": 0.1}),
+    ("mintime", {"field": {"kind": "transport", "velocity": [1.0]},
+                 "set": {"kind": "point-cloud", "points": [[0.5], [1.0]]},
+                 "points": [[0.0]], "horizon": 0.3, "step": 0.1}),
+    ("minlength", {"field": {"kind": "demographic", "rho": 1.0, "sigma": 0.5, "beta": 0.3,
+                             "b": 2.0},
+                   "set": {"kind": "ball", "center": [1.0, 1.0, 1.0, 1.0], "radius": 0.5},
+                   "points": [[1.0, 1.0, 1.0, 1.2]], "horizon": 0.3, "step": 0.1}),
+    ("hj-check", {"field": {"kind": "linear", "a": -1.0}, "lagrangian": {"kind": "unit"},
+                  "obstacle": {"kind": "abs"},
+                  "grid": {"lo": [-1.0], "hi": [1.0], "counts": [4]},
+                  "mode": "inf", "points": [[0.1]], "horizon": 0.3, "step": 0.1, "tol": 0.05}),
+    ("pde-char", {"pde": {"phi": {"kind": "transport", "velocity": [1.0]},
+                          "g": {"kind": "decay", "rate": 1.0},
+                          "K": {"kind": "box", "lo": [0.0], "hi": [None]},
+                          "u0": {"kind": "sin", "weights": [1.0], "offset": 0.5},
+                          "v": {"kind": "affine", "weights": [1.0, 0.0]},
+                          "impulses": [0.1], "out_dim": 1},
+                  "step": 0.1, "eval": {"ts": [0.2, 0.3], "xs": [[0.5], [0.1]]}}),
+    ("pde-char", {"pde": {"phi": {"kind": "transport", "velocity": [1.0]},
+                          "K": {"kind": "box", "lo": [0.0], "hi": [None]},
+                          "u0": {"kind": "const", "value": 1.0}},
+                  "step": 0.1, "eval": {"t_range": [0.0, 0.2, 2], "x_range": [[0.0, 1.0, 2]]}}),
+    ("pde-graph", {"pde": {"f": {"kind": "output"}, "g": {"kind": "zero"},
+                           "K": {"kind": "box", "lo": [None], "hi": [None]},
+                           "u0": {"kind": "affine", "weights": [-1.0]},
+                           "v": {"kind": "const", "value": 0.25}, "out_dim": 1},
+                   "step": 0.1, "graph": {"T": 0.3, "seeds_per_face": 3, "seed_lo": [-1.0],
+                                          "seed_hi": [1.0], "boundary_points": [[0.0]]}}),
+    ("demo4d", dict(DEMO_CFG, step=0.1, eval={"ts": [0.2], "xs": [[0.4, 1.0, 0.5, 1.5]]})),
+]
+# the malformed values: text, NaN, negative, zero, empty list, a 3-list, an
+# object, null, a float overflowing every integer type, a nested list
+BAD_LEAVES = ["abc", math.nan, -1, 0, [], [1.0, 2.0, 3.0], {"a": 1}, None, 1e300, [[1, 2]]]
+
+
+def _leaf_paths(node, path=()):
+    """Every path below node: each object value and each list entry."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _with_leaf(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def test_fuzz_configs_cover_every_subcommand_and_run(tmp_path):
+    assert sorted({op for op, _ in FUZZ_CONFIGS}) == sorted(SUBCOMMANDS)
+    for i, (op, cfg) in enumerate(FUZZ_CONFIGS):
+        assert main([op, _write(tmp_path, f"{i}.json", cfg), "-o", str(tmp_path / str(i))]) == 0
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_malformed_leaf_exits_0_2_or_3(tmp_path_factory, data):
+    """Any one malformed leaf exits 0, 2 or 3, never with another exception, and
+    a config error writes no CSV."""
+    op, cfg = data.draw(st.sampled_from(FUZZ_CONFIGS))
+    path = data.draw(st.sampled_from(list(_leaf_paths(cfg))))
+    bad = data.draw(st.sampled_from(BAD_LEAVES))
+    out = tmp_path_factory.mktemp("fuzz")
+    code = main([op, _write(out, "cfg.json", _with_leaf(cfg, path, bad)), "-o", str(out)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert not any(out.glob("*.csv"))

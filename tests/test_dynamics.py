@@ -245,6 +245,26 @@ def test_non_finite_times_raise(bad):
         vk.hitting_time(one, vk.box([5.0], [6.0]), [0.0], bad, 0.1)
 
 
+@pytest.mark.parametrize("t1, step", [(1e300, 0.01), (1e20, 0.01), (1.0, 1e-300)])
+def test_step_counts_beyond_int64_raise(t1, step):
+    # cast to int, a floor(span / step) past 2^63 wraps to a negative count:
+    # without the check the march takes no step and a sweep reports a value
+    one = vk.transport_field([1.0])
+    with pytest.raises(ValueError, match="2\\^63"):
+        list(step_schedule(0.0, t1, step))
+    with pytest.raises(ValueError, match="2\\^63"):
+        list(_march(one, np.zeros((2, 1)), 0.0, np.array([1.0, t1]), step,
+                    np.ones(2, dtype=bool)))
+    with pytest.raises(ValueError, match="2\\^63"):
+        vk.exit_time(one, vk.box([0.0], [1.0]), [0.3], t1, step)
+    with pytest.raises(ValueError, match="2\\^63"):
+        vk.viab_field(vk.linear_field(1.0), vk.box([-1.0], [1.0]),
+                      vk.GridSpec([-1.0], [1.0], [4]), t1, step)
+    # the largest count that fits is still a schedule
+    n_full, _, n_steps = vk.dynamics._schedule(0.0, 2.0 ** 62, 1.0)
+    assert n_full == n_steps == 2 ** 62
+
+
 # a span's offset from a multiple of the step, in steps: exact, within the
 # 1e-9 rule on either side, tails just above and below step * 1e-9, any tail
 _OFFSETS = st.one_of(

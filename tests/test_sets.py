@@ -165,11 +165,11 @@ def test_sphere_composite_exact():
 def test_intersection_bounds_and_projection():
     K = vk.intersection(vk.ball([0.0, 0.0], 1.0), vk.halfspace([-1.0, 0.0], -0.5))
     y = np.array([2.0, 0.0])  # true projection (1, 0)
-    lo, hi = K.distance_interval(y)
-    assert lo <= hi + 1e-12
     z = K.project(y)
+    gap = float(np.linalg.norm(z - y))
+    assert K.distance(y) <= gap + 1e-12  # distance is a certified lower bound
     assert K.contains(z) or K.distance(z) <= 1e-9
-    assert hi == pytest.approx(1.0, abs=1e-9)
+    assert gap == pytest.approx(1.0, abs=1e-9)
 
 
 def test_union_min_rule():
