@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .common import INF
 from .dynamics import VectorField, _advance, _finite_rows, _march
@@ -488,6 +487,7 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
         return []
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
 
     # Any candidate radius above tol works: cKDTree's squared-distance test may
     # round differently from norm <= tol, and the norm filter fixes the edges.
@@ -622,6 +622,8 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
     around.  Only sized for 1+1-dimensional problems; the forward sweep
     is the scalable route.
     """
+    from scipy.spatial import cKDTree
+
     from .kernels import GridSpec, capt_field
     from .sets import Sublevel
 

@@ -76,6 +76,8 @@ _FORMS = {
     "finites": ("a 1-D list of finite numbers", lambda v: np.array(v, dtype=float),
                 lambda a: a.ndim == 1 and np.isfinite(a).all()),
     "rows": ("a 2-D numeric list", _rows, lambda a: a.ndim == 2),
+    "finite-rows": ("a 2-D list of finite numbers", _rows,
+                    lambda a: a.ndim == 2 and np.isfinite(a).all()),
     "matrix": ("a square matrix of finite numbers", lambda v: np.array(v, dtype=float),
                lambda a: a.ndim == 2 and a.shape[0] == a.shape[1] and np.isfinite(a).all()),
     "lo": _bounds(-np.inf),
@@ -472,7 +474,8 @@ _SCHEMA = {
     "mintime": (_values, ("points", "rows"), "field", _HORIZON_STEP, _SET),
     "minlength": (_values, ("points", "rows"), "field", _HORIZON_STEP, _SET),
     "hj-check": (_hj_check, ("grid", _grid), "problem", _HORIZON_STEP,
-                 (("mode", "mode", "sup"), ("points", "rows", _REQUIRED), ("tol", "number", 0.05))),
+                 (("mode", "mode", "sup"), ("points", "finite-rows", _REQUIRED),
+                  ("tol", "number", 0.05))),
     "pde-char": (_pde_char, ("pde", _pde), None, ("eval", "eval", "step", _REQUIRED), ()),
     "pde-graph": (_pde_graph, ("pde", _pde), None, ("graph.T", "horizon", "step", _REQUIRED),
                   (("graph.seeds_per_face", "count", _REQUIRED),
@@ -503,7 +506,7 @@ def _validate(op: str, cfg) -> dict:
     for key, part_form, default in parts:  # named by the key's last part, K for "set"
         x = _set(c.sub(key), field_dim) if part_form == "set" else \
             c.read(key, part_form, default, length=dim if part_form == "vector" else None)
-        if part_form == "rows" and x is not None:
+        if part_form in ("rows", "finite-rows") and x is not None:
             _check_dims(field_dim, key, x.shape[1])
         v["K" if key == "set" else key.rpartition(".")[2]] = x
     _check_dims(field_dim, data, dim)

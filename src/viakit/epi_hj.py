@@ -564,8 +564,14 @@ class HJReport:
 def _hj_residuals(p: LagrangianProblem, u_field: GridFunction, sample_points):
     """The samples X, v = u_field(X), the obstacle U, the mask of finite v,
     and D_up v(x)(f) + l + a v and D_up v(x)(-f) - l - a v at every row, in
-    one batched pass; each check keeps the rows its clauses apply to."""
+    one batched pass; each check keeps the rows its clauses apply to.  A
+    non-finite sample raises ValueError: its NaN residuals would read as
+    clauses that do not apply, so it would pass unchecked."""
     X = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"sample {bad} {X[bad].tolist()} is not finite")
     m = len(X)
     F = p.field(0.0, X)
     L = np.asarray(p.lagrangian(X, F), dtype=float)
@@ -592,7 +598,7 @@ def hj_check_sup(p: LagrangianProblem, u_field: GridFunction, sample_points,
     D_up v(x)(-f(x)) - l - a v <= 0 (the complementarity side).  The
     off-obstacle threshold comp_tol decouples from the residual
     tolerance; both default to 0.05 in grid units.  Samples where v is
-    INF are skipped.
+    INF are skipped; a non-finite sample raises ValueError.
     """
     comp_tol = tol if comp_tol is None else comp_tol
     X, v, U, live, r_fwd, r_bwd = _hj_residuals(p, u_field, sample_points)
@@ -612,7 +618,7 @@ def hj_check_inf(p: LagrangianProblem, u_field: GridFunction, sample_points,
     Clauses: 0 <= v <= u; where v(x) < u(x) - comp_tol the forward
     inequality D_up v(x)(f(x)) + l + a v <= 0; and the backward
     inequality D_up v(x)(-f(x)) - l - a v <= 0 everywhere on the domain.
-    Samples where v is INF are skipped.
+    Samples where v is INF are skipped; a non-finite sample raises ValueError.
     """
     comp_tol = tol if comp_tol is None else comp_tol
     X, v, U, live, r_fwd, r_bwd = _hj_residuals(p, u_field, sample_points)

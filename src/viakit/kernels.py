@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .common import INF
 from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
@@ -360,6 +359,8 @@ def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,
                         len(pts), workers)
     images = np.vstack([p for p, _ in parts])
     img_ok = np.concatenate([o for _, o in parts])
+
+    from scipy.spatial import cKDTree
 
     live = img_ok.copy()  # rows of pts still alive
     iterations = 0

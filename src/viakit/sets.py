@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .common import INF
 from .errors import Unsupported
@@ -212,6 +211,8 @@ class PointCloudSet(SetOracle):
     kind = "point-cloud"
 
     def __init__(self, points):
+        from scipy.spatial import cKDTree
+
         points = np.atleast_2d(np.asarray(points, dtype=float))
         super().__init__(points.shape[1] if points.size else 1)
         self.points = points
@@ -497,6 +498,8 @@ def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
     keep = np.ones(len(points), dtype=bool)
     if radius <= 0 or len(points) < 2:
         return keep
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     sample = points[::max(1, len(points) // 1024)]
     if tree.query_ball_point(sample, radius, return_length=True).mean() > 12:
@@ -548,6 +551,8 @@ def set_limit(clouds, mode: str, eps: float) -> PointCloud:
         raise ValueError("set_limit needs at least two clouds")
     if mode not in ("upper", "lower"):
         raise ValueError("mode must be 'upper' or 'lower'")
+    from scipy.spatial import cKDTree
+
     tail = clouds[len(clouds) // 2:]
     trees = [cKDTree(np.atleast_2d(c.points)) for c in tail if len(c.points)]
     candidates = np.vstack([np.atleast_2d(c.points) for c in clouds if len(c.points)])

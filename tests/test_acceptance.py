@@ -299,29 +299,28 @@ def test_criterion_09_characteristics_oracle():
     prob = vk.CharProblem(lambda t, x, y: -0.4 * y, K4,
                           vk.BoundaryData(u0, vgamma), 1,
                           phi=vk.demographic_field(RHO, SIGMA, BETA, B))
-    count = {1: 0, 2: 0, 3: 0}
-    worst4d = 0.0
-    n_pts = 0
-    for t in (0.3, 0.8, 1.5, 2.2, 3.0):
-        for x1 in (0.2, 0.9, 1.8, 3.2, 4.5):
-            for x2 in (0.35, 1.1, 1.9, 2.55):
-                for x34 in ((0.7, 1.2), (1.4, 0.6)):
-                    x = np.array([x1, x2, *x34])
-                    count[oracle.regime(t, x)] += 1
-                    diff = abs(vk.solve_char(prob, t, x, 1e-2)[0] - oracle(t, x)[0])
-                    worst4d = max(worst4d, diff)
-                    n_pts += 1
+    pts = [(t, np.array([x1, x2, *x34])) for t in (0.3, 0.8, 1.5, 2.2, 3.0)
+           for x1 in (0.2, 0.9, 1.8, 3.2, 4.5) for x2 in (0.35, 1.1, 1.9, 2.55)
+           for x34 in ((0.7, 1.2), (1.4, 0.6))]
+    regimes = [oracle.regime(t, x) for t, x in pts]
+    count = {r: regimes.count(r) for r in (1, 2, 3)}
+    n_pts = len(pts)
+    ts, xs = np.array([t for t, _ in pts]), np.array([x for _, x in pts])
+    u, _ = vk.solve_char_many(prob, ts, xs, 1e-2)  # an unreached row is NaN and fails
+    worst4d = np.max(np.abs(u[:, 0] - [oracle(t, x)[0] for t, x in pts]))
+    # solve_char is a one-row lift of the batched solve, bit for bit, in every regime
+    for i in (regimes.index(r) for r in count if count[r]):
+        assert vk.solve_char(prob, ts[i], xs[i], 1e-2).tobytes() == u[i].tobytes()
 
     tprob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), vk.box([0.0], [np.inf]),
                            vk.BoundaryData(lambda x: np.array([np.sin(x[0])]),
                                            lambda s, xi: np.array([np.cos(3.0 * s)])),
                            1, phi=one)
-    worst_t = 0.0
-    for t in np.linspace(0.1, 3.0, 10):
-        for x in np.linspace(0.1, 5.0, 20):
-            u = vk.solve_char(tprob, float(t), [float(x)], 1e-2)
-            exact = math.sin(x - t) if t <= x else math.cos(3.0 * (t - x))
-            worst_t = max(worst_t, abs(u[0] - exact))
+    ts, xs = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 3.0, 10),
+                                             np.linspace(0.1, 5.0, 20), indexing="ij"))
+    u, _ = vk.solve_char_many(tprob, ts, xs[:, None], 1e-2)
+    exact = np.where(ts <= xs, np.sin(xs - ts), np.cos(3.0 * (ts - xs)))
+    worst_t = np.max(np.abs(u[:, 0] - exact))
 
     ok = worst4d <= 1e-4 and worst_t <= 1e-6 and min(count.values()) > 0
     _report(9, ok, f"{n_pts} demographic samples, regimes {dict(count)}, "
@@ -340,15 +339,16 @@ def test_criterion_10_data_locality():
     v_b = lambda s, xi: np.array([1e6 + s])
     u0_b = lambda x: np.array([-1e6])
     h = 1e-3
+    pa = vk.CharProblem(g0, halfline, vk.BoundaryData(u0, v_a), 1, phi=one)
     ok = True
-    for t, x in ((0.5, 2.0), (1.0, 4.0), (2.0, 2.0)):
-        pa = vk.CharProblem(g0, halfline, vk.BoundaryData(u0, v_a), 1, phi=one)
-        pb = vk.CharProblem(g0, halfline, vk.BoundaryData(u0, v_b), 1, phi=one)
-        ok &= vk.solve_char(pa, t, [x], h)[0] == vk.solve_char(pb, t, [x], h)[0]
-    for t, x in ((3.0, 0.5), (2.0, 1.0), (5.0, 0.2)):
-        pa = vk.CharProblem(g0, halfline, vk.BoundaryData(u0, v_a), 1, phi=one)
-        pb = vk.CharProblem(g0, halfline, vk.BoundaryData(u0_b, v_a), 1, phi=one)
-        ok &= vk.solve_char(pa, t, [x], h)[0] == vk.solve_char(pb, t, [x], h)[0]
+    # initial regime (t <= x) against a changed boundary datum, then the boundary
+    # regime against a changed initial datum
+    for (ts, xs), data in ((((0.5, 1.0, 2.0), (2.0, 4.0, 2.0)), vk.BoundaryData(u0, v_b)),
+                           (((3.0, 2.0, 5.0), (0.5, 1.0, 0.2)), vk.BoundaryData(u0_b, v_a))):
+        pb = vk.CharProblem(g0, halfline, data, 1, phi=one)
+        xs = np.array(xs)[:, None]
+        ok &= bool((vk.solve_char_many(pa, ts, xs, h)[0]
+                    == vk.solve_char_many(pb, ts, xs, h)[0]).all())
     _report(10, ok, "bit-identical outputs under off-regime data perturbations")
     assert ok
 
@@ -368,9 +368,10 @@ def test_criterion_11_lipschitz_operator():
                         vk.BoundaryData(lambda x: np.array([np.sin(x[0]) + 1.0]), vb),
                         1, phi=one)
     t, h = 1.0, 1e-3
-    gap = max(abs(vk.solve_char(pa, t, [float(x)], h)[0]
-                  - vk.solve_char(pb, t, [float(x)], h)[0])
-              for x in np.linspace(0.0, 3.0, 31))
+    xs = np.linspace(0.0, 3.0, 31)[:, None]
+    ts = np.full(len(xs), t)
+    gap = np.max(np.abs(vk.solve_char_many(pa, ts, xs, h)[0]
+                        - vk.solve_char_many(pb, ts, xs, h)[0]))
     bound = math.exp(-mu * t) * (1.0 + 1e-4)
     ok = gap <= bound
     _report(11, ok, f"sup output gap {gap:.8f} <= e^-2 (1+1e-4) = {bound:.8f}")

@@ -213,6 +213,28 @@ def test_hj_check_runs_clean(tmp_path, capsys):
     assert header == ["x1", "residual_fwd", "residual_bwd", "complementarity"]
 
 
+def test_hj_check_non_finite_point_exit_2(tmp_path, capsys):
+    """A NaN sample is refused before anything runs, not reported as no violation."""
+    cfg = _write(tmp_path, "hj.json", {
+        "field": {"kind": "linear", "a": -1.0}, "lagrangian": {"kind": "zero"},
+        "obstacle": {"kind": "abs"}, "grid": {"lo": [-1.0], "hi": [1.0], "counts": [4]},
+        "mode": "inf", "horizon": 0.3, "step": 0.1, "points": [[math.nan], [0.1]],
+    })
+    assert main(["hj-check", cfg, "-o", str(tmp_path)]) == 2
+    assert "'points' in section 'config' must be a 2-D list of finite numbers" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_reach_keeps_reporting_a_nan_seed_as_not_ok(tmp_path):
+    """Other row lists still take non-finite rows: reach reports them as ok = 0."""
+    cfg = _write(tmp_path, "reach.json", {"field": {"kind": "linear", "a": 1.0},
+                                          "seeds": [[math.nan], [0.2]], "t": 0.2, "step": 0.05})
+    assert main(["reach", cfg, "-o", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "reach.csv")
+    assert [row[header.index("ok")] for row in rows] == [0.0, 1.0]
+
+
 def test_pde_char_lattice(tmp_path):
     cfg = _write(tmp_path, "pde.json", {
         "pde": {
@@ -666,16 +688,23 @@ def test_help_lists_subcommands(capsys):
         assert name in out
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    """``query_graph`` imports scipy.sparse.csgraph itself, so no other run pays for it."""
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's viakit; its stdout."""
     src = os.path.dirname(os.path.dirname(viakit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, viakit.cli; print('scipy.sparse.csgraph' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    """The functions that build KD-trees or graphs import scipy themselves, so
+    importing the CLI loads none of it."""
+    probe = ("import sys, viakit.cli; "
+             "print('scipy.sparse.csgraph' in sys.modules, 'scipy' in sys.modules)")
+    assert _python("-c", probe).split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("op, base, edit, key", [
@@ -868,6 +897,28 @@ def test_fuzz_configs_cover_every_subcommand_and_run(tmp_path):
     assert sorted({op for op, _ in FUZZ_CONFIGS}) == sorted(SUBCOMMANDS)
     for i, (op, cfg) in enumerate(FUZZ_CONFIGS):
         assert main([op, _write(tmp_path, f"{i}.json", cfg), "-o", str(tmp_path / str(i))]) == 0
+
+
+def test_scipy_spatial_loads_only_where_a_tree_is_built(tmp_path):
+    """kernel, pde-graph and a point-cloud set build KD-trees; no other config
+    loads scipy.spatial.  Each child runs tree-free configs, then at most one
+    that builds a tree, and reports whether scipy.spatial is loaded after each."""
+    builds = [op in ("kernel", "pde-graph") or '"point-cloud"' in json.dumps(cfg)
+              for op, cfg in FUZZ_CONFIGS]
+    runs = [(op, _write(tmp_path, f"{i}.json", cfg), str(tmp_path / str(i)))
+            for i, (op, cfg) in enumerate(FUZZ_CONFIGS)]
+    trees = [i for i, b in enumerate(builds) if b]
+    batches = [[i for i, b in enumerate(builds) if not b] + trees[:1]] + [[i] for i in trees[1:]]
+    probe = ("import json, sys\n"
+             "from viakit.cli import main\n"
+             "print(json.dumps([(main([op, cfg, '-o', out]), 'scipy.spatial' in sys.modules)\n"
+             "                  for op, cfg, out in json.loads(sys.argv[1])]))\n")
+    seen = {}
+    for batch in batches:
+        out = _python("-c", probe, json.dumps([runs[i] for i in batch]))
+        seen.update(zip(batch, json.loads(out.splitlines()[-1])))
+    assert sum(builds) == 3
+    assert [tuple(seen[i]) for i in range(len(FUZZ_CONFIGS))] == [(0, b) for b in builds]
 
 
 @settings(max_examples=600, derandomize=True, deadline=None)

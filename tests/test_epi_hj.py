@@ -254,6 +254,17 @@ def test_hj_check_inf_field_equal_obstacle_vacuous():
                    for k, _, _ in report.violations)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hj_check_rejects_non_finite_sample(bad):
+    """A non-finite sample's residuals would be NaN, which reads as "clause does
+    not apply", so both checks refuse it rather than count it as no violation."""
+    gf = _tabulated(np.abs, -2.0, 2.0, 100)
+    p = vk.LagrangianProblem(decay, vk.unit_lagrangian, 0.0, vk.abs_obstacle)
+    for check in (vk.hj_check_sup, vk.hj_check_inf):
+        with pytest.raises(ValueError, match="sample 1"):
+            check(p, gf, np.array([[0.1], [bad], [0.2]]), tol=0.05)
+
+
 def test_obstacle_bounds():
     rng = np.random.default_rng(11)
     for x in rng.uniform(-2, 2, size=(10, 1)):
