@@ -73,7 +73,6 @@ from .epi_hj import (
     GridFunction,
     HJReport,
     LagrangianProblem,
-    LiftedField,
     abs_obstacle,
     const_lagrangian,
     epiderivative,

@@ -34,7 +34,7 @@ import numpy as np
 from .common import INF
 from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
-from .kernels import _event_sweep, exit_time, lattice_points
+from .kernels import _first_events, exit_time, lattice_points
 from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
 
 
@@ -105,13 +105,7 @@ def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float) -> np.ndar
     """
     if np.any(ts < 0):
         raise ValueError("backward_exit_time requires t >= 0")
-    inside = K.contains_many(xs)
-    if not inside.all():
-        raise ValueError("backward_exit_time requires x in K")
-    ex, _, failed = _event_sweep(phi.negated(), xs, _shared(ts), h, K=K,
-                                 refine_tol=1e-8, k_inside0=inside)
-    if failed.any():
-        raise NonFinite("trajectory blew up before exiting K")
+    ex, _ = _first_events(phi.negated(), xs, _shared(ts), h, K=K, refine_tol=1e-8)
     return np.where(ts == 0.0, 0.0, np.where(ex >= INF, ts, np.minimum(ex, ts)))
 
 

@@ -40,7 +40,8 @@ from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
                      unit_lagrangian, zero_lagrangian, zero_obstacle)
 from .errors import (CapTooSmall, ConfigError, DescentViolation, NonFinite,
                      NonzeroLagrangian, ParamDomain)
-from .kernels import (GridSpec, capt_field, discrete_kernel, exit_time,
+# exit_time and hitting_time stay importable here: perfbench/tracer.py wraps them
+from .kernels import (GridSpec, _first_events, capt_field, discrete_kernel, exit_time,
                       hitting_time, lattice_points, viab_field, viable_capt_field)
 from .sets import (ball, box, complement, halfspace, intersection,
                    point_cloud_set, product, sphere, union)
@@ -48,9 +49,16 @@ from .sets import (ball, box, complement, halfspace, intersection,
 _REQUIRED = object()
 
 
+def _floats(value) -> np.ndarray:
+    """value as a float array; a null entry, which a float cast reads as NaN, is refused."""
+    if np.equal(np.array(value, dtype=object), None).any():
+        raise ValueError("null is not a number")
+    return np.array(value, dtype=float)
+
+
 def _rows(value) -> np.ndarray:
     """A list of rows, or one flat row, as an (m, n) array."""
-    arr = np.array(value, dtype=float)
+    arr = _floats(value)
     return np.atleast_2d(arr) if arr.ndim else arr  # a number is no row
 
 
@@ -72,7 +80,7 @@ _FORMS = {
     "count": ("an integer >= 1", int, lambda n: 1 <= n < 2 ** 63),
     "counts": ("a 1-D list of integers", lambda v: np.array(v, dtype=np.int64),
                lambda a: a.ndim == 1),
-    "vector": ("a 1-D numeric list", lambda v: np.array(v, dtype=float), lambda a: a.ndim == 1),
+    "vector": ("a 1-D numeric list", _floats, lambda a: a.ndim == 1),
     "finites": ("a 1-D list of finite numbers", lambda v: np.array(v, dtype=float),
                 lambda a: a.ndim == 1 and np.isfinite(a).all()),
     "rows": ("a 2-D numeric list", _rows, lambda a: a.ndim == 2),
@@ -202,7 +210,7 @@ _FIELDS = {
         *(s.read(k, "finite") for k in ("rho", "sigma", "beta", "b"))),
     "polynomial": _polynomial,
     # state-cost dynamics of a value problem; pairs with an "epigraph" set
-    "lifted": lambda s, dim: lift(_problem(s, dim - 1)).field,
+    "lifted": lambda s, dim: lift(_problem(s, dim - 1)),
 }
 
 
@@ -370,8 +378,9 @@ def _reach(field, seeds, t, step, out, **_):
 
 
 def _first_time(op, field, K, x0, horizon, step, csv, **_):
-    fn = exit_time if op == "exit-time" else hitting_time
-    csvio.write_values(csv, x0, [fn(field, K, x, horizon, step) for x in x0])
+    sets = {"K": K} if op == "exit-time" else {"C": K}  # the set is left, or entered
+    exits, hits = _first_events(field, x0, horizon, step, **sets)
+    csvio.write_values(csv, x0, exits if op == "exit-time" else hits)
 
 
 def _sweep(op, field, K, grid, horizon, step, csv, workers, C=None, **_):
@@ -391,22 +400,10 @@ VALUE_MODES = {"value-sup": "sup", "value-inf": "inf", "lyapunov": "lyapunov",
 #: The problem builders of the subcommands that take a field and a target set.
 ARRIVAL_PROBLEMS = {"mintime": minimal_time_problem, "minlength": minimal_length_problem}
 
-#: Float budget (8 MB) of one batched value call's (steps, rows, dim) state
-#: history; larger point lists are tabulated in row chunks, which changes no
-#: value.  The call holds a few more (steps, rows) arrays of the same order.
-#: On `mintime` over 4000 2-D points and 702 steps (2-core VM) this budget
-#: peaked at 113 MB RSS in 1.9 s, against 306 MB in 1.65 s unchunked and
-#: 80 MB in 2.6 s at 2^18 (each chunk repeats the refinement rounds).
-HISTORY_FLOATS = 1 << 20
-
 
 def _values(op, field, points, horizon, step, csv, problem=None, K=None, **_):
     p = ARRIVAL_PROBLEMS[op](field, K) if op in ARRIVAL_PROBLEMS else problem
-    nodes = _schedule(0.0, horizon, step)[2] + 1
-    chunk = max(1, HISTORY_FLOATS // (nodes * points.shape[1]))
-    vals = np.concatenate([tabulate_values(p, points[i:i + chunk], VALUE_MODES[op], horizon, step)
-                           for i in range(0, len(points), chunk)])
-    csvio.write_values(csv, points, vals)
+    csvio.write_values(csv, points, tabulate_values(p, points, VALUE_MODES[op], horizon, step))
 
 
 def _hj_check(problem, grid, horizon, step, mode, points, tol, out, **_):

@@ -211,32 +211,46 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
 
 
 # ---------------------------------------------------------------------------
-# Scalar time functionals
+# Time functionals
 # ---------------------------------------------------------------------------
+
+
+def _first_events(field, X0, T_max, h, K=None, C=None, refine_tol=None):
+    """Exit times of K and hitting times of C of the rows X0, from one :func:`_event_sweep`.
+
+    A missing event reads INF.
+
+    Raises:
+        ValueError: if a row starts outside K.
+        NonFinite: if a row blows up before every event it looks for.
+    """
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    inside = None if K is None else K.contains_many(X0)
+    if K is not None and not inside.all():
+        raise ValueError("an exit time requires x in K")
+    ex, ht, failed = _event_sweep(field, X0, T_max, h, K=K, C=C, refine_tol=refine_tol,
+                                  k_inside0=inside)
+    if np.any(failed & (ex >= INF) & (ht >= INF)):  # an event not looked for reads INF
+        what = "either event" if K is not None and C is not None else \
+            "exiting K" if K is not None else "hitting C"
+        raise NonFinite(f"trajectory blew up before {what}")
+    return ex, ht
+
+
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
 
 
 def exit_time(field: VectorField, K: SetOracle, x, T_max: float, h: float,
               refine_tol=None) -> float:
     """First time the RK4 trajectory from x leaves K (INF if none by T_max)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not K.contains(x):
-        raise ValueError("exit_time requires x in K")
-    ex, _, failed = _event_sweep(field, x[None, :], T_max, h, K=K,
-                                 refine_tol=refine_tol)
-    if failed[0] and ex[0] >= INF:
-        raise NonFinite("trajectory blew up before exiting K")
-    return float(ex[0])
+    return float(_first_events(field, _one_row(x), T_max, h, K=K, refine_tol=refine_tol)[0][0])
 
 
 def hitting_time(field: VectorField, C: SetOracle, x, T_max: float, h: float,
                  refine_tol=None) -> float:
     """First time the RK4 trajectory from x enters C (0 if already there)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, ht, failed = _event_sweep(field, x[None, :], T_max, h, C=C,
-                                 refine_tol=refine_tol)
-    if failed[0] and ht[0] >= INF:
-        raise NonFinite("trajectory blew up before hitting C")
-    return float(ht[0])
+    return float(_first_events(field, _one_row(x), T_max, h, C=C, refine_tol=refine_tol)[1][0])
 
 
 def capture_margin(field: VectorField, K: SetOracle, C: SetOracle, x,
@@ -248,12 +262,7 @@ def capture_margin(field: VectorField, K: SetOracle, C: SetOracle, x,
     leaves K.  Conventions: hit never found -> +INF; hit found but no
     exit by T_max -> -INF.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not K.contains(x):
-        raise ValueError("capture_margin requires x in K")
-    ex, ht, failed = _event_sweep(field, x[None, :], T_max, h, K=K, C=C)
-    if failed[0] and ht[0] >= INF and ex[0] >= INF:
-        raise NonFinite("trajectory blew up before either event")
+    ex, ht = _first_events(field, _one_row(x), T_max, h, K=K, C=C)
     return float(_margin_of(ex, ht)[0])
 
 

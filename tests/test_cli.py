@@ -535,24 +535,28 @@ def test_logistic_field_runs_per_component(tmp_path):
     ("mintime", {"field": {"kind": "rotation"}, "set": {"kind": "ball", "center": [1.0, 0.0],
                                                         "radius": 0.05},
                  "horizon": 7.0, "step": 0.01}),
+    ("hj-check", HJ_CFG),
 ])
 def test_value_subcommands_chunk_rows(tmp_path, monkeypatch, op, cfg):
-    """Row chunks of the batched value call leave every CSV byte unchanged."""
+    """Row chunks of the batched value call leave every CSV byte unchanged
+    (for hj-check, the chunks are of its 9 grid nodes)."""
     dim = 2 if op == "mintime" else 1
     rng = np.random.default_rng(3)
     cfg = dict(cfg, points=rng.uniform(-1.5, 1.5, (9, dim)).tolist())
     path = _write(tmp_path, "chunk.json", cfg)
-    name = op.replace("-", "_") + ".csv"
+    names = ["hj_residuals.csv", "value_field.csv"] if op == "hj-check" else \
+        [op.replace("-", "_") + ".csv"]
     outputs = []
     for budget in (None, 1, 2 * (int(cfg["horizon"] / cfg["step"]) + 2) * dim):
         if budget is not None:
-            monkeypatch.setattr("viakit.cli.HISTORY_FLOATS", budget)
+            monkeypatch.setattr("viakit.epi_hj.HISTORY_FLOATS", budget)
         out = tmp_path / f"out{len(outputs)}"
         assert main([op, path, "-o", str(out)]) == 0
-        outputs.append((out / name).read_bytes())
+        outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1] == outputs[2]
-    _, rows = _read_csv(tmp_path / "out0" / name)
-    assert len(rows) == 9
+    for name in names:
+        _, rows = _read_csv(tmp_path / "out0" / name)
+        assert len(rows) == 9
 
 
 def test_pde_graph_shock(tmp_path):
@@ -612,6 +616,40 @@ def test_reach_and_hitting(tmp_path):
     assert main(["hitting-time", cfg2, "-o", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "hitting_time.csv")
     assert rows[0][-1] == pytest.approx(math.log(10.0), abs=1e-6)
+
+
+def test_first_times_equal_the_scalar_lifts(tmp_path):
+    """exit-time and hitting-time make one batched sweep whose every row is bitwise
+    the scalar exit_time/hitting_time: rows that exit or hit, never do, start
+    on the boundary, or already sit in C."""
+    field = viakit.linear_field(1.0)
+    base = {"field": {"kind": "linear", "a": 1.0}, "horizon": 5.0, "step": 0.01}
+    cases = [("exit-time", viakit.exit_time, {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+              [0.5, -0.3, 0.0, 1.0, -1.0]),
+             ("hitting-time", viakit.hitting_time, {"kind": "box", "lo": [2.0], "hi": [3.0]},
+              [0.5, -0.5, 0.0, 2.0, 2.5, 3.0])]
+    for op, scalar, S, x0 in cases:
+        cfg = _write(tmp_path, "first.json", dict(base, set=S, x0=[[x] for x in x0]))
+        assert main([op, cfg, "-o", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / (op.replace("-", "_") + ".csv"))
+        S = viakit.box(S["lo"], S["hi"])
+        expect = np.array([scalar(field, S, [x], 5.0, 0.01) for x in x0])
+        assert rows[:, -1].tobytes() == np.where(expect >= viakit.INF, np.inf, expect).tobytes()
+        assert expect[0] == pytest.approx(math.log(2.0 if op == "exit-time" else 4.0), abs=1e-6)
+        assert expect[2] >= viakit.INF  # the equilibrium never exits, never hits
+        assert expect[3] <= 1e-6  # a start on the boundary leaves K or sits in C at once
+
+
+@pytest.mark.parametrize("op, S", [("exit-time", {"kind": "box", "lo": [None], "hi": [None]}),
+                                   ("hitting-time", {"kind": "box", "lo": [-2.0], "hi": [-1.0]})])
+def test_first_time_blowup_exit_3(tmp_path, capsys, op, S):
+    """A row that blows up before its event fails the whole batch: exit 3, no CSV."""
+    cfg = _write(tmp_path, "blow.json", {
+        "field": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}, "set": S,
+        "x0": [[-0.5], [0.5]], "horizon": 5.0, "step": 0.01})
+    assert main([op, cfg, "-o", str(tmp_path)]) == 3
+    assert "blew up before" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_capt_and_viable_capt(tmp_path):
@@ -735,10 +773,17 @@ def test_cli_import_leaves_csgraph_unloaded():
      "'lo' in section 'set' must be numeric (null for no bound), got [nan]"),
     ("capt", VIAB_CFG, {"field": {"kind": "polynomial", "coeffs": [math.nan]}},
      "'coeffs' in section 'field' must be a 1-D list of finite numbers"),
+    ("value-sup", VALUE_CFG, {"points": [[None]]},
+     "'points' in section 'config' must be a 2-D numeric list, got [[None]]"),
+    ("integrate", {"field": {"kind": "linear", "a": 1.0}, "horizon": 1.0, "step": 0.01},
+     {"x0": [None]}, "'x0' in section 'config' must be a 1-D numeric list, got [None]"),
+    ("reach", {"field": {"kind": "linear", "a": 1.0}, "t": 0.2, "step": 0.05},
+     {"seeds": [[None], [0.2]]}, "'seeds' in section 'config' must be a 2-D numeric list"),
 ], ids=["grid-lo-dict", "set-kind-list", "field-kind-dict", "grid-counts-overflow",
         "eval-ts-nan-scalar", "velocity-2d", "matrix-nan", "points-3d", "out-dim-overflow",
         "seed-lo-short", "seeds-per-face-overflow", "demo4d-step-text", "ball-nan-center",
-        "box-nan-bound", "polynomial-nan-coefficient"])
+        "box-nan-bound", "polynomial-nan-coefficient", "points-null", "x0-null",
+        "seeds-null"])
 def test_malformed_leaf_exit_2(tmp_path, capsys, op, base, edit, key):
     """Each leaf is read into its declared form before anything runs: no CSV, no traceback."""
     cfg = _write(tmp_path, "leaf.json", dict(base, **edit))

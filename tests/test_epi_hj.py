@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 import viakit as vk
 from viakit.common import INF
 from viakit.dynamics import rk4_step
+from viakit import epi_hj
 from viakit.epi_hj import CostPath, _cost_history, _epiderivatives, _values_at
 
 import hj_reference
@@ -117,7 +119,7 @@ def test_minimal_length_examples():
 
 def test_lifted_field_cost_slope():
     lf = vk.lift(P_INF)
-    v = lf.field(0.0, np.array([0.7, 0.0]))
+    v = lf(0.0, np.array([0.7, 0.0]))
     assert v[1] == pytest.approx(-1.0)  # at y = 0: -l(x, f(x)) <= 0
     assert v[0] == pytest.approx(-0.7)
 
@@ -370,7 +372,7 @@ def _ref_bisect_finite(fn, t_bad, t_good, tol):
     return t_good
 
 
-def _ref_finish_inf(path, refine, t_tol=1e-8):
+def _ref_finish_inf(path, t_tol=1e-8):
     """The per-row inf finishing rule (copy of the scalar loop), with its
     events: which edges were bisected and where the arg-min node sits."""
     values = path.values
@@ -380,19 +382,18 @@ def _ref_finish_inf(path, refine, t_tol=1e-8):
     best = float(values[i])
     k = len(values)
     kind = {0: "first", k - 1: "last"}.get(i, "inner")
-    if refine:
-        fn = lambda t: _ref_value_at(path, t)
-        a = path.times[max(i - 1, 0)]
-        b = path.times[min(i + 1, k - 1)]
-        if i > 0 and values[i - 1] >= INF:
-            a = _ref_bisect_finite(fn, a, path.times[i], t_tol)
-            kind += "+left"
-        if i < k - 1 and values[i + 1] >= INF:
-            b = _ref_bisect_finite(fn, b, path.times[i], t_tol)
-            kind += "+right"
-        best = min(best, fn(a), fn(b))
-        if b > a:
-            best = min(best, _ref_golden_min(fn, a, b, t_tol))
+    fn = lambda t: _ref_value_at(path, t)
+    a = path.times[max(i - 1, 0)]
+    b = path.times[min(i + 1, k - 1)]
+    if i > 0 and values[i - 1] >= INF:
+        a = _ref_bisect_finite(fn, a, path.times[i], t_tol)
+        kind += "+left"
+    if i < k - 1 and values[i + 1] >= INF:
+        b = _ref_bisect_finite(fn, b, path.times[i], t_tol)
+        kind += "+right"
+    best = min(best, fn(a), fn(b))
+    if b > a:
+        best = min(best, _ref_golden_min(fn, a, b, t_tol))
     return best, kind
 
 
@@ -445,12 +446,11 @@ def _check_inf_finishing(dim, timedep, lag, discount, radius, h):
     cases, xs = _inf_cases(dim, timedep, lag, discount, radius)
     for p in cases:
         times, states, _, cum, J = _cost_history(p, xs, T, h)
-        for refine in (True, False):
-            ref = [_ref_finish_inf(CostPath(times, states[:, i], J[:, i], cum[:, i], p),
-                                   refine) for i in range(len(xs))]
-            got = vk.tabulate_values(p, xs, "inf", T, h, refine=refine)
-            assert got.tobytes() == np.array([v for v, _ in ref]).tobytes()
-            kinds.update(kind for _, kind in ref)
+        ref = [_ref_finish_inf(CostPath(times, states[:, i], J[:, i], cum[:, i], p))
+               for i in range(len(xs))]
+        got = vk.tabulate_values(p, xs, "inf", T, h)
+        assert got.tobytes() == np.array([v for v, _ in ref]).tobytes()
+        kinds.update(kind for _, kind in ref)
         # one batched sub-step per entry == the scalar sub-step, and
         # CostPath.value_at is a one-row lift of it
         ts = np.linspace(0.0, T, 97) + 0.37 * h
@@ -482,6 +482,52 @@ def test_inf_finishing_branches_covered():
     kinds |= _check_inf_finishing(2, True, "speed", 0.35, 0.1, 0.023)
     for kind in ("empty", "first", "last", "inner+left", "inner+left+right"):
         assert kind in kinds, sorted(kinds)
+
+
+def test_tabulate_values_bounds_its_history(monkeypatch):
+    """Under a small history budget the row chunks keep the traced peak below
+    the size of the whole history, which one unchunked sweep stores, and
+    every value is bitwise that of the unchunked sweep."""
+    p = vk.minimal_time_problem(decay, vk.ball([0.0], 0.1))
+    xs = np.linspace(-2.0, 2.0, 200)[:, None]
+    T, h = 3.0, 0.01
+    nodes = int(round(T / h)) + 1
+
+    def traced(budget):
+        monkeypatch.setattr(epi_hj, "HISTORY_FLOATS", budget)
+        tracemalloc.start()
+        try:
+            vals = vk.tabulate_values(p, xs, "inf", T, h)
+            return vals, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = traced(nodes * len(xs))
+    chunked, chunked_peak = traced(nodes * 10)
+    history = nodes * len(xs) * 8
+    assert chunked_peak < history < whole_peak
+    assert chunked.tobytes() == whole.tobytes()
+    assert np.all(whole[np.abs(xs[:, 0]) <= 0.1] == 0.0)
+    assert np.all(np.isfinite(whole) & (whole < INF))
+
+
+def test_epigraph_distance_is_a_lower_bound():
+    """The epigraph oracle's distance never exceeds the Euclidean distance to
+    {y >= |x|} (a cone of half-angle pi/4) or to {y >= 0}."""
+
+    def cone(z):
+        r, y = np.linalg.norm(z[:-1]), z[-1]
+        return 0.0 if y >= r else math.hypot(r, y) if y <= -r else (r - y) / math.sqrt(2.0)
+
+    cases = [(vk.abs_obstacle, cone, [[1.0, 0.0], [-2.0, 1.0], [0.5, -2.0], [0.0, 1.0],
+                                      [3.0, 4.0, 0.0], [1.0, -1.0, 0.5]]),
+             (vk.zero_obstacle, lambda z: max(-z[-1], 0.0), [[1.0, -0.5], [3.0, 4.0, -2.0]])]
+    for obstacle, true_distance, points in cases:
+        for z in map(np.array, points):
+            d = vk.epigraph_oracle(obstacle, len(z) - 1).distance(z)
+            assert d <= true_distance(z) + 1e-12, (z, d)
+    assert vk.epigraph_oracle(vk.abs_obstacle, 1).distance([1.0, 0.0]) == \
+        pytest.approx(1.0 / math.sqrt(2.0))
 
 
 def test_tabulate_rejects_non_finite_start():
