@@ -7,8 +7,12 @@ Python 3.10); sections are documented in the README.  A config is read
 into typed values by its subcommand's schema entry before anything runs.
 Output is deterministic: fixed row-major node ordering and
 17-significant-digit floats, so runs are diffable, and ``--workers 1`` is
-byte-identical to any other worker count.  The only environment override
-is ``VIAKIT_OUT`` for the output directory.
+byte-identical to any other worker count.  ``--workers N`` is an upper
+bound: a grid sweep (``viab``, ``capt``, ``viable-capt``, ``kernel``)
+over n nodes runs on at most ``max(1, n // kernels.CHUNK_ROWS)`` threads
+(``CHUNK_ROWS`` is 6144), so a grid of fewer than 12288 nodes runs on
+one thread whatever N is.  The only environment override is
+``VIAKIT_OUT`` for the output directory.
 
 Exit codes: 0 success; 2 config error (with a field diagnostic);
 3 numeric failure (NonFinite, CapTooSmall, DescentViolation, ParamDomain,
@@ -41,8 +45,9 @@ from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
 from .errors import (CapTooSmall, ConfigError, DescentViolation, NonFinite,
                      NonzeroLagrangian, ParamDomain)
 # exit_time and hitting_time stay importable here: perfbench/tracer.py wraps them
-from .kernels import (GridSpec, _first_events, capt_field, discrete_kernel, exit_time,
-                      hitting_time, lattice_points, viab_field, viable_capt_field)
+from .kernels import (CHUNK_ROWS, GridSpec, _first_events, capt_field, discrete_kernel,
+                      exit_time, hitting_time, lattice_points, viab_field,
+                      viable_capt_field)
 from .sets import (ball, box, complement, halfspace, intersection,
                    point_cloud_set, product, sphere, union)
 
@@ -534,8 +539,11 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--out", default=".",
                         help="output directory (env VIAKIT_OUT overrides)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker-pool width for grid sweeps")
+                        help="upper bound on the worker-pool width for grid sweeps: "
+                             f"a sweep over n nodes uses at most max(1, n // {CHUNK_ROWS})")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     op = args.subcommand
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ through one batched RK4 core, :func:`_march`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -100,15 +101,18 @@ class Trajectory:
 def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step; broadcasts over a leading batch axis of x.
 
-    t and h are scalars, or (m, 1) columns of per-row start times and
-    step sizes for (m, dim) rows; each row's arithmetic is the same
-    either way.
+    (m, dim) rows go to ``field.eval`` as they are; one (dim,) state is
+    lifted to a row by ``field(t, x)``.  t and h are scalars, or (m, 1)
+    columns of per-row start times and step sizes for (m, dim) rows;
+    each row's arithmetic is the same either way.
     """
+    f = field.eval if np.ndim(x) == 2 else field
     half = 0.5 * h
-    k1 = field(t, x)
-    k2 = field(t + half, x + half * k1)
-    k3 = field(t + half, x + half * k2)
-    k4 = field(t + h, x + h * k3)
+    t_half = t + half
+    k1 = f(t, x)
+    k2 = f(t_half, x + half * k1)
+    k3 = f(t_half, x + half * k2)
+    k4 = f(t + h, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -154,6 +158,22 @@ def _finite_rows(x: np.ndarray) -> np.ndarray:
     """Mask of the (m, dim) rows of x whose norm is finite and at most BLOWUP_NORM."""
     norms = np.linalg.norm(x, axis=1)
     return np.isfinite(norms) & (norms <= BLOWUP_NORM)
+
+
+def _clears_blowup(x: np.ndarray) -> bool:
+    """True only if every row of the (m, dim) array x, m >= 1, passes :func:`_finite_rows`.
+
+    A cheap sufficient test, not a second rule: ``max|x| * sqrt(dim) *
+    (1 + 1e-12 + dim * 2**-52) < BLOWUP_NORM``.  A NaN or infinite entry
+    fails it.  Otherwise every computed norm, a square root of a sum of
+    dim rounded squares in any order, is at most ``max|x| * sqrt(dim) *
+    (1 + 2**-53)**(dim/2 + 1)``, which the slack covers together with this
+    test's own rounding; no square overflows below BLOWUP_NORM.  When it
+    fails, :func:`_finite_rows` decides.
+    """
+    dim = x.shape[1]
+    return bool(np.abs(x).max() * (math.sqrt(dim) * (1.0 + 1e-12 + dim * 2.0 ** -52))
+                < BLOWUP_NORM)
 
 
 def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str):
@@ -212,15 +232,20 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     clearing ``live`` in place.
 
     Yields (rows, t, h, prev) after each step: the indices of the rows
-    just advanced, their start times and step sizes (scalars, or (k, 1)
-    columns for per-row schedules) and their states before the step.
+    just advanced (not to be written: while every row is live on a shared
+    schedule it is the same array each step), their start times and step
+    sizes (scalars, or (k, 1) columns for per-row schedules) and their
+    states before the step.
     """
     n_full, rem, n_steps = _schedule(t0, t1, step)
     per_row = np.ndim(n_steps) > 0
     if per_row:
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), live.shape)
+    every = np.arange(len(x))
     for j in range(int(np.max(n_steps, initial=0))):
-        rows = np.flatnonzero(live & (n_steps > j) if per_row else live)
+        # every row live on the shared schedule: slices, no index lists
+        whole = not per_row and live.all()
+        rows = every if whole else np.flatnonzero(live & (n_steps > j) if per_row else live)
         if len(rows) == 0:
             break
         if per_row:
@@ -228,16 +253,18 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
             h = np.where(n_full[rows] > j, step, rem[rows])[:, None]
         else:
             t, h = t0 + j * step, (step if j < n_full else float(rem))
-        prev = x[rows]
+        prev = x.copy() if whole else x[rows]
         xn = rk4_step(field, t, prev, h)
-        good = _finite_rows(xn)
-        if not good.all():
-            live[rows[~good]] = False
-            x[rows[~good]] = np.nan
-            rows, prev, xn = rows[good], prev[good], xn[good]
-            if per_row:
-                t, h = t[good], h[good]
-        x[rows] = xn
+        if not _clears_blowup(xn):
+            good = _finite_rows(xn)
+            if not good.all():
+                whole = False
+                live[rows[~good]] = False
+                x[rows[~good]] = np.nan
+                rows, prev, xn = rows[good], prev[good], xn[good]
+                if per_row:
+                    t, h = t[good], h[good]
+        x[slice(None) if whole else rows] = xn
         yield rows, t, h, prev
 
 

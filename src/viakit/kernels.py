@@ -32,6 +32,10 @@ from .sets import SetOracle
 #: default exit-time refinement: |error| <= REFINE_FRAC * max(T_max, 1)
 REFINE_FRAC = 1e-8
 
+#: fewest grid rows per worker chunk: the measured crossover below which
+#: a sweep on two threads is slower than on one (see the README's Workers)
+CHUNK_ROWS = 6144
+
 
 # ---------------------------------------------------------------------------
 # Grids and time fields
@@ -277,16 +281,23 @@ def _margin_of(exit_t: np.ndarray, hit_t: np.ndarray) -> np.ndarray:
 
 
 def _chunks(n: int, workers: int):
-    workers = max(1, int(workers))
-    size = max(1, -(-n // workers))
+    """Row spans [s, e) covering [0, n) in order: at most workers of them.
+
+    Each span but the last has at least CHUNK_ROWS rows, so a sweep is
+    split only where a second thread pays for itself; below 2 *
+    CHUNK_ROWS rows there is one span whatever the worker count.
+    """
+    spans = max(1, min(int(workers), n // CHUNK_ROWS))
+    size = max(1, -(-n // spans))
     return [(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 def _run_chunks(fn, n: int, workers: int):
+    """[fn(s, e) for each span of :func:`_chunks`], on one thread per span."""
     spans = _chunks(n, workers)
-    if workers <= 1 or len(spans) == 1:
+    if len(spans) <= 1:
         return [fn(s, e) for s, e in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
         return list(pool.map(lambda se: fn(*se), spans))
 
 

@@ -42,14 +42,29 @@ def test_viab_run_kernel_is_origin(tmp_path):
     assert inf_rows == ["0,inf"]
 
 
-def test_workers_byte_identical(tmp_path):
+def test_workers_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr("viakit.kernels.CHUNK_ROWS", 16)   # 401 rows split too
+    chunks, spans = [], viakit.kernels._chunks
+    monkeypatch.setattr("viakit.kernels._chunks",
+                        lambda n, workers: chunks.append(spans(n, workers)) or chunks[-1])
     cfg = _write(tmp_path, "viab.json", VIAB_CFG)
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert main(["viab", cfg, "-o", str(tmp_path / "a"), "--workers", "1"]) == 0
     assert main(["viab", cfg, "-o", str(tmp_path / "b"), "--workers", "8"]) == 0
+    assert [len(c) for c in chunks] == [1, 8]
     assert (tmp_path / "a" / "viab.csv").read_bytes() == \
         (tmp_path / "b" / "viab.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    cfg = _write(tmp_path, "viab.json", VIAB_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["viab", cfg, "-o", str(tmp_path), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "viab.csv").exists()
 
 
 def test_missing_section_exit_2(tmp_path, capsys):

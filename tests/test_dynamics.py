@@ -317,3 +317,55 @@ def test_bisect_skips_narrow_entries_and_stops_after_80_rounds():
     assert 0.3 <= out[0] <= 0.3 + 2.0 ** -80
     assert 0.3 - 2.0 ** -80 <= out[3] <= 0.3
     assert t_true[0] == 1.0   # the inputs are not written to
+
+
+def _blowup_rows(dim):
+    """Rows on both sides of every edge of the blow-up rule, at one dimension."""
+    B = vk.BLOWUP_NORM
+    up, down = (lambda v: np.nextafter(v, np.inf)), (lambda v: np.nextafter(v, -np.inf))
+    unit = np.zeros(dim)
+    unit[-1] = 1.0
+    rows = [np.zeros(dim), unit * B, unit * up(B), unit * down(B), -unit * up(B),
+            unit * 1e200, unit * -1e200]
+    for bad in (np.nan, np.inf, -np.inf):
+        row = np.full(dim, 0.5)
+        row[0] = bad
+        rows.append(row)
+    # spread rows: the computed norm exactly B, and the next doubles around it
+    v = np.full(dim, B / math.sqrt(dim))
+    while np.linalg.norm(v) > B:
+        v = down(v)
+    while np.linalg.norm(up(v)) <= B:
+        v = up(v)
+    rows += [v, up(v), down(v)]
+    # the cheap bound's own edge, where it stops deciding
+    edge = np.full(dim, B / (math.sqrt(dim) * (1.0 + 1e-12 + dim * 2.0 ** -52)))
+    rows += [edge, up(edge), down(edge)]
+    big = np.full(dim, 0.5)
+    big[0] = 1e200   # its square overflows; the norm reads inf
+    rows.append(big)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_march_retires_exactly_the_rows_finite_rows_retires(dim, per_row):
+    # a zero field's RK4 step returns its start bit for bit, so the rows
+    # the first step retires are the rows the blow-up rule rejects
+    zero = vk.VectorField(dim, lambda t, x: np.zeros_like(x))
+    rows = _blowup_rows(dim)
+    t1 = np.full(len(rows), 0.1) if per_row else 0.1
+    with np.errstate(over="ignore"):
+        keep = vk.dynamics._finite_rows(rows)
+    assert 0 < keep.sum() < len(rows)
+    # all rows in one batch, then each row alone, where the cheap bound decides
+    for batch in [np.arange(len(rows))] + [[i] for i in range(len(rows))]:
+        x, live = rows[batch].copy(), np.ones(len(batch), dtype=bool)
+        span = t1[batch] if per_row else t1
+        with np.errstate(over="ignore"):
+            (stepped, _, _, prev), = _march(zero, x, 0.0, span, 0.1, live)
+        assert np.array_equal(live, keep[batch])
+        assert np.array_equal(np.asarray(batch)[stepped], np.asarray(batch)[keep[batch]])
+        assert np.array_equal(prev, rows[batch][keep[batch]])
+        assert np.array_equal(x[live], rows[batch][live])
+        assert np.isnan(x[~live]).all()

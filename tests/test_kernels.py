@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
+from viakit import kernels
 from viakit.common import INF
 from viakit.dynamics import _march, rk4_step
 from viakit.kernels import REFINE_FRAC, _event_sweep, _margin_of
@@ -248,7 +250,12 @@ def test_refinement_monotonicity():
         assert worst <= coarse.spacing[0] + 1e-12
 
 
-def test_workers_bit_identical():
+def test_workers_bit_identical(monkeypatch):
+    # lower the chunk floor so that 201 rows split, and record each sweep's rows
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
+    sweep, sweeps = kernels._event_sweep, []
+    monkeypatch.setattr(kernels, "_event_sweep",
+                        lambda *a, **kw: sweeps.append(len(a[1])) or sweep(*a, **kw))
     K = vk.box([-1.0], [1.0])
     grid = vk.GridSpec([-1.0], [1.0], [200])
     tf1 = vk.viab_field(grow, K, grid, 5.0, 1e-2, workers=1)
@@ -257,6 +264,20 @@ def test_workers_bit_identical():
     c1 = vk.capt_field(decay, vk.ball([0.0], 0.1), grid, 5.0, 1e-2, workers=1)
     c5 = vk.capt_field(decay, vk.ball([0.0], 0.1), grid, 5.0, 1e-2, workers=5)
     assert np.array_equal(c1.values, c5.values)
+    # one sweep per chunk, in whatever order the threads finish
+    assert sorted(sweeps) == sorted([201, 201] + [26] * 7 + [19] + [41] * 4 + [37])
+
+
+@pytest.mark.parametrize("n, workers", [(40401, 10 ** 6), (40401, 2), (40401, 1),
+                                        (78961, 8), (2 * kernels.CHUNK_ROWS - 1, 8),
+                                        (2 * kernels.CHUNK_ROWS, 8), (100, 4), (1, 8)])
+def test_chunks_floor_and_cover(n, workers):
+    spans = kernels._chunks(n, workers)
+    assert 1 <= len(spans) <= max(1, min(workers, n // kernels.CHUNK_ROWS))
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(e == s for (_, e), (s, _) in zip(spans, spans[1:]))
+    assert all(e - s >= kernels.CHUNK_ROWS for s, e in spans[:-1])
+    assert all(e > s for s, e in spans)
 
 
 def test_timefield_csv_sentinel(tmp_path):
@@ -374,9 +395,10 @@ def test_batched_refinement_matches_scalar(dim, timed, count, lo, hi, h, T, radi
     margin_ref = _margin_of(*_events_ref(field, nodes, T, h, K=K, C=C)[:2])
     margin_ref[~inside] = INF
 
-    viab = vk.viab_field(field, K, grid, T, h, workers=workers).values
-    capt = vk.capt_field(field, C, grid, T, h, workers=workers).values
-    margin = vk.viable_capt_field(field, K, C, grid, T, h, workers=workers).values
+    with mock.patch.object(kernels, "CHUNK_ROWS", 1):   # small grids split too
+        viab = vk.viab_field(field, K, grid, T, h, workers=workers).values
+        capt = vk.capt_field(field, C, grid, T, h, workers=workers).values
+        margin = vk.viable_capt_field(field, K, C, grid, T, h, workers=workers).values
     assert np.array_equal(viab, viab_ref)
     assert np.array_equal(capt, capt_ref)
     assert np.array_equal(margin, margin_ref)
