@@ -3,7 +3,7 @@
 ``merge_points`` (one ``query_ball_point`` call per kept row),
 ``query_graph`` (union-find over an O(n^2) pair loop) and ``write_rows``
 (one ``fmt17`` call per value) as they were before the pair query, the
-connected-components clustering and the one-format-per-row table writer.
+connected-components clustering and the table writer.
 The tests require the library to agree with them bit for bit.
 """
 

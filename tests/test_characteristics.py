@@ -172,13 +172,15 @@ def test_boundary_trace_impulses():
 def test_solve_char_transport_exact():
     prob = _transport_problem()
     h = 1e-2  # RK4 is exact for constant speed; accuracy set by the bisection
-    worst = 0.0
-    for t in np.linspace(0.1, 3.0, 10):
-        for x in np.linspace(0.1, 5.0, 20):
-            u = vk.solve_char(prob, float(t), [float(x)], h)
-            exact = math.sin(x - t) if t <= x else math.cos(3.0 * (t - x))
-            worst = max(worst, abs(u[0] - exact))
-    assert worst <= 1e-6
+    ts, xs = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 3.0, 10),
+                                             np.linspace(0.1, 5.0, 20), indexing="ij"))
+    got, reached = vk.solve_char_many(prob, ts, xs[:, None], h)
+    exact = np.where(ts <= xs, np.sin(xs - ts), np.cos(3.0 * (ts - xs)))
+    assert reached.all() and np.max(np.abs(got[:, 0] - exact)) <= 1e-6
+    # the one-row lift, with feet on the initial line (t < x) and on the boundary (t > x)
+    below, above = np.flatnonzero(ts < xs), np.flatnonzero(ts > xs)
+    for i in np.concatenate([below[[0, len(below) // 2, -1]], above[[0, len(above) // 2, -1]]]):
+        assert np.array_equal(vk.solve_char(prob, float(ts[i]), [float(xs[i])], h), got[i])
 
 
 def test_solve_char_scalar_decay():
