@@ -12,8 +12,8 @@ import viakit as vk
 
 halfline = vk.box([0.0], [np.inf])
 one = vk.transport_field([1.0])
-data = vk.BoundaryData(lambda x: np.array([np.sin(x[0])]),
-                       lambda s, xi: np.array([np.cos(3.0 * s)]))
+data = vk.BoundaryData(lambda X: np.sin(X[:, :1]),      # data are batch-only: rows in,
+                       lambda S, X: np.cos(3.0 * S))   # (m, 1) columns out
 prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline, data, 1, phi=one)
 
 for t, x in ((0.5, 2.0), (3.0, 1.0)):
@@ -27,18 +27,17 @@ print("foot of the characteristic through (5, 2): time", s, "point", c)
 # --- the 4D demographic system: three closed-form regimes ----------------------
 
 rho, sigma, beta, b, r2 = 1.0, 0.5, 0.3, 2.0, np.e
-u0 = lambda cc: np.array([np.sin(cc[0]) + 0.5 * cc[1] + 0.2 * cc[2] * cc[3]])
-v1 = lambda ss, x2, x3, x4: np.array([np.cos(ss) + 0.1 * x2 + 0.05 * x3 * x4])
-vr2 = lambda ss, x1, x3, x4: np.array([0.3 * ss + 0.2 * x1 + 0.1 * x3 - 0.05 * x4])
+u0 = lambda C: np.sin(C[:, :1]) + 0.5 * C[:, 1:2] + 0.2 * C[:, 2:3] * C[:, 3:]
+v1 = lambda S, Z: np.cos(S) + 0.1 * Z[:, :1] + 0.05 * Z[:, 1:2] * Z[:, 2:]    # Z = (x2, x3, x4)
+vr2 = lambda S, Z: 0.3 * S + 0.2 * Z[:, :1] + 0.1 * Z[:, 1:2] - 0.05 * Z[:, 2:]  # Z = (x1, x3, x4)
 oracle = vk.demo4d(rho, sigma, beta, b, r2, 0.4, u0, v1, vr2)
 
 K4 = vk.product(vk.box([0.0], [np.inf]), vk.box([0.0], [r2]),
                 vk.box([0.0], [np.inf]), vk.box([0.0], [b]))
 
 
-def vgamma(ss, xi):
-    return v1(ss, xi[1], xi[2], xi[3]) if xi[0] <= 1e-6 \
-        else vr2(ss, xi[0], xi[2], xi[3])
+def vgamma(S, X):  # the x1 = 0 face, else the x2 = r2 face
+    return np.where(X[:, :1] <= 1e-6, v1(S, X[:, 1:]), vr2(S, X[:, [0, 2, 3]]))
 
 
 prob4 = vk.CharProblem(lambda t, x, y: -0.4 * y, K4, vk.BoundaryData(u0, vgamma),
@@ -56,7 +55,7 @@ for t, x in ((0.5, [2.0, 1.0, 1.0, 1.0]),
 # --- shocks: characteristics crossing make the solution set-valued -------------
 
 shock = vk.CharProblem(lambda t, x, y: np.zeros_like(y), vk.whole_space(1),
-                       vk.BoundaryData(lambda x: np.array([-x[0]])), 1,
+                       vk.BoundaryData(lambda X: -X[:, :1]), 1,
                        f=lambda t, x, y: y)
 cloud = vk.graph_sample(shock, 1.2, 0.01, 41, [-1.0], [1.0])
 print(f"\nshock problem x' = y with u0 = -x: cloud of {len(cloud)} graph samples")

@@ -47,12 +47,14 @@ from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
 class BoundaryData:
     """Initial datum on K, boundary datum on R+ x dK, optional impulse times.
 
-    With ``impulse_times`` set, the boundary datum is only defined at
-    those instants (the data manifold is a union of slices).
+    Both are batch-only: ``initial(X)`` takes (m, n) rows (maybe none) and
+    ``boundary(S, X)`` an (m, 1) time column with them, giving (m, p) values.
+    With ``impulse_times``, the boundary datum is only defined at those
+    instants (the data manifold is a union of slices).
     """
 
-    initial: Callable                 # x -> output vector
-    boundary: Optional[Callable] = None   # (s, xi) -> output vector
+    initial: Callable                 # X -> (m, p) outputs
+    boundary: Optional[Callable] = None   # (S, X) -> (m, p) outputs
     impulse_times: Optional[tuple] = None
 
 
@@ -171,29 +173,43 @@ def product_exit_time(axis_fields: Sequence[VectorField],
 # ---------------------------------------------------------------------------
 
 
+def _manifold(data: BoundaryData, S, C, K: SetOracle, s_tol: float, x_tol: float):
+    """Which feet (S, C) are on the data manifold: (initial, boundary, times).
+    s <= s_tol is an initial row (so is the corner s = 0, c on the boundary);
+    another foot is a boundary row when c is within x_tol of the boundary and,
+    with impulse times, s within s_tol of one, its time snapped to the first nearest."""
+    initial = S <= s_tol
+    bnd = np.zeros(len(S), dtype=bool) if data.boundary is None else ~initial
+    if bnd.any():
+        bnd[bnd] = ~(K.boundary_distance_many(C[bnd]) > x_tol)
+    times = S
+    if data.impulse_times is not None:
+        imp = np.asarray(data.impulse_times, dtype=float)
+        gap = np.abs(imp - S[:, None])
+        bnd &= ~(gap.min(axis=1) > s_tol)
+        times = imp[gap.argmin(axis=1)]
+    return initial, bnd, times
+
+
+def _read(data: BoundaryData, C, initial, bnd, times) -> np.ndarray:
+    """(m, p) data at the points C: the initial datum on the initial rows, the
+    boundary datum at times on the bnd rows, NaN on the others.  Each data
+    function is called once, on its own rows only."""
+    y = np.asarray(data.initial(C[initial]), dtype=float)
+    Y = np.full((len(C), y.shape[1]), np.nan)
+    Y[initial] = y
+    if data.boundary is not None:
+        Y[bnd] = data.boundary(times[bnd, None], C[bnd])
+    return Y
+
+
 def boundary_trace(data: BoundaryData, s: float, c, K: SetOracle,
                    s_tol: float = 1e-9, x_tol: float = 1e-6):
-    """The datum carried by the foot point (s, c), or None off the manifold.
-
-    s <= s_tol reads the initial datum (this also resolves the corner
-    s = 0, c on the boundary).  Otherwise c must lie within x_tol of the
-    boundary, and when impulse times are declared, s must sit within
-    s_tol of one of them (the query snaps to it).
-    """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if s <= s_tol:
-        return np.atleast_1d(np.asarray(data.initial(c), dtype=float))
-    if data.boundary is None:
-        return None
-    if K.boundary_distance(c) > x_tol:
-        return None
-    if data.impulse_times is not None:
-        ts = np.asarray(data.impulse_times, dtype=float)
-        k = int(np.argmin(np.abs(ts - s)))
-        if abs(ts[k] - s) > s_tol:
-            return None
-        s = float(ts[k])
-    return np.atleast_1d(np.asarray(data.boundary(s, c), dtype=float))
+    """The datum carried by the foot point (s, c), or None off the manifold:
+    one row of :func:`_manifold` and :func:`_read`."""
+    S, C = _rows(s, c)
+    initial, bnd, times = _manifold(data, S, C, K, s_tol, x_tol)
+    return _read(data, C, initial, bnd, times)[0] if initial[0] or bnd[0] else None
 
 
 def _coupled_field(prob: CharProblem) -> VectorField:
@@ -211,7 +227,7 @@ def solve_char_many(prob: CharProblem, ts, xs, h: float):
 
     Backtracks every row to the data manifold in one backward event
     sweep (per-row horizon t) and one backward flow (per-row tau), reads
-    the datum at each foot with :func:`boundary_trace`, then integrates
+    the data at all feet in one batched read, then integrates
     y' = g(tau, x(tau), y) forward along all characteristics at once,
     each row from its own s to its own t.  The unique-solution caveat
     applies: each row follows the one RK4-selected characteristic.
@@ -230,19 +246,11 @@ def solve_char_many(prob: CharProblem, ts, xs, h: float):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = prob.state_dim
     s, c = _exitors(prob.phi, prob.domain, ts, xs, h)
-    values = np.full((len(ts), prob.out_dim), np.nan)
-    reached = np.zeros(len(ts), dtype=bool)
-    z = np.empty((len(ts), n + prob.out_dim))
-    for i in range(len(ts)):
-        y0 = boundary_trace(prob.data, float(s[i]), c[i], prob.domain,
-                            s_tol=h, x_tol=prob.x_tol)
-        if y0 is not None:
-            reached[i] = True
-            values[i] = y0
-            z[i, :n], z[i, n:] = c[i], y0
+    initial, bnd, times = _manifold(prob.data, s, c, prob.domain, h, prob.x_tol)
+    values, reached = _read(prob.data, c, initial, bnd, times), initial | bnd
     fwd = np.flatnonzero(reached & (ts - s > 0.0))
     if len(fwd):
-        z = z[fwd]
+        z = np.concatenate([c[fwd], values[fwd]], axis=1)
         if not _finite_rows(z).all():
             raise NonFinite("state blew up at the data manifold")
         if not _advance(_coupled_field(prob), z, _shared(s[fwd]), _shared(ts[fwd]), h).all():
@@ -267,15 +275,21 @@ def solve_char(prob: CharProblem, t: float, x, h: float):
 # ---------------------------------------------------------------------------
 
 
+def _exp(v) -> np.ndarray:
+    """math.exp per entry (an array np.exp can differ from it in the last ulp)."""
+    return np.fromiter(map(math.exp, v), float, len(v))
+
+
 @dataclass(frozen=True)
 class Demo4D:
     """Three-regime closed-form solution of the 4D demographic system.
 
     State (x1, x2, x3, x4) on R+ x [0, r2] x R+ x [0, b] with
     characteristic speeds (1, -rho x2, sigma x3, beta (b - x4) x4); the
-    output ODE is y' = -A y with scalar A (constant or A(tau, state)).
-    Data: u0 on the initial slice, v1 on the x1 = 0 face (s, x2, x3, x4),
-    v_r2 on the x2 = r2 face (s, x1, x3, x4).
+    output ODE is y' = -A y, A a constant or a batch-only A(tau, states) of an
+    (m, 1) time column and (m, 4) rows.  Data, batch-only: u0(X) on the initial
+    slice, v1(s, z) on the x1 = 0 face (z = x2, x3, x4), v_r2(s, z) on the
+    x2 = r2 face (z = x1, x3, x4).  ``solve_many`` is the closed form on rows.
     """
 
     rho: float
@@ -283,73 +297,82 @@ class Demo4D:
     beta: float
     b: float
     r2: float
-    A: object            # scalar constant or callable (tau, state4) -> scalar
+    A: object            # scalar constant or batch-only callable (tau, states) -> values
     u0: Callable
     v1: Callable
     v_r2: Callable
 
-    def _check(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if len(x) != 4:
+    def _exits(self, ts, xs):
+        """(ts, X, tau, regime): tau = min(t, x1, log(r2/x2)/rho) per row; regime 1
+        reads the initial slice (t smallest), 2 the x1 = 0 face (x1 smallest), 3
+        the x2 = r2 face.  ParamDomain names the first row off the domain."""
+        X = np.atleast_2d(np.asarray(xs, dtype=float))
+        if X.shape[1] != 4:
             raise ParamDomain("state must be 4-dimensional")
-        if not (0.0 < x[1] <= self.r2):
-            raise ParamDomain(f"x2 = {x[1]} outside (0, r2]")
-        if not (0.0 < x[3] < self.b):
-            raise ParamDomain(f"x4 = {x[3]} outside (0, b)")
-        return x
+        bad2 = ~((0.0 < X[:, 1]) & (X[:, 1] <= self.r2))
+        bad = bad2 | ~((0.0 < X[:, 3]) & (X[:, 3] < self.b))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParamDomain(f"x2 = {X[i, 1]} outside (0, r2]" if bad2[i]
+                              else f"x4 = {X[i, 3]} outside (0, b)")
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        tau2 = np.fromiter(map(math.log, self.r2 / X[:, 1]), float, len(X)) / self.rho
+        regime = np.where(ts <= np.minimum(X[:, 0], tau2), 1,
+                          np.where(X[:, 0] <= np.minimum(ts, tau2), 2, 3))
+        return ts, X, np.minimum(np.minimum(ts, X[:, 0]), tau2), regime
+
+    def _backtrack(self, X, tau) -> np.ndarray:
+        return np.column_stack([
+            X[:, 0] - tau,
+            _exp(self.rho * tau) * X[:, 1],
+            _exp(-self.sigma * tau) * X[:, 2],
+            self.b / (1.0 + (self.b / X[:, 3] - 1.0) * _exp(self.beta * self.b * tau)),
+        ])
+
+    def _decay(self, ts, X, s) -> np.ndarray:
+        """exp(-int_s^t A) per row; 1 where t = s (s = t - tau <= t)."""
+        if not callable(self.A):
+            return _exp(-float(self.A) * (ts - s))
+        out, go = np.ones(len(X)), ts > s
+        taus = np.linspace(s[go], ts[go], 129, axis=1)
+        states = self._backtrack(np.repeat(X[go], 129, axis=0), (ts[go, None] - taus).ravel())
+        vals = np.asarray(self.A(taus.reshape(-1, 1), states), dtype=float).reshape(taus.shape)
+        # composite Simpson on the even refinement
+        hq = (ts[go] - s[go]) / (taus.shape[1] - 1)
+        integral = hq / 3.0 * (vals[:, 0] + vals[:, -1] + 4.0 * vals[:, 1:-1:2].sum(axis=1)
+                               + 2.0 * vals[:, 2:-2:2].sum(axis=1))
+        out[go] = _exp(-integral)
+        return out
+
+    def solve_many(self, ts, xs) -> np.ndarray:
+        """The (m, p) closed form at the rows (t, x); each data function is
+        called once, on the rows of its regime."""
+        ts, X, tau, regime = self._exits(ts, xs)
+        s, c = ts - tau, self._backtrack(X, tau)
+        faces = [regime == r for r in (1, 2, 3)]
+        data = [self.u0(c[faces[0]]), self.v1(s[faces[1], None], c[faces[1]][:, 1:]),
+                self.v_r2(s[faces[2], None], c[faces[2]][:, [0, 2, 3]])]
+        out = np.empty((len(X), np.shape(data[0])[1]))
+        for face, y in zip(faces, data):
+            out[face] = y
+        return self._decay(ts, X, s)[:, None] * out
 
     def backward_exit_time(self, t: float, x) -> float:
-        x = self._check(x)
-        return min(t, x[0], math.log(self.r2 / x[1]) / self.rho)
+        return float(self._exits(*_rows(t, x))[2][0])
 
     def regime(self, t: float, x) -> int:
-        x = self._check(x)
-        tau2 = math.log(self.r2 / x[1]) / self.rho
-        if t <= min(x[0], tau2):
-            return 1
-        if x[0] <= min(t, tau2):
-            return 2
-        return 3
+        return int(self._exits(*_rows(t, x))[3][0])
 
     def backtrack(self, x, tau: float) -> np.ndarray:
         """State reached by flowing backward for tau from x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([
-            x[0] - tau,
-            math.exp(self.rho * tau) * x[1],
-            math.exp(-self.sigma * tau) * x[2],
-            self.b / (1.0 + (self.b / x[3] - 1.0) * math.exp(self.beta * self.b * tau)),
-        ])
+        return self._backtrack(np.atleast_2d(np.asarray(x, dtype=float)), np.array([tau]))[0]
 
     def exitor(self, t: float, x):
-        x = self._check(x)
         tau = self.backward_exit_time(t, x)
         return t - tau, self.backtrack(x, tau)
 
-    def _decay_factor(self, t: float, x, s: float) -> float:
-        if t <= s:
-            return 1.0
-        if not callable(self.A):
-            return math.exp(-float(self.A) * (t - s))
-        taus = np.linspace(s, t, 129)
-        vals = np.array([self.A(tau, self.backtrack(x, t - tau)) for tau in taus])
-        # composite Simpson on the even refinement
-        hq = (t - s) / (len(taus) - 1)
-        integral = hq / 3.0 * (vals[0] + vals[-1]
-                               + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
-        return math.exp(-integral)
-
     def __call__(self, t: float, x) -> np.ndarray:
-        x = self._check(x)
-        s, c = self.exitor(t, x)
-        r = self.regime(t, x)
-        if r == 1:
-            data = self.u0(c)
-        elif r == 2:
-            data = self.v1(s, c[1], c[2], c[3])
-        else:
-            data = self.v_r2(s, c[0], c[2], c[3])
-        return self._decay_factor(t, x, s) * np.atleast_1d(np.asarray(data, dtype=float))
+        return self.solve_many(*_rows(t, x))[0]
 
 
 def demo4d(rho: float, sigma: float, beta: float, b: float, r2: float,
@@ -402,14 +425,6 @@ def _char_rhs(prob: CharProblem, t, X, Y):
     return dx, prob.g(t, X, Y)
 
 
-def _initial_seeds(prob: CharProblem, seeds_per_face: int, seed_lo, seed_hi):
-    n = prob.state_dim
-    lo = np.atleast_1d(np.asarray(seed_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(seed_hi, dtype=float))
-    pts = lattice_points([np.linspace(lo[k], hi[k], seeds_per_face) for k in range(n)])
-    return pts[prob.domain.contains_many(pts)]
-
-
 def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
                  seed_lo, seed_hi, boundary_points=None) -> GraphCloud:
     """Sweep characteristics from the data manifold; accumulate Graph(U).
@@ -431,23 +446,19 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
         raise ValueError("T must be nonnegative")
     n, p = prob.state_dim, prob.out_dim
 
-    rows = []
-    init_pts = _initial_seeds(prob, seeds_per_face, seed_lo, seed_hi)
-    for c in init_pts:
-        rows.append((0.0, c, np.atleast_1d(np.asarray(prob.data.initial(c), dtype=float))))
+    lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (seed_lo, seed_hi))
+    C = lattice_points([np.linspace(lo[k], hi[k], seeds_per_face) for k in range(n)])
+    C = C[prob.domain.contains_many(C)]
+    S = np.zeros(len(C))
     if boundary_points is not None and prob.data.boundary is not None:
-        if prob.data.impulse_times is not None:
-            times = [s for s in prob.data.impulse_times if 0.0 < s <= T]
-        else:
-            times = [s for s in np.linspace(0.0, T, max(seeds_per_face, 2)) if s > 0.0]
-        for xi in boundary_points:
-            xi = np.atleast_1d(np.asarray(xi, dtype=float))
-            for s in times:
-                rows.append((float(s), xi,
-                             np.atleast_1d(np.asarray(prob.data.boundary(s, xi), dtype=float))))
-
-    seeds = np.array([np.concatenate([[s], c, y]) for s, c, y in rows])
-    seeds = seeds.reshape(len(rows), 1 + n + p)  # also with no seed in K
+        times = np.linspace(0.0, T, max(seeds_per_face, 2)) if prob.data.impulse_times is None \
+            else np.asarray(prob.data.impulse_times, dtype=float)
+        times = times[(times > 0.0) & (times <= T)]
+        xi = np.asarray(boundary_points, dtype=float).reshape(-1, n)
+        S = np.concatenate([S, np.tile(times, len(xi))])   # xi-major, s-minor
+        C = np.concatenate([C, np.repeat(xi, len(times), axis=0)])
+    initial = S == 0.0  # boundary seeds start at s > 0
+    seeds = np.column_stack([S, C, _read(prob.data, C, initial, ~initial, S)])
     if not _finite_rows(seeds[:, 1:]).all():
         raise NonFinite("a seed is not finite or passes the blow-up norm in graph_sample")
     z = seeds[:, 1:].copy()
@@ -533,19 +544,14 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
         raise ValueError("no interior cloud points to sample")
     pick = eligible[np.linspace(0, len(eligible) - 1,
                                 min(n_samples, len(eligible))).astype(int)]
-    fwd = np.empty(len(pick))
-    bwd = np.full(len(pick), np.nan)
-    n = cloud.state_dim
-    for j, i in enumerate(pick):
-        z = cloud.points[i]
-        tau, xs, ys = z[0], z[1:1 + n], z[1 + n:]
-        dx, dy = _char_rhs(prob, tau, xs[None, :], ys[None, :])
-        v = np.concatenate([[1.0], dx[0], dy[0]])
-        fwd[j] = tangent_residual(oracle, z, v, h_min=h_min, h_max=h_max)
-        on_psi = boundary_trace(prob.data, tau, xs, prob.domain,
-                                s_tol=h, x_tol=prob.x_tol) is not None
-        if not on_psi:
-            bwd[j] = tangent_residual(oracle, z, -v, h_min=h_min, h_max=h_max)
+    Z, n = cloud.points[pick], cloud.state_dim
+    V = np.concatenate([np.ones((len(Z), 1)),
+                        *_char_rhs(prob, Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:])], axis=1)
+    initial, bnd, _ = _manifold(prob.data, Z[:, 0], Z[:, 1:1 + n], prob.domain, h, prob.x_tol)
+    fwd = np.array([tangent_residual(oracle, z, v, h_min=h_min, h_max=h_max)
+                    for z, v in zip(Z, V)])
+    bwd = np.array([np.nan if on else tangent_residual(oracle, z, -v, h_min=h_min, h_max=h_max)
+                    for z, v, on in zip(Z, V, initial | bnd)])
     finite_bwd = bwd[~np.isnan(bwd)]
     return FrankowskaReport(pick, fwd, bwd, float(fwd.max()),
                             float(finite_bwd.max()) if len(finite_bwd) else 0.0)
@@ -574,26 +580,26 @@ def phi_invariance_check(prob: CharProblem, samples, h: float) -> PhiInvarianceR
     """
     if prob.phi_constraint is None:
         raise ValueError("problem has no output constraint")
-    g_res = 0.0
-    v_dist = 0.0
-    u_dist = 0.0
-    for (t, xs, ys) in samples:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        dx, dy = _char_rhs(prob, t, xs[None, :], ys[None, :])
+    T = np.array([t for t, _, _ in samples], dtype=float)
+    X, Y = (np.array([np.atleast_1d(z[k]) for z in samples], dtype=float).reshape(len(T), d)
+            for k, d in ((1, prob.state_dim), (2, prob.out_dim)))
+    DX, DY = _char_rhs(prob, T[:, None], X, Y)
+    on = np.zeros(len(X), dtype=bool) if prob.data.boundary is None else \
+        prob.domain.boundary_distance_many(X) <= prob.x_tol
+    U = np.asarray(prob.data.initial(X), dtype=float)
+    V = _read(prob.data, X, np.zeros_like(on), on, T)  # the boundary datum on boundary samples
+    g_res = v_dist = u_dist = 0.0
+    for j, t in enumerate(T):
         best = np.inf
         eta = 8.0 * h
         while eta >= h * (1.0 - 1e-12):
-            phi_set = prob.phi_constraint(t + eta, xs + eta * dx[0])
-            best = min(best, phi_set.distance(ys + eta * dy[0]) / eta)
+            phi_set = prob.phi_constraint(t + eta, X[j] + eta * DX[j])
+            best = min(best, phi_set.distance(Y[j] + eta * DY[j]) / eta)
             eta *= 0.5
         g_res = max(g_res, float(best))
-        u_dist = max(u_dist, prob.phi_constraint(0.0, xs).distance(
-            np.atleast_1d(np.asarray(prob.data.initial(xs), dtype=float))))
-        if prob.data.boundary is not None and \
-                prob.domain.boundary_distance(xs) <= prob.x_tol:
-            v_dist = max(v_dist, prob.phi_constraint(t, xs).distance(
-                np.atleast_1d(np.asarray(prob.data.boundary(t, xs), dtype=float))))
+        u_dist = max(u_dist, prob.phi_constraint(0.0, X[j]).distance(U[j]))
+        if on[j]:
+            v_dist = max(v_dist, prob.phi_constraint(t, X[j]).distance(V[j]))
     return PhiInvarianceReport(g_res, v_dist, u_dist)
 
 

@@ -276,17 +276,15 @@ _FUNCTIONS = {"const": None, "affine": lambda u: u, "sin": np.sin}
 
 
 def _function(s: _Section, n: int):
+    """The batch-only data function of s: its column-block arguments hold the rows z."""
     outer = _kind(s, _FUNCTIONS, "function")
     if outer is None:
         v = s.read("value", "finite")
-        return lambda *args: np.array([v])
+        return lambda *args: np.full((len(args[-1]), 1), v)
     w, c = s.read("weights", "finites", length=n), s.read("offset", "finite", 0.0)
-
-    def dot(args):
-        z = np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)) for a in args])
-        return float(w @ z) + c
-
-    return lambda *args: np.array([outer(dot(args))])
+    # vecdot over C-ordered rows gives each row the bits of its own 1-D dot product
+    return lambda *args: outer(np.vecdot(np.ascontiguousarray(np.concatenate(args, axis=1)), w)
+                               + c)[:, None]
 
 
 def _decay(s: _Section):
@@ -432,21 +430,18 @@ def _pde_graph(pde, T, step, seeds_per_face, seed_lo, seed_hi, boundary_points, 
 
 
 def _demo4d_run(oracle, domain, ts, xs, step, out, **_):
-    us = np.array([oracle(float(t), x) for t, x in zip(ts, xs)])
+    us = oracle.solve_many(ts, xs)
     csvio.write_solution_field(out("demo4d_solution.csv"), ts, xs, us)
     if step is not None:
         prob = CharProblem(
             lambda t, x, y: -oracle.A * y, domain,
-            BoundaryData(
-                oracle.u0,
-                lambda s, xi: oracle.v1(s, xi[1], xi[2], xi[3])
-                if xi[0] <= 1e-6 else oracle.v_r2(s, xi[0], xi[2], xi[3])),
+            BoundaryData(oracle.u0, lambda S, X: np.where(  # the x1 = 0 face, else x2 = r2
+                X[:, :1] <= 1e-6, oracle.v1(S, X[:, 1:]), oracle.v_r2(S, X[:, [0, 2, 3]]))),
             1,
             phi=demographic_field(oracle.rho, oracle.sigma, oracle.beta, oracle.b))
         u_num, reached = solve_char_many(prob, ts, xs, step)
-        diffs = [[float(np.linalg.norm(u - u_ref))] if ok else [np.nan]
-                 for u, u_ref, ok in zip(u_num, us, reached)]
-        csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, np.array(diffs))
+        diffs = np.where(reached, np.linalg.norm(u_num - us, axis=1), np.nan)
+        csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, diffs[:, None])
 
 
 _HORIZON_STEP = ("horizon", "horizon", "step", _REQUIRED)

@@ -143,7 +143,7 @@ def _cost_history(p: LagrangianProblem, xs, T_max: float, h: float):
     times, states = _record(p.field, xs, 0.0, T_max, h, "tabulate_values")
     k, m = states.shape[:2]
     flat = states.reshape(k * m, xs.shape[1])
-    F = p.field(0.0, flat)
+    F = p.field(np.repeat(times, m)[:, None], flat)  # each node at its own time
     L = np.asarray(p.lagrangian(flat, F), dtype=float).reshape(k, m)
     U = np.asarray(p.obstacle(flat), dtype=float).reshape(k, m)
     w = np.exp(p.discount * times)[:, None]
@@ -478,7 +478,7 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
 
     Together with delta > 0 this certifies (on the sampled region) that
     the state-cost half-space is a repeller, the hypothesis behind the
-    uniqueness of the stopping-time value.
+    uniqueness of the stopping-time value, for autonomous problems (f at t = 0).
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     norms = np.linalg.norm(X, axis=1)
@@ -566,7 +566,7 @@ def _hj_residuals(p: LagrangianProblem, u_field: GridFunction, sample_points):
     and D_up v(x)(f) + l + a v and D_up v(x)(-f) - l - a v at every row, in
     one batched pass; each check keeps the rows its clauses apply to.  A
     non-finite sample raises ValueError: its NaN residuals would read as
-    clauses that do not apply, so it would pass unchecked."""
+    clauses that do not apply, so it would pass unchecked.  Autonomous: f at t = 0."""
     X = np.atleast_2d(np.asarray(sample_points, dtype=float))
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():

@@ -2,8 +2,8 @@
 
 Sets are represented by oracles rather than meshes; every construction
 downstream consumes only membership, distance, and projection.  A kind
-implements only ``margin_many`` on ``(m, dim)`` rows; ``margin`` and
-``contains`` lift one state to one row (point clouds: 1e-9 membership
+implements the ``*_many`` rules on ``(m, dim)`` rows, and the scalar
+rules lift one state to one row (point clouds: 1e-9 membership
 tolerance).  The primitive kinds (box, ball, halfspace, point cloud) have
 exact analytic rules; composites are built on top:
 
@@ -37,8 +37,9 @@ from .errors import Unsupported
 class SetOracle:
     """A closed subset of R^dim described by membership/distance/projection.
 
-    A kind implements only ``margin_many``; ``margin``/``contains`` lift one
-    state to one row of it and point clouds use a 1e-9 membership tolerance.
+    A kind implements the ``*_many`` rules on ``(m, dim)`` rows; ``margin``,
+    ``contains``, ``distance`` and ``boundary_distance`` lift one state to
+    one row of them, and point clouds use a 1e-9 membership tolerance.
     """
 
     kind = "abstract"
@@ -61,18 +62,29 @@ class SetOracle:
         return bool(self.contains_many(x)[0])
 
     # -- metric -------------------------------------------------------------
+    def distance_many(self, X) -> np.ndarray:
+        """Euclidean distances of (m, dim) rows to the set (exact for primitive kinds);
+        by default the positive margin, exact where the margin is a signed distance."""
+        return np.maximum(self.margin_many(X), 0.0)
+
     def distance(self, x) -> float:
-        """Euclidean distance to the set (exact for primitive kinds)."""
-        raise NotImplementedError
+        return float(self.distance_many(x)[0])
 
     def project(self, y) -> np.ndarray:
         """A best approximation of y in the set."""
         raise NotImplementedError
 
     # -- boundary helpers (used by characteristics) -------------------------
-    def boundary_distance(self, x) -> float:
-        """Distance from x to the topological boundary of the set."""
+    def boundary_distance_many(self, X) -> np.ndarray:
+        """Distances of (m, dim) rows to the topological boundary of the set."""
         raise Unsupported(f"boundary_distance not available for kind {self.kind!r}")
+
+    def boundary_distance(self, x) -> float:
+        return float(self.boundary_distance_many(x)[0])
+
+    def _outside_or(self, X, inside):
+        """distance_many on the rows of X off the set, inside on the others."""
+        return np.where(self.margin_many(X) > 0.0, self.distance_many(X), inside)
 
     def _project_to_boundary_from_inside(self, y) -> np.ndarray:
         raise Unsupported(f"no analytic interior boundary projection for kind {self.kind!r}")
@@ -100,20 +112,19 @@ class Box(SetOracle):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.max(np.maximum(self.lo - X, X - self.hi), axis=1)
 
-    def distance(self, x):
-        d = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
-        return float(np.linalg.norm(d))
+    def distance_many(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        D = np.ascontiguousarray(np.maximum(np.maximum(self.lo - X, X - self.hi), 0.0))
+        return np.sqrt(np.vecdot(D, D))  # per row, the bits of the 1-D norm (see Halfspace)
 
     def project(self, y):
         return np.clip(np.asarray(y, dtype=float), self.lo, self.hi)
 
-    def boundary_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.margin(x) > 0.0:
-            return self.distance(x)
-        gaps = np.minimum(x - self.lo, self.hi - x)
-        gaps = gaps[np.isfinite(gaps)]
-        return float(gaps.min()) if len(gaps) else INF
+    def boundary_distance_many(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        gaps = np.minimum(X - self.lo, self.hi - X)
+        gaps = np.where(np.isfinite(gaps), gaps, np.inf).min(axis=1)  # the nearest finite face
+        return self._outside_or(X, np.where(np.isinf(gaps), INF, gaps))
 
     def _project_to_boundary_from_inside(self, y):
         y = np.asarray(y, dtype=float).copy()
@@ -146,9 +157,6 @@ class Ball(SetOracle):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.linalg.norm(X - self.center, axis=1) - self.radius
 
-    def distance(self, x):
-        return max(self.margin(x), 0.0)
-
     def project(self, y):
         y = np.asarray(y, dtype=float)
         r = np.linalg.norm(y - self.center)
@@ -156,8 +164,8 @@ class Ball(SetOracle):
             return y.copy()
         return self.center + (self.radius / r) * (y - self.center)
 
-    def boundary_distance(self, x):
-        return abs(self.margin(x))
+    def boundary_distance_many(self, X):
+        return np.abs(self.margin_many(X))
 
     def _project_to_boundary_from_inside(self, y):
         y = np.asarray(y, dtype=float)
@@ -186,19 +194,18 @@ class Halfspace(SetOracle):
         self._scaled_offset = offset / nn
 
     def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self._unit - self._scaled_offset
-
-    def distance(self, x):
-        return max(self.margin(x), 0.0)
+        # vecdot over C-ordered rows gives each row the bits of its own 1-D dot
+        # product, whatever its batch; a matrix product does not
+        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+        return np.vecdot(X, self._unit) - self._scaled_offset
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
         m = self.margin(y)
         return y - max(m, 0.0) * self._unit
 
-    def boundary_distance(self, x):
-        return abs(self.margin(x))
+    def boundary_distance_many(self, X):
+        return np.abs(self.margin_many(X))
 
     def _project_to_boundary_from_inside(self, y):
         y = np.asarray(y, dtype=float)
@@ -228,9 +235,6 @@ class PointCloudSet(SetOracle):
     def contains_many(self, X):
         # membership tolerance for float round-off on exact points
         return self.margin_many(X) <= 1e-9
-
-    def distance(self, x):
-        return self.margin(x)
 
     def project(self, y):
         if self._tree is None:
@@ -263,9 +267,6 @@ class Product(SetOracle):
             self._slices.append(slice(start, start + f.dim))
             start += f.dim
 
-    def _parts(self, x):
-        return [np.asarray(x)[s] for s in self._slices]
-
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full(len(X), -np.inf)
@@ -273,17 +274,20 @@ class Product(SetOracle):
             out = np.maximum(out, f.margin_many(X[:, s]))
         return out
 
-    def distance(self, x):
-        sq = sum(f.distance(p) ** 2 for f, p in zip(self.factors, self._parts(x)))
-        return float(np.sqrt(sq))
+    def distance_many(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        # squared as Python floats, by libm's pow, as the one-row rule did
+        return np.sqrt(sum(np.array([d ** 2 for d in f.distance_many(X[:, s]).tolist()])
+                           for f, s in zip(self.factors, self._slices)))
 
     def project(self, y):
-        return np.concatenate([f.project(p) for f, p in zip(self.factors, self._parts(y))])
+        y = np.asarray(y)
+        return np.concatenate([f.project(y[s]) for f, s in zip(self.factors, self._slices)])
 
-    def boundary_distance(self, x):
-        if self.margin(x) > 0.0:
-            return self.distance(x)
-        return min(f.boundary_distance(p) for f, p in zip(self.factors, self._parts(x)))
+    def boundary_distance_many(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return self._outside_or(X, np.min([f.boundary_distance_many(X[:, s])
+                                           for f, s in zip(self.factors, self._slices)], axis=0))
 
 
 class Union(SetOracle):
@@ -302,16 +306,16 @@ class Union(SetOracle):
             out = np.minimum(out, m.margin_many(X))
         return out
 
-    def distance(self, x):
-        return min(m.distance(x) for m in self.members)
+    def distance_many(self, X):
+        return np.min([m.distance_many(X) for m in self.members], axis=0)
 
     def project(self, y):
         dists = [m.distance(y) for m in self.members]
         return self.members[int(np.argmin(dists))].project(y)
 
-    def boundary_distance(self, x):
+    def boundary_distance_many(self, X):
         # valid for disjoint members; good enough for boundary-data dispatch
-        return min(m.boundary_distance(x) for m in self.members)
+        return np.min([m.boundary_distance_many(X) for m in self.members], axis=0)
 
 
 class Intersection(SetOracle):
@@ -332,8 +336,8 @@ class Intersection(SetOracle):
             out = np.maximum(out, m.margin_many(X))
         return out
 
-    def distance(self, x):
-        return max(m.distance(x) for m in self.members)
+    def distance_many(self, X):
+        return np.max([m.distance_many(X) for m in self.members], axis=0)
 
     def project(self, y):
         """Alternating projections (at most 50 sweeps); the result certifies the upper bound."""
@@ -348,14 +352,14 @@ class Intersection(SetOracle):
                 break
         return z
 
-    def boundary_distance(self, x):
-        if self.margin(x) > 0.0:
-            return self.distance(x)
-        return min(abs(m.margin(x)) for m in self.members)
+    def boundary_distance_many(self, X):
+        return self._outside_or(X, np.min([np.abs(m.margin_many(X)) for m in self.members],
+                                          axis=0))
 
 
 class Complement(SetOracle):
-    """Closure of the complement of a primitive with a signed margin."""
+    """Closure of the complement of a primitive with a signed margin; its distance,
+    the positive margin, is exact where the base margin is a signed distance."""
 
     kind = "complement"
 
@@ -366,19 +370,14 @@ class Complement(SetOracle):
     def margin_many(self, X):
         return -self.base.margin_many(X)
 
-    def distance(self, x):
-        # exact when the base margin is a signed Euclidean distance
-        # (ball, halfspace, box interiors); zero outside the base.
-        return max(-self.base.margin(x), 0.0)
-
     def project(self, y):
         y = np.asarray(y, dtype=float)
         if self.contains(y):
             return y.copy()
         return self.base._project_to_boundary_from_inside(y)
 
-    def boundary_distance(self, x):
-        return abs(self.base.margin(x))
+    def boundary_distance_many(self, X):
+        return self.base.boundary_distance_many(X)  # the set and its complement share it
 
 
 class Sublevel(SetOracle):
@@ -398,8 +397,8 @@ class Sublevel(SetOracle):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.asarray(self.fn(X), dtype=float).reshape(len(X))
 
-    def distance(self, x):
-        return max(self.margin(x), 0.0) / self.lipschitz
+    def distance_many(self, X):
+        return super().distance_many(X) / self.lipschitz
 
     def project(self, y):
         raise Unsupported("sublevel sets have no analytic projection")

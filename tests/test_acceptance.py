@@ -279,9 +279,9 @@ RHO, SIGMA, BETA, B, R2 = 1.0, 0.5, 0.3, 2.0, math.e
 
 
 def _demo_data():
-    u0 = lambda c: np.array([np.sin(c[0]) + 0.5 * c[1] + 0.2 * c[2] * c[3]])
-    v1 = lambda s, x2, x3, x4: np.array([np.cos(s) + 0.1 * x2 + 0.05 * x3 * x4])
-    vr2 = lambda s, x1, x3, x4: np.array([0.3 * s + 0.2 * x1 + 0.1 * x3 - 0.05 * x4])
+    u0 = lambda C: np.sin(C[:, :1]) + 0.5 * C[:, 1:2] + 0.2 * C[:, 2:3] * C[:, 3:]
+    v1 = lambda S, Z: np.cos(S) + 0.1 * Z[:, :1] + 0.05 * Z[:, 1:2] * Z[:, 2:]  # (x2, x3, x4)
+    vr2 = lambda S, Z: 0.3 * S + 0.2 * Z[:, :1] + 0.1 * Z[:, 1:2] - 0.05 * Z[:, 2:]  # (x1, x3, x4)
     return u0, v1, vr2
 
 
@@ -291,10 +291,8 @@ def test_criterion_09_characteristics_oracle():
     K4 = vk.product(vk.box([0.0], [np.inf]), vk.box([0.0], [R2]),
                     vk.box([0.0], [np.inf]), vk.box([0.0], [B]))
 
-    def vgamma(s, xi):
-        if xi[0] <= 1e-6:
-            return v1(s, xi[1], xi[2], xi[3])
-        return vr2(s, xi[0], xi[2], xi[3])
+    def vgamma(S, X):
+        return np.where(X[:, :1] <= 1e-6, v1(S, X[:, 1:]), vr2(S, X[:, [0, 2, 3]]))
 
     prob = vk.CharProblem(lambda t, x, y: -0.4 * y, K4,
                           vk.BoundaryData(u0, vgamma), 1,
@@ -313,8 +311,8 @@ def test_criterion_09_characteristics_oracle():
         assert vk.solve_char(prob, ts[i], xs[i], 1e-2).tobytes() == u[i].tobytes()
 
     tprob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), vk.box([0.0], [np.inf]),
-                           vk.BoundaryData(lambda x: np.array([np.sin(x[0])]),
-                                           lambda s, xi: np.array([np.cos(3.0 * s)])),
+                           vk.BoundaryData(lambda X: np.sin(X[:, :1]),
+                                           lambda S, X: np.cos(3.0 * S)),
                            1, phi=one)
     ts, xs = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 3.0, 10),
                                              np.linspace(0.1, 5.0, 20), indexing="ij"))
@@ -334,10 +332,10 @@ def test_criterion_09_characteristics_oracle():
 def test_criterion_10_data_locality():
     halfline = vk.box([0.0], [np.inf])
     g0 = lambda t, x, y: np.zeros_like(y)
-    u0 = lambda x: np.array([np.sin(x[0])])
-    v_a = lambda s, xi: np.array([np.cos(3.0 * s)])
-    v_b = lambda s, xi: np.array([1e6 + s])
-    u0_b = lambda x: np.array([-1e6])
+    u0 = lambda X: np.sin(X[:, :1])
+    v_a = lambda S, X: np.cos(3.0 * S)
+    v_b = lambda S, X: 1e6 + S
+    u0_b = lambda X: np.full((len(X), 1), -1e6)
     h = 1e-3
     pa = vk.CharProblem(g0, halfline, vk.BoundaryData(u0, v_a), 1, phi=one)
     ok = True
@@ -360,12 +358,12 @@ def test_criterion_11_lipschitz_operator():
     mu = 2.0
     halfline = vk.box([0.0], [np.inf])
     g = lambda t, x, y: -mu * y
-    vb = lambda s, xi: np.array([0.2 * s])
+    vb = lambda S, X: 0.2 * S
     pa = vk.CharProblem(g, halfline,
-                        vk.BoundaryData(lambda x: np.array([np.sin(x[0])]), vb),
+                        vk.BoundaryData(lambda X: np.sin(X[:, :1]), vb),
                         1, phi=one)
     pb = vk.CharProblem(g, halfline,
-                        vk.BoundaryData(lambda x: np.array([np.sin(x[0]) + 1.0]), vb),
+                        vk.BoundaryData(lambda X: np.sin(X[:, :1]) + 1.0, vb),
                         1, phi=one)
     t, h = 1.0, 1e-3
     xs = np.linspace(0.0, 3.0, 31)[:, None]
@@ -382,7 +380,7 @@ def test_criterion_11_lipschitz_operator():
 
 
 def test_criterion_12_shock_detection():
-    data = vk.BoundaryData(lambda x: np.array([-x[0]]))
+    data = vk.BoundaryData(lambda X: -X[:, :1])
     prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), vk.whole_space(1),
                           data, 1, f=lambda t, x, y: y)
     h = 0.01

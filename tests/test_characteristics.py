@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cloud_reference
+import trace_reference
 import viakit as vk
+from viakit import characteristics
 from viakit.characteristics import GraphCloud
 from viakit.common import INF
 from viakit.kernels import lattice_points
@@ -20,22 +22,20 @@ K4 = vk.product(vk.box([0.0], [np.inf]), vk.box([0.0], [R2]),
                 vk.box([0.0], [np.inf]), vk.box([0.0], [B]))
 
 
-def _u0_4(c):
-    return np.array([np.sin(c[0]) + 0.5 * c[1] + 0.2 * c[2] * c[3]])
+def _u0_4(X):
+    return np.sin(X[:, :1]) + 0.5 * X[:, 1:2] + 0.2 * X[:, 2:3] * X[:, 3:]
 
 
-def _v1(s, x2, x3, x4):
-    return np.array([np.cos(s) + 0.1 * x2 + 0.05 * x3 * x4])
+def _v1(S, Z):  # Z = (x2, x3, x4)
+    return np.cos(S) + 0.1 * Z[:, :1] + 0.05 * Z[:, 1:2] * Z[:, 2:]
 
 
-def _vr2(s, x1, x3, x4):
-    return np.array([0.3 * s + 0.2 * x1 + 0.1 * x3 - 0.05 * x4])
+def _vr2(S, Z):  # Z = (x1, x3, x4)
+    return 0.3 * S + 0.2 * Z[:, :1] + 0.1 * Z[:, 1:2] - 0.05 * Z[:, 2:]
 
 
-def _vgamma4(s, xi):
-    if xi[0] <= 1e-6:
-        return _v1(s, xi[1], xi[2], xi[3])
-    return _vr2(s, xi[0], xi[2], xi[3])
+def _vgamma4(S, X):
+    return np.where(X[:, :1] <= 1e-6, _v1(S, X[:, 1:]), _vr2(S, X[:, [0, 2, 3]]))
 
 
 def _demo_oracle(A=0.4):
@@ -48,8 +48,8 @@ def _demo_problem(A=0.4):
 
 
 def _transport_problem(g=None, v=None):
-    u0 = lambda x: np.array([np.sin(x[0])])
-    vb = v if v is not None else (lambda s, xi: np.array([np.cos(3.0 * s)]))
+    u0 = lambda X: np.sin(X[:, :1])
+    vb = v if v is not None else (lambda S, X: np.cos(3.0 * S))
     data = vk.BoundaryData(u0, vb)
     gg = g if g is not None else (lambda t, x, y: np.zeros_like(y))
     return vk.CharProblem(gg, halfline, data, 1, phi=one)
@@ -148,22 +148,80 @@ def test_product_exit_time_all_infinite():
 
 
 def test_boundary_trace_initial():
-    data = vk.BoundaryData(lambda x: np.array([7.0]), lambda s, xi: np.array([s]))
+    data = vk.BoundaryData(lambda X: np.full((len(X), 1), 7.0), lambda S, X: S)
     assert_allclose(vk.boundary_trace(data, 0.0, [3.0], halfline), [7.0])
 
 
 def test_boundary_trace_boundary():
-    data = vk.BoundaryData(lambda x: np.array([7.0]), lambda s, xi: np.array([s]))
+    data = vk.BoundaryData(lambda X: np.full((len(X), 1), 7.0), lambda S, X: S)
     assert_allclose(vk.boundary_trace(data, 2.0, [0.0], halfline), [2.0])
     assert vk.boundary_trace(data, 2.0, [0.5], halfline) is None  # interior
 
 
 def test_boundary_trace_impulses():
-    data = vk.BoundaryData(lambda x: np.array([7.0]), lambda s, xi: np.array([s]),
+    data = vk.BoundaryData(lambda X: np.full((len(X), 1), 7.0), lambda S, X: S,
                            impulse_times=(0.0, 1.0, 3.0))
     assert vk.boundary_trace(data, 2.0, [0.0], halfline) is None
     out = vk.boundary_trace(data, 1.0 + 1e-12, [0.0], halfline, s_tol=1e-9)
     assert_allclose(out, [1.0])  # snapped to the impulse time
+
+
+_corner = vk.product(vk.box([0.0], [np.inf]), vk.box([0.0], [2.0]))
+
+
+def _trace_many(data, S, C, K, s_tol=1e-9, x_tol=1e-6):
+    """The batched manifold test and read on the feet (S, C): (values, reached)."""
+    initial, bnd, times = characteristics._manifold(data, S, C, K, s_tol, x_tol)
+    return characteristics._read(data, C, initial, bnd, times), initial | bnd
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.sampled_from([1e-9, 0.05, 0.25]),
+       impulses=st.sampled_from([None, (0.0, 1.0, 3.0), (0.5, 1.0, 1.5, 2.0)]),
+       with_boundary=st.booleans())
+def test_batched_manifold_read_matches_per_row_reference(seed, h, impulses, with_boundary):
+    """The batched manifold read gives each foot the per-row trace's datum bit
+    for bit: s = 0 corners, impulse snapping and ties, feet between slices,
+    in the interior, and off K within and beyond x_tol."""
+    rng = np.random.default_rng(seed)
+    data = vk.BoundaryData(lambda X: np.sin(X[:, :1]) + 0.3 * X[:, 1:] ** 2,
+                           (lambda S, X: np.cos(3.0 * S) + X[:, :1] - 0.5 * X[:, 1:])
+                           if with_boundary else None, impulses)
+    faces = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.3], [0.7, 2.0], [1.1, 0.0]])
+    m = 60
+    C = faces[rng.integers(0, len(faces), m)] + \
+        rng.choice([0.0, 3e-7, -3e-7, 2e-6, 0.4], (m, 2)) * rng.choice([0.0, 1.0], (m, 2))
+    C[-10:] = rng.uniform(0.1, 1.9, (10, 2))  # interior feet
+    S = rng.choice([0.0, 0.5 * h, 2.0 * h, 0.3, 1.0, 1.25, 1.75, 2.0 + 0.9 * h, 3.0 - h], m)
+    values, reached = _trace_many(data, S, C, _corner, s_tol=h, x_tol=1e-6)
+    assert values.shape == (m, 1)
+    for i in range(m):
+        want = trace_reference.boundary_trace(data, S[i], C[i], _corner, s_tol=h, x_tol=1e-6)
+        one = vk.boundary_trace(data, S[i], C[i], _corner, s_tol=h, x_tol=1e-6)
+        if want is None:
+            assert not reached[i] and np.isnan(values[i]).all() and one is None
+        else:
+            assert reached[i] and values[i].tobytes() == want.tobytes() == one.tobytes()
+
+
+def test_batched_manifold_read_calls_each_datum_once_on_its_rows():
+    calls = []
+
+    def initial(X):
+        calls.append(("initial", len(X)))
+        return X[:, :1]
+
+    def boundary(S, X):
+        calls.append(("boundary", len(X)))
+        return S
+
+    data = vk.BoundaryData(initial, boundary, impulse_times=(1.0, 2.0))
+    S = np.array([0.0, 1.0, 1.5, 2.0, 0.0])
+    C = np.array([[0.5], [0.0], [0.0], [0.0], [0.0]])
+    values, reached = _trace_many(data, S, C, halfline)
+    assert calls == [("initial", 2), ("boundary", 2)]
+    assert reached.tolist() == [True, True, False, True, True]
+    assert_allclose(values[reached, 0], [0.5, 1.0, 2.0, 0.0])
 
 
 # -- single-valued solver ------------------------------------------------------
@@ -200,8 +258,8 @@ def test_solve_char_4d_regime_one():
 
 
 def test_solve_char_none_between_impulses():
-    u0 = lambda x: np.array([1.0])
-    v = lambda s, xi: np.array([10.0 + s])
+    u0 = lambda X: np.ones((len(X), 1))
+    v = lambda S, X: 10.0 + S
     data = vk.BoundaryData(u0, v, impulse_times=(0.0, 1.0, 3.0))
     prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline, data, 1, phi=one)
     # foot lands on the boundary at s = 2.0, which is not an impulse time
@@ -215,21 +273,7 @@ def test_solve_char_none_between_impulses():
 
 def _pointwise_solve_char(prob, t, x, h):
     """Reference: the per-point solver the batched one replaced, step for step."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == 0.0:
-        tau = 0.0
-    else:
-        ex = vk.exit_time(prob.phi.negated(), prob.domain, x, t, h, refine_tol=1e-8)
-        tau = t if ex >= INF else min(ex, t)
-    s = t - tau
-    c = x.copy() if tau == 0.0 else vk.flow(prob.phi, -tau, x, h)
-    y0 = vk.boundary_trace(prob.data, s, c, prob.domain, s_tol=h, x_tol=prob.x_tol)
-    if y0 is None or t - s <= 0.0:
-        return y0
-    n = prob.state_dim
-    coupled = vk.VectorField(n + prob.out_dim, lambda tt, z: np.concatenate(
-        [prob.phi(tt, z[:, :n]), prob.g(tt, z[:, :n], z[:, n:])], axis=1))
-    return vk.integrate(coupled, np.concatenate([c, y0]), s, t, h).states[-1][n:]
+    return trace_reference.solve_char(prob, t, x, h)
 
 
 def _assert_matches_pointwise(prob, ts, xs, h):
@@ -263,8 +307,8 @@ def _with_special_rows(pts, h, v):
        pts=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
 def test_solve_char_many_matches_pointwise_transport(v, lam, h, pts):
     # time-dependent decay, so the forward march's per-row stage times count
-    data = vk.BoundaryData(lambda x: np.array([np.sin(2.0 * x[0])]),
-                           lambda s, xi: np.array([0.5 * s - 0.2]))
+    data = vk.BoundaryData(lambda X: np.sin(2.0 * X[:, :1]),
+                           lambda S, X: 0.5 * S - 0.2)
     prob = vk.CharProblem(lambda t, x, y: -lam * y * (1.0 + 0.5 * t), halfline, data, 1,
                           phi=vk.transport_field([v]))
     ts, xs = _with_special_rows(pts, h, v)
@@ -274,8 +318,8 @@ def test_solve_char_many_matches_pointwise_transport(v, lam, h, pts):
 @settings(max_examples=25, deadline=None)
 @given(h=_steps, pts=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
 def test_solve_char_many_matches_pointwise_impulses(h, pts):
-    data = vk.BoundaryData(lambda x: np.array([1.0 + x[0]]),
-                           lambda s, xi: np.array([10.0 + s]),
+    data = vk.BoundaryData(lambda X: 1.0 + X[:, :1],
+                           lambda S, X: 10.0 + S,
                            impulse_times=(0.5, 1.0, 2.0))
     prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline, data, 1, phi=one)
     ts, xs = _with_special_rows(pts, h, 1.0)
@@ -306,7 +350,7 @@ def test_solve_char_many_matches_pointwise_demo4d(A, h, pts):
 
 def test_solve_char_many_blowup_raises():
     # y' = y^2 from u0 = 1 blows up at time 1 along every characteristic
-    data = vk.BoundaryData(lambda x: np.array([1.0]))
+    data = vk.BoundaryData(lambda X: np.ones((len(X), 1)))
     prob = vk.CharProblem(lambda t, x, y: y * y, halfline, data, 1, phi=one)
     ts, xs = np.array([0.5, 2.0]), np.array([[5.0], [5.0]])
     with pytest.raises(vk.NonFinite):
@@ -339,7 +383,7 @@ def test_demo4d_zero_decay_is_pure_composition():
     oracle = _demo_oracle(A=0.0)
     t, x = 0.5, np.array([2.0, 1.0, 1.0, 1.0])
     s, c = oracle.exitor(t, x)
-    assert_allclose(oracle(t, x), _u0_4(c))
+    assert_allclose(oracle(t, x), _u0_4(c[None, :])[0])
 
 
 def test_demo4d_param_domain():
@@ -352,9 +396,42 @@ def test_demo4d_param_domain():
         oracle(1.0, [1.0, 3.0, 1.0, 1.0])       # x2 > r2
 
 
+@settings(max_examples=20, deadline=None)
+@given(A=st.sampled_from([0.0, 0.4, "callable"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_demo4d_solve_many_matches_per_row_closed_form(A, seed):
+    """The batched closed form and its one-row lifts give each row the per-row
+    closed form's bits, in every regime, with constant and callable decay."""
+    if A == "callable":
+        A = lambda tau, states: 0.3 + 0.1 * np.sin(tau[:, 0]) * states[:, 3]
+    oracle = _demo_oracle(A)
+    rng = np.random.default_rng(seed)
+    m = 30
+    ts = np.concatenate([[0.5, 3.0, 3.0, 0.0], rng.uniform(0.0, 3.0, m)])
+    xs = np.concatenate([[[2.0, 1.0, 1.0, 1.0], [0.4, 1.0, 1.0, 1.0], [2.5, 2.5, 1.0, 0.8],
+                          [1.0, 1.0, 1.0, 1.0]],
+                         np.column_stack([rng.uniform(0.0, 3.0, m), rng.uniform(0.05, R2, m),
+                                          rng.uniform(0.1, 2.0, m), rng.uniform(0.1, 1.9, m)])])
+    got = oracle.solve_many(ts, xs)
+    assert sorted({oracle.regime(t, x) for t, x in zip(ts[:3], xs[:3])}) == [1, 2, 3]
+    for t, x, u in zip(ts, xs, got):
+        want = trace_reference.demo4d_value(oracle, float(t), x)
+        assert u.tobytes() == want.tobytes() == oracle(float(t), x).tobytes()
+
+
+def test_demo4d_param_domain_names_the_first_bad_row():
+    oracle = _demo_oracle()
+    good = [1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(vk.ParamDomain, match=r"^x2 = 0\.0 outside \(0, r2\]$"):
+        oracle.solve_many([1.0, 1.0, 1.0], [good, [1.0, 0.0, 1.0, B], [1.0, 1.0, 1.0, B]])
+    with pytest.raises(vk.ParamDomain, match=r"^x4 = 2\.0 outside \(0, b\)$"):
+        oracle.solve_many([1.0, 1.0, 1.0], [good, [1.0, 1.0, 1.0, B], [1.0, 0.0, 1.0, 1.0]])
+    with pytest.raises(vk.ParamDomain, match="state must be 4-dimensional"):
+        oracle.solve_many([1.0], [[1.0, 1.0, 1.0]])
+
+
 def test_demo4d_callable_decay_matches_constant():
     const = _demo_oracle(A=0.4)
-    fn = _demo_oracle(A=lambda tau, state: 0.4)
+    fn = _demo_oracle(A=lambda tau, states: np.full(len(states), 0.4))
     t, x = 1.2, np.array([2.0, 1.5, 0.7, 1.2])
     assert const(t, x)[0] == pytest.approx(fn(t, x)[0], abs=1e-10)
 
@@ -379,7 +456,7 @@ def test_demo4d_oracle_agreement_all_regimes():
 
 
 def _shock_problem():
-    data = vk.BoundaryData(lambda x: np.array([-x[0]]))
+    data = vk.BoundaryData(lambda X: -X[:, :1])
     return vk.CharProblem(lambda t, x, y: np.zeros_like(y), vk.whole_space(1),
                           data, 1, f=lambda t, x, y: y)
 
@@ -503,7 +580,7 @@ def test_replay_check_consistency():
 
 def test_time_dependent_characteristics():
     # x' = 1, y' = -t y from u0 = 1: y(t) = exp(-t^2 / 2) on every characteristic
-    data = vk.BoundaryData(lambda x: np.array([1.0]))
+    data = vk.BoundaryData(lambda X: np.ones((len(X), 1)))
     prob = vk.CharProblem(lambda t, x, y: -t * y, vk.whole_space(1), data, 1, phi=one)
     want = math.exp(-0.5)
     assert abs(vk.solve_char(prob, 1.0, [0.3], 0.01)[0] - want) <= 1e-8
@@ -517,8 +594,8 @@ def test_time_dependent_characteristics():
 
 
 def test_graph_sample_impulse_slices():
-    u0 = lambda x: np.array([0.0])
-    v = lambda s, xi: np.array([s])
+    u0 = lambda X: np.zeros((len(X), 1))
+    v = lambda S, X: S
     data = vk.BoundaryData(u0, v, impulse_times=(0.5, 1.0))
     prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline, data, 1, phi=one)
     cloud = vk.graph_sample(prob, 2.0, 0.01, 5, [0.0], [2.0],
@@ -532,7 +609,7 @@ def test_graph_sample_impulse_slices():
 
 def test_phi_invariance_whole_space_passes():
     prob = vk.CharProblem(lambda t, x, y: -y, halfline,
-                          vk.BoundaryData(lambda x: np.array([1.0])), 1,
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
                           phi=one, phi_constraint=lambda t, x: vk.whole_space(1))
     samples = [(0.5, [1.0], [0.3]), (1.0, [2.0], [0.0])]
     rep = vk.phi_invariance_check(prob, samples, 1e-2)
@@ -542,7 +619,7 @@ def test_phi_invariance_whole_space_passes():
 def test_phi_invariance_orthant_decay_passes():
     orthant = vk.box([0.0], [np.inf])
     prob = vk.CharProblem(lambda t, x, y: -y, halfline,
-                          vk.BoundaryData(lambda x: np.array([1.0])), 1,
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
                           phi=one, phi_constraint=lambda t, x: orthant)
     samples = [(0.5, [1.0], [0.5]), (1.0, [2.0], [0.0])]
     rep = vk.phi_invariance_check(prob, samples, 1e-2)
@@ -552,7 +629,7 @@ def test_phi_invariance_orthant_decay_passes():
 def test_phi_invariance_constant_drain_fails():
     orthant = vk.box([0.0], [np.inf])
     prob = vk.CharProblem(lambda t, x, y: -np.ones_like(y), halfline,
-                          vk.BoundaryData(lambda x: np.array([1.0])), 1,
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
                           phi=one, phi_constraint=lambda t, x: orthant)
     rep = vk.phi_invariance_check(prob, [(0.5, [1.0], [0.0])], 1e-2)
     assert rep.g_residual > 0.5
@@ -563,15 +640,15 @@ def test_phi_invariance_constant_drain_fails():
 
 def test_data_locality_bitwise():
     h = 1e-3
-    probs = [_transport_problem(v=lambda s, xi: np.array([np.cos(3.0 * s)])),
-             _transport_problem(v=lambda s, xi: np.array([99.0 + s]))]
+    probs = [_transport_problem(v=lambda S, X: np.cos(3.0 * S)),
+             _transport_problem(v=lambda S, X: 99.0 + S)]
     # initial regime t <= x: boundary perturbation is invisible, bit for bit
     for t, x in ((0.5, 2.0), (1.0, 4.0)):
         a = vk.solve_char(probs[0], t, [x], h)
         b = vk.solve_char(probs[1], t, [x], h)
         assert a[0] == b[0]
-    u0s = [lambda x: np.array([np.sin(x[0])]), lambda x: np.array([-50.0])]
-    vb = lambda s, xi: np.array([np.cos(3.0 * s)])
+    u0s = [lambda X: np.sin(X[:, :1]), lambda X: np.full((len(X), 1), -50.0)]
+    vb = lambda S, X: np.cos(3.0 * S)
     probs2 = [vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline,
                              vk.BoundaryData(u0, vb), 1, phi=one) for u0 in u0s]
     # boundary regime t > x: initial perturbation is invisible
@@ -584,9 +661,9 @@ def test_data_locality_bitwise():
 def test_lipschitz_operator_bound():
     mu = 2.0
     g = lambda t, x, y: -mu * y
-    vb = lambda s, xi: np.array([0.2 * s])
-    u0a = lambda x: np.array([np.sin(x[0])])
-    u0b = lambda x: np.array([np.sin(x[0]) + 1.0])
+    vb = lambda S, X: 0.2 * S
+    u0a = lambda X: np.sin(X[:, :1])
+    u0b = lambda X: np.sin(X[:, :1]) + 1.0
     pa = vk.CharProblem(g, halfline, vk.BoundaryData(u0a, vb), 1, phi=one)
     pb = vk.CharProblem(g, halfline, vk.BoundaryData(u0b, vb), 1, phi=one)
     t, h = 1.0, 1e-2
@@ -604,8 +681,8 @@ def test_solution_growth_bound():
     def g2(t, x, y):   # |g| <= c (1 + |y|)
         return c * y
 
-    u0 = lambda x: np.array([np.cos(x[0])])
-    vb = lambda s, xi: np.array([np.sin(s)])
+    u0 = lambda X: np.cos(X[:, :1])
+    vb = lambda S, X: np.sin(S)
     prob = vk.CharProblem(g2, halfline, vk.BoundaryData(u0, vb), 1, phi=one)
     sup_data = 1.0
     for t in (0.5, 1.5):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trace_reference
 import viakit
+import viakit as vk
+from viakit import cli, csvio
 from viakit.cli import SUBCOMMANDS, main
 
 
@@ -610,6 +613,96 @@ def test_demo4d_with_diff(tmp_path):
     assert main(["demo4d", cfg, "-o", str(tmp_path)]) == 0
     _, diff = _read_csv(tmp_path / "demo4d_diff.csv")
     assert np.nanmax(diff[:, -1]) <= 1e-4
+
+
+def _row_function(spec, n):
+    """The per-row form of the data function spec: one 1-D dot product per row."""
+    if spec["kind"] == "const":
+        return lambda *args: np.full((len(args[-1]), 1), spec["value"])
+    w, c = np.array(spec["weights"], dtype=float), spec.get("offset", 0.0)
+    outer = {"affine": lambda u: u, "sin": np.sin}[spec["kind"]]
+    return lambda *args: np.array(
+        [[outer(float(w @ np.concatenate([a[i] for a in args])) + c)]
+         for i in range(len(args[-1]))]).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("kind", ["affine", "sin", "const"])
+def test_data_functions_match_their_per_row_form(kind):
+    """A data function gives each row the bits of its per-row form, also on
+    column blocks that are views in either memory order."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        spec = {"kind": kind, "weights": rng.standard_normal(n).tolist(),
+                "offset": float(rng.standard_normal()), "value": 0.7}
+        fn, ref = cli._function(cli._Section(spec, "f"), n), _row_function(spec, n)
+        Z = rng.standard_normal((400, n + 2)) * np.exp(rng.uniform(-5, 5, (400, 1)))
+        # a row block, and a time column with a fancy-indexed (column-major) block
+        for args in ([Z[:, :n]], [Z[:, :1], Z[:, list(range(3, n + 2))]]):
+            assert fn(*args).tobytes() == ref(*args).tobytes()
+
+
+def test_characteristic_csvs_match_per_row_references(tmp_path):
+    """pde-char (with v and impulses), pde-graph (with boundary points) and demo4d
+    (with its diff) write the bytes of the tables built by the per-row references."""
+    pde = {"phi": {"kind": "transport", "velocity": [1.0]},
+           "g": {"kind": "decay", "rate": 0.7},
+           "K": {"kind": "box", "lo": [0.0], "hi": [None]},
+           "u0": {"kind": "sin", "weights": [1.3], "offset": 0.2},
+           "v": {"kind": "affine", "weights": [0.8, 0.5], "offset": -0.3},
+           "impulses": [0.3, 0.8]}
+    char_cfg = {"pde": pde, "step": 0.05,
+                "eval": {"t_range": [0.0, 1.5, 7], "x_range": [[0.0, 1.2, 6]]}}
+    graph_pde = dict(pde, f={"kind": "output"}, impulses=None,
+                     u0={"kind": "affine", "weights": [-0.9], "offset": 0.4})
+    del graph_pde["phi"]
+    graph_cfg = {"pde": graph_pde, "step": 0.05,
+                 "graph": {"T": 0.6, "seeds_per_face": 9, "seed_lo": [0.0], "seed_hi": [1.0],
+                           "boundary_points": [[0.0]]}}
+    demo = dict(DEMO_CFG["demo4d"], u0={"kind": "sin", "weights": [0.3, 0.5, 0.1, 0.2]})
+    demo_cfg = {"demo4d": demo, "step": 0.05,
+                "eval": {"ts": [0.4, 1.5, 2.5, 0.0, 3.0, 0.3],
+                         "xs": [[2.0, 1.0, 1.0, 1.0], [0.4, 1.0, 0.5, 1.5],
+                                [1.5, 2.5, 1.0, 0.8], [1.0, 1.0, 1.0, 1.0],
+                                [0.2, 2.55, 0.7, 1.2], [1.8, 2.55, 0.7, 1.2]]}}
+    for op, cfg in (("pde-char", char_cfg), ("pde-graph", graph_cfg), ("demo4d", demo_cfg)):
+        assert main([op, _write(tmp_path, f"{op}.json", cfg), "-o", str(tmp_path / op)]) == 0
+
+    def problem(p, **speed):
+        data = vk.BoundaryData(_row_function(p["u0"], 1), _row_function(p["v"], 2),
+                               tuple(p["impulses"]) if p.get("impulses") else None)
+        return vk.CharProblem(lambda t, x, y: -0.7 * y, vk.box([0.0], [np.inf]), data, 1, **speed)
+
+    def same(path, write, *table):
+        write(str(tmp_path / "want.csv"), *table)
+        assert (tmp_path / path).read_bytes() == (tmp_path / "want.csv").read_bytes(), path
+
+    def solve(prob, ts, xs, h):
+        us = [trace_reference.solve_char(prob, float(t), x, h) for t, x in zip(ts, xs)]
+        return np.array([[np.nan] if u is None else u for u in us])
+
+    prob = problem(pde, phi=vk.transport_field([1.0]))
+    grid = np.array([(t, x) for t in np.linspace(0.0, 1.5, 7) for x in np.linspace(0.0, 1.2, 6)])
+    ts, xs = grid[:, 0], grid[:, 1:]
+    us = solve(prob, ts, xs, 0.05)
+    assert np.isnan(us).any() and not np.isnan(us).all()  # feet on and between the slices
+    same("pde-char/pde_solution.csv", csvio.write_solution_field, ts, xs, us)
+
+    gprob = problem(graph_pde, f=lambda t, x, y: y)
+    cloud = vk.graph_sample(gprob, 0.6, 0.05, 9, [0.0], [1.0], boundary_points=[[0.0]])
+    same("pde-graph/graph_cloud.csv", csvio.write_graphcloud, cloud)
+
+    o = vk.demo4d(*(demo[k] for k in ("rho", "sigma", "beta", "b", "r2", "A")),
+                  *(_row_function(demo[k], 4) for k in ("u0", "v1", "v_r2")))
+    ts, xs = np.array(demo_cfg["eval"]["ts"]), np.array(demo_cfg["eval"]["xs"])
+    exact = np.array([trace_reference.demo4d_value(o, t, x) for t, x in zip(ts, xs)])
+    same("demo4d/demo4d_solution.csv", csvio.write_solution_field, ts, xs, exact)
+    K4 = vk.product(vk.box([0.0], [np.inf]), vk.box([0.0], [o.r2]),
+                    vk.box([0.0], [np.inf]), vk.box([0.0], [o.b]))
+    face = lambda S, X: o.v1(S, X[:, 1:]) if X[0, 0] <= 1e-6 else o.v_r2(S, X[:, [0, 2, 3]])
+    dprob = vk.CharProblem(lambda t, x, y: -o.A * y, K4, vk.BoundaryData(o.u0, face), 1,
+                           phi=vk.demographic_field(o.rho, o.sigma, o.beta, o.b))
+    diffs = [[float(np.linalg.norm(u - e))] for u, e in zip(solve(dprob, ts, xs, 0.05), exact)]
+    same("demo4d/demo4d_diff.csv", csvio.write_solution_field, ts, xs, np.array(diffs))
 
 
 def test_reach_and_hitting(tmp_path):

@@ -148,6 +148,30 @@ def test_epigraph_envelope_inf_matches_value():
     assert abs(res.envelope.values[node] - direct) <= 2 * (3.0 / 120)
 
 
+# x' = t: the running cost is read at each history node's own time
+clock = vk.VectorField(1, lambda t, x: np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy())
+
+
+def test_minimal_length_on_a_time_dependent_field():
+    # x(t) = t^2 / 2 meets the ball around 0.5 at t ~ 1; the arc length is ~0.5
+    target = vk.ball([0.5], 1e-3)
+    assert vk.minimal_time(clock, target, [0.0], 2.0, 1e-3) == pytest.approx(1.0, abs=2e-3)
+    assert vk.minimal_length(clock, target, [0.0], 2.0, 1e-3) == pytest.approx(0.5, abs=2e-3)
+
+
+def test_direct_route_matches_epigraph_on_a_time_dependent_field():
+    # x' = -t, l = |x'|, u = |x|: J(t) = |x0 - t^2/2| + t^2/2, so the value is x0;
+    # a running cost read at t = 0 would be zero and give 0 instead
+    p = vk.LagrangianProblem(vk.VectorField(1, lambda t, x: -clock.eval(t, x)),
+                             vk.speed_lagrangian, 0.0, vk.abs_obstacle)
+    grid = vk.GridSpec([0.5, 0.0], [1.5, 3.0], [40, 120])
+    res = vk.epigraph_value_field(p, grid, "inf", 3.0, 1e-2)
+    xs = res.envelope.grid.nodes()
+    direct = vk.tabulate_values(p, xs, "inf", 3.0, 1e-2)
+    assert np.max(np.abs(direct - xs[:, 0])) <= 1e-3
+    assert np.max(np.abs(res.envelope.values - direct)) <= 2 * (3.0 / 120)
+
+
 def test_epigraph_cap_too_small():
     grid = vk.GridSpec([-2.0, 0.0], [2.0, 1.0], [40, 20])  # roof below |x| max
     with pytest.raises(vk.CapTooSmall):

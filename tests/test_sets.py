@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cloud_reference
+import trace_reference
 import viakit as vk
 from viakit.common import INF
 from viakit.kernels import lattice_points
@@ -101,6 +102,75 @@ def test_scalar_and_batch_membership_agree(dim, vals, ulps):
         for x in points:
             assert K.margin(x) == K.margin_many(x[None])[0]
             assert K.contains(x) == bool(K.contains_many(x[None])[0])
+
+
+def _boundary_kinds(dim):
+    """One set of each kind with a boundary rule, with infinite box bounds among them."""
+    lo, hi = -np.ones(dim), np.ones(dim)
+    slab = vk.box(np.r_[-np.inf, lo[1:]], np.r_[0.5, hi[1:]])
+    ball = vk.ball(0.2 * np.ones(dim), 1.0)
+    half = vk.halfspace(np.arange(1.0, dim + 1.0) - 0.3, 0.4)
+    factors = (vk.box([0.0], [np.inf]),) if dim == 1 else \
+        (vk.ball(np.zeros(dim - 1), 1.0), vk.box([0.0], [np.inf]))
+    return [vk.box(lo, hi), slab, vk.whole_space(dim), ball, half,
+            vk.product(*factors), vk.product(*(vk.box([-1.0], [2.0]),) * dim),
+            vk.union(vk.box(lo, lo + 0.5), vk.ball(2.0 * hi, 0.5)),
+            vk.intersection(ball, half, vk.box(lo, hi)),
+            vk.complement(vk.box(lo, hi)), vk.complement(ball), vk.sphere(lo, 1.0)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-7, 1e-3, 1.0, 3.0]))
+def test_batched_distances_match_the_per_row_rules(dim, seed, scale):
+    """distance_many and boundary_distance_many give every row the per-row
+    rule's value, in one batch of rows inside, outside and near each set."""
+    rng = np.random.default_rng(seed)
+    near = np.round(rng.uniform(-1, 1, (20, dim))) + scale * rng.standard_normal((20, dim))
+    X = np.concatenate([rng.uniform(-2.5, 2.5, (40, dim)), near])
+    for K in _boundary_kinds(dim) + _all_kinds(dim, rng.uniform(-1, 1, dim) + 0.1):
+        want = [trace_reference.distance(K, x) for x in X]
+        assert np.array_equal(K.distance_many(X), want), K.kind
+        assert [K.distance(x) for x in X] == want, K.kind
+    for K in _boundary_kinds(dim):
+        want = [trace_reference.boundary_distance(K, x) for x in X]
+        assert np.array_equal(K.boundary_distance_many(X), want), K.kind
+        assert [K.boundary_distance(x) for x in X] == want, K.kind
+
+
+def test_boundary_distance_unsupported_kinds():
+    inside = np.array([[0.0, 0.0]])
+    for K in (vk.point_cloud_set([[0.0, 0.0]]), vk.sublevel(lambda X: X[:, 0], 2),
+              vk.complement(vk.sublevel(lambda X: X[:, 0], 2)),
+              vk.product(vk.point_cloud_set([[0.0]]), vk.box([-1.0], [1.0]))):
+        with pytest.raises(vk.Unsupported):
+            K.boundary_distance_many(inside)
+        with pytest.raises(vk.Unsupported):
+            K.boundary_distance(inside[0])
+
+
+def test_complement_boundary_distance_is_its_base_rule():
+    # off a box corner the distance is Euclidean, not the L-infinity excess
+    x = [1.0 + 7e-7, 1.0 + 7e-7]
+    C = vk.complement(unit_box)
+    assert C.boundary_distance(x) == unit_box.boundary_distance(x)
+    assert C.boundary_distance(x) == pytest.approx(7e-7 * math.sqrt(2))
+    assert abs(unit_box.margin(x)) == pytest.approx(7e-7)
+    # ball and halfspace bases keep |margin|, so the sphere does too
+    for base in (unit_ball, vk.halfspace([1.0, 2.0], 0.5)):
+        for y in ([0.3, 0.1], [2.0, -1.0]):
+            assert vk.complement(base).boundary_distance(y) == abs(base.margin(y))
+    assert circle.boundary_distance([0.3, 0.4]) == pytest.approx(0.5)
+
+
+def test_halfspace_margin_rows_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 5):
+        K = vk.halfspace(rng.standard_normal(dim), 0.3)
+        X = rng.standard_normal((500, dim))
+        want = [K.margin(x) for x in X]
+        assert np.array_equal(K.margin_many(X), want)
+        assert np.array_equal(K.margin_many(np.asfortranarray(X)), want)
 
 
 def test_tangent_residual_circle_tangent_direction():
