@@ -31,11 +31,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import INF
+from .common import INF, _ladder
 from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
 from .kernels import _first_events, exit_time, lattice_points
-from .sets import PointCloudSet, SetOracle, _merge_points, tangent_residual
+from .sets import PointCloudSet, SetOracle, _ladder_min, _merge_points, _tangent_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,9 @@ class CharProblem:
     or ``f`` (general (t, x, y) speed, set-valued graphs) should be set.
     ``g`` drives the output ODE y' = g(t, x, y).  ``f``, ``g`` and
     ``phi`` are batch-only: x and y arrive as (m, n) and (m, p) rows, t
-    as a scalar or an (m, 1) per-row column.
+    as a scalar or an (m, 1) per-row column.  So is ``phi_constraint``:
+    ``phi_constraint(T, X, Y)`` takes an (m, 1) time column with the rows
+    and gives the (m,) distances of each y to the output set Phi(t, x).
     """
 
     g: Callable
@@ -75,7 +77,7 @@ class CharProblem:
     out_dim: int
     phi: Optional[VectorField] = None
     f: Optional[Callable] = None
-    phi_constraint: Optional[Callable] = None   # (t, x) -> SetOracle on outputs
+    phi_constraint: Optional[Callable] = None   # (T, X, Y) -> (m,) distances to Phi(t, x)
     x_tol: float = 1e-6
 
     @property
@@ -505,6 +507,12 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     return sorted(means, key=lambda v: tuple(v))
 
 
+def _worst(d) -> float:
+    """Python's max(0.0, *d): the largest entry of d above 0, NaN never winning."""
+    top = np.max(d, initial=0.0, where=~np.isnan(d))
+    return float(top) if top > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class FrankowskaReport:
     """Cone residuals of the graph along +/- the characteristic direction."""
@@ -527,13 +535,12 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
     (-1, -f, -g).  Residuals are finite-ladder tangent residuals against
     the cloud treated as a point-cloud oracle.
     """
+    if len(cloud) == 0:
+        raise ValueError("the cloud is empty: no seed of graph_sample lay in K")
     h = cloud.step
-    if h_min is None:
-        h_min = h
-    if h_max is None:
-        h_max = 8.0 * h
-    if interior_margin is None:
-        interior_margin = h_max + h
+    h_min = h if h_min is None else h_min
+    h_max = 8.0 * h if h_max is None else h_max
+    interior_margin = h_max + h if interior_margin is None else interior_margin
     oracle = PointCloudSet(cloud.points)
     tmax = float(cloud.times.max())
     seeds_t = cloud.seeds[cloud.seed_index, 0]
@@ -548,13 +555,11 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
     V = np.concatenate([np.ones((len(Z), 1)),
                         *_char_rhs(prob, Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:])], axis=1)
     initial, bnd, _ = _manifold(prob.data, Z[:, 0], Z[:, 1:1 + n], prob.domain, h, prob.x_tol)
-    fwd = np.array([tangent_residual(oracle, z, v, h_min=h_min, h_max=h_max)
-                    for z, v in zip(Z, V)])
-    bwd = np.array([np.nan if on else tangent_residual(oracle, z, -v, h_min=h_min, h_max=h_max)
-                    for z, v, on in zip(Z, V, initial | bnd)])
-    finite_bwd = bwd[~np.isnan(bwd)]
-    return FrankowskaReport(pick, fwd, bwd, float(fwd.max()),
-                            float(finite_bwd.max()) if len(finite_bwd) else 0.0)
+    fwd = _tangent_residuals(oracle, Z, V, h_min, h_max)
+    off = ~(initial | bnd)
+    bwd = np.full(len(Z), np.nan)
+    bwd[off] = _tangent_residuals(oracle, Z[off], -V[off], h_min, h_max)
+    return FrankowskaReport(pick, fwd, bwd, float(fwd.max()), _worst(bwd))
 
 
 @dataclass(frozen=True)
@@ -576,31 +581,26 @@ def phi_invariance_check(prob: CharProblem, samples, h: float) -> PhiInvarianceR
     (i) g points tangentially into the constraint along (1, phi(x));
     (ii) boundary data lie in the constraint on boundary samples;
     (iii) initial data lie in the constraint at t = 0.  Advisory for the
-    claim that the solution stays inside the constraint.
+    claim that the solution stays inside the constraint.  ``samples`` are
+    (m, 1 + n + p) rows (t, x, y), the layout of ``GraphCloud.points``; the
+    constraint is called three times: on all rungs of (i) at once, for (iii),
+    and for (ii) on the boundary samples (maybe none).
     """
     if prob.phi_constraint is None:
         raise ValueError("problem has no output constraint")
-    T = np.array([t for t, _, _ in samples], dtype=float)
-    X, Y = (np.array([np.atleast_1d(z[k]) for z in samples], dtype=float).reshape(len(T), d)
-            for k, d in ((1, prob.state_dim), (2, prob.out_dim)))
-    DX, DY = _char_rhs(prob, T[:, None], X, Y)
+    n = prob.state_dim
+    Z = np.asarray(samples, dtype=float).reshape(-1, 1 + n + prob.out_dim)
+    T, X, Y = Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:]
+    W = np.concatenate([np.ones_like(T), *_char_rhs(prob, T, X, Y)], axis=1)
     on = np.zeros(len(X), dtype=bool) if prob.data.boundary is None else \
         prob.domain.boundary_distance_many(X) <= prob.x_tol
     U = np.asarray(prob.data.initial(X), dtype=float)
-    V = _read(prob.data, X, np.zeros_like(on), on, T)  # the boundary datum on boundary samples
-    g_res = v_dist = u_dist = 0.0
-    for j, t in enumerate(T):
-        best = np.inf
-        eta = 8.0 * h
-        while eta >= h * (1.0 - 1e-12):
-            phi_set = prob.phi_constraint(t + eta, X[j] + eta * DX[j])
-            best = min(best, phi_set.distance(Y[j] + eta * DY[j]) / eta)
-            eta *= 0.5
-        g_res = max(g_res, float(best))
-        u_dist = max(u_dist, prob.phi_constraint(0.0, X[j]).distance(U[j]))
-        if on[j]:
-            v_dist = max(v_dist, prob.phi_constraint(t, X[j]).distance(V[j]))
-    return PhiInvarianceReport(g_res, v_dist, u_dist)
+    V = _read(prob.data, X, np.zeros_like(on), on, T[:, 0])  # the boundary datum on boundary samples
+    g_res = _ladder_min(lambda P: prob.phi_constraint(P[:, :1], P[:, 1:1 + n], P[:, 1 + n:]),
+                        Z, W, _ladder(8.0 * h, h))
+    u_dist = prob.phi_constraint(np.zeros_like(T), X, U)
+    v_dist = prob.phi_constraint(T[on], X[on], V[on])
+    return PhiInvarianceReport(_worst(g_res), _worst(v_dist), _worst(u_dist))
 
 
 @dataclass(frozen=True)
@@ -675,6 +675,8 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     back to the data manifold; this replays that path for a deterministic
     sample of points and returns the worst reconstruction error.
     """
+    if len(cloud) == 0:
+        raise ValueError("the cloud is empty: no seed of graph_sample lay in K")
     m = len(cloud)
     count = max(1, int(math.ceil(fraction * m)))
     pick = np.linspace(0, m - 1, count).astype(int)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import INF
+from .common import INF, _ladder
 from .dynamics import VectorField, _bisect, _record, _schedule, rk4_step
 from .errors import CapTooSmall, DescentViolation, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, _one_row, capt_field, viab_field
@@ -505,17 +505,12 @@ def _epiderivatives(u_field: GridFunction, X, V, h_min: Optional[float] = None,
     one :meth:`GridFunction.interp_many` call.
     """
     cell = float(np.min(u_field.grid.spacing))
-    h = 4.0 * cell if h_max is None else h_max
-    h_min = 0.5 * cell if h_min is None else h_min
+    hs = _ladder(4.0 * cell if h_max is None else h_max, 0.5 * cell if h_min is None else h_min)
     perturb = 0.5 * cell if perturb is None else perturb
-    hs = []
-    while h >= h_min * (1.0 - 1e-12):
-        hs.append(h)
-        h *= 0.5
     m, n = X.shape
     stencil = np.zeros((1 + 2 * n, n))  # v, v + delta e_0, v - delta e_0, v + delta e_1, ...
     stencil[1::2], stencil[2::2] = perturb * np.eye(n), -perturb * np.eye(n)
-    hs = np.array(hs)[:, None, None]
+    hs = hs[:, None, None]
     probes = X[:, None, None] + hs * (V[:, None] + stencil)[:, None]
     u = u_field.interp_many(np.concatenate([X, probes.reshape(-1, n)]))
     u0, uv = u[:m], u[m:].reshape(probes.shape[:3])

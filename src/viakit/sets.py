@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF
+from .common import INF, _ladder
 from .errors import Unsupported
 
 
@@ -409,36 +409,9 @@ class Sublevel(SetOracle):
 # ---------------------------------------------------------------------------
 
 
-def box(lo, hi) -> Box:
-    return Box(lo, hi)
-
-
-def ball(center, radius: float) -> Ball:
-    return Ball(center, radius)
-
-
-def halfspace(normal, offset: float) -> Halfspace:
-    return Halfspace(normal, offset)
-
-
-def point_cloud_set(points) -> PointCloudSet:
-    return PointCloudSet(points)
-
-
-def product(*factors: SetOracle) -> Product:
-    return Product(*factors)
-
-
-def union(*members: SetOracle) -> Union:
-    return Union(*members)
-
-
-def intersection(*members: SetOracle) -> Intersection:
-    return Intersection(*members)
-
-
-def complement(base: SetOracle) -> Complement:
-    return Complement(base)
+# The primitive and composite builders are the classes themselves.
+box, ball, halfspace, point_cloud_set = Box, Ball, Halfspace, PointCloudSet
+product, union, intersection, complement = Product, Union, Intersection, Complement
 
 
 def sublevel(fn, dim: int, lipschitz: float = 1.0) -> Sublevel:
@@ -516,25 +489,40 @@ def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
     return keep
 
 
+def _ladder_min(distance_many, X, V, hs) -> np.ndarray:
+    """Per row of X, min over the rungs h of distance_many(X + h V) / h.
+
+    Every rung's probes go through one distance_many call; the minimum is
+    Python's min from +inf, rung by rung, so a NaN quotient never wins.
+    """
+    q = distance_many((X + hs[:, None, None] * V).reshape(-1, X.shape[1]))
+    best = np.full(len(X), np.inf)
+    for row in np.reshape(q, (len(hs), len(X))) / hs[:, None]:
+        best = np.where(row < best, row, best)
+    return best
+
+
+def _tangent_residuals(K: SetOracle, X, V, h_min: float, h_max: float) -> np.ndarray:
+    """:func:`tangent_residual` at the row pairs of the (m, dim) arrays X and V."""
+    if not K.contains_many(X).all():
+        raise ValueError("tangent_residual requires x in K")
+    if not np.isfinite(V).all():
+        raise ValueError("tangent_residual requires a finite direction v")
+    if not (0.0 < h_min < h_max):
+        raise ValueError("need 0 < h_min < h_max")
+    return _ladder_min(K.distance_many, X, V, _ladder(h_max, h_min))
+
+
 def tangent_residual(K: SetOracle, x, v, h_min: float = 1e-6, h_max: float = 1e-2) -> float:
     """Finite-ladder proxy for liminf_{h->0+} d(x + h v, K) / h.
 
     A value near zero certifies v as a contingent direction to K at x;
     for a unit v pointing at angle theta off the set it is about
     sin(theta).  The ladder runs from h_max down to h_min with ratio 1/2.
+    A one-row lift of :func:`_tangent_residuals`.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not K.contains(x):
-        raise ValueError("tangent_residual requires x in K")
-    if not (0.0 < h_min < h_max):
-        raise ValueError("need 0 < h_min < h_max")
-    best = np.inf
-    h = h_max
-    while h >= h_min * (1.0 - 1e-12):
-        best = min(best, K.distance(x + h * v) / h)
-        h *= 0.5
-    return float(best)
+    X, V = (np.asarray(z, dtype=float).reshape(1, -1) for z in (x, v))
+    return float(_tangent_residuals(K, X, V, h_min, h_max)[0])
 
 
 def set_limit(clouds, mode: str, eps: float) -> PointCloud:

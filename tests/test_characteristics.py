@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cloud_reference
+import residual_reference
 import trace_reference
 import viakit as vk
 from viakit import characteristics
@@ -550,6 +551,47 @@ def test_frankowska_residual_corrupted_cloud():
     assert rep.max_forward > 10 * 5 * cloud.step
 
 
+def _same_report(got, want):
+    for a, b in zip(vars(got).values(), vars(want).values()):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("margin", [None, 0.0])
+def test_frankowska_residual_matches_per_sample_loop(margin):
+    clouds = [(_transport_problem(), vk.graph_sample(_transport_problem(), 1.0, 0.01, 41,
+                                                     [0.0], [4.0])),
+              (_shock_problem(), vk.graph_sample(_shock_problem(), 1.2, 0.01, 41, [-1.0], [1.0]))]
+    for prob, cloud in clouds:
+        for n in (20, 100, 1000):
+            _same_report(vk.frankowska_residual(cloud, prob, n, interior_margin=margin),
+                         residual_reference.frankowska_residual(cloud, prob, n,
+                                                                interior_margin=margin))
+
+
+def test_frankowska_residual_impulse_slice_matches_per_sample_loop():
+    data = vk.BoundaryData(lambda X: np.zeros((len(X), 1)), lambda S, X: S,
+                           impulse_times=(0.5, 1.0))
+    prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), halfline, data, 1, phi=one)
+    cloud = vk.graph_sample(prob, 2.0, 0.01, 5, [0.0], [2.0], boundary_points=[[0.0]])
+    rep = vk.frankowska_residual(cloud, prob, len(cloud), interior_margin=0.0)
+    on_slice = np.isnan(rep.backward) & (cloud.times[rep.indices] > 0.0)
+    assert on_slice.any() and not np.isnan(rep.backward).all()
+    _same_report(rep, residual_reference.frankowska_residual(cloud, prob, len(cloud),
+                                                             interior_margin=0.0))
+
+
+def test_empty_cloud_checks_raise():
+    # no seed of the window [-1, 1] lies in K, so graph_sample gives an empty cloud
+    prob = vk.CharProblem(lambda t, x, y: np.zeros_like(y), vk.box([5.0], [6.0]),
+                          vk.BoundaryData(lambda X: -X[:, :1]), 1, f=lambda t, x, y: y)
+    cloud = vk.graph_sample(prob, 1.0, 0.01, 11, [-1.0], [1.0])
+    assert len(cloud) == 0
+    with pytest.raises(ValueError, match="cloud is empty"):
+        vk.replay_check(cloud, prob)
+    with pytest.raises(ValueError, match="cloud is empty"):
+        vk.frankowska_residual(cloud, prob, 10)
+
+
 def test_graph_capture_crosscheck_transport():
     # the forward sweep and a gridded backward capture basin describe the
     # same graph (1+1-D sanity route; the sweep is the scalable one)
@@ -610,8 +652,8 @@ def test_graph_sample_impulse_slices():
 def test_phi_invariance_whole_space_passes():
     prob = vk.CharProblem(lambda t, x, y: -y, halfline,
                           vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
-                          phi=one, phi_constraint=lambda t, x: vk.whole_space(1))
-    samples = [(0.5, [1.0], [0.3]), (1.0, [2.0], [0.0])]
+                          phi=one, phi_constraint=lambda T, X, Y: vk.whole_space(1).distance_many(Y))
+    samples = [[0.5, 1.0, 0.3], [1.0, 2.0, 0.0]]
     rep = vk.phi_invariance_check(prob, samples, 1e-2)
     assert rep.ok(1e-6)
 
@@ -620,8 +662,8 @@ def test_phi_invariance_orthant_decay_passes():
     orthant = vk.box([0.0], [np.inf])
     prob = vk.CharProblem(lambda t, x, y: -y, halfline,
                           vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
-                          phi=one, phi_constraint=lambda t, x: orthant)
-    samples = [(0.5, [1.0], [0.5]), (1.0, [2.0], [0.0])]
+                          phi=one, phi_constraint=lambda T, X, Y: orthant.distance_many(Y))
+    samples = [[0.5, 1.0, 0.5], [1.0, 2.0, 0.0]]
     rep = vk.phi_invariance_check(prob, samples, 1e-2)
     assert rep.ok(1e-6)
 
@@ -630,9 +672,40 @@ def test_phi_invariance_constant_drain_fails():
     orthant = vk.box([0.0], [np.inf])
     prob = vk.CharProblem(lambda t, x, y: -np.ones_like(y), halfline,
                           vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
-                          phi=one, phi_constraint=lambda t, x: orthant)
-    rep = vk.phi_invariance_check(prob, [(0.5, [1.0], [0.0])], 1e-2)
+                          phi=one, phi_constraint=lambda T, X, Y: orthant.distance_many(Y))
+    rep = vk.phi_invariance_check(prob, [[0.5, 1.0, 0.0]], 1e-2)
     assert rep.g_residual > 0.5
+
+
+@pytest.mark.parametrize("boundary", [None, lambda S, X: np.cos(3.0 * S) + 0.2 * X])
+@pytest.mark.parametrize("kind", ["orthant", "gappy", "tube"])
+def test_phi_invariance_matches_per_sample_loop(kind, boundary):
+    orthant = vk.box([0.0], [np.inf])
+    constraint = {  # a constant orthant, one with NaN distances past t = 1.9 (they never
+        # win), or |y - sin(x - t)| <= 0.1 + 0.05 t
+        "orthant": lambda T, X, Y: orthant.distance_many(Y),
+        "gappy": lambda T, X, Y: np.where(T[:, 0] > 1.9, np.nan, orthant.distance_many(Y)),
+        "tube": lambda T, X, Y: np.maximum(np.abs(Y - np.sin(X - T)) - (0.1 + 0.05 * T), 0.0)[:, 0],
+    }[kind]
+    prob = vk.CharProblem(lambda t, x, y: np.cos(x - t) - 0.5 * y, halfline,
+                          vk.BoundaryData(lambda X: np.sin(X[:, :1]) - 0.3, boundary), 1,
+                          phi=one, phi_constraint=constraint)
+    rng = np.random.default_rng(3)
+    samples = np.column_stack([rng.uniform(0.0, 2.0, 60), rng.uniform(0.0, 3.0, 60),
+                               rng.uniform(-1.2, 1.2, 60)])
+    samples[::7, 1] = 0.0  # boundary samples
+    rep = vk.phi_invariance_check(prob, samples, 1e-2)
+    assert rep.g_residual > 0.0 and rep.initial_distance > 0.0
+    assert (rep.boundary_distance > 0.0) == (boundary is not None)
+    _same_report(rep, residual_reference.phi_invariance_check(prob, samples, 1e-2))
+
+
+def test_phi_invariance_refuses_per_point_constraint():
+    prob = vk.CharProblem(lambda t, x, y: -y, halfline,
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
+                          phi=one, phi_constraint=lambda t, x: vk.whole_space(1))
+    with pytest.raises(TypeError):
+        vk.phi_invariance_check(prob, [[0.5, 1.0, 0.3]], 1e-2)
 
 
 # -- operator properties -------------------------------------------------------

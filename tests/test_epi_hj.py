@@ -206,6 +206,16 @@ def test_epiderivative_abs_kink():
     assert vk.epiderivative(gf, [0.0], [1.0]) == pytest.approx(1.0, abs=5e-2)
 
 
+def test_epiderivative_refuses_an_endless_ladder():
+    # halving never passes a floor <= 0 and never leaves h_max = inf, so the
+    # ladder would never end; a NaN bound would give no rung at all
+    gf = _tabulated(np.abs, -2.0, 2.0, 200)
+    for h_min, h_max in ((0.0, None), (-1e-3, None), (np.nan, None), (None, np.inf),
+                         (None, np.nan)):
+        with pytest.raises(ValueError, match="step ladder"):
+            vk.epiderivative(gf, [0.0], [1.0], h_min=h_min, h_max=h_max)
+
+
 def test_gridfunction_and_epiderivative_2d():
     grid = vk.GridSpec([-1.0, -1.0], [1.0, 1.0], [100, 100])
     pts = grid.nodes()

@@ -7,11 +7,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cloud_reference
+import residual_reference
 import trace_reference
 import viakit as vk
 from viakit.common import INF
 from viakit.kernels import lattice_points
-from viakit.sets import PointCloud, _merge_points
+from viakit.sets import PointCloud, _merge_points, _tangent_residuals
 
 
 unit_ball = vk.ball([0.0, 0.0], 1.0)
@@ -191,6 +192,34 @@ def test_tangent_residual_whole_space():
 def test_tangent_residual_requires_membership():
     with pytest.raises(ValueError):
         vk.tangent_residual(unit_ball, [2.0, 0.0], [1.0, 0.0])
+
+
+def test_tangent_residual_refuses_an_endless_ladder():
+    with pytest.raises(ValueError, match="step ladder"):
+        vk.tangent_residual(unit_ball, [0.0, 0.0], [1.0, 0.0], h_max=np.inf)
+
+
+def test_tangent_residual_refuses_non_finite_direction():
+    # a NaN quotient never wins the minimum, so a NaN direction would read as inf
+    for v in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite direction"):
+            vk.tangent_residual(unit_ball, [0.0, 0.0], v)
+
+
+@pytest.mark.parametrize("kind", ["ball", "box", "sphere", "cloud"])
+def test_batched_ladder_matches_scalar_loop(kind):
+    rng = np.random.default_rng(7)
+    Y = rng.uniform(-1.5, 1.5, (300, 2))
+    K = {"ball": unit_ball, "box": vk.box([-0.5, -np.inf], [np.inf, 0.5]),
+         "sphere": circle, "cloud": vk.point_cloud_set(Y[:60])}[kind]
+    X = np.array([K.project(y) for y in Y])  # on the boundary or inside
+    X = X[K.contains_many(X)]
+    V = rng.standard_normal(X.shape)
+    for h_min, h_max in ((1e-6, 1e-2), (0.01, 0.3)):
+        got = _tangent_residuals(K, X, V, h_min, h_max)
+        want = [residual_reference.tangent_residual(K, x, v, h_min, h_max) for x, v in zip(X, V)]
+        assert len(X) >= 50 and got.tobytes() == np.array(want).tobytes()
+        assert vk.tangent_residual(K, X[0], V[0], h_min, h_max) == want[0]
 
 
 def test_projection_normality():
