@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import INF, _ladder
+from .common import INF, _finite_samples, _ladder
 from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
 from .kernels import _first_events, exit_time, lattice_points
@@ -467,8 +467,10 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     pts = [seeds]
     idxs = [np.arange(len(seeds))]
     live = np.ones(len(seeds), dtype=bool)
-    for sub, t, hs, _ in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
-        zn = z[sub]
+    for sub, t, hs, _, zn in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
+        if np.any(sub[1:] < sub[:-1]):  # rows come by step count: back to seed order
+            o = np.argsort(sub, kind="stable")
+            sub, t, hs, zn = sub[o], t[o], hs[o], zn[o]
         inside = prob.domain.margin_many(zn[:, :n]) <= 0.0
         live[sub[~inside]] = False
         pts.append(np.concatenate([(t + hs)[inside], zn[inside]], axis=1))
@@ -584,12 +586,14 @@ def phi_invariance_check(prob: CharProblem, samples, h: float) -> PhiInvarianceR
     claim that the solution stays inside the constraint.  ``samples`` are
     (m, 1 + n + p) rows (t, x, y), the layout of ``GraphCloud.points``; the
     constraint is called three times: on all rungs of (i) at once, for (iii),
-    and for (ii) on the boundary samples (maybe none).
+    and for (ii) on the boundary samples (maybe none).  A non-finite sample
+    raises ValueError, as in the HJ checks: its quotients would all be NaN,
+    and condition (i) would read an infinite residual.
     """
     if prob.phi_constraint is None:
         raise ValueError("problem has no output constraint")
     n = prob.state_dim
-    Z = np.asarray(samples, dtype=float).reshape(-1, 1 + n + prob.out_dim)
+    Z = _finite_samples(np.asarray(samples, dtype=float).reshape(-1, 1 + n + prob.out_dim))
     T, X, Y = Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:]
     W = np.concatenate([np.ones_like(T), *_char_rhs(prob, T, X, Y)], axis=1)
     on = np.zeros(len(X), dtype=bool) if prob.data.boundary is None else \

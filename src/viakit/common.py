@@ -24,3 +24,16 @@ def _ladder(h_max: float, h_min: float) -> np.ndarray:
         hs.append(h)
         h *= 0.5
     return np.array(hs)
+
+
+def _finite_samples(X: np.ndarray) -> np.ndarray:
+    """X unchanged; a ValueError naming the first row with a non-finite entry.
+
+    For the residual checks, where a NaN sample would only read as a
+    clause that does not apply, or as an infinite residual.
+    """
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"sample {bad} {X[bad].tolist()} is not finite")
+    return X

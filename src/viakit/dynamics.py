@@ -187,12 +187,12 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
     k = _schedule(t0, t1, step)[2] + 1
     times, states = np.empty(k), np.empty((k,) + xs.shape)
     times[0], states[0] = t0, xs
-    x = xs.copy()
     live = np.ones(len(xs), dtype=bool)
-    for j, (_, t, h, _) in enumerate(_march(field, x, t0, t1, step, live), start=1):
-        times[j], states[j] = t + h, x
-    if not live.all():
-        raise NonFinite(f"state blew up during {what}")
+    for j, (rows, t, h, _, new) in enumerate(_march(field, xs.copy(), t0, t1, step, live),
+                                             start=1):
+        if len(rows) < len(xs):
+            raise NonFinite(f"state blew up during {what}")
+        times[j], states[j] = t + h, new
     return times, states
 
 
@@ -223,49 +223,72 @@ def flow(field: VectorField, t: float, x, step: float):
 def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray):
     """The batched RK4 stepping core behind every row sweep; a generator.
 
-    Advances the live rows of x (shape (m, dim), updated in place) from
-    t0 to t1, each row on :func:`_schedule`'s nodes: ``t0 + j*step``
-    and a shorter tail.  t0 and t1 are scalars or (m,) per-row arrays;
-    per-row times reach the field as (k, 1) columns.  Non-finite times or
-    steps raise ValueError.  A stepped row that fails :func:`_finite_rows`
-    is retired (live cleared) and set to NaN.  Callers retire rows by
-    clearing ``live`` in place.
+    Advances the live rows of x (shape (m, dim)) from t0 to t1, each row
+    on :func:`_schedule`'s nodes: ``t0 + j*step`` and a shorter tail.  t0
+    and t1 are scalars or (m,) per-row arrays; per-row times reach the
+    field as (k, 1) columns.  Non-finite times or steps raise ValueError.
+    A stepped row that fails :func:`_finite_rows` is retired (live
+    cleared) and set to NaN.  Callers retire rows by clearing ``live`` in
+    place, for the rows just yielded.
 
-    Yields (rows, t, h, prev) after each step: the indices of the rows
-    just advanced (not to be written: while every row is live on a shared
-    schedule it is the same array each step), their start times and step
-    sizes (scalars, or (k, 1) columns for per-row schedules) and their
-    states before the step.
+    Only the rows live at the start are stepped, held in one work array:
+    on per-row schedules ordered by step count, descending, so the rows
+    still stepping are a prefix.  Rows that finish their schedule, are
+    retired or blow up leave it, and the rest are compacted.  x is
+    written when rows leave and at the end, so when the march ends it
+    holds each row's last state (a retired row's state at retirement,
+    NaN for a blow-up); during the march it is stale.
+
+    Yields (rows, t, h, prev, new) after each step: the indices of the
+    rows just advanced, their start times and step sizes (scalars, or
+    (k, 1) columns for per-row schedules), and their (k, dim) states
+    before and after the step, in the order of rows.  That order is
+    ascending except on per-row schedules.  None of them is to be
+    written, nor kept past the next step.
     """
     n_full, rem, n_steps = _schedule(t0, t1, step)
     per_row = np.ndim(n_steps) > 0
+    # every row live on a shared schedule: x itself is the first work array,
+    # and no step takes an index array until a row leaves
+    whole = not per_row and live.all()
+    rows = np.arange(len(x)) if whole else np.flatnonzero(live)
+    sched = ()
     if per_row:
+        rows = rows[np.argsort(-n_steps[rows], kind="stable")]
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), live.shape)
-    every = np.arange(len(x))
+        sched = (t0[rows], n_full[rows], rem[rows], -n_steps[rows])
+    w = x if whole else x[rows]
     for j in range(int(np.max(n_steps, initial=0))):
-        # every row live on the shared schedule: slices, no index lists
-        whole = not per_row and live.all()
-        rows = every if whole else np.flatnonzero(live & (n_steps > j) if per_row else live)
-        if len(rows) == 0:
-            break
         if per_row:
-            t = (t0[rows] + j * step)[:, None]
-            h = np.where(n_full[rows] > j, step, rem[rows])[:, None]
+            # the rows whose schedule has ended are the suffix past k
+            k = int(np.searchsorted(sched[3], -j))
+            if k < len(rows):
+                x[rows[k:]] = w[k:]
+                rows, w, sched = rows[:k], w[:k], tuple(a[:k] for a in sched)
+            t = (sched[0] + j * step)[:, None]
+            h = np.where(sched[1] > j, step, sched[2])[:, None]
         else:
             t, h = t0 + j * step, (step if j < n_full else float(rem))
-        prev = x.copy() if whole else x[rows]
-        xn = rk4_step(field, t, prev, h)
-        if not _clears_blowup(xn):
-            good = _finite_rows(xn)
+        if len(rows) == 0:
+            break
+        prev, w = w, rk4_step(field, t, w, h)
+        if not _clears_blowup(w):
+            good = _finite_rows(w)
             if not good.all():
-                whole = False
                 live[rows[~good]] = False
                 x[rows[~good]] = np.nan
-                rows, prev, xn = rows[good], prev[good], xn[good]
+                whole = False
+                rows, prev, w = rows[good], prev[good], w[good]
+                sched = tuple(a[good] for a in sched)
                 if per_row:
                     t, h = t[good], h[good]
-        x[slice(None) if whole else rows] = xn
-        yield rows, t, h, prev
+        yield rows, t, h, prev, w
+        keep = live if whole else live[rows]
+        if not keep.all():
+            x[rows[~keep]] = w[~keep]
+            whole = False
+            rows, w, sched = rows[keep], w[keep], tuple(a[keep] for a in sched)
+    x[slice(None) if whole else rows] = w
 
 
 def _advance(field: VectorField, x: np.ndarray, t0, t1, step: float) -> np.ndarray:
@@ -343,8 +366,9 @@ def linear_field(a, dim: int = 1) -> VectorField:
                            lipschitz=c, monotone_mu=-float(A), name="linear")
     n = A.shape[0]
     nrm = float(np.linalg.norm(A, 2))
-    return VectorField(n, lambda t, x: x @ A.T, growth_c=nrm, lipschitz=nrm,
-                       name="linear")
+    # one 1-D dot product per entry: a matrix product rounds a row by its batch
+    return VectorField(n, lambda t, x: np.vecdot(x[..., None, :], A), growth_c=nrm,
+                       lipschitz=nrm, name="linear")
 
 
 def rotation_field(omega: float = 1.0) -> VectorField:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import INF, _ladder
+from .common import INF, _finite_samples, _ladder
 from .dynamics import VectorField, _bisect, _record, _schedule, rk4_step
 from .errors import CapTooSmall, DescentViolation, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, _one_row, capt_field, viab_field
@@ -562,11 +562,7 @@ def _hj_residuals(p: LagrangianProblem, u_field: GridFunction, sample_points):
     one batched pass; each check keeps the rows its clauses apply to.  A
     non-finite sample raises ValueError: its NaN residuals would read as
     clauses that do not apply, so it would pass unchecked.  Autonomous: f at t = 0."""
-    X = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"sample {bad} {X[bad].tolist()} is not finite")
+    X = _finite_samples(np.atleast_2d(np.asarray(sample_points, dtype=float)))
     m = len(X)
     F = p.field(0.0, X)
     L = np.asarray(p.lagrangian(X, F), dtype=float)

@@ -32,8 +32,9 @@ from .sets import SetOracle
 #: default exit-time refinement: |error| <= REFINE_FRAC * max(T_max, 1)
 REFINE_FRAC = 1e-8
 
-#: fewest grid rows per worker chunk: the measured crossover below which
-#: a sweep on two threads is slower than on one (see the README's Workers)
+#: fewest grid rows per worker chunk, set where two threads began to beat
+#: one; with the live-row stepping core that point is near 20000 rows
+#: (see the README's Workers)
 CHUNK_ROWS = 6144
 
 
@@ -193,18 +194,22 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
 
     x = X0.copy()
     live = need_exit | need_hit
-    for rows, t, hj, prev in _march(field, x, 0.0, T_max, h, live):
+    for rows, t, hj, prev, new in _march(field, x, 0.0, T_max, h, live):
         for need, _, crossed, brackets in events:
             sub = need[rows]
-            if sub.any():
-                flip = crossed(x[rows[sub]])
-                if flip.any():
-                    pick = np.flatnonzero(sub)[flip]
-                    # t and hj are scalars, or (k, 1) columns on per-row horizons
-                    t_f, h_f = (np.broadcast_to(a, (len(rows), 1))[pick, 0] for a in (t, hj))
-                    brackets.append((rows[pick], t_f, h_f, prev[pick]))
-                    need[rows[pick]] = False
-        live &= need_exit | need_hit
+            if not sub.any():
+                continue
+            if sub.all():
+                pick = np.flatnonzero(crossed(new))
+            else:
+                pick = np.flatnonzero(sub)[crossed(new[sub])]
+            if len(pick):
+                # t and hj are scalars, or (k, 1) columns on per-row horizons
+                t_f, h_f = (np.broadcast_to(a, (len(rows), 1))[pick, 0] for a in (t, hj))
+                done = rows[pick]
+                brackets.append((done, t_f, h_f, prev[pick]))
+                need[done] = False
+                live[done] = need_exit[done] | need_hit[done]  # retired once it needs nothing
     refine_tol = np.broadcast_to(refine_tol, (n,))
     for _, times, crossed, brackets in events:
         if brackets:

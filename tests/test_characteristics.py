@@ -646,6 +646,28 @@ def test_graph_sample_impulse_slices():
     assert seed_times == [0.0, 0.5, 1.0]
 
 
+def test_graph_sample_lists_each_step_in_seed_order():
+    # boundary seeds start late, xi-major and s-minor, so their step counts are
+    # not sorted; the stepping core orders rows by step count, and the cloud
+    # must still list the points step by step, each step in seed order
+    K = vk.box([0.0, -np.inf], [np.inf, np.inf])
+    data = vk.BoundaryData(lambda X: np.sin(X[:, :1]), lambda S, X: 0.3 * S + X[:, 1:])
+    prob = vk.CharProblem(lambda t, x, y: -0.5 * y, K, data, 1,
+                          phi=vk.transport_field([1.0, 0.0]))
+    T, h = 1.2, 0.01   # the boundary seeds start at 0.4, 0.8 and 1.2: no tails
+    cloud = vk.graph_sample(prob, T, h, 4, [0.0, 0.0], [2.0, 2.0],
+                            boundary_points=[[0.0, 0.5], [0.0, 1.5]])
+    steps = vk.dynamics._schedule(cloud.seeds[:, 0], T, h)[2]
+    assert list(steps[-6:]) == [80, 40, 0, 80, 40, 0]
+    assert len(cloud) == len(cloud.seeds) + steps.sum()   # no point was merged
+    seen = np.zeros(len(cloud.seeds), dtype=int)
+    step_of = np.empty(len(cloud), dtype=int)
+    for i, s in enumerate(cloud.seed_index):
+        step_of[i], seen[s] = seen[s], seen[s] + 1
+    key = step_of * len(cloud.seeds) + cloud.seed_index
+    assert np.all(np.diff(key) > 0)
+
+
 # -- output constraints --------------------------------------------------------
 
 
@@ -706,6 +728,20 @@ def test_phi_invariance_refuses_per_point_constraint():
                           phi=one, phi_constraint=lambda t, x: vk.whole_space(1))
     with pytest.raises(TypeError):
         vk.phi_invariance_check(prob, [[0.5, 1.0, 0.3]], 1e-2)
+
+
+def test_phi_invariance_refuses_non_finite_samples():
+    # a NaN y made every rung's quotient NaN, so the report read g_residual = inf
+    orthant = vk.box([0.0], [np.inf])
+    prob = vk.CharProblem(lambda t, x, y: -y, halfline,
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
+                          phi=one, phi_constraint=lambda T, X, Y: orthant.distance_many(Y))
+    samples = np.column_stack([np.linspace(0.1, 2.0, 60), np.linspace(0.5, 3.0, 60),
+                               np.full(60, 0.5)])
+    samples[5, 2] = np.nan
+    samples[9, 1] = np.inf
+    with pytest.raises(ValueError, match="sample 5 .* not finite"):
+        vk.phi_invariance_check(prob, samples, 1e-2)
 
 
 # -- operator properties -------------------------------------------------------

@@ -285,7 +285,7 @@ def test_step_schedule_is_one_rule(t0, step, n, offset, offset2):
     def nodes(t0_, t1_, m):
         x, live = np.zeros((m, 1)), np.ones(m, dtype=bool)
         out = [[] for _ in range(m)]
-        for rows, t, h, _ in _march(one, x, t0_, t1_, step, live):
+        for rows, t, h, _, _ in _march(one, x, t0_, t1_, step, live):
             for i, v in zip(rows, np.broadcast_to(t + h, (len(rows), 1))[:, 0]):
                 out[i].append(v)
         return [np.array(o, dtype=float) for o in out]
@@ -363,9 +363,137 @@ def test_march_retires_exactly_the_rows_finite_rows_retires(dim, per_row):
         x, live = rows[batch].copy(), np.ones(len(batch), dtype=bool)
         span = t1[batch] if per_row else t1
         with np.errstate(over="ignore"):
-            (stepped, _, _, prev), = _march(zero, x, 0.0, span, 0.1, live)
+            (stepped, _, _, prev, _), = _march(zero, x, 0.0, span, 0.1, live)
         assert np.array_equal(live, keep[batch])
         assert np.array_equal(np.asarray(batch)[stepped], np.asarray(batch)[keep[batch]])
         assert np.array_equal(prev, rows[batch][keep[batch]])
         assert np.array_equal(x[live], rows[batch][live])
         assert np.isnan(x[~live]).all()
+
+
+def test_linear_matrix_field_rows_do_not_depend_on_batch():
+    # x @ A.T went through gemv for one row and gemm for a batch, and the two
+    # rounded differently: reach_set and the one-row flow disagreed
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(3, 3))
+    X = rng.normal(size=(50, 3))
+    f = vk.linear_field(A)
+    assert_allclose(f(0.0, X), X @ A.T, rtol=1e-14, atol=1e-14)
+    batch = rk4_step(f, 0.0, X, 0.1)
+    for x, row in zip(X, batch):
+        assert f(0.0, x).tobytes() == f(0.0, x[None, :])[0].tobytes()
+        assert rk4_step(f, 0.0, x[None, :], 0.1)[0].tobytes() == row.tobytes()
+    states, ok = vk.reach_set(f, 1.0, X, 0.01)
+    assert ok.all()
+    assert np.array([vk.flow(f, 1.0, x, 0.01) for x in X]).tobytes() == states.tobytes()
+
+
+def _march_fields():
+    """The three kinds of field the core steps: a matrix, a lifted cost, a characteristic system.
+
+    Each blows up from some of the starts :func:`_march_starts` draws.
+    """
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(3, 3))
+    A[0, 0] += 40.0
+    lifted = vk.LagrangianProblem(vk.VectorField(1, lambda t, x: x * x + np.sin(3.0 * t)),
+                                  vk.speed_lagrangian, 0.5, vk.abs_obstacle)
+    char = vk.CharProblem(lambda t, X, Y: 0.5 * Y * Y - np.cos(t) * X, vk.whole_space(1),
+                          vk.BoundaryData(lambda X: X), 1,
+                          f=lambda t, X, Y: np.sin(Y) + t)
+    return {"matrix": vk.linear_field(A), "lift": vk.epi_hj.lift(lifted),
+            "characteristic": vk.characteristics._coupled_field(char)}
+
+
+def _march_starts(field, rng, m):
+    if field.dim == 3:
+        return rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(-3.0, 1.0, (m, 1))
+    return rng.uniform(-1.0, 5.0, (m, field.dim))
+
+
+def _march_ref(field, x0, t0, t1, step, live0, retire_at, per_row):
+    """Each live row stepped alone on its own step_schedule.
+
+    Returns the per-step {row: (prev, new)} maps, x at the end, live at
+    the end, and how many rows blew up and how many the caller retired.
+    """
+    m = len(x0)
+    x, live = x0.copy(), live0.copy()
+    t0, t1 = np.broadcast_to(t0, (m,)), np.broadcast_to(t1, (m,))
+    steps = {}
+    blown = retired = 0
+    for i in np.flatnonzero(live0):
+        for j, (t, h) in enumerate(step_schedule(t0[i], t1[i], step)):
+            if per_row:  # the core hands per-row times to the field as columns
+                t, h = np.array([[t]]), np.array([[h]])
+            new = rk4_step(field, t, x[i:i + 1], h)
+            if not vk.dynamics._finite_rows(new)[0]:
+                x[i], live[i] = np.nan, False
+                blown += 1
+                break
+            steps.setdefault(j, {})[i] = (x[i].copy(), new[0])
+            x[i] = new[0]
+            if retire_at[i] == j:
+                live[i] = False
+                retired += 1
+                break
+    return [steps.get(j, {}) for j in range(max(steps, default=-1) + 1)], x, live, blown, retired
+
+
+@pytest.mark.parametrize("kind", ["matrix", "lift", "characteristic"])
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("survivors", ["many", "one"])
+def test_march_matches_rows_stepped_alone(kind, per_row, survivors):
+    """The compacted core yields, and leaves in x, the bits of each row stepped alone.
+
+    Rows not live at the start, rows the caller retires mid-march, rows
+    that blow up and rows that finish early (per-row schedules) all leave
+    the work set; with survivors="one" the march ends on a single row.
+    On the shared schedule with many survivors every row starts live, so
+    x itself is the first work array.
+    """
+    field = _march_fields()[kind]
+    rng = np.random.default_rng(["matrix", "lift", "characteristic"].index(kind))
+    m, step = 40, 0.07
+    x0 = _march_starts(field, rng, m)
+    live0 = rng.random(m) < 0.8
+    if not per_row and survivors == "many":
+        live0[:] = True
+    if per_row:
+        t0 = rng.uniform(0.0, 0.4, m)
+        t1 = t0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.9)  # some spans are empty
+    else:
+        t0, t1 = 0.2, 1.1
+    if survivors == "one":
+        retire_at = np.full(m, 1)
+        retire_at[np.flatnonzero(live0)[0]] = 10 ** 6
+        x0[np.flatnonzero(live0)[0]] = 0.01  # far from blowing up
+        if per_row:
+            t1[np.flatnonzero(live0)[0]] = 1.3
+    else:
+        retire_at = np.where(rng.random(m) < 0.4, rng.integers(0, 12, m), 10 ** 6)
+    want, x_want, live_want, blown, retired = _march_ref(field, x0, t0, t1, step, live0,
+                                                         retire_at, per_row)
+    if survivors == "many":
+        assert blown and retired   # both ways out are taken
+    else:
+        assert len(want[-1]) == 1 and len(want) > 3
+
+    x, live = x0.copy(), live0.copy()
+    got = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (rows, t, h, prev, new) in enumerate(_march(field, x, t0, t1, step, live)):
+            if not per_row:
+                assert np.all(np.diff(rows) > 0)
+            got.append({int(r): (p.copy(), n.copy()) for r, p, n in zip(rows, prev, new)})
+            live[rows[retire_at[rows] == j]] = False
+    while got and not got[-1]:  # the step on which the last rows blew up
+        got.pop()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert sorted(g) == sorted(w)
+        for r in w:
+            assert g[r][0].tobytes() == w[r][0].tobytes()
+            assert g[r][1].tobytes() == w[r][1].tobytes()
+    assert x.tobytes() == x_want.tobytes()
+    assert np.array_equal(live, live_want)

@@ -352,10 +352,10 @@ def _events_ref(field, X0, T_max, h, K=None, C=None):
         events.append((need_hit, hit_t, C.contains_many))
     x = X0.copy()
     live = need_exit | need_hit
-    for rows, t, hj, prev in _march(field, x, 0.0, T_max, h, live):
+    for rows, t, hj, prev, new in _march(field, x, 0.0, T_max, h, live):
         for need, times, crossed in events:
-            for row, xprev in zip(rows, prev):
-                if need[row] and crossed(x[row][None, :])[0]:
+            for row, xprev, xnew in zip(rows, prev, new):
+                if need[row] and crossed(xnew[None, :])[0]:
                     times[row] = t + _bisect_crossing_ref(field, t, xprev, hj, crossed, tol)
                     need[row] = False
         live &= need_exit | need_hit
