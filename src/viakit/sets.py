@@ -457,24 +457,61 @@ class PointCloud:
         return PointCloudSet(self.points)
 
 
+_MERGE_SAMPLE = 1024  # about this many rows decide the dedup route
+_MERGE_SLAB = 1024    # fewest rows a slab of the dedup holds
+
+
 def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
     """Greedy dedup keeping the earliest representative of each cluster.
 
-    Returns the keep mask over the rows of points.  A sparse cloud's close
-    pairs (i < j) are scanned once in order of i, so keep[i] is final when
-    i's pairs come up.  A tight cluster of c rows has c^2/2 pairs, so when
-    rows average more than 12 neighbours (on about 1024 evenly spaced rows;
-    a full count costs as much as the pair query) each kept row's neighbours
-    are queried instead, in memory linear in the rows.
+    Returns the keep mask over the rows of points.  The rows are sorted by
+    their first coordinate and cut into slabs wherever consecutive values
+    differ by more than 1.5 radius.  No close pair crosses a cut: a computed
+    distance is never below its |first-coordinate difference|, and the
+    margin over the radius leaves room for rounding.  Cuts that would leave
+    a slab of fewer than 1024 rows are skipped, so small gaps are grouped
+    rather than each paying for a tree.  Each slab lists its rows in
+    ascending order and is merged on its own, so the keep mask is the
+    greedy loop's over the whole cloud.
+
+    Within a slab, a sparse slab's close pairs (i < j) are scanned once in
+    order of i, so keep[i] is final when i's pairs come up.  A tight cluster
+    of c rows has c^2/2 pairs, so when the slab's rows average more than 12
+    neighbours (on every (len(points) // 1024)-th row of the slab; a full
+    count costs as much as the pair query) each kept row's neighbours are
+    queried instead, in memory linear in the rows.
+
+    Raises:
+        ValueError: if a row is not finite (for radius > 0 and two or more
+            rows), wherever it sits.
     """
     keep = np.ones(len(points), dtype=bool)
     if radius <= 0 or len(points) < 2:
         return keep
+    if not np.isfinite(points).all():
+        raise ValueError("_merge_points requires finite points")
+    order = np.argsort(points[:, 0], kind="stable")
+    cuts = np.flatnonzero(np.diff(points[order, 0]) > 1.5 * radius) + 1
+    bounds = []
+    while True:
+        i = np.searchsorted(cuts, (bounds[-1] if bounds else 0) + _MERGE_SLAB)
+        if i == len(cuts) or len(points) - cuts[i] < _MERGE_SLAB:
+            break
+        bounds.append(int(cuts[i]))
+    stride = max(1, len(points) // _MERGE_SAMPLE)
+    for rows in np.split(order, bounds):
+        rows.sort()
+        keep[rows] = _merge_slab(points[rows], radius, stride)
+    return keep
+
+
+def _merge_slab(points: np.ndarray, radius: float, stride: int) -> np.ndarray:
+    """:func:`_merge_points`' greedy keep mask over one slab's rows."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
-    sample = points[::max(1, len(points) // 1024)]
-    if tree.query_ball_point(sample, radius, return_length=True).mean() > 12:
+    if tree.query_ball_point(points[::stride], radius, return_length=True).mean() > 12:
+        keep = np.ones(len(points), dtype=bool)
         for i in range(len(points)):
             if keep[i]:
                 js = np.asarray(tree.query_ball_point(points[i], radius), dtype=np.intp)
@@ -483,10 +520,11 @@ def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
     pairs = tree.query_pairs(radius, output_type="ndarray")
     del tree  # its copy of the points would otherwise add to the pair arrays' peak
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    for i, j in zip(pairs[:, 0], pairs[:, 1]):
+    keep = [True] * len(points)
+    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
         if keep[i]:
             keep[j] = False
-    return keep
+    return np.array(keep)
 
 
 def _ladder_min(distance_many, X, V, hs) -> np.ndarray:

@@ -668,6 +668,30 @@ def test_graph_sample_lists_each_step_in_seed_order():
     assert np.all(np.diff(key) > 0)
 
 
+def test_graph_sample_merges_levels_within_the_radius_as_the_per_row_loop(monkeypatch):
+    """T = 1.203 leaves a tail step of 0.003 below the merge radius h/2, and the
+    boundary seeds start at the impulse times on their own schedules; the dedup
+    of the raw cloud still keeps the per-row loop's rows.  1100 seeds put more
+    than 1024 rows on the tail level, so a wrong cut there would start a slab."""
+    data = vk.BoundaryData(lambda X: np.sin(X[:, :1]), lambda S, X: np.full((len(S), 1), 0.25),
+                           impulse_times=(0.4, 0.8))
+    prob = vk.CharProblem(lambda t, x, y: -y, halfline, data, 1, phi=one)
+    raw, merge = [], characteristics._merge_points
+
+    def spy(points, radius):
+        raw.append((points.copy(), radius))
+        return merge(points, radius)
+
+    monkeypatch.setattr(characteristics, "_merge_points", spy)
+    T, h = 1.203, 0.01
+    cloud = vk.graph_sample(prob, T, h, 1100, [0.0], [2.0], boundary_points=[[0.0]])
+    [(points, radius)] = raw
+    assert radius == h / 2.0 and len(points) > 2048
+    keep = cloud_reference.merge_points(points, radius)
+    assert np.array_equal(cloud.points, points[keep])
+    assert keep.sum() < len(points)   # the tail level merges into the level at 1.2
+
+
 # -- output constraints --------------------------------------------------------
 
 

@@ -383,6 +383,69 @@ def test_merge_points_sampled_density_matches_per_row_loop(per_row):
                           cloud_reference.merge_points(points, radius))
 
 
+def _level(rng, t, rows, dim, spacing):
+    """rows points at first coordinate t, on a lattice of the given spacing
+    with about one row per node."""
+    width = math.ceil(rows ** (1.0 / dim))
+    return np.column_stack([np.full(rows, t), spacing * rng.integers(0, width, (rows, dim))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 2), h=st.sampled_from([0.01, 0.02, 1 / 30]),
+       t0=st.sampled_from([0.0, 0.37, -1.1]),
+       sizes=st.lists(st.integers(350, 700), min_size=3, max_size=6),
+       spacing=st.sampled_from([2 / 3, 1.0, 1.5]), close=st.integers(0, 6),
+       offset=st.sampled_from([0.3, 0.49]), tail=st.booleans(),
+       near_cut=st.sampled_from([None, 1.0 - 1e-12, 1.0 + 1e-12]),
+       cluster=st.booleans(), shuffle=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=1, h=0.01, t0=0.0, sizes=[500] * 5, spacing=1.0, close=2, offset=0.49, tail=True,
+         near_cut=1.0 - 1e-12, cluster=True, shuffle=True, seed=0)
+def test_merge_points_slabs_match_per_row_loop(dim, h, t0, sizes, spacing, close, offset, tail,
+                                               near_cut, cluster, shuffle, seed):
+    """The slab dedup keeps the per-row loop's rows on time-level clouds of
+    more than 1024 rows: levels t0 + j h merged at r = h/2 (some computed
+    gaps fall below 2r), a level 0.3 h or 0.49 h after level `close`, a tail
+    level 0.3 h after the last, a level 1.5 r (1 +- 1e-12) past it, and a
+    tight cluster level whose slab takes the per-kept-row route while the
+    others scan pairs; rows shuffled or not."""
+    rng = np.random.default_rng(seed)
+    radius = h / 2.0
+    times = [t0 + j * h for j in range(len(sizes))]
+    levels = [_level(rng, t, m, dim, spacing * radius) for t, m in zip(times, sizes)]
+    if close < len(sizes):
+        levels.append(_level(rng, times[close] + offset * h, sizes[close], dim, spacing * radius))
+    last = times[-1]
+    if tail:
+        last += 0.3 * h
+        levels.append(_level(rng, last, 400, dim, spacing * radius))
+    if near_cut is not None:
+        levels.append(_level(rng, last + 1.5 * radius * near_cut, 300, dim, spacing * radius))
+    if cluster:
+        levels.append(np.column_stack([np.full(1100, t0 - 3 * h),
+                                       1e-3 * radius * rng.uniform(-1.0, 1.0, (1100, dim))]))
+    points = np.concatenate(levels)
+    if shuffle:
+        points = points[rng.permutation(len(points))]
+    assert np.array_equal(_merge_points(points, radius),
+                          cloud_reference.merge_points(points, radius))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("row", [0, -1])
+def test_merge_points_rejects_non_finite_rows_anywhere(value, column, row):
+    """A non-finite row is refused wherever it sits in a cloud of gapped levels,
+    as when every row went through one KD-tree; radius 0 or one row still
+    returns the all-keep mask."""
+    rng = np.random.default_rng(3)
+    points = np.concatenate([_level(rng, 0.1 * j, 600, 1, 0.004) for j in range(4)])
+    points[row, column] = value
+    with pytest.raises(ValueError):
+        _merge_points(points, 0.005)
+    assert _merge_points(points, 0.0).all()
+    assert _merge_points(points[row:][:1], 0.005).all()
+
+
 def test_set_limit_singletons():
     # K_n = {1/n}: the limit {0} is recovered within eps (plus the tail offset)
     clouds = [PointCloud(np.array([[1.0 / n]])) for n in range(1, 101)]
