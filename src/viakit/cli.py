@@ -14,7 +14,8 @@ over n nodes runs on at most ``max(1, n // kernels.CHUNK_ROWS)`` threads
 one thread whatever N is.  The only environment override is
 ``VIAKIT_OUT`` for the output directory.
 
-Exit codes: 0 success; 2 config error (with a field diagnostic);
+Exit codes: 0 success; 2 config error (with a field diagnostic), or a
+config file or output directory that cannot be read or made;
 3 numeric failure (NonFinite, CapTooSmall, DescentViolation, ParamDomain,
 float overflow), naming the operation.
 """
@@ -524,6 +525,21 @@ def _validate(op: str, cfg) -> dict:
     return v
 
 
+def _read_config(op: str, path) -> dict:
+    """op's typed values from the JSON file at path; ConfigError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _validate(op, json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise ConfigError(f"{path!r} is nested too deeply to read") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="viakit",
@@ -541,20 +557,19 @@ def main(argv=None) -> int:
         parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     op = args.subcommand
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values = _validate(op, json.load(fh))
+        values = _read_config(op, args.config)
         outdir = os.environ.get("VIAKIT_OUT", args.out)
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {outdir!r}: "
+                              f"{exc.strerror or exc}") from None
         out = lambda name: os.path.join(outdir, name)  # noqa: E731
         _SCHEMA[op][0](op=op, out=out, csv=out(op.replace("-", "_") + ".csv"),
                        workers=args.workers, **values)
         return 0
-    except (ConfigError, NonzeroLagrangian, json.JSONDecodeError) as exc:
-        if isinstance(exc, json.JSONDecodeError):
-            print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}",
-                  file=sys.stderr)
-        else:
-            print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, NonzeroLagrangian) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NonFinite, CapTooSmall, DescentViolation, ParamDomain, OverflowError) as exc:
         print(f"numeric failure in {op!r}: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 All floats are written with 17 significant digits; the +/-INF sentinels
 are emitted literally as ``inf`` and ``-inf``.  Node ordering is the
 producing grid's row-major order, so repeated runs are byte-identical.
+Tables are written BLOCK rows at a time, and each distinct bit pattern of
+a column is formatted once per block.
 """
 
 from __future__ import annotations
@@ -23,18 +25,29 @@ def _write_rows(path, header, *columns):
     """Write the columns side by side under header, one ``%.17g`` table row per line.
 
     Each column is an (N,) or (N, k) array; values >= INF read ``inf`` and
-    values <= -INF read ``-inf``.  Rows are formatted BLOCK at a time from
-    Python floats, whose ``%.17g`` text is that of the float64 they came from.
+    values <= -INF read ``-inf``.  Rows are written BLOCK at a time, one
+    ``%`` and one ``write`` per block, and each distinct bit pattern of a
+    column is formatted once per block, its text reused for every row that
+    holds it.  ``%.17g`` is a function of the float64 bits, so these are
+    the bytes of one format per value; keying on bits rather than values
+    keeps ``0.0`` apart from ``-0.0`` and NaNs of different payloads apart.
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     table[table >= INF] = np.inf
     table[table <= -INF] = -np.inf
-    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    bits = table.view(np.uint64)
+    fmt = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), BLOCK):
-            block = table[start:start + BLOCK]
-            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+            block = bits[start:start + BLOCK]
+            text = np.empty(block.shape, dtype=object)
+            for j in range(block.shape[1]):
+                keys, inverse = np.unique(block[:, j], return_inverse=True)
+                vals = keys.view(np.float64).tolist()
+                distinct = ("%.17g," * len(vals) % tuple(vals)).split(",")
+                text[:, j] = np.array(distinct[:-1], dtype=object)[inverse]
+            fh.write((fmt * len(block)) % tuple(text.ravel().tolist()))
 
 
 def write_trajectory(path, traj: Trajectory):

@@ -83,6 +83,80 @@ def test_invalid_json_exit_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+EXIT_TIME_CFG = {
+    "field": {"kind": "transport", "velocity": [1.0]},
+    "set": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+    "x0": [[0.3]], "horizon": 5.0, "step": 1e-3,
+}
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + json.dumps(EXIT_TIME_CFG).encode())
+
+
+def _deep_json(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+def _deep_union(path):
+    s = EXIT_TIME_CFG["set"]
+    for _ in range(400):
+        s = {"kind": "union", "members": [s]}
+    path.write_text(json.dumps({**EXIT_TIME_CFG, "set": s}))
+
+
+def _missing(path):
+    pass
+
+
+def _directory(path):
+    path.mkdir()
+
+
+@pytest.mark.parametrize("make, message", [
+    (_not_utf8, "is not UTF-8"),
+    (_deep_json, "nested too deeply"),
+    (_deep_union, "nested too deeply"),
+    (_missing, "No such file or directory"),
+    (_directory, "Is a directory"),
+])
+def test_unreadable_config_exit_2(tmp_path, capsys, make, message):
+    """A config that cannot be opened, decoded or walked exits 2 with one
+    line naming the file, and writes no CSV."""
+    path = tmp_path / "cfg.json"
+    make(path)
+    out = tmp_path / "out"
+    assert main(["exit-time", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and str(path) in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_output_path_naming_a_file_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "et.json", EXIT_TIME_CFG)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["exit-time", cfg, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory ")
+    assert str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "not a directory"
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
+def test_failed_csv_write_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only reading the config and making the output directory map OSError
+    to exit 2; an error while a subcommand writes its CSV propagates."""
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(csvio, "_write_rows", refuse)
+    cfg = _write(tmp_path, "et.json", EXIT_TIME_CFG)
+    with pytest.raises(PermissionError):
+        main(["exit-time", cfg, "-o", str(tmp_path)])
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "blow.json", {
         "field": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]},

@@ -59,6 +59,39 @@ def test_write_rows_across_block_boundaries(tmp_path, n):
         assert [a.tobytes() for a in (table, left, right)] == before
 
 
+NAN_BITS = [0x7ff8000000000000, 0x7ff8000000000001, 0xfff8000000000000,
+            0xfff8000000000001, 0x7ff0000000000001, 0xffffffffffffffff]
+BEYOND = [INF, -INF, 2 * INF, -2 * INF, np.nextafter(INF, 0.0), -np.nextafter(INF, 0.0),
+          np.nextafter(INF, np.inf), 1e308, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("n", [csvio.BLOCK - 1, csvio.BLOCK + 1, 2 * csvio.BLOCK + 1])
+def test_write_rows_with_heavy_repeats(tmp_path, n):
+    """Columns of few distinct values in long runs, where each block reuses
+    one text per distinct bit pattern, give the per-value formatter's bytes:
+    0.0 and -0.0 alternating, NaNs of different payloads and signs, the
+    sentinels, values beyond them and +/-inf, and short repeated runs."""
+    rng = np.random.default_rng(n)
+    rows = np.arange(n)
+    zeros = np.where(rows % 2, -0.0, 0.0)
+    nans = np.array(NAN_BITS, dtype=np.uint64)[rows % len(NAN_BITS)].view(np.float64)
+    beyond = np.array(BEYOND)[rng.integers(0, len(BEYOND), n)]
+    runs = np.repeat(np.append(rng.standard_normal(6), [0.0, -0.0]), -(-n // 8))[:n]
+    levels = np.repeat(np.linspace(0.0, 1.0, 121), -(-n // 121))[:n]
+    columns = [zeros, nans, beyond, runs, levels[:, None], np.stack([runs[::-1], zeros], 1)]
+    table = np.column_stack(columns)
+    before = [c.tobytes() for c in columns]
+    header = [f"c{i}" for i in range(table.shape[1])]
+    cloud_reference.write_rows(tmp_path / "want.csv", header, table)
+    csvio._write_rows(tmp_path / "got.csv", header, *columns)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == want
+    assert {b"0", b"-0", b"nan", b"inf", b"-inf"} <= set(want.replace(b"\n", b",").split(b","))
+    assert [c.tobytes() for c in columns] == before
+    csvio._write_rows(tmp_path / "empty.csv", [], np.empty((n, 0)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"\n" * (n + 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.one_of(st.booleans(), st.sampled_from([0, 1, 0.5, np.nan])),
                 min_size=5, max_size=5))
