@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import INF, _finite_samples, _ladder
+from .common import INF, _exp, _finite_samples, _ladder, _one_row
 from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
 from .kernels import _first_events, exit_time, lattice_points
@@ -63,7 +63,7 @@ class CharProblem:
     """Boundary-value problem data for the characteristic solver.
 
     Exactly one of ``phi`` (y-independent speed, single-valued solutions)
-    or ``f`` (general (t, x, y) speed, set-valued graphs) should be set.
+    or ``f`` (general (t, x, y) speed, set-valued graphs) is set, else ValueError.
     ``g`` drives the output ODE y' = g(t, x, y).  ``f``, ``g`` and
     ``phi`` are batch-only: x and y arrive as (m, n) and (m, p) rows, t
     as a scalar or an (m, 1) per-row column.  So is ``phi_constraint``:
@@ -80,6 +80,10 @@ class CharProblem:
     phi_constraint: Optional[Callable] = None   # (T, X, Y) -> (m,) distances to Phi(t, x)
     x_tol: float = 1e-6
 
+    def __post_init__(self):
+        if (self.phi is None) == (self.f is None):
+            raise ValueError("a CharProblem needs exactly one speed: phi or f")
+
     @property
     def state_dim(self) -> int:
         return self.domain.dim
@@ -88,16 +92,6 @@ class CharProblem:
 # ---------------------------------------------------------------------------
 # Backward exit times and exitors
 # ---------------------------------------------------------------------------
-
-
-def _shared(times: np.ndarray):
-    """times as one scalar when every row holds the same value, else as is.
-
-    Rows sharing a schedule step with scalar times, which costs less per
-    step (one-row lifts, single-time lattices); the arithmetic per row is
-    the same either way.
-    """
-    return float(times[0]) if len(times) and np.all(times == times[0]) else times
 
 
 def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float) -> np.ndarray:
@@ -109,7 +103,7 @@ def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float) -> np.ndar
     """
     if np.any(ts < 0):
         raise ValueError("backward_exit_time requires t >= 0")
-    ex, _ = _first_events(phi.negated(), xs, _shared(ts), h, K=K, refine_tol=1e-8)
+    ex, _ = _first_events(phi.negated(), xs, ts, h, K=K, refine_tol=1e-8)
     return np.where(ts == 0.0, 0.0, np.where(ex >= INF, ts, np.minimum(ex, ts)))
 
 
@@ -121,14 +115,14 @@ def _exitors(phi: VectorField, K: SetOracle, ts, xs, h: float):
     """
     tau = _backward_exits(phi, K, ts, xs, h)
     c = xs.copy()
-    if not _advance(phi.negated(), c, 0.0, _shared(tau), h).all():
+    if not _advance(phi.negated(), c, 0.0, tau, h).all():
         raise NonFinite("state blew up during the backward flow")
     return ts - tau, c
 
 
 def _rows(t, x):
     """One evaluation point (t, x) as a (1,) time and a (1, dim) row."""
-    return np.array([t], dtype=float), np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    return np.array([t], dtype=float), _one_row(x)
 
 
 def backward_exit_time(phi: VectorField, K: SetOracle, t: float, x, h: float) -> float:
@@ -255,7 +249,7 @@ def solve_char_many(prob: CharProblem, ts, xs, h: float):
         z = np.concatenate([c[fwd], values[fwd]], axis=1)
         if not _finite_rows(z).all():
             raise NonFinite("state blew up at the data manifold")
-        if not _advance(_coupled_field(prob), z, _shared(s[fwd]), _shared(ts[fwd]), h).all():
+        if not _advance(_coupled_field(prob), z, s[fwd], ts[fwd], h).all():
             raise NonFinite("state blew up along a characteristic")
         values[fwd] = z[:, n:]
     return values, reached
@@ -275,11 +269,6 @@ def solve_char(prob: CharProblem, t: float, x, h: float):
 # ---------------------------------------------------------------------------
 # The worked 4D demographic example (closed forms; the solver's oracle)
 # ---------------------------------------------------------------------------
-
-
-def _exp(v) -> np.ndarray:
-    """math.exp per entry (an array np.exp can differ from it in the last ulp)."""
-    return np.fromiter(map(math.exp, v), float, len(v))
 
 
 @dataclass(frozen=True)
@@ -303,6 +292,10 @@ class Demo4D:
     u0: Callable
     v1: Callable
     v_r2: Callable
+
+    def __post_init__(self):
+        if min(self.rho, self.sigma, self.beta, self.b, self.r2) <= 0:
+            raise ParamDomain("rho, sigma, beta, b, r2 must be positive")
 
     def _exits(self, ts, xs):
         """(ts, X, tau, regime): tau = min(t, x1, log(r2/x2)/rho) per row; regime 1
@@ -367,7 +360,7 @@ class Demo4D:
 
     def backtrack(self, x, tau: float) -> np.ndarray:
         """State reached by flowing backward for tau from x."""
-        return self._backtrack(np.atleast_2d(np.asarray(x, dtype=float)), np.array([tau]))[0]
+        return self._backtrack(_one_row(x), np.array([tau]))[0]
 
     def exitor(self, t: float, x):
         tau = self.backward_exit_time(t, x)
@@ -377,11 +370,7 @@ class Demo4D:
         return self.solve_many(*_rows(t, x))[0]
 
 
-def demo4d(rho: float, sigma: float, beta: float, b: float, r2: float,
-           A, u0, v1, v_r2) -> Demo4D:
-    if min(rho, sigma, beta, b, r2) <= 0:
-        raise ParamDomain("rho, sigma, beta, b, r2 must be positive")
-    return Demo4D(rho, sigma, beta, b, r2, A, u0, v1, v_r2)
+demo4d = Demo4D  # the builder is the class itself
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +462,8 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
             sub, t, hs, zn = sub[o], t[o], hs[o], zn[o]
         inside = prob.domain.margin_many(zn[:, :n]) <= 0.0
         live[sub[~inside]] = False
-        pts.append(np.concatenate([(t + hs)[inside], zn[inside]], axis=1))
+        tau = np.broadcast_to(t + hs, (len(sub), 1))  # a scalar on a shared schedule
+        pts.append(np.concatenate([tau[inside], zn[inside]], axis=1))
         idxs.append(sub[inside])
 
     points = np.vstack(pts)

@@ -390,12 +390,13 @@ def _first_time(op, field, K, x0, horizon, step, csv, **_):
 def _sweep(op, field, K, grid, horizon, step, csv, workers, C=None, **_):
     sweep = {"viab": viab_field, "capt": capt_field, "viable-capt": viable_capt_field}[op]
     sets = (K,) if C is None else (K, C)
-    csvio.write_timefield(csv, sweep(field, *sets, grid, horizon, step, workers=workers))
+    tf = sweep(field, *sets, grid, horizon, step, workers=workers)
+    csvio.write_values(csv, grid.nodes(), tf.values)
 
 
 def _kernel(field, K, grid, step, flow_step, out, workers, **_):
     alive, _ = discrete_kernel(field, K, grid, step, flow_step=flow_step, workers=workers)
-    csvio.write_boolfield(out("kernel.csv"), grid, alive)
+    csvio.write_values(out("kernel.csv"), grid.nodes(), alive, label="member")
 
 
 #: The tabulate_values mode behind each value subcommand.
@@ -411,11 +412,12 @@ def _values(op, field, points, horizon, step, csv, problem=None, K=None, **_):
 
 
 def _hj_check(problem, grid, horizon, step, mode, points, tol, out, **_):
-    field_fn = GridFunction(grid, tabulate_values(problem, grid.nodes(), mode, horizon, step))
+    nodes = grid.nodes()
+    field_fn = GridFunction(grid, tabulate_values(problem, nodes, mode, horizon, step))
     check = hj_check_sup if mode == "sup" else hj_check_inf
     report = check(problem, field_fn, points, tol=tol)
     csvio.write_hj_report(out("hj_residuals.csv"), report)
-    csvio.write_gridfunction(out("value_field.csv"), field_fn)
+    csvio.write_values(out("value_field.csv"), nodes, field_fn.values)
     print(f"hj-check {mode}: {len(report.violations)} violation(s)")
 
 

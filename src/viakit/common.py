@@ -6,6 +6,8 @@ files stay plain float arrays: any value >= INF means "+infinity", and
 horizon, so thresholding against it is always safe.
 """
 
+import math
+
 import numpy as np
 
 #: +infinity sentinel for times and values (seconds / cost units).
@@ -13,6 +15,16 @@ INF = 1e18
 
 #: Integration aborts once a state norm passes this (finite-time blow-up).
 BLOWUP_NORM = 1e12
+
+
+def _one_row(x) -> np.ndarray:
+    """One state x as a (1, dim) row: how every scalar entry point lifts to its batch."""
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def _exp(v) -> np.ndarray:
+    """math.exp per entry (an array np.exp can differ from it in the last ulp)."""
+    return np.fromiter(map(math.exp, v), float, len(v))
 
 
 def _ladder(h_max: float, h_min: float) -> np.ndarray:
@@ -29,8 +41,8 @@ def _ladder(h_max: float, h_min: float) -> np.ndarray:
 def _finite_samples(X: np.ndarray) -> np.ndarray:
     """X unchanged; a ValueError naming the first row with a non-finite entry.
 
-    For the residual checks, where a NaN sample would only read as a
-    clause that does not apply, or as an infinite residual.
+    For the checks that take samples, where a NaN sample would read as a
+    clause that does not apply, an infinite residual or a dropped ratio.
     """
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():

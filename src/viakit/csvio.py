@@ -13,8 +13,7 @@ import numpy as np
 
 from .common import INF
 from .dynamics import Trajectory
-from .epi_hj import GridFunction, HJReport
-from .kernels import GridSpec, TimeField
+from .epi_hj import HJReport
 
 # Rows formatted by one ``%`` and written by one ``write``: about 0.25 MB
 # of text at three columns, whatever the table's length.
@@ -55,14 +54,6 @@ def write_trajectory(path, traj: Trajectory):
     _write_rows(path, header, traj.times, traj.states)
 
 
-def write_timefield(path, tf: TimeField):
-    write_values(path, tf.grid.nodes(), tf.values)
-
-
-def write_boolfield(path, grid: GridSpec, mask):
-    write_values(path, grid.nodes(), np.asarray(mask, dtype=bool), label="member")
-
-
 def write_points(path, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     header = [f"x{i+1}" for i in range(points.shape[1])]
@@ -73,10 +64,6 @@ def write_values(path, xs, values, label: str = "value"):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     header = [f"x{i+1}" for i in range(xs.shape[1])] + [label]
     _write_rows(path, header, xs, values)
-
-
-def write_gridfunction(path, gf: GridFunction):
-    write_values(path, gf.grid.nodes(), gf.values)
 
 
 def write_hj_report(path, report: HJReport):

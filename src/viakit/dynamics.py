@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import BLOWUP_NORM
+from .common import BLOWUP_NORM, _finite_samples, _one_row
 from .errors import NonFinite
 
 
@@ -52,9 +52,8 @@ class VectorField:
     def __call__(self, t, x):
         """Velocity at ``(m, dim)`` rows, or at one ``(dim,)`` state lifted to a row."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(self.eval(t, x[None, :]), dtype=float)[0]
-        return np.asarray(self.eval(t, x), dtype=float)
+        v = np.asarray(self.eval(t, _one_row(x) if x.ndim == 1 else x), dtype=float)
+        return v[0] if x.ndim == 1 else v
 
     def negated(self) -> "VectorField":
         """The reversed field -f (backward flow generator)."""
@@ -205,8 +204,7 @@ def integrate(field: VectorField, x0, t0: float, t1: float, step: float) -> Traj
         NonFinite: if any state component becomes NaN/inf or the norm
             passes the blow-up guard before t1.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
-    times, states = _record(field, x, t0, t1, step, "integrate")
+    times, states = _record(field, _one_row(x0), t0, t1, step, "integrate")
     return Trajectory(times, states[:, 0], step)
 
 
@@ -225,8 +223,10 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
 
     Advances the live rows of x (shape (m, dim)) from t0 to t1, each row
     on :func:`_schedule`'s nodes: ``t0 + j*step`` and a shorter tail.  t0
-    and t1 are scalars or (m,) per-row arrays; per-row times reach the
-    field as (k, 1) columns.  Non-finite times or steps raise ValueError.
+    and t1 are scalars or (m,) per-row arrays; an array of equal entries is
+    that one scalar (one shared schedule, cheaper per step, the same bits),
+    and other per-row times reach the field as (k, 1) columns.  Non-finite
+    times or steps raise ValueError.
     A stepped row that fails :func:`_finite_rows` is retired (live
     cleared) and set to NaN.  Callers retire rows by clearing ``live`` in
     place, for the rows just yielded.
@@ -246,6 +246,8 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     ascending except on per-row schedules.  None of them is to be
     written, nor kept past the next step.
     """
+    t0, t1 = (float(a[0]) if np.ndim(a) and len(a) and np.all(a == a[0]) else a
+              for a in (t0, t1))
     n_full, rem, n_steps = _schedule(t0, t1, step)
     per_row = np.ndim(n_steps) > 0
     # every row live on a shared schedule: x itself is the first work array,
@@ -342,11 +344,18 @@ def reach_set(field: VectorField, t: float, seeds, step: float):
 
 
 def verify_growth(field: VectorField, states, times=(0.0,)) -> float:
-    """Max of |f(t,x)| / (|x|+1) over a test lattice (should be <= growth_c)."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    """Max of |f(t,x)| / (|x|+1) over a test lattice (should be <= growth_c).
+
+    A non-finite sample or velocity, whose NaN ratio the maximum would
+    drop, raises ValueError naming the sample (and the time).
+    """
+    states = _finite_samples(np.atleast_2d(np.asarray(states, dtype=float)))
     worst = 0.0
     for t in times:
         v = field(t, states)
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if len(bad):
+            raise ValueError(f"the velocity at sample {bad[0]} and t = {t} is not finite")
         ratio = np.linalg.norm(v, axis=1) / (np.linalg.norm(states, axis=1) + 1.0)
         worst = max(worst, float(ratio.max()))
     return worst

@@ -29,10 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import INF, _finite_samples, _ladder
+from .common import INF, _exp, _finite_samples, _ladder, _one_row
 from .dynamics import VectorField, _bisect, _record, _schedule, rk4_step
 from .errors import CapTooSmall, DescentViolation, NonzeroLagrangian
-from .kernels import GridSpec, TimeField, _one_row, capt_field, viab_field
+from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
 
@@ -161,8 +161,7 @@ def _values_at(p: LagrangianProblem, times, states, cum, rows, t) -> np.ndarray:
     times, states and cum are a :func:`_cost_history`.  Each entry takes
     one RK4 sub-step from the last node j at or before its t, adds one
     trapezoid of running cost with the field time held at times[j] for
-    both ends, and weights the obstacle by ``math.exp`` per entry (an
-    array ``np.exp`` can differ from it in the last ulp).
+    both ends, and weights the obstacle by ``math.exp`` per entry.
     """
     t = np.minimum(np.maximum(t, times[0]), times[-1])
     j = np.minimum(np.searchsorted(times, t, side="right") - 1, len(times) - 2)
@@ -176,7 +175,7 @@ def _values_at(p: LagrangianProblem, times, states, cum, rows, t) -> np.ndarray:
     n = len(t)
     run = cum[j, rows] + 0.5 * (lw[:n] + lw[n:]) * dt
     ut = np.asarray(p.obstacle(xt), dtype=float)
-    J = np.fromiter(map(math.exp, p.discount * t), float, n) * ut + run
+    J = _exp(p.discount * t) * ut + run
     return np.where((ut >= INF) | (J > p.value_cap), INF, J)
 
 
@@ -479,10 +478,14 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
     Together with delta > 0 this certifies (on the sampled region) that
     the state-cost half-space is a repeller, the hypothesis behind the
     uniqueness of the stopping-time value, for autonomous problems (f at t = 0).
+    Zero samples are skipped; a non-finite sample, or no nonzero one,
+    raises ValueError.
     """
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = _finite_samples(np.atleast_2d(np.asarray(samples, dtype=float)))
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0
+    if not keep.any():
+        raise ValueError("repeller_condition: no nonzero sample is left")
     X, norms = X[keep], norms[keep]
     F = p.field(0.0, X)
     radial = np.einsum("ij,ij->i", X, F) / norms

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF
+from .common import INF, _one_row
 from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
 from .errors import NoConvergence, NonFinite
 from .sets import SetOracle
@@ -154,8 +154,7 @@ def _refine_crossings(field, crossed, t0, x0, h, tol):
     return t0 + _bisect(test, np.zeros_like(h), h, tol)
 
 
-def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
-                 k_inside0=None):
+def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None):
     """Batched RK4 sweep recording first-exit (from K) and first-hit (of C).
 
     While marching, the rows whose membership flips in a step are
@@ -168,7 +167,8 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
     shorter last step is bracketed there.  refine_tol defaults to
     ``REFINE_FRAC * max(T_max, 1)`` per row.
 
-    Returns (exit_times, hit_times, failed); missing events are INF.
+    Returns (inside, exit_times, hit_times, failed), inside the rows' start
+    membership of K (all True without K); missing events are INF.
     Rows whose integration blows up get failed=True and keep whatever
     events were already found.
     """
@@ -179,12 +179,12 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
 
     exit_t = np.full(n, INF)
     hit_t = np.full(n, INF)
+    inside = np.ones(n, dtype=bool) if K is None else np.asarray(K.contains_many(X0), dtype=bool)
     need_exit = np.zeros(n, dtype=bool)
     need_hit = np.zeros(n, dtype=bool)
     events = []  # (rows still looking, event times, crossed(rows), brackets)
     if K is not None:
-        inside = k_inside0 if k_inside0 is not None else K.contains_many(X0)
-        need_exit = np.array(inside, dtype=bool)
+        need_exit = inside.copy()
         exit_t[~need_exit] = 0.0
         events.append((need_exit, exit_t, lambda X: ~K.contains_many(X), []))
     if C is not None:
@@ -216,7 +216,7 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None,
             found, t0, hs, x0 = (np.concatenate(a) for a in zip(*brackets))
             times[found] = _refine_crossings(field, crossed, t0, x0, hs, refine_tol[found])
     failed = ~live & (need_exit | need_hit)
-    return exit_t, hit_t, failed
+    return inside, exit_t, hit_t, failed
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +233,14 @@ def _first_events(field, X0, T_max, h, K=None, C=None, refine_tol=None):
         ValueError: if a row starts outside K.
         NonFinite: if a row blows up before every event it looks for.
     """
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    inside = None if K is None else K.contains_many(X0)
-    if K is not None and not inside.all():
+    inside, ex, ht, failed = _event_sweep(field, X0, T_max, h, K=K, C=C, refine_tol=refine_tol)
+    if not inside.all():
         raise ValueError("an exit time requires x in K")
-    ex, ht, failed = _event_sweep(field, X0, T_max, h, K=K, C=C, refine_tol=refine_tol,
-                                  k_inside0=inside)
     if np.any(failed & (ex >= INF) & (ht >= INF)):  # an event not looked for reads INF
         what = "either event" if K is not None and C is not None else \
             "exiting K" if K is not None else "hitting C"
         raise NonFinite(f"trajectory blew up before {what}")
     return ex, ht
-
-
-def _one_row(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(1, -1)
 
 
 def exit_time(field: VectorField, K: SetOracle, x, T_max: float, h: float,
@@ -313,13 +306,9 @@ def _grid_events(field, grid: GridSpec, T_max, h, workers, K=None, C=None):
     nodes' membership of K (all True without K).
     """
     nodes = grid.nodes()
-    inside = K.contains_many(nodes) if K is not None else np.ones(len(nodes), dtype=bool)
-
-    def run(s, e):
-        return _event_sweep(field, nodes[s:e], T_max, h, K=K, C=C, k_inside0=inside[s:e])
-
-    parts = _run_chunks(run, len(nodes), workers)
-    return (inside, *(np.concatenate(a) for a in zip(*parts)))
+    parts = _run_chunks(lambda s, e: _event_sweep(field, nodes[s:e], T_max, h, K=K, C=C),
+                        len(nodes), workers)
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def viab_field(field: VectorField, K: SetOracle, grid: GridSpec, T_max: float,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF, _ladder
+from .common import INF, _ladder, _one_row
 from .errors import Unsupported
 
 
@@ -409,14 +409,10 @@ class Sublevel(SetOracle):
 # ---------------------------------------------------------------------------
 
 
-# The primitive and composite builders are the classes themselves.
+# The primitive, composite and sublevel builders are the classes themselves.
 box, ball, halfspace, point_cloud_set = Box, Ball, Halfspace, PointCloudSet
 product, union, intersection, complement = Product, Union, Intersection, Complement
-
-
-def sublevel(fn, dim: int, lipschitz: float = 1.0) -> Sublevel:
-    """{x : fn(x) <= 0} for a batch-only fn: (m, dim) rows -> (m,) values."""
-    return Sublevel(fn, dim, lipschitz)
+sublevel = Sublevel
 
 
 def sphere(center, radius: float) -> Intersection:
@@ -559,8 +555,7 @@ def tangent_residual(K: SetOracle, x, v, h_min: float = 1e-6, h_max: float = 1e-
     sin(theta).  The ladder runs from h_max down to h_min with ratio 1/2.
     A one-row lift of :func:`_tangent_residuals`.
     """
-    X, V = (np.asarray(z, dtype=float).reshape(1, -1) for z in (x, v))
-    return float(_tangent_residuals(K, X, V, h_min, h_max)[0])
+    return float(_tangent_residuals(K, _one_row(x), _one_row(v), h_min, h_max)[0])
 
 
 def set_limit(clouds, mode: str, eps: float) -> PointCloud:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, VectorField, step_schedule
+from .errors import NonFinite
 from .sets import SetOracle
 
 
@@ -30,6 +31,14 @@ class ViableResult:
     max_set_distance: float    # max_j distance(K, x_j)
 
 
+def _velocity(field: VectorField, t: float, x: np.ndarray, where: str) -> np.ndarray:
+    """f(t, x); NonFinite naming where when an entry is not finite."""
+    fx = field(t, x)
+    if not np.isfinite(fx).all():
+        raise NonFinite(f"the field is not finite at t = {t} in {where}")
+    return fx
+
+
 def viable_step(field: VectorField, K: SetOracle, t: float, x, h: float) -> np.ndarray:
     """One projected Euler step: project(K, x + h f(t, x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -37,7 +46,7 @@ def viable_step(field: VectorField, K: SetOracle, t: float, x, h: float) -> np.n
         raise ValueError("h must be positive")
     if not K.contains(x):
         raise ValueError("viable_step requires x in K")
-    return K.project(x + h * field(t, x))
+    return K.project(x + h * _velocity(field, t, x, "viable_step"))
 
 
 def viable_trajectory(field: VectorField, K: SetOracle, x0, T: float, h: float) -> ViableResult:
@@ -49,8 +58,8 @@ def viable_trajectory(field: VectorField, K: SetOracle, x0, T: float, h: float) 
     states = [x]
     sub_err = 0.0
     max_dist = K.distance(x)
-    for t, hj in step_schedule(0.0, T, h):
-        fx = field(t, x)
+    for j, (t, hj) in enumerate(step_schedule(0.0, T, h)):
+        fx = _velocity(field, t, x, f"step {j} of viable_trajectory")
         x_next = K.project(x + hj * fx)
         u = (x_next - x) / hj
         sub_err = max(sub_err, float(np.linalg.norm(fx - u)))

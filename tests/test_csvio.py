@@ -100,5 +100,5 @@ def test_write_boolfield_matches_per_value_formatter(tmp_path_factory, mask):
     out = tmp_path_factory.mktemp("bool")
     rows = (np.concatenate([x, [1.0 if m else 0.0]]) for x, m in zip(grid.nodes(), mask))
     cloud_reference.write_rows(out / "want.csv", ["x1", "member"], rows)
-    csvio.write_boolfield(out / "got.csv", grid, np.array(mask))
+    csvio.write_values(out / "got.csv", grid.nodes(), np.array(mask, dtype=bool), label="member")
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

@@ -347,6 +347,36 @@ def _blowup_rows(dim):
     return np.array(rows)
 
 
+@pytest.mark.parametrize("per_row", ["t0", "t1", "both"])
+@pytest.mark.parametrize("m", [1, 5])
+def test_march_takes_equal_per_row_times_as_one_schedule(per_row, m):
+    """Per-row times whose entries all agree march as that one scalar schedule:
+    the yields carry scalar t and h, and every state has the scalar call's bits,
+    which are also those of the same rows on a per-row schedule."""
+    field = vk.VectorField(2, lambda t, x: np.sin(3.0 * t) * x[:, ::-1] - 0.2 * x)
+    x0 = np.random.default_rng(m).uniform(-1.0, 1.0, (m + 1, 2))
+    step, a, b = 0.07, 0.2, 1.1  # 12 full steps and a shorter tail
+
+    def march(t0, t1, rows):
+        x, live = x0[:rows].copy(), np.ones(rows, dtype=bool)
+        return [(t, h, new.copy()) for _, t, h, _, new in
+                _march(field, x, t0, t1, step, live)], x
+
+    def times(v, name):
+        return np.full(m, v) if per_row in (name, "both") else v
+
+    got, x_got = march(times(a, "t0"), times(b, "t1"), m)
+    want, x_want = march(a, b, m)
+    assert len(got) == len(want) == 13
+    for (t, h, new), (t_w, h_w, new_w) in zip(got, want):
+        assert np.ndim(t) == np.ndim(h) == 0 and (t, h) == (t_w, h_w)
+        assert new.tobytes() == new_w.tobytes()
+    assert x_got.tobytes() == x_want.tobytes()
+    # one more row with a later end keeps the schedule per row
+    _, x_per_row = march(np.full(m + 1, a), np.append(np.full(m, b), b + 0.05), m + 1)
+    assert x_per_row[:m].tobytes() == x_want.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4])
 @pytest.mark.parametrize("per_row", [False, True])
 def test_march_retires_exactly_the_rows_finite_rows_retires(dim, per_row):
@@ -354,7 +384,8 @@ def test_march_retires_exactly_the_rows_finite_rows_retires(dim, per_row):
     # the first step retires are the rows the blow-up rule rejects
     zero = vk.VectorField(dim, lambda t, x: np.zeros_like(x))
     rows = _blowup_rows(dim)
-    t1 = np.full(len(rows), 0.1) if per_row else 0.1
+    # unequal ends keep the schedule per row; every row takes one step
+    t1 = np.linspace(0.05, 0.1, len(rows)) if per_row else 0.1
     with np.errstate(over="ignore"):
         keep = vk.dynamics._finite_rows(rows)
     assert 0 < keep.sum() < len(rows)
@@ -497,3 +528,47 @@ def test_march_matches_rows_stepped_alone(kind, per_row, survivors):
             assert g[r][1].tobytes() == w[r][1].tobytes()
     assert x.tobytes() == x_want.tobytes()
     assert np.array_equal(live, live_want)
+
+
+def _nan_from(t_bad):
+    """A 1-D field that reads NaN from time t_bad on, and 1 before it."""
+    return vk.VectorField(1, lambda t, x: np.where(np.asarray(t) >= t_bad, np.nan, 1.0)
+                          * np.ones_like(x), name="nan")
+
+
+_REPELLER = vk.LagrangianProblem(vk.linear_field(1.0, dim=2), vk.unit_lagrangian, 0.0,
+                                 vk.zero_obstacle)
+_CHAR = dict(g=lambda t, x, y: np.zeros_like(y), domain=vk.box([0.0], [1.0]),
+             data=vk.BoundaryData(lambda X: np.zeros((len(X), 1))), out_dim=1)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # one NaN sample hid the others: max(0.0, nan) keeps 0.0 (the valid row reads 0.5)
+    (lambda: vk.verify_growth(vk.linear_field(-1.0), [[1.0], [np.nan]]), ValueError,
+     r"sample 1 \[nan\] is not finite"),
+    (lambda: vk.verify_growth(_nan_from(2.0), [[1.0], [3.0]], times=(0.0, 2.0)), ValueError,
+     "velocity at sample 0 and t = 2.0"),
+    # a NaN field gave NaN states with both error diagnostics 0.0
+    (lambda: vk.viable_step(_nan_from(0.0), vk.box([0.0], [1.0]), 0.0, [0.5], 0.1),
+     vk.NonFinite, "t = 0.0 in viable_step"),
+    (lambda: vk.viable_trajectory(_nan_from(0.25), vk.box([0.0], [9.0]), [0.5], 1.0, 0.1),
+     vk.NonFinite, "in step 3 of viable_trajectory"),
+    # nothing left after the zero rows are dropped ended in a numpy reduction error
+    (lambda: vk.repeller_condition(_REPELLER, np.zeros((3, 2))), ValueError,
+     "no nonzero sample"),
+    (lambda: vk.repeller_condition(_REPELLER, np.full((2, 2), np.nan)), ValueError,
+     "sample 0 .* is not finite"),
+    (lambda: vk.repeller_condition(_REPELLER, [[1.0, 0.0], [np.nan, 1.0]]), ValueError,
+     "sample 1 .* is not finite"),
+    # no speed failed later in _char_rhs; both let solve_char follow phi and
+    # graph_sample follow f
+    (lambda: vk.CharProblem(**_CHAR), ValueError, "exactly one speed"),
+    (lambda: vk.CharProblem(**_CHAR, phi=vk.transport_field([1.0]),
+                            f=lambda t, x, y: -np.ones_like(x)), ValueError,
+     "exactly one speed"),
+], ids=["growth-nan-sample", "growth-nan-velocity", "viable-step", "viable-trajectory",
+        "repeller-all-zero", "repeller-all-nan", "repeller-nan-row", "char-no-speed",
+        "char-two-speeds"])
+def test_bad_input_raises_naming_its_row_or_step(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
