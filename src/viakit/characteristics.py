@@ -457,9 +457,6 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     idxs = [np.arange(len(seeds))]
     live = np.ones(len(seeds), dtype=bool)
     for sub, t, hs, _, zn in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
-        if np.any(sub[1:] < sub[:-1]):  # rows come by step count: back to seed order
-            o = np.argsort(sub, kind="stable")
-            sub, t, hs, zn = sub[o], t[o], hs[o], zn[o]
         inside = prob.domain.margin_many(zn[:, :n]) <= 0.0
         live[sub[~inside]] = False
         tau = np.broadcast_to(t + hs, (len(sub), 1))  # a scalar on a shared schedule
@@ -668,6 +665,9 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     Every recorded point has, by construction, a characteristic path
     back to the data manifold; this replays that path for a deterministic
     sample of points and returns the worst reconstruction error.
+
+    Raises:
+        NonFinite: if a replayed path blows up.
     """
     if len(cloud) == 0:
         raise ValueError("the cloud is empty: no seed of graph_sample lay in K")
@@ -676,7 +676,9 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     pick = np.linspace(0, m - 1, count).astype(int)
     seeds = cloud.seeds[cloud.seed_index[pick]]
     z = seeds[:, 1:].copy()
-    _advance(_coupled_field(prob), z, seeds[:, 0], cloud.times[pick], cloud.step)
+    live = _advance(_coupled_field(prob), z, seeds[:, 0], cloud.times[pick], cloud.step)
+    if not live.all():
+        raise NonFinite(f"state blew up during replay_check of cloud point {pick[~live][0]}")
     n = cloud.state_dim
     want = cloud.points[pick, 1:]
     err = np.linalg.norm(z[:, :n] - want[:, :n], axis=1) + \

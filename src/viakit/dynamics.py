@@ -231,66 +231,54 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     cleared) and set to NaN.  Callers retire rows by clearing ``live`` in
     place, for the rows just yielded.
 
-    Only the rows live at the start are stepped, held in one work array:
-    on per-row schedules ordered by step count, descending, so the rows
-    still stepping are a prefix.  Rows that finish their schedule, are
-    retired or blow up leave it, and the rest are compacted.  x is
-    written when rows leave and at the end, so when the march ends it
-    holds each row's last state (a retired row's state at retirement,
-    NaN for a blow-up); during the march it is stale.
+    Only the rows live at the start (and, on per-row schedules, with at
+    least one step) are stepped, held in one work array in ascending index
+    order.  A row leaves it after its last step, when retired, or when it
+    blows up, and the rest are compacted.  x is written when rows leave
+    and at the end, so when the march ends it holds each row's last state
+    (a retired row's state at retirement, NaN for a blow-up); during the
+    march it is stale.
 
-    Yields (rows, t, h, prev, new) after each step: the indices of the
-    rows just advanced, their start times and step sizes (scalars, or
-    (k, 1) columns for per-row schedules), and their (k, dim) states
-    before and after the step, in the order of rows.  That order is
-    ascending except on per-row schedules.  None of them is to be
-    written, nor kept past the next step.
+    Yields (rows, t, h, prev, new) after each step: the ascending indices
+    of the rows just advanced, their start times and step sizes (scalars,
+    or (k, 1) columns for per-row schedules), and their (k, dim) states
+    before and after the step, in the order of rows.  None of them is to
+    be written, nor kept past the next step.
     """
     t0, t1 = (float(a[0]) if np.ndim(a) and len(a) and np.all(a == a[0]) else a
               for a in (t0, t1))
     n_full, rem, n_steps = _schedule(t0, t1, step)
     per_row = np.ndim(n_steps) > 0
-    # every row live on a shared schedule: x itself is the first work array,
-    # and no step takes an index array until a row leaves
-    whole = not per_row and live.all()
-    rows = np.arange(len(x)) if whole else np.flatnonzero(live)
+    rows = np.flatnonzero(live & (n_steps > 0))
     sched = ()
     if per_row:
-        rows = rows[np.argsort(-n_steps[rows], kind="stable")]
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), live.shape)
-        sched = (t0[rows], n_full[rows], rem[rows], -n_steps[rows])
-    w = x if whole else x[rows]
+        sched = (t0[rows], n_full[rows], rem[rows], n_steps[rows])
+    w = x[rows]
     for j in range(int(np.max(n_steps, initial=0))):
+        if len(rows) == 0:
+            break
         if per_row:
-            # the rows whose schedule has ended are the suffix past k
-            k = int(np.searchsorted(sched[3], -j))
-            if k < len(rows):
-                x[rows[k:]] = w[k:]
-                rows, w, sched = rows[:k], w[:k], tuple(a[:k] for a in sched)
             t = (sched[0] + j * step)[:, None]
             h = np.where(sched[1] > j, step, sched[2])[:, None]
         else:
             t, h = t0 + j * step, (step if j < n_full else float(rem))
-        if len(rows) == 0:
-            break
         prev, w = w, rk4_step(field, t, w, h)
         if not _clears_blowup(w):
             good = _finite_rows(w)
             if not good.all():
                 live[rows[~good]] = False
                 x[rows[~good]] = np.nan
-                whole = False
                 rows, prev, w = rows[good], prev[good], w[good]
                 sched = tuple(a[good] for a in sched)
                 if per_row:
                     t, h = t[good], h[good]
         yield rows, t, h, prev, w
-        keep = live if whole else live[rows]
+        keep = live[rows] & (sched[3] > j + 1) if per_row else live[rows]
         if not keep.all():
             x[rows[~keep]] = w[~keep]
-            whole = False
             rows, w, sched = rows[keep], w[keep], tuple(a[keep] for a in sched)
-    x[slice(None) if whole else rows] = w
+    x[rows] = w
 
 
 def _advance(field: VectorField, x: np.ndarray, t0, t1, step: float) -> np.ndarray:
@@ -347,9 +335,12 @@ def verify_growth(field: VectorField, states, times=(0.0,)) -> float:
     """Max of |f(t,x)| / (|x|+1) over a test lattice (should be <= growth_c).
 
     A non-finite sample or velocity, whose NaN ratio the maximum would
-    drop, raises ValueError naming the sample (and the time).
+    drop, raises ValueError naming the sample (and the time); so do no
+    samples or no times, which would leave nothing to check.
     """
     states = _finite_samples(np.atleast_2d(np.asarray(states, dtype=float)))
+    if len(states) == 0 or len(times) == 0:
+        raise ValueError("verify_growth needs at least one sample and one time")
     worst = 0.0
     for t in times:
         v = field(t, states)

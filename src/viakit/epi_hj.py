@@ -31,7 +31,7 @@ import numpy as np
 
 from .common import INF, _exp, _finite_samples, _ladder, _one_row
 from .dynamics import VectorField, _bisect, _record, _schedule, rk4_step
-from .errors import CapTooSmall, DescentViolation, NonzeroLagrangian
+from .errors import CapTooSmall, DescentViolation, NonFinite, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
@@ -393,11 +393,16 @@ class GridFunction:
         """Multilinear interpolation at the (m, dim) rows of X (INF-aware).
 
         Corners of weight below 1e-12 are skipped; an INF value at any other
-        corner, or lying outside the grid, makes a row INF.  Corners and axis
-        factors go in one fixed order, so no value depends on the batch.
+        corner, or lying outside the grid (an infinite entry included), makes
+        a row INF.  A row that holds a NaN raises ValueError.  Corners and
+        axis factors go in one fixed order, so no value depends on the batch.
         """
         g = self.grid
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        nan = np.isnan(X).any(axis=1)
+        if nan.any():
+            bad = int(np.argmax(nan))
+            raise ValueError(f"interp_many: row {bad} {X[bad].tolist()} holds a NaN")
         sp = g.spacing
         inside = np.all((X >= g.lo - 1e-9 * sp) & (X <= g.hi + 1e-9 * sp), axis=1)
         pos = (np.where(inside[:, None], X, g.lo) - g.lo) / sp
@@ -479,18 +484,25 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
     the state-cost half-space is a repeller, the hypothesis behind the
     uniqueness of the stopping-time value, for autonomous problems (f at t = 0).
     Zero samples are skipped; a non-finite sample, or no nonzero one,
-    raises ValueError.
+    raises ValueError, and so does a non-finite velocity or a NaN
+    lagrangian, naming the sample.
     """
     X = _finite_samples(np.atleast_2d(np.asarray(samples, dtype=float)))
     norms = np.linalg.norm(X, axis=1)
-    keep = norms > 0
-    if not keep.any():
+    keep = np.flatnonzero(norms > 0)
+    if not len(keep):
         raise ValueError("repeller_condition: no nonzero sample is left")
     X, norms = X[keep], norms[keep]
     F = p.field(0.0, X)
+    L = np.asarray(p.lagrangian(X, F), dtype=float)
+    for what, bad, is_ in (("velocity", ~np.isfinite(F).all(axis=1), "not finite"),
+                           ("lagrangian", np.isnan(L), "NaN")):
+        if bad.any():
+            raise ValueError(f"repeller_condition: the {what} at sample "
+                             f"{keep[np.argmax(bad)]} is {is_}")
     radial = np.einsum("ij,ij->i", X, F) / norms
     gamma = float(np.min(radial / (norms + 1.0)))
-    delta = float(np.min(np.asarray(p.lagrangian(X, F)) / (norms + 1.0)))
+    delta = float(np.min(L / (norms + 1.0)))
     return RepellerCondition(bool(p.discount + gamma > 0 and delta > 0),
                              gamma, delta, p.discount)
 
@@ -531,10 +543,14 @@ def epiderivative(u_field: GridFunction, x, v, h_min: Optional[float] = None,
     1/2) and a small direction stencil v' = v, v +- delta e_k, with
     multilinear interpolation of the field; +inf when every probe lands
     outside the finite domain.  Defaults scale with the grid cell.  A
-    one-row lift of the batched estimate behind the HJ checks.
+    one-row lift of the batched estimate behind the HJ checks; a NaN x or
+    v raises ValueError naming it.
     """
-    return float(_epiderivatives(u_field, _one_row(x), _one_row(v), h_min, h_max,
-                                 perturb)[1][0])
+    x, v = _one_row(x), _one_row(v)
+    for name, a in (("x", x), ("v", v)):
+        if np.isnan(a).any():
+            raise ValueError(f"epiderivative: {name} = {a[0].tolist()} holds a NaN")
+    return float(_epiderivatives(u_field, x, v, h_min, h_max, perturb)[1][0])
 
 
 @dataclass(frozen=True)
@@ -564,10 +580,14 @@ def _hj_residuals(p: LagrangianProblem, u_field: GridFunction, sample_points):
     and D_up v(x)(f) + l + a v and D_up v(x)(-f) - l - a v at every row, in
     one batched pass; each check keeps the rows its clauses apply to.  A
     non-finite sample raises ValueError: its NaN residuals would read as
-    clauses that do not apply, so it would pass unchecked.  Autonomous: f at t = 0."""
+    clauses that do not apply, so it would pass unchecked.  A NaN field
+    velocity raises NonFinite naming the sample.  Autonomous: f at t = 0."""
     X = _finite_samples(np.atleast_2d(np.asarray(sample_points, dtype=float)))
     m = len(X)
     F = p.field(0.0, X)
+    nan = np.isnan(F).any(axis=1)
+    if nan.any():
+        raise NonFinite(f"the field velocity at sample {np.argmax(nan)} is NaN in the HJ check")
     L = np.asarray(p.lagrangian(X, F), dtype=float)
     U = np.asarray(p.obstacle(X), dtype=float)
     v, D = _epiderivatives(u_field, np.concatenate([X, X]), np.concatenate([F, -F]))

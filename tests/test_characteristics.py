@@ -648,7 +648,7 @@ def test_graph_sample_impulse_slices():
 
 def test_graph_sample_lists_each_step_in_seed_order():
     # boundary seeds start late, xi-major and s-minor, so their step counts are
-    # not sorted; the stepping core orders rows by step count, and the cloud
+    # not sorted and rows leave the stepping core at different steps; the cloud
     # must still list the points step by step, each step in seed order
     K = vk.box([0.0, -np.inf], [np.inf, np.inf])
     data = vk.BoundaryData(lambda X: np.sin(X[:, :1]), lambda S, X: 0.3 * S + X[:, 1:])

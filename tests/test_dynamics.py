@@ -198,6 +198,8 @@ def test_verify_growth_helper():
     f = vk.linear_field(1.0)
     lattice = np.linspace(-3, 3, 31)[:, None]
     assert vk.verify_growth(f, lattice) <= f.growth_c + 1e-12
+    with pytest.raises(ValueError, match="at least one sample"):  # not numpy's reduction error
+        vk.verify_growth(f, np.zeros((0, 1)))
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -480,8 +482,8 @@ def test_march_matches_rows_stepped_alone(kind, per_row, survivors):
     Rows not live at the start, rows the caller retires mid-march, rows
     that blow up and rows that finish early (per-row schedules) all leave
     the work set; with survivors="one" the march ends on a single row.
-    On the shared schedule with many survivors every row starts live, so
-    x itself is the first work array.
+    On the shared schedule with many survivors every row starts live.
+    Every yield lists its rows in ascending order, on either schedule.
     """
     field = _march_fields()[kind]
     rng = np.random.default_rng(["matrix", "lift", "characteristic"].index(kind))
@@ -514,8 +516,7 @@ def test_march_matches_rows_stepped_alone(kind, per_row, survivors):
     got = []
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (rows, t, h, prev, new) in enumerate(_march(field, x, t0, t1, step, live)):
-            if not per_row:
-                assert np.all(np.diff(rows) > 0)
+            assert np.all(np.diff(rows) > 0)
             got.append({int(r): (p.copy(), n.copy()) for r, p, n in zip(rows, prev, new)})
             live[rows[retire_at[rows] == j]] = False
     while got and not got[-1]:  # the step on which the last rows blew up
@@ -540,6 +541,18 @@ _REPELLER = vk.LagrangianProblem(vk.linear_field(1.0, dim=2), vk.unit_lagrangian
                                  vk.zero_obstacle)
 _CHAR = dict(g=lambda t, x, y: np.zeros_like(y), domain=vk.box([0.0], [1.0]),
              data=vk.BoundaryData(lambda X: np.zeros((len(X), 1))), out_dim=1)
+_NAN_FIELD = vk.VectorField(1, lambda t, x: np.full_like(x, np.nan), name="nan")
+_RAMP = vk.GridFunction(vk.GridSpec([0.0], [1.0], [4]), np.linspace(0.0, 1.0, 5))
+
+
+def _replay_blowup():
+    """A cloud of x' = 1, y' = 0 from y = 1, replayed with y' = 1e3 y^2."""
+    def prob(g):
+        return vk.CharProblem(g, vk.box([0.0], [10.0]),
+                              vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
+                              phi=vk.transport_field([1.0]))
+    cloud = vk.graph_sample(prob(lambda t, x, y: np.zeros_like(y)), 1.0, 0.1, 5, [0.0], [1.0])
+    return vk.replay_check(cloud, prob(lambda t, x, y: 1e3 * y * y), 0.05)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -560,6 +573,27 @@ _CHAR = dict(g=lambda t, x, y: np.zeros_like(y), domain=vk.box([0.0], [1.0]),
      "sample 0 .* is not finite"),
     (lambda: vk.repeller_condition(_REPELLER, [[1.0, 0.0], [np.nan, 1.0]]), ValueError,
      "sample 1 .* is not finite"),
+    # a NaN velocity or lagrangian read as gamma_minus or delta_minus = nan
+    (lambda: vk.repeller_condition(vk.LagrangianProblem(_NAN_FIELD, vk.unit_lagrangian, 0.0,
+                                                        vk.zero_obstacle), [[1.0], [2.0]]),
+     ValueError, "velocity at sample 0 is not finite"),
+    (lambda: vk.repeller_condition(vk.LagrangianProblem(
+        vk.linear_field(1.0), lambda X, F: np.where(X[:, 0] > 1.5, np.nan, 1.0), 0.0,
+        vk.zero_obstacle), [[0.0], [1.0], [2.0]]), ValueError, "lagrangian at sample 2 is NaN"),
+    # no times: a passing 0.0 where the ratio is 2.5
+    (lambda: vk.verify_growth(vk.linear_field(5.0), [[1.0]], times=()), ValueError,
+     "at least one sample and one time"),
+    # a blow-up on replay gave a nan defect
+    (_replay_blowup, vk.NonFinite, "during replay_check of cloud point"),
+    # a NaN point or direction read as outside the grid: 1e18
+    (lambda: _RAMP.interp_many([[0.5], [np.nan]]), ValueError, r"row 1 \[nan\] holds a NaN"),
+    (lambda: _RAMP.interp([np.nan]), ValueError, "row 0 .* holds a NaN"),
+    (lambda: vk.epiderivative(_RAMP, [0.5], [np.nan]), ValueError, r"v = \[nan\] holds a NaN"),
+    (lambda: vk.epiderivative(_RAMP, [np.nan], [1.0]), ValueError, r"x = \[nan\] holds a NaN"),
+    # a NaN velocity was an INF "forward" violation
+    (lambda: vk.hj_check_sup(vk.LagrangianProblem(_NAN_FIELD, vk.unit_lagrangian, 0.0,
+                                                  vk.zero_obstacle), _RAMP, [[0.2], [0.5]]),
+     vk.NonFinite, "velocity at sample 0 is NaN"),
     # no speed failed later in _char_rhs; both let solve_char follow phi and
     # graph_sample follow f
     (lambda: vk.CharProblem(**_CHAR), ValueError, "exactly one speed"),
@@ -567,8 +601,10 @@ _CHAR = dict(g=lambda t, x, y: np.zeros_like(y), domain=vk.box([0.0], [1.0]),
                             f=lambda t, x, y: -np.ones_like(x)), ValueError,
      "exactly one speed"),
 ], ids=["growth-nan-sample", "growth-nan-velocity", "viable-step", "viable-trajectory",
-        "repeller-all-zero", "repeller-all-nan", "repeller-nan-row", "char-no-speed",
-        "char-two-speeds"])
+        "repeller-all-zero", "repeller-all-nan", "repeller-nan-row", "repeller-nan-field",
+        "repeller-nan-lagrangian", "growth-no-times", "replay-blowup", "interp-nan-row",
+        "interp-nan-point", "epiderivative-nan-v", "epiderivative-nan-x", "hj-nan-velocity",
+        "char-no-speed", "char-two-speeds"])
 def test_bad_input_raises_naming_its_row_or_step(call, error, match):
     with pytest.raises(error, match=match):
         call()
