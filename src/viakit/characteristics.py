@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import INF, _exp, _finite_samples, _ladder, _one_row
+from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
 from .dynamics import VectorField, _advance, _finite_rows, _march
 from .errors import NonFinite, ParamDomain
 from .kernels import _first_events, exit_time, lattice_points
@@ -149,9 +149,10 @@ def product_exit_time(axis_fields: Sequence[VectorField],
 
     Each axis block evolves under its own field on its own factor set;
     axes that never exit within t_scan contribute +inf.  Equals the
-    backward exit time computed on the assembled product oracle.
+    backward exit time computed on the assembled product oracle.  A NaN x raises ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _refuse_nan("product_exit_time", x=x)
     best = INF
     start = 0
     for fj, Kj in zip(axis_fields, axis_sets):
@@ -202,8 +203,9 @@ def _read(data: BoundaryData, C, initial, bnd, times) -> np.ndarray:
 def boundary_trace(data: BoundaryData, s: float, c, K: SetOracle,
                    s_tol: float = 1e-9, x_tol: float = 1e-6):
     """The datum carried by the foot point (s, c), or None off the manifold:
-    one row of :func:`_manifold` and :func:`_read`."""
+    one row of :func:`_manifold` and :func:`_read`.  A NaN s or c raises ValueError."""
     S, C = _rows(s, c)
+    _refuse_nan("boundary_trace", s=S[0], c=C[0])
     initial, bnd, times = _manifold(data, S, C, K, s_tol, x_tol)
     return _read(data, C, initial, bnd, times)[0] if initial[0] or bnd[0] else None
 
@@ -305,11 +307,9 @@ class Demo4D:
         if X.shape[1] != 4:
             raise ParamDomain("state must be 4-dimensional")
         bad2 = ~((0.0 < X[:, 1]) & (X[:, 1] <= self.r2))
-        bad = bad2 | ~((0.0 < X[:, 3]) & (X[:, 3] < self.b))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParamDomain(f"x2 = {X[i, 1]} outside (0, r2]" if bad2[i]
-                              else f"x4 = {X[i, 3]} outside (0, b)")
+        _refuse(bad2 | ~((0.0 < X[:, 3]) & (X[:, 3] < self.b)),
+                lambda i: f"x2 = {X[i, 1]} outside (0, r2]" if bad2[i]
+                else f"x4 = {X[i, 3]} outside (0, b)", ParamDomain)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         tau2 = np.fromiter(map(math.log, self.r2 / X[:, 1]), float, len(X)) / self.rho
         regime = np.where(ts <= np.minimum(X[:, 0], tau2), 1,
@@ -430,6 +430,7 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     gives an empty cloud.
 
     Raises:
+        ValueError: if T < 0, or seed_lo or seed_hi holds a NaN.
         NonFinite: if a seed's (state, output) row is not finite or
             passes the blow-up norm.
     """
@@ -438,6 +439,7 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     n, p = prob.state_dim, prob.out_dim
 
     lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (seed_lo, seed_hi))
+    _refuse_nan("graph_sample", seed_lo=lo, seed_hi=hi)
     C = lattice_points([np.linspace(lo[k], hi[k], seeds_per_face) for k in range(n)])
     C = C[prob.domain.contains_many(C)]
     S = np.zeros(len(C))
@@ -474,8 +476,10 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     Single-linkage clustering with merge radius cloud.tol (the connected
     components of the pairs within it); returns the cluster means, each
     over its rows in index order, sorted lexicographically (deterministic).
+    A NaN t or x raises ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _refuse_nan("query_graph", t=t, x=x)
     mask = (np.abs(cloud.times - t) <= radius) & \
         (np.linalg.norm(cloud.states - x, axis=1) <= radius)
     ys = cloud.outputs[mask]
@@ -514,22 +518,18 @@ class FrankowskaReport:
 
 
 def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
-                        h_min: Optional[float] = None,
-                        h_max: Optional[float] = None,
                         interior_margin: Optional[float] = None) -> FrankowskaReport:
     """Tangency check of the sampled graph in (t, x, y)-space.
 
     At each sampled cloud point the direction (1, f, g) must be
     contingent to the cloud; away from the data manifold so must
-    (-1, -f, -g).  Residuals are finite-ladder tangent residuals against
-    the cloud treated as a point-cloud oracle.
+    (-1, -f, -g).  Residuals are tangent residuals against the cloud as a
+    point-cloud oracle, on the ladder from 8h down to its step h.
     """
     if len(cloud) == 0:
         raise ValueError("the cloud is empty: no seed of graph_sample lay in K")
     h = cloud.step
-    h_min = h if h_min is None else h_min
-    h_max = 8.0 * h if h_max is None else h_max
-    interior_margin = h_max + h if interior_margin is None else interior_margin
+    interior_margin = 8.0 * h + h if interior_margin is None else interior_margin
     oracle = PointCloudSet(cloud.points)
     tmax = float(cloud.times.max())
     seeds_t = cloud.seeds[cloud.seed_index, 0]
@@ -544,10 +544,10 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
     V = np.concatenate([np.ones((len(Z), 1)),
                         *_char_rhs(prob, Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:])], axis=1)
     initial, bnd, _ = _manifold(prob.data, Z[:, 0], Z[:, 1:1 + n], prob.domain, h, prob.x_tol)
-    fwd = _tangent_residuals(oracle, Z, V, h_min, h_max)
+    fwd = _tangent_residuals(oracle, Z, V, h, 8.0 * h)
     off = ~(initial | bnd)
     bwd = np.full(len(Z), np.nan)
-    bwd[off] = _tangent_residuals(oracle, Z[off], -V[off], h_min, h_max)
+    bwd[off] = _tangent_residuals(oracle, Z[off], -V[off], h, 8.0 * h)
     return FrankowskaReport(pick, fwd, bwd, float(fwd.max()), _worst(bwd))
 
 
@@ -677,8 +677,8 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     seeds = cloud.seeds[cloud.seed_index[pick]]
     z = seeds[:, 1:].copy()
     live = _advance(_coupled_field(prob), z, seeds[:, 0], cloud.times[pick], cloud.step)
-    if not live.all():
-        raise NonFinite(f"state blew up during replay_check of cloud point {pick[~live][0]}")
+    _refuse(~live, lambda i: f"state blew up during replay_check of cloud point {pick[i]}",
+            NonFinite)
     n = cloud.state_dim
     want = cloud.points[pick, 1:]
     err = np.linalg.norm(z[:, :n] - want[:, :n], axis=1) + \

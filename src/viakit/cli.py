@@ -14,10 +14,10 @@ over n nodes runs on at most ``max(1, n // kernels.CHUNK_ROWS)`` threads
 one thread whatever N is.  The only environment override is
 ``VIAKIT_OUT`` for the output directory.
 
-Exit codes: 0 success; 2 config error (with a field diagnostic), or a
-config file or output directory that cannot be read or made;
-3 numeric failure (NonFinite, CapTooSmall, DescentViolation, ParamDomain,
-float overflow), naming the operation.
+Exit codes: 0 success; 2 config error (with a field diagnostic), a grid
+too large to index, or a config file or output directory that cannot be
+read or made; 3 numeric failure (NonFinite, CapTooSmall, DescentViolation,
+ParamDomain, float overflow, or a MemoryError), naming the operation.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import csvio
+from .common import _refuse
 # solve_char stays importable here: perfbench/tracer.py wraps cli.solve_char
 from .characteristics import (BoundaryData, CharProblem, demo4d, graph_sample,
                               solve_char, solve_char_many)
@@ -167,10 +169,9 @@ def _check_dims(dim: int, where: str, d: int):
 
 def _require_inside(K, rows, where: str, set_name: str):
     """ConfigError naming the first of ``rows`` outside ``K``."""
-    outside = np.flatnonzero(~K.contains_many(rows))
-    if len(outside):
-        raise ConfigError(f"{where} row {outside[0]} {rows[outside[0]].tolist()} is "
-                          f"outside {set_name}", section=where)
+    _refuse(~K.contains_many(rows),
+            lambda i: f"{where} row {i} {rows[i].tolist()} is outside {set_name}",
+            partial(ConfigError, section=where))
 
 
 def _field(s: _Section, dim: int) -> VectorField:
@@ -358,9 +359,8 @@ def _eval(c: _Section, domain, name: str):
     _check_dims(domain.dim, "eval", xs.shape[1])
     _require_inside(domain, xs, "eval", name)
     for bad, rule in ((~np.isfinite(ts), "be finite"), (ts < 0.0, "be >= 0")):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigError(f"eval time {i} ({ts[i]}) must {rule}", section="eval")
+        _refuse(bad, lambda i: f"eval time {i} ({ts[i]}) must {rule}",
+                partial(ConfigError, section="eval"))
     return ts, xs
 
 
@@ -455,7 +455,7 @@ _SET = (("set", "set", _REQUIRED),)
 #: a value "problem", or None); the time span (key, form) and the step (key,
 #: default: None makes it optional) that marches it, where an "eval" span is the
 #: eval lattice's times; and further (key, form, default) parts.  Sets and rows
-#: are checked against the dimension, and a "vector" has it as its length.
+#: are checked against the dimension, and a "vector" or "finites" has it as its length.
 _SCHEMA = {
     "integrate": (_integrate, ("x0", "vector"), "field", _HORIZON_STEP, (("t0", "finite", 0.0),)),
     "flow": (_flow, ("x0", "vector"), "field", ("t", "finite", "step", _REQUIRED), ()),
@@ -479,7 +479,8 @@ _SCHEMA = {
     "pde-char": (_pde_char, ("pde", _pde), None, ("eval", "eval", "step", _REQUIRED), ()),
     "pde-graph": (_pde_graph, ("pde", _pde), None, ("graph.T", "horizon", "step", _REQUIRED),
                   (("graph.seeds_per_face", "count", _REQUIRED),
-                   ("graph.seed_lo", "vector", _REQUIRED), ("graph.seed_hi", "vector", _REQUIRED),
+                   ("graph.seed_lo", "finites", _REQUIRED),
+                   ("graph.seed_hi", "finites", _REQUIRED),
                    ("graph.boundary_points", "rows", None))),
     "demo4d": (_demo4d_run, ("demo4d", _demo4d), None, ("eval", "eval", "step", None), ()),
 }
@@ -505,7 +506,8 @@ def _validate(op: str, cfg) -> dict:
     field_dim = v["field"].dim if model else dim
     for key, part_form, default in parts:  # named by the key's last part, K for "set"
         x = _set(c.sub(key), field_dim) if part_form == "set" else \
-            c.read(key, part_form, default, length=dim if part_form == "vector" else None)
+            c.read(key, part_form, default,
+                   length=dim if part_form in ("vector", "finites") else None)
         if part_form in ("rows", "finite-rows") and x is not None:
             _check_dims(field_dim, key, x.shape[1])
         v["K" if key == "set" else key.rpartition(".")[2]] = x
@@ -573,7 +575,8 @@ def main(argv=None) -> int:
     except (ConfigError, NonzeroLagrangian) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonFinite, CapTooSmall, DescentViolation, ParamDomain, OverflowError) as exc:
+    except (NonFinite, CapTooSmall, DescentViolation, ParamDomain, OverflowError,
+            MemoryError) as exc:
         print(f"numeric failure in {op!r}: {exc}", file=sys.stderr)
         return 3
 

@@ -38,14 +38,25 @@ def _ladder(h_max: float, h_min: float) -> np.ndarray:
     return np.array(hs)
 
 
+def _refuse(bad, message, error=ValueError):
+    """Raise error(message(i)) for the first True row i of the mask bad: the one bad-row rule."""
+    bad = np.asarray(bad)
+    if bad.any():
+        raise error(message(int(np.argmax(bad))))
+
+
+def _refuse_nan(where: str, **points):
+    """ValueError naming the first of the one-point arguments that holds a NaN."""
+    for name, a in points.items():
+        a = np.asarray(a, dtype=float)
+        _refuse([np.isnan(a).any()], lambda _: f"{where}: {name} = {a.tolist()} holds a NaN")
+
+
 def _finite_samples(X: np.ndarray) -> np.ndarray:
     """X unchanged; a ValueError naming the first row with a non-finite entry.
 
     For the checks that take samples, where a NaN sample would read as a
     clause that does not apply, an infinite residual or a dropped ratio.
     """
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"sample {bad} {X[bad].tolist()} is not finite")
+    _refuse(~np.isfinite(X).all(axis=1), lambda i: f"sample {i} {X[i].tolist()} is not finite")
     return X

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import BLOWUP_NORM, _finite_samples, _one_row
+from .common import BLOWUP_NORM, _finite_samples, _one_row, _refuse
 from .errors import NonFinite
 
 
@@ -37,7 +37,6 @@ class VectorField:
             a scalar or an ``(m, 1)`` per-row column.
         growth_c: optional c with ``|f(t,x)| <= c (|x| + 1)`` (checked on
             test lattices, see :func:`verify_growth`).
-        lipschitz: optional Lipschitz constant in x.
         monotone_mu: optional mu with
             ``<f(t,x1) - f(t,x2), x1 - x2> <= -mu |x1 - x2|^2``.
     """
@@ -45,7 +44,6 @@ class VectorField:
     dim: int
     eval: Callable
     growth_c: Optional[float] = None
-    lipschitz: Optional[float] = None
     monotone_mu: Optional[float] = None
     name: str = "field"
 
@@ -344,9 +342,8 @@ def verify_growth(field: VectorField, states, times=(0.0,)) -> float:
     worst = 0.0
     for t in times:
         v = field(t, states)
-        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
-        if len(bad):
-            raise ValueError(f"the velocity at sample {bad[0]} and t = {t} is not finite")
+        _refuse(~np.isfinite(v).all(axis=1),
+                lambda i: f"the velocity at sample {i} and t = {t} is not finite")
         ratio = np.linalg.norm(v, axis=1) / (np.linalg.norm(states, axis=1) + 1.0)
         worst = max(worst, float(ratio.max()))
     return worst
@@ -361,14 +358,11 @@ def linear_field(a, dim: int = 1) -> VectorField:
     """f(x) = a x for scalar a, or f(x) = A x for a square matrix A."""
     A = np.asarray(a, dtype=float)
     if A.ndim == 0:
-        c = abs(float(A))
-        return VectorField(dim, lambda t, x: float(A) * x, growth_c=c,
-                           lipschitz=c, monotone_mu=-float(A), name="linear")
-    n = A.shape[0]
-    nrm = float(np.linalg.norm(A, 2))
+        return VectorField(dim, lambda t, x: float(A) * x, growth_c=abs(float(A)),
+                           monotone_mu=-float(A), name="linear")
     # one 1-D dot product per entry: a matrix product rounds a row by its batch
-    return VectorField(n, lambda t, x: np.vecdot(x[..., None, :], A), growth_c=nrm,
-                       lipschitz=nrm, name="linear")
+    return VectorField(A.shape[0], lambda t, x: np.vecdot(x[..., None, :], A),
+                       growth_c=float(np.linalg.norm(A, 2)), name="linear")
 
 
 def rotation_field(omega: float = 1.0) -> VectorField:
@@ -380,8 +374,7 @@ def rotation_field(omega: float = 1.0) -> VectorField:
         out[..., 1] = omega * x[..., 0]
         return out
 
-    return VectorField(2, ev, growth_c=abs(omega), lipschitz=abs(omega),
-                       name="rotation")
+    return VectorField(2, ev, growth_c=abs(omega), name="rotation")
 
 
 def logistic_field(beta: float, b: float) -> VectorField:
@@ -409,8 +402,7 @@ def transport_field(velocity) -> VectorField:
         out[...] = v
         return out
 
-    return VectorField(len(v), ev, growth_c=float(np.linalg.norm(v)),
-                       lipschitz=0.0, name="transport")
+    return VectorField(len(v), ev, growth_c=float(np.linalg.norm(v)), name="transport")
 
 
 def demographic_field(rho: float, sigma: float, beta: float, b: float) -> VectorField:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import INF, _exp, _finite_samples, _ladder, _one_row
+from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
 from .dynamics import VectorField, _bisect, _record, _schedule, rk4_step
 from .errors import CapTooSmall, DescentViolation, NonFinite, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
@@ -218,14 +218,13 @@ def _golden_min(values_at, rows, a, b, fa, fb, tol: float):
     return best
 
 
-def _finish_inf(p: LagrangianProblem, times, states, cum, J,
-                t_tol: float = 1e-8) -> np.ndarray:
+def _finish_inf(p: LagrangianProblem, times, states, cum, J) -> np.ndarray:
     """Column minima of J, each refined between the nodes around its arg-min.
 
     Per row, refinement bisects the finite edge of J toward the arg-min
     node where a neighbouring node reads INF (indicator obstacles make J
     infinite off a narrow valley, so golden section needs a real
-    bracket), then golden-section searches the bracket to t_tol in t.
+    bracket), then golden-section searches the bracket to 1e-8 in t.
     Every row keeps its own sequence of comparisons; each round serves
     all of its rows with one batched :func:`_values_at`.
     """
@@ -246,14 +245,14 @@ def _finish_inf(p: LagrangianProblem, times, states, cum, J,
     e_rows = np.concatenate([rows[left], rows[right]])
     edges = _bisect(lambda e, t: values_at(e_rows[e], t) < INF,
                     np.concatenate([a[left], b[right]]),
-                    times[np.concatenate([i[left], i[right]])], t_tol)
+                    times[np.concatenate([i[left], i[right]])], 1e-8)
     a[left], b[right] = np.split(edges, [np.count_nonzero(left)])
     fa, fb = np.split(values_at(np.concatenate([rows, rows]), np.concatenate([a, b])), 2)
     r_best = best[rows]
     for v in (fa, fb):
         r_best = np.where(v < r_best, v, r_best)
     g = b > a
-    gold = _golden_min(values_at, rows[g], a[g], b[g], fa[g], fb[g], t_tol)
+    gold = _golden_min(values_at, rows[g], a[g], b[g], fa[g], fb[g], 1e-8)
     r_best[g] = np.where(gold < r_best[g], gold, r_best[g])
     best[rows] = r_best
     return best
@@ -399,10 +398,8 @@ class GridFunction:
         """
         g = self.grid
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        nan = np.isnan(X).any(axis=1)
-        if nan.any():
-            bad = int(np.argmax(nan))
-            raise ValueError(f"interp_many: row {bad} {X[bad].tolist()} holds a NaN")
+        _refuse(np.isnan(X).any(axis=1),
+                lambda i: f"interp_many: row {i} {X[i].tolist()} holds a NaN")
         sp = g.spacing
         inside = np.all((X >= g.lo - 1e-9 * sp) & (X <= g.hi + 1e-9 * sp), axis=1)
         pos = (np.where(inside[:, None], X, g.lo) - g.lo) / sp
@@ -497,9 +494,7 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
     L = np.asarray(p.lagrangian(X, F), dtype=float)
     for what, bad, is_ in (("velocity", ~np.isfinite(F).all(axis=1), "not finite"),
                            ("lagrangian", np.isnan(L), "NaN")):
-        if bad.any():
-            raise ValueError(f"repeller_condition: the {what} at sample "
-                             f"{keep[np.argmax(bad)]} is {is_}")
+        _refuse(bad, lambda i: f"repeller_condition: the {what} at sample {keep[i]} is {is_}")
     radial = np.einsum("ij,ij->i", X, F) / norms
     gamma = float(np.min(radial / (norms + 1.0)))
     delta = float(np.min(L / (norms + 1.0)))
@@ -513,7 +508,7 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
 
 
 def _epiderivatives(u_field: GridFunction, X, V, h_min: Optional[float] = None,
-                    h_max: Optional[float] = None, perturb: Optional[float] = None):
+                    h_max: Optional[float] = None):
     """(u(x), D_up u(x)(v)) at the row pairs of the (m, dim) arrays X and V.
 
     See :func:`epiderivative`; every base point and probe goes through
@@ -521,10 +516,9 @@ def _epiderivatives(u_field: GridFunction, X, V, h_min: Optional[float] = None,
     """
     cell = float(np.min(u_field.grid.spacing))
     hs = _ladder(4.0 * cell if h_max is None else h_max, 0.5 * cell if h_min is None else h_min)
-    perturb = 0.5 * cell if perturb is None else perturb
     m, n = X.shape
-    stencil = np.zeros((1 + 2 * n, n))  # v, v + delta e_0, v - delta e_0, v + delta e_1, ...
-    stencil[1::2], stencil[2::2] = perturb * np.eye(n), -perturb * np.eye(n)
+    stencil = np.zeros((1 + 2 * n, n))  # v, v + delta e_0, v - delta e_0, ...; delta half a cell
+    stencil[1::2], stencil[2::2] = 0.5 * cell * np.eye(n), -0.5 * cell * np.eye(n)
     hs = hs[:, None, None]
     probes = X[:, None, None] + hs * (V[:, None] + stencil)[:, None]
     u = u_field.interp_many(np.concatenate([X, probes.reshape(-1, n)]))
@@ -536,21 +530,19 @@ def _epiderivatives(u_field: GridFunction, X, V, h_min: Optional[float] = None,
 
 
 def epiderivative(u_field: GridFunction, x, v, h_min: Optional[float] = None,
-                  h_max: Optional[float] = None, perturb: Optional[float] = None) -> float:
+                  h_max: Optional[float] = None) -> float:
     """Lower difference-quotient estimate of D_up u(x)(v) on a gridded field.
 
     Minimizes (u(x + h v') - u(x)) / h over a geometric h-ladder (ratio
     1/2) and a small direction stencil v' = v, v +- delta e_k, with
     multilinear interpolation of the field; +inf when every probe lands
-    outside the finite domain.  Defaults scale with the grid cell.  A
-    one-row lift of the batched estimate behind the HJ checks; a NaN x or
-    v raises ValueError naming it.
+    outside the finite domain.  delta is half a grid cell, and the default
+    ladder runs from 4 cells to half a cell.  A one-row lift of the batched
+    estimate behind the HJ checks; a NaN x or v raises ValueError naming it.
     """
     x, v = _one_row(x), _one_row(v)
-    for name, a in (("x", x), ("v", v)):
-        if np.isnan(a).any():
-            raise ValueError(f"epiderivative: {name} = {a[0].tolist()} holds a NaN")
-    return float(_epiderivatives(u_field, x, v, h_min, h_max, perturb)[1][0])
+    _refuse_nan("epiderivative", x=x[0], v=v[0])
+    return float(_epiderivatives(u_field, x, v, h_min, h_max)[1][0])
 
 
 @dataclass(frozen=True)
@@ -580,14 +572,13 @@ def _hj_residuals(p: LagrangianProblem, u_field: GridFunction, sample_points):
     and D_up v(x)(f) + l + a v and D_up v(x)(-f) - l - a v at every row, in
     one batched pass; each check keeps the rows its clauses apply to.  A
     non-finite sample raises ValueError: its NaN residuals would read as
-    clauses that do not apply, so it would pass unchecked.  A NaN field
-    velocity raises NonFinite naming the sample.  Autonomous: f at t = 0."""
+    clauses that do not apply, so it would pass unchecked.  A non-finite
+    field velocity raises NonFinite naming the sample.  Autonomous: f at t = 0."""
     X = _finite_samples(np.atleast_2d(np.asarray(sample_points, dtype=float)))
     m = len(X)
     F = p.field(0.0, X)
-    nan = np.isnan(F).any(axis=1)
-    if nan.any():
-        raise NonFinite(f"the field velocity at sample {np.argmax(nan)} is NaN in the HJ check")
+    _refuse(~np.isfinite(F).all(axis=1),
+            lambda i: f"the field velocity at sample {i} is not finite in the HJ check", NonFinite)
     L = np.asarray(p.lagrangian(X, F), dtype=float)
     U = np.asarray(p.obstacle(X), dtype=float)
     v, D = _epiderivatives(u_field, np.concatenate([X, X]), np.concatenate([F, -F]))

@@ -19,6 +19,7 @@ changes nothing in the results (bit-identical gather).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -70,6 +71,8 @@ class GridSpec:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
+        if self.node_count * self.dim * 8 > np.iinfo(np.intp).max:  # bytes of the float nodes
+            raise ValueError(f"grid of {self.node_count} nodes is too large to index")
 
     @property
     def dim(self) -> int:
@@ -89,7 +92,7 @@ class GridSpec:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axes(self):
         return [np.linspace(self.lo[k], self.hi[k], int(self.counts[k]) + 1)
@@ -249,10 +252,9 @@ def exit_time(field: VectorField, K: SetOracle, x, T_max: float, h: float,
     return float(_first_events(field, _one_row(x), T_max, h, K=K, refine_tol=refine_tol)[0][0])
 
 
-def hitting_time(field: VectorField, C: SetOracle, x, T_max: float, h: float,
-                 refine_tol=None) -> float:
+def hitting_time(field: VectorField, C: SetOracle, x, T_max: float, h: float) -> float:
     """First time the RK4 trajectory from x enters C (0 if already there)."""
-    return float(_first_events(field, _one_row(x), T_max, h, C=C, refine_tol=refine_tol)[1][0])
+    return float(_first_events(field, _one_row(x), T_max, h, C=C)[1][0])
 
 
 def capture_margin(field: VectorField, K: SetOracle, C: SetOracle, x,

@@ -190,11 +190,24 @@ def test_hj_check_blowup_exit_3(tmp_path, capsys):
     {"lo": [1.0], "hi": [-1.0], "counts": [10]},
     {"lo": [-1.0], "hi": [1.0], "counts": [1]},
     {"lo": [float("nan")], "hi": [1.0], "counts": [4]},
+    # node arrays too large to index, one of them past int64 in its node count
+    {"lo": [-1.0], "hi": [1.0], "counts": [2 ** 62]},
+    {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [2 ** 32, 2 ** 32]},
 ])
 def test_bad_grid_exit_2(tmp_path, capsys, grid):
     cfg = _write(tmp_path, "badgrid.json", dict(VIAB_CFG, grid=grid))
     assert main(["viab", cfg, "-o", str(tmp_path)]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+def test_grid_too_large_to_hold_exit_3(tmp_path, capsys):
+    """8e17 bytes of nodes: indexable, but more than any address space holds, so
+    the allocation fails at once and nothing is written."""
+    cfg = _write(tmp_path, "huge.json",
+                 dict(VIAB_CFG, grid=dict(VIAB_CFG["grid"], counts=[10 ** 17])))
+    assert main(["viab", cfg, "-o", str(tmp_path)]) == 3
+    assert "numeric failure in 'viab'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_flow_and_exit_time(tmp_path):
@@ -961,11 +974,13 @@ def test_cli_import_leaves_csgraph_unloaded():
      {"x0": [None]}, "'x0' in section 'config' must be a 1-D numeric list, got [None]"),
     ("reach", {"field": {"kind": "linear", "a": 1.0}, "t": 0.2, "step": 0.05},
      {"seeds": [[None], [0.2]]}, "'seeds' in section 'config' must be a 2-D numeric list"),
+    ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], seed_lo=[math.nan])},
+     "'seed_lo' in section 'graph' must be a 1-D list of finite numbers"),
 ], ids=["grid-lo-dict", "set-kind-list", "field-kind-dict", "grid-counts-overflow",
         "eval-ts-nan-scalar", "velocity-2d", "matrix-nan", "points-3d", "out-dim-overflow",
         "seed-lo-short", "seeds-per-face-overflow", "demo4d-step-text", "ball-nan-center",
         "box-nan-bound", "polynomial-nan-coefficient", "points-null", "x0-null",
-        "seeds-null"])
+        "seeds-null", "seed-lo-nan"])
 def test_malformed_leaf_exit_2(tmp_path, capsys, op, base, edit, key):
     """Each leaf is read into its declared form before anything runs: no CSV, no traceback."""
     cfg = _write(tmp_path, "leaf.json", dict(base, **edit))

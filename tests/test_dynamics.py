@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -545,66 +546,196 @@ _NAN_FIELD = vk.VectorField(1, lambda t, x: np.full_like(x, np.nan), name="nan")
 _RAMP = vk.GridFunction(vk.GridSpec([0.0], [1.0], [4]), np.linspace(0.0, 1.0, 5))
 
 
+def _transport_char(g=lambda t, x, y: np.zeros_like(y)):
+    """x' = 1 on [0, 10] from y = 1, with the output field g."""
+    return vk.CharProblem(g, vk.box([0.0], [10.0]),
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
+                          phi=vk.transport_field([1.0]))
+
+
+def _cloud():
+    return vk.graph_sample(_transport_char(), 1.0, 0.1, 5, [0.0], [1.0])
+
+
 def _replay_blowup():
     """A cloud of x' = 1, y' = 0 from y = 1, replayed with y' = 1e3 y^2."""
-    def prob(g):
-        return vk.CharProblem(g, vk.box([0.0], [10.0]),
-                              vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
-                              phi=vk.transport_field([1.0]))
-    cloud = vk.graph_sample(prob(lambda t, x, y: np.zeros_like(y)), 1.0, 0.1, 5, [0.0], [1.0])
-    return vk.replay_check(cloud, prob(lambda t, x, y: 1e3 * y * y), 0.05)
+    return vk.replay_check(_cloud(), _transport_char(lambda t, x, y: 1e3 * y * y), 0.05)
 
 
-@pytest.mark.parametrize("call, error, match", [
+_UNIT_T = vk.transport_field([1.0])
+_UNIT_K = vk.box([0.0], [1.0])
+_COST = vk.LagrangianProblem(vk.linear_field(-1.0), vk.unit_lagrangian, 0.0, vk.abs_obstacle)
+_PHI_CHAR = vk.CharProblem(**_CHAR, phi=_UNIT_T, phi_constraint=lambda T, X, Y: np.zeros(len(X)))
+
+#: (id, the public name called, call, error, match): each row poisons one
+#: argument, and the call must refuse it, naming the row where there is one.
+_BAD_INPUT = [
     # one NaN sample hid the others: max(0.0, nan) keeps 0.0 (the valid row reads 0.5)
-    (lambda: vk.verify_growth(vk.linear_field(-1.0), [[1.0], [np.nan]]), ValueError,
+    ("growth-nan-sample", "verify_growth",
+     lambda: vk.verify_growth(vk.linear_field(-1.0), [[1.0], [np.nan]]), ValueError,
      r"sample 1 \[nan\] is not finite"),
-    (lambda: vk.verify_growth(_nan_from(2.0), [[1.0], [3.0]], times=(0.0, 2.0)), ValueError,
+    ("growth-nan-velocity", "verify_growth",
+     lambda: vk.verify_growth(_nan_from(2.0), [[1.0], [3.0]], times=(0.0, 2.0)), ValueError,
      "velocity at sample 0 and t = 2.0"),
     # a NaN field gave NaN states with both error diagnostics 0.0
-    (lambda: vk.viable_step(_nan_from(0.0), vk.box([0.0], [1.0]), 0.0, [0.5], 0.1),
+    ("viable-step", "viable_step",
+     lambda: vk.viable_step(_nan_from(0.0), vk.box([0.0], [1.0]), 0.0, [0.5], 0.1),
      vk.NonFinite, "t = 0.0 in viable_step"),
-    (lambda: vk.viable_trajectory(_nan_from(0.25), vk.box([0.0], [9.0]), [0.5], 1.0, 0.1),
+    ("viable-trajectory", "viable_trajectory",
+     lambda: vk.viable_trajectory(_nan_from(0.25), vk.box([0.0], [9.0]), [0.5], 1.0, 0.1),
      vk.NonFinite, "in step 3 of viable_trajectory"),
     # nothing left after the zero rows are dropped ended in a numpy reduction error
-    (lambda: vk.repeller_condition(_REPELLER, np.zeros((3, 2))), ValueError,
+    ("repeller-all-zero", "repeller_condition",
+     lambda: vk.repeller_condition(_REPELLER, np.zeros((3, 2))), ValueError,
      "no nonzero sample"),
-    (lambda: vk.repeller_condition(_REPELLER, np.full((2, 2), np.nan)), ValueError,
+    ("repeller-all-nan", "repeller_condition",
+     lambda: vk.repeller_condition(_REPELLER, np.full((2, 2), np.nan)), ValueError,
      "sample 0 .* is not finite"),
-    (lambda: vk.repeller_condition(_REPELLER, [[1.0, 0.0], [np.nan, 1.0]]), ValueError,
+    ("repeller-nan-row", "repeller_condition",
+     lambda: vk.repeller_condition(_REPELLER, [[1.0, 0.0], [np.nan, 1.0]]), ValueError,
      "sample 1 .* is not finite"),
     # a NaN velocity or lagrangian read as gamma_minus or delta_minus = nan
-    (lambda: vk.repeller_condition(vk.LagrangianProblem(_NAN_FIELD, vk.unit_lagrangian, 0.0,
+    ("repeller-nan-field", "repeller_condition",
+     lambda: vk.repeller_condition(vk.LagrangianProblem(_NAN_FIELD, vk.unit_lagrangian, 0.0,
                                                         vk.zero_obstacle), [[1.0], [2.0]]),
      ValueError, "velocity at sample 0 is not finite"),
-    (lambda: vk.repeller_condition(vk.LagrangianProblem(
-        vk.linear_field(1.0), lambda X, F: np.where(X[:, 0] > 1.5, np.nan, 1.0), 0.0,
-        vk.zero_obstacle), [[0.0], [1.0], [2.0]]), ValueError, "lagrangian at sample 2 is NaN"),
+    ("repeller-nan-lagrangian", "repeller_condition",
+     lambda: vk.repeller_condition(vk.LagrangianProblem(
+         vk.linear_field(1.0), lambda X, F: np.where(X[:, 0] > 1.5, np.nan, 1.0), 0.0,
+         vk.zero_obstacle), [[0.0], [1.0], [2.0]]), ValueError, "lagrangian at sample 2 is NaN"),
     # no times: a passing 0.0 where the ratio is 2.5
-    (lambda: vk.verify_growth(vk.linear_field(5.0), [[1.0]], times=()), ValueError,
+    ("growth-no-times", "verify_growth",
+     lambda: vk.verify_growth(vk.linear_field(5.0), [[1.0]], times=()), ValueError,
      "at least one sample and one time"),
     # a blow-up on replay gave a nan defect
-    (_replay_blowup, vk.NonFinite, "during replay_check of cloud point"),
+    ("replay-blowup", "replay_check", _replay_blowup, vk.NonFinite,
+     "during replay_check of cloud point"),
     # a NaN point or direction read as outside the grid: 1e18
-    (lambda: _RAMP.interp_many([[0.5], [np.nan]]), ValueError, r"row 1 \[nan\] holds a NaN"),
-    (lambda: _RAMP.interp([np.nan]), ValueError, "row 0 .* holds a NaN"),
-    (lambda: vk.epiderivative(_RAMP, [0.5], [np.nan]), ValueError, r"v = \[nan\] holds a NaN"),
-    (lambda: vk.epiderivative(_RAMP, [np.nan], [1.0]), ValueError, r"x = \[nan\] holds a NaN"),
-    # a NaN velocity was an INF "forward" violation
-    (lambda: vk.hj_check_sup(vk.LagrangianProblem(_NAN_FIELD, vk.unit_lagrangian, 0.0,
+    ("interp-nan-row", "GridFunction",
+     lambda: _RAMP.interp_many([[0.5], [np.nan]]), ValueError, r"row 1 \[nan\] holds a NaN"),
+    ("interp-nan-point", "GridFunction",
+     lambda: _RAMP.interp([np.nan]), ValueError, "row 0 .* holds a NaN"),
+    ("epiderivative-nan-v", "epiderivative",
+     lambda: vk.epiderivative(_RAMP, [0.5], [np.nan]), ValueError, r"v = \[nan\] holds a NaN"),
+    ("epiderivative-nan-x", "epiderivative",
+     lambda: vk.epiderivative(_RAMP, [np.nan], [1.0]), ValueError, r"x = \[nan\] holds a NaN"),
+    # a NaN velocity was an INF "forward" violation, an infinite one 1e18 violations
+    ("hj-nan-velocity", "hj_check_sup",
+     lambda: vk.hj_check_sup(vk.LagrangianProblem(_NAN_FIELD, vk.unit_lagrangian, 0.0,
                                                   vk.zero_obstacle), _RAMP, [[0.2], [0.5]]),
-     vk.NonFinite, "velocity at sample 0 is NaN"),
+     vk.NonFinite, "velocity at sample 0 is not finite"),
+    ("hj-inf-velocity", "hj_check_inf",
+     lambda: vk.hj_check_inf(vk.LagrangianProblem(
+         vk.VectorField(1, lambda t, x: np.where(x > 0.3, np.inf, 1.0), name="inf"),
+         vk.unit_lagrangian, 0.0, vk.zero_obstacle), _RAMP, [[0.2], [0.5]]),
+     vk.NonFinite, "velocity at sample 1 is not finite"),
     # no speed failed later in _char_rhs; both let solve_char follow phi and
     # graph_sample follow f
-    (lambda: vk.CharProblem(**_CHAR), ValueError, "exactly one speed"),
-    (lambda: vk.CharProblem(**_CHAR, phi=vk.transport_field([1.0]),
-                            f=lambda t, x, y: -np.ones_like(x)), ValueError,
+    ("char-no-speed", "CharProblem", lambda: vk.CharProblem(**_CHAR), ValueError,
      "exactly one speed"),
-], ids=["growth-nan-sample", "growth-nan-velocity", "viable-step", "viable-trajectory",
-        "repeller-all-zero", "repeller-all-nan", "repeller-nan-row", "repeller-nan-field",
-        "repeller-nan-lagrangian", "growth-no-times", "replay-blowup", "interp-nan-row",
-        "interp-nan-point", "epiderivative-nan-v", "epiderivative-nan-x", "hj-nan-velocity",
-        "char-no-speed", "char-two-speeds"])
+    ("char-two-speeds", "CharProblem",
+     lambda: vk.CharProblem(**_CHAR, phi=_UNIT_T, f=lambda t, x, y: -np.ones_like(x)),
+     ValueError, "exactly one speed"),
+    # a NaN x read as outside a factor: 0.0
+    ("product-exit-nan-x", "product_exit_time",
+     lambda: vk.product_exit_time([_UNIT_T], [_UNIT_K], [np.nan], 0.1), ValueError,
+     r"product_exit_time: x = \[nan\] holds a NaN"),
+    # a NaN c read the initial datum, a NaN s gave None
+    ("boundary-trace-nan-c", "boundary_trace",
+     lambda: vk.boundary_trace(_CHAR["data"], 0.0, [np.nan], _UNIT_K), ValueError,
+     r"boundary_trace: c = \[nan\] holds a NaN"),
+    ("boundary-trace-nan-s", "boundary_trace",
+     lambda: vk.boundary_trace(_CHAR["data"], np.nan, [0.5], _UNIT_K), ValueError,
+     "boundary_trace: s = nan holds a NaN"),
+    # a NaN t or x found no point near it: []
+    ("query-graph-nan-t", "query_graph",
+     lambda: vk.query_graph(_cloud(), np.nan, [0.5], 0.2), ValueError,
+     "query_graph: t = nan holds a NaN"),
+    ("query-graph-nan-x", "query_graph",
+     lambda: vk.query_graph(_cloud(), 0.5, [np.nan], 0.2), ValueError,
+     r"query_graph: x = \[nan\] holds a NaN"),
+    # the NaN lattice seeds dropped out of K unseen
+    ("graph-sample-nan-seed-lo", "graph_sample",
+     lambda: vk.graph_sample(_transport_char(), 1.0, 0.1, 5, [np.nan], [1.0]), ValueError,
+     r"graph_sample: seed_lo = \[nan\] holds a NaN"),
+    ("integrate-nan-x0", "integrate", lambda: vk.integrate(_UNIT_T, [np.nan], 0.0, 1.0, 0.1),
+     vk.NonFinite, "initial state is not finite in integrate"),
+    ("tabulate-nan-row", "tabulate_values",
+     lambda: vk.tabulate_values(_COST, [[0.5], [np.nan]], "sup", 1.0, 0.1), vk.NonFinite,
+     "initial state is not finite in tabulate_values"),
+    ("solve-char-many-nan-row", "solve_char_many",
+     lambda: vk.solve_char_many(_transport_char(), [0.5, 0.5], [[0.5], [np.nan]], 0.1),
+     ValueError, "an exit time requires x in K"),
+    ("exit-time-nan-x", "exit_time",
+     lambda: vk.exit_time(_UNIT_T, _UNIT_K, [np.nan], 1.0, 0.1), ValueError,
+     "an exit time requires x in K"),
+    ("hitting-time-nan-x", "hitting_time",
+     lambda: vk.hitting_time(_UNIT_T, _UNIT_K, [np.nan], 1.0, 0.1), vk.NonFinite,
+     "blew up before hitting C"),
+    ("capture-margin-nan-x", "capture_margin",
+     lambda: vk.capture_margin(_UNIT_T, _UNIT_K, vk.box([0.8], [0.9]), [np.nan], 1.0, 0.1),
+     ValueError, "an exit time requires x in K"),
+    ("tangent-residual-nan-x", "tangent_residual",
+     lambda: vk.tangent_residual(_UNIT_K, [np.nan], [1.0]), ValueError,
+     "tangent_residual requires x in K"),
+    ("phi-invariance-nan-sample", "phi_invariance_check",
+     lambda: vk.phi_invariance_check(_PHI_CHAR, [[0.1, 0.5, 1.0], [0.1, np.nan, 1.0]], 0.1),
+     ValueError, r"sample 1 \[0.1, nan, 1.0\] is not finite"),
+    ("viable-trajectory-nan-x0", "viable_trajectory",
+     lambda: vk.viable_trajectory(_UNIT_T, vk.box([0.0], [9.0]), [np.nan], 1.0, 0.1),
+     ValueError, "viable_trajectory requires x0 in K"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [row[2:] for row in _BAD_INPUT],
+                         ids=[row[0] for row in _BAD_INPUT])
 def test_bad_input_raises_naming_its_row_or_step(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+#: The arguments that carry rows or points of the caller's data.
+_ROW_ARGS = {"x", "x0", "xs", "c", "t", "seeds", "states", "samples", "sample_points",
+             "seed_lo"}
+#: The public callables taking such an argument that have no _BAD_INPUT row, and why.
+_NO_BAD_INPUT_ROW = {
+    "reach_set": "flags each row that blows up, a NaN seed included, with ok False",
+    "flow": "a one-row lift of integrate, reversed for t < 0",
+    "value_sup": "a one-row lift of tabulate_values",
+    "value_inf": "a one-row lift of tabulate_values",
+    "lyapunov": "a one-row lift of tabulate_values",
+    "minimal_time": "a one-row lift of tabulate_values",
+    "minimal_length": "a one-row lift of tabulate_values",
+    "running_cost_path": "one row's history from tabulate_values' value engine",
+    "solve_char": "a one-row lift of solve_char_many",
+    "backward_exit_time": "a one-row lift of solve_char_many's backward exit sweep",
+    "exitor": "a one-row lift of solve_char_many's backward exit sweep and flow",
+    "abs_obstacle": "an obstacle: a callable the toolkit takes, not an entry point",
+    "zero_obstacle": "an obstacle: a callable the toolkit takes, not an entry point",
+    "zero_lagrangian": "a lagrangian: a callable the toolkit takes, not an entry point",
+    "unit_lagrangian": "a lagrangian: a callable the toolkit takes, not an entry point",
+    "speed_lagrangian": "a lagrangian: a callable the toolkit takes, not an entry point",
+    "const_lagrangian": "builds a lagrangian the toolkit takes; c is its value",
+    "logistic_closed_form": "a closed form, elementwise as numpy: a NaN t gives NaN",
+    "Trajectory": "a result record the toolkit builds",
+    "GraphCloud": "a result record the toolkit builds",
+    "HJReport": "a result record the toolkit builds",
+}
+
+
+def test_every_public_callable_of_rows_has_a_bad_input_row_or_a_reason():
+    """A public name with an argument in _ROW_ARGS has a _BAD_INPUT row or an
+    exemption, and every exemption names such a callable that has no row."""
+    takes_rows = set()
+    for name, obj in vars(vk).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to read
+            continue
+        if _ROW_ARGS & set(params):
+            takes_rows.add(name)
+    has_row = {row[1] for row in _BAD_INPUT}
+    assert takes_rows - has_row - set(_NO_BAD_INPUT_ROW) == set()
+    assert set(_NO_BAD_INPUT_ROW) <= takes_rows - has_row

@@ -324,6 +324,12 @@ def test_exit_time_blowup_propagates():
     assert vk.hitting_time(quad, C, [3.0], 5.0, 1e-3) < INF
 
 
+def test_grid_node_count_is_exact_and_indexable():
+    assert vk.GridSpec([0.0], [1.0], [10 ** 17]).node_count == 10 ** 17 + 1
+    with pytest.raises(ValueError, match="too large to index"):  # (2^32 + 1)^2 passes int64
+        vk.GridSpec([0.0, 0.0], [1.0, 1.0], [2 ** 32, 2 ** 32])
+
+
 def test_grid_nodes_row_major():
     grid = vk.GridSpec([0.0, 10.0], [1.0, 11.0], [2, 2])
     nodes = grid.nodes()
