@@ -173,24 +173,41 @@ def _clears_blowup(x: np.ndarray) -> bool:
                 < BLOWUP_NORM)
 
 
-def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str):
-    """Node times and (k, m, dim) RK4 states of the rows of xs, from :func:`_march`.
+def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str,
+            block=None):
+    """Node times and the RK4 states of the rows of xs from :func:`_march`, block by block.
+
+    Returns (times, blocks): the (k,) node times, and an iterator over
+    (j, states) with the (b, m, dim) states of the nodes j, ..., j + b - 1
+    in order, b at most block (by default all k nodes, in one block).  A
+    block's array is reused for the next one: it is not to be written, nor
+    kept past the next block.
 
     Raises:
-        NonFinite: if a row starts non-finite or blows up before t1.
+        NonFinite: if a row starts non-finite (at once) or blows up before
+            t1 (while the blocks are drawn).
     """
     if not _finite_rows(xs).all():
         raise NonFinite(f"initial state is not finite in {what}")
-    k = _schedule(t0, t1, step)[2] + 1
-    times, states = np.empty(k), np.empty((k,) + xs.shape)
-    times[0], states[0] = t0, xs
-    live = np.ones(len(xs), dtype=bool)
-    for j, (rows, t, h, _, new) in enumerate(_march(field, xs.copy(), t0, t1, step, live),
-                                             start=1):
-        if len(rows) < len(xs):
-            raise NonFinite(f"state blew up during {what}")
-        times[j], states[j] = t + h, new
-    return times, states
+    n_full, rem, n_steps = _schedule(t0, t1, step)
+    j = np.arange(n_steps)
+    # each node's t + h as _march's shared schedule takes it, with t = t0 + j * step
+    times = np.concatenate([[t0], t0 + j * step + np.where(j < n_full, step, rem)])
+
+    def blocks():
+        buf = np.empty((min(block or len(times), len(times)),) + xs.shape)
+        buf[0], first, n = xs, 0, 1
+        live = np.ones(len(xs), dtype=bool)
+        for rows, _, _, _, new in _march(field, xs.copy(), t0, t1, step, live):
+            if len(rows) < len(xs):
+                raise NonFinite(f"state blew up during {what}")
+            if n == len(buf):
+                yield first, buf
+                first, n = first + n, 0
+            buf[n], n = new, n + 1
+        yield first, buf[:n]
+
+    return times, blocks()
 
 
 def integrate(field: VectorField, x0, t0: float, t1: float, step: float) -> Trajectory:
@@ -202,7 +219,8 @@ def integrate(field: VectorField, x0, t0: float, t1: float, step: float) -> Traj
         NonFinite: if any state component becomes NaN/inf or the norm
             passes the blow-up guard before t1.
     """
-    times, states = _record(field, _one_row(x0), t0, t1, step, "integrate")
+    times, blocks = _record(field, _one_row(x0), t0, t1, step, "integrate")
+    (_, states), = blocks  # the whole history is one block
     return Trajectory(times, states[:, 0], step)
 
 

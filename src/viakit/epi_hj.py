@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
-from .dynamics import VectorField, _bisect, _record, _schedule, rk4_step
+from .dynamics import VectorField, _bisect, _record, rk4_step
 from .errors import CapTooSmall, DescentViolation, NonFinite, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
@@ -62,10 +62,10 @@ def lift(p: LagrangianProblem) -> VectorField:
     n = p.field.dim
 
     def ev(t, z):
-        x, y = z[:, :n], z[:, n]
-        fx = p.field(t, x)
-        ly = np.asarray(p.lagrangian(x, fx), dtype=float)
-        return np.concatenate([fx, (-p.discount * y - ly)[:, None]], axis=1)
+        x, out = z[:, :n], np.empty(z.shape)
+        out[:, :n] = fx = p.field(t, x)
+        out[:, n] = -p.discount * z[:, n] - np.asarray(p.lagrangian(x, fx), dtype=float)
+        return out
 
     return VectorField(n + 1, ev, name=p.field.name + "+cost")
 
@@ -125,66 +125,137 @@ class CostPath:
     def value_at(self, t: float) -> float:
         """J(t) for arbitrary t in [0, T]; a one-row lift of :func:`_values_at`."""
         return float(_values_at(self.problem, self.times, self.states[:, None, :],
-                                self.cumulative[:, None], np.zeros(1, dtype=int),
+                                self.cumulative[:, None], 0, np.zeros(1, dtype=int),
                                 np.array([t], dtype=float))[0])
 
 
-def _cost_history(p: LagrangianProblem, xs, T_max: float, h: float):
-    """J sampled along the RK4 trajectory of every row of xs, in one sweep.
+#: Float budget (128 KB) of one block of the value engine's march: a block holds
+#: max(1, BLOCK_FLOATS // (rows * dim)) nodes of every row, so the engine's
+#: arrays scale with the rows, not with the steps.  On 201 1-D rows and 4001
+#: nodes (2-core VM) `inf` took 87 ms and traced 1.9 MB at 2^14, against
+#: 97 ms and 7.1 MB at 2^16, 98 ms at 2^13, and 107-121 ms and 52 MB whole.
+BLOCK_FLOATS = 1 << 14
 
-    Returns (times, states, U, cum, J): the (k,) sample times, the
-    (k, m, dim) state history, and (k, m) arrays of the obstacle u, the
-    running cost int_0^{t_j} e^{a tau} l dtau and J (INF-clamped).
+
+def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, block=None):
+    """J along the RK4 trajectory of every row of xs, block by block as it marches.
+
+    Returns (times, blocks): the (k,) node times, and an iterator over
+    (j, states, U, cum, J) for the nodes j, ..., j + b - 1 (b at most block,
+    by default all k): their (b, m, dim) states and (b, m) arrays of the
+    obstacle u, the running cost int_0^{t_j} e^{a tau} l dtau and J
+    (INF-clamped).  A block is not to be written, nor kept past the next one.
 
     Raises:
-        NonFinite: if a row starts non-finite or blows up before T_max.
+        NonFinite: if a row starts non-finite, blows up before T_max, or
+            meets a NaN lagrangian or obstacle (naming the row and the node
+            time, in the first block that holds one).
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    times, states = _record(p.field, xs, 0.0, T_max, h, "tabulate_values")
-    k, m = states.shape[:2]
-    flat = states.reshape(k * m, xs.shape[1])
-    F = p.field(np.repeat(times, m)[:, None], flat)  # each node at its own time
-    L = np.asarray(p.lagrangian(flat, F), dtype=float).reshape(k, m)
-    U = np.asarray(p.obstacle(flat), dtype=float).reshape(k, m)
+    times, blocks = _record(p.field, xs, 0.0, T_max, h, "tabulate_values", block)
+    # over the whole of times once: a block's own np.exp could round apart
     w = np.exp(p.discount * times)[:, None]
-    integrand = w * L
-    cum = np.vstack([np.zeros((1, m)), np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)[:, None], axis=0)])
-    J = np.where(U >= INF, INF, w * U + cum)
-    J = np.where(J > p.value_cap, INF, J)
-    return times, states, U, cum, J
+    dt = np.diff(times)[:, None]
+    m = len(xs)
+
+    def costs():
+        edge = cum = None  # the integrand and cum of the node before the block
+        for j, states in blocks:
+            b = len(states)
+            flat = states.reshape(b * m, xs.shape[1])
+            F = p.field(np.repeat(times[j:j + b], m)[:, None], flat)  # each node at its own time
+            L = np.asarray(p.lagrangian(flat, F), dtype=float).reshape(b, m)
+            U = np.asarray(p.obstacle(flat), dtype=float).reshape(b, m)
+            integrand = w[j:j + b] * L
+            ends = integrand if j == 0 else np.vstack([edge, integrand])
+            trap = 0.5 * (ends[1:] + ends[:-1]) * dt[max(j - 1, 0):j + b - 1]
+            # cumsum is a sequential running sum: carrying cum in gives the whole sum's bits
+            cum = np.vstack([np.zeros((1, m)), np.cumsum(trap, axis=0)]) if j == 0 else \
+                np.cumsum(np.vstack([cum[-1:], trap]), axis=0)[1:]
+            edge = integrand[-1:]
+            J = np.where(U >= INF, INF, w[j:j + b] * U + cum)
+            J = np.where(J > p.value_cap, INF, J)
+            bad = np.isnan(L) | np.isnan(J)  # a NaN obstacle reads NaN in J
+            _refuse(bad.any(axis=0), lambda r: f"the cost is NaN at row {r} and t = "
+                    f"{times[j + np.argmax(bad[:, r])]} in tabulate_values", NonFinite)
+            yield j, states, U, cum, J
+
+    return times, costs()
 
 
-def _values_at(p: LagrangianProblem, times, states, cum, rows, t) -> np.ndarray:
+def _values_at(p: LagrangianProblem, times, states, cum, first, rows, t) -> np.ndarray:
     """J at per-entry times t along the history columns rows (which may repeat).
 
-    times, states and cum are a :func:`_cost_history`.  Each entry takes
-    one RK4 sub-step from the last node j at or before its t, adds one
-    trapezoid of running cost with the field time held at times[j] for
-    both ends, and weights the obstacle by ``math.exp`` per entry.
+    states and cum hold the nodes first, first + 1, ... of every column
+    (first is a scalar or per entry), from :func:`_cost_blocks`.  Each
+    entry takes one RK4 sub-step from the last node j at or before its t,
+    adds one trapezoid of running cost with the field time held at
+    times[j] for both ends, and weights the obstacle by ``math.exp`` per
+    entry.
     """
     t = np.minimum(np.maximum(t, times[0]), times[-1])
     j = np.minimum(np.searchsorted(times, t, side="right") - 1, len(times) - 2)
-    tj, dt = times[j], t - times[j]
-    xj = states[j, rows]
+    tj, dt, s = times[j], t - times[j], j - first
+    xj = states[s, rows]
     xt = np.where((dt > 0)[:, None], rk4_step(p.field, tj[:, None], xj, dt[:, None]), xj)
     x2 = np.concatenate([xj, xt])
     f2 = p.field(np.concatenate([tj, tj])[:, None], x2)
     lw = np.asarray(p.lagrangian(x2, f2), dtype=float) * \
         np.exp(p.discount * np.concatenate([tj, t]))
     n = len(t)
-    run = cum[j, rows] + 0.5 * (lw[:n] + lw[n:]) * dt
+    run = cum[s, rows] + 0.5 * (lw[:n] + lw[n:]) * dt
     ut = np.asarray(p.obstacle(xt), dtype=float)
     J = _exp(p.discount * t) * ut + run
     return np.where((ut >= INF) | (J > p.value_cap), INF, J)
 
 
-def _finish_sup(J: np.ndarray) -> np.ndarray:
-    """Column maxima of J; INF where a column reaches INF or peaks at the horizon."""
-    i = np.argmax(J, axis=0)  # first attainment
+def _fold_sup(times, blocks, m: int, U=None) -> np.ndarray:
+    """sup_t J per row from the blocks; INF where it reaches INF or peaks at the horizon.
+
+    Keeps per row the running maximum and its first node: a block's
+    maximum replaces it only when strictly larger, as ``np.argmax`` takes
+    the first attainment.  U, when given, receives the (k, m) obstacle.
+    """
+    top, at, cols = np.full(m, -np.inf), np.zeros(m, dtype=int), np.arange(m)
+    for j, _, Ub, _, J in blocks:
+        i = np.argmax(J, axis=0)
+        v = J[i, cols]
+        up = v > top
+        top, at = np.where(up, v, top), np.where(up, j + i, at)
+        if U is not None:
+            U[j:j + len(J)] = Ub
     # a peak at the horizon is still climbing: divergent at desk scale
-    unbounded = np.any(J >= INF, axis=0) | (i == len(J) - 1)
-    return np.where(unbounded, INF, J[i, np.arange(J.shape[1])])
+    return np.where((top >= INF) | (at == len(times) - 1), INF, top)
+
+
+def _fold_inf(times, blocks, m: int, dim: int):
+    """(low, at, states, cum, J): what :func:`_finish_inf` reads, from the blocks.
+
+    Per row: the running minimum of J and its first node i (a block's
+    minimum replaces it only when strictly smaller, as ``np.argmin``
+    takes the first), and (3, m, ...) windows of the states, cum and J at
+    the nodes i - 1, i and i + 1, clipped to the history.  A node i + 1
+    past the end of its block is filled from the next block.
+    """
+    k = len(times)
+    low, at, cols = np.full(m, np.inf), np.zeros(m, dtype=int), np.arange(m)
+    window = (np.zeros((3, m, dim)), np.zeros((3, m)), np.zeros((3, m)))
+    edge = tuple(np.zeros_like(w[0]) for w in window)  # the node before the block
+    for j, states, _, cum, J in blocks:
+        block = (states, cum, J)
+        late = np.flatnonzero(at == j - 1)  # minima on the previous block's last node
+        for w, a in zip(window, block):
+            w[2, late] = a[0, late]
+        i = np.argmin(J, axis=0)
+        v = J[i, cols]
+        r = np.flatnonzero(v < low)
+        low[r], at[r] = v[r], j + i[r]
+        nodes = np.clip(at[r] + np.array([[-1], [0], [1]]), 0, k - 1) - j
+        before = r[nodes[0] < 0]
+        for w, a, e in zip(window, block, edge):
+            w[:, r] = a[np.minimum(nodes, len(J) - 1), r]
+            w[0, before] = e[before]
+        edge = tuple(a[-1].copy() for a in block)
+    return (low, at) + window
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -218,9 +289,10 @@ def _golden_min(values_at, rows, a, b, fa, fb, tol: float):
     return best
 
 
-def _finish_inf(p: LagrangianProblem, times, states, cum, J) -> np.ndarray:
-    """Column minima of J, each refined between the nodes around its arg-min.
+def _finish_inf(p: LagrangianProblem, times, low, at, states, cum, J) -> np.ndarray:
+    """Row minima of J, each refined between the nodes around its arg-min.
 
+    low, at and the windows states, cum and J are a :func:`_fold_inf`.
     Per row, refinement bisects the finite edge of J toward the arg-min
     node where a neighbouring node reads INF (indicator obstacles make J
     infinite off a narrow valley, so golden section needs a real
@@ -228,19 +300,18 @@ def _finish_inf(p: LagrangianProblem, times, states, cum, J) -> np.ndarray:
     Every row keeps its own sequence of comparisons; each round serves
     all of its rows with one batched :func:`_values_at`.
     """
-    k, m = J.shape
-    i = np.argmin(J, axis=0)
-    empty = np.all(J >= INF, axis=0)
-    best = np.where(empty, INF, J[i, np.arange(m)])
+    k = len(times)
+    empty = low >= INF
+    best = np.where(empty, INF, low)
     rows = np.flatnonzero(~empty)
-    i = i[rows]
-    prev, nxt = np.maximum(i - 1, 0), np.minimum(i + 1, k - 1)
-    a, b = times[prev], times[nxt]
-    left = (i > 0) & (J[prev, rows] >= INF)
-    right = (i < k - 1) & (J[nxt, rows] >= INF)
+    first = at - 1  # the node in slot 0 of each row's window
+    i = at[rows]
+    a, b = times[np.maximum(i - 1, 0)], times[np.minimum(i + 1, k - 1)]
+    left = (i > 0) & (J[0, rows] >= INF)
+    right = (i < k - 1) & (J[2, rows] >= INF)
 
     def values_at(r, t):
-        return _values_at(p, times, states, cum, r, t)
+        return _values_at(p, times, states, cum, first[r], r, t)
 
     e_rows = np.concatenate([rows[left], rows[right]])
     edges = _bisect(lambda e, t: values_at(e_rows[e], t) < INF,
@@ -258,14 +329,8 @@ def _finish_inf(p: LagrangianProblem, times, states, cum, J) -> np.ndarray:
     return best
 
 
-#: Float budget (8 MB) of the (steps, rows, dim) state history of one batched sweep.
-#: On `mintime` over 4000 2-D points and 702 steps (2-core VM) it peaked at 113 MB RSS
-#: in 1.9 s, against 306 MB in 1.65 s unchunked and 80 MB in 2.6 s at 2^18.
-HISTORY_FLOATS = 1 << 20
-
-
 def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float) -> np.ndarray:
-    """The direct-route value at every row of xs, from batched sweeps.
+    """The direct-route value at every row of xs, from one batched sweep.
 
     mode 'sup' gives sup_t J(t) over [0, T_max] (INF if divergent),
     'inf' gives inf_t J(t) with the arg-min bracket golden-section
@@ -273,12 +338,15 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
     with l = 0, with the descent inequality verified.  Each value is
     taken along the one RK4-selected solution from its row, so where
     solutions are not unique 'sup' is a lower and 'inf' an upper bound.
-    The scalar operations are one-row lifts of this.  Rows are swept in
-    chunks whose state history fits :data:`HISTORY_FLOATS`; no value
-    depends on the chunking.
+    The scalar operations are one-row lifts of this.  The sweep hands
+    its costs over in blocks of :data:`BLOCK_FLOATS` floats of state, and
+    each mode folds a block into a few running values per row before the
+    next, so only 'lyapunov' keeps a (steps, rows) array (its obstacle
+    history); no value depends on the block size.
 
     Raises:
-        NonFinite: if any row starts non-finite or blows up before T_max.
+        NonFinite: if any row starts non-finite, blows up before T_max, or
+            meets a NaN lagrangian or obstacle.
         NonzeroLagrangian: in mode 'lyapunov', if l is nonzero at a row.
         DescentViolation: in mode 'lyapunov', if u(x(t)) <= e^{-at} *
             value fails beyond 1e-6 along a row's path (T_max too small
@@ -289,14 +357,12 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if mode == "lyapunov" and np.any(np.asarray(p.lagrangian(xs, p.field(0.0, xs))) != 0.0):
         raise NonzeroLagrangian("lyapunov needs a lagrangian that is 0 at every point")
-    chunk = max(1, HISTORY_FLOATS // ((_schedule(0.0, T_max, h)[2] + 1) * xs.shape[1]))
-    if len(xs) > chunk:
-        return np.concatenate([tabulate_values(p, xs[i:i + chunk], mode, T_max, h)
-                               for i in range(0, len(xs), chunk)])
-    times, states, U, cum, J = _cost_history(p, xs, T_max, h)
+    m, dim = xs.shape
+    times, blocks = _cost_blocks(p, xs, T_max, h, max(1, BLOCK_FLOATS // max(m * dim, 1)))
     if mode == "inf":
-        return _finish_inf(p, times, states, cum, J)
-    vals = _finish_sup(J)
+        return _finish_inf(p, times, *_fold_inf(times, blocks, m, dim))
+    U = np.empty((len(times), m)) if mode == "lyapunov" else None
+    vals = _fold_sup(times, blocks, m, U)
     if mode == "lyapunov":
         ok = vals < INF
         bound = np.exp(-p.discount * times)[:, None] * vals[ok] + 1e-6
@@ -307,7 +373,8 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
 
 def running_cost_path(p: LagrangianProblem, x, T_max: float, h: float) -> CostPath:
     """Sampled cost J along the trajectory from x; J(0) = u(x)."""
-    times, states, _, cum, J = _cost_history(p, _one_row(x), T_max, h)
+    times, blocks = _cost_blocks(p, _one_row(x), T_max, h)
+    (_, states, _, cum, J), = blocks  # the whole history is one block
     return CostPath(times, states[:, 0], J[:, 0], cum[:, 0], p)
 
 

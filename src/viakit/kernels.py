@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF, _one_row
+from .common import INF, _one_row, _refuse
 from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
 from .errors import NoConvergence, NonFinite
 from .sets import SetOracle
@@ -233,12 +233,17 @@ def _first_events(field, X0, T_max, h, K=None, C=None, refine_tol=None):
     A missing event reads INF.
 
     Raises:
-        ValueError: if a row starts outside K.
+        ValueError: naming the first row that is not finite or, with K,
+            starts outside K.
         NonFinite: if a row blows up before every event it looks for.
     """
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    need = "an exit time requires x in K" if K is not None else \
+        "a hitting time requires a finite x"
+    _refuse(~np.isfinite(X0).all(axis=1),
+            lambda i: f"{need}: row {i} {X0[i].tolist()} is not finite")
     inside, ex, ht, failed = _event_sweep(field, X0, T_max, h, K=K, C=C, refine_tol=refine_tol)
-    if not inside.all():
-        raise ValueError("an exit time requires x in K")
+    _refuse(~inside, lambda i: f"{need}: row {i} {X0[i].tolist()} is outside K")
     if np.any(failed & (ex >= INF) & (ht >= INF)):  # an event not looked for reads INF
         what = "either event" if K is not None and C is not None else \
             "exiting K" if K is not None else "hitting C"

@@ -643,8 +643,9 @@ def test_logistic_field_runs_per_component(tmp_path):
     ("hj-check", HJ_CFG),
 ])
 def test_value_subcommands_chunk_rows(tmp_path, monkeypatch, op, cfg):
-    """Row chunks of the batched value call leave every CSV byte unchanged
-    (for hj-check, the chunks are of its 9 grid nodes)."""
+    """The value engine's history, folded in chunks of 1 and 3 nodes of every
+    point (for hj-check, of its 9 grid nodes), gives the CSV bytes of its
+    default chunk."""
     dim = 2 if op == "mintime" else 1
     rng = np.random.default_rng(3)
     cfg = dict(cfg, points=rng.uniform(-1.5, 1.5, (9, dim)).tolist())
@@ -652,9 +653,9 @@ def test_value_subcommands_chunk_rows(tmp_path, monkeypatch, op, cfg):
     names = ["hj_residuals.csv", "value_field.csv"] if op == "hj-check" else \
         [op.replace("-", "_") + ".csv"]
     outputs = []
-    for budget in (None, 1, 2 * (int(cfg["horizon"] / cfg["step"]) + 2) * dim):
+    for budget in (None, 9 * dim, 3 * 9 * dim):
         if budget is not None:
-            monkeypatch.setattr("viakit.epi_hj.HISTORY_FLOATS", budget)
+            monkeypatch.setattr("viakit.epi_hj.BLOCK_FLOATS", budget)
         out = tmp_path / f"out{len(outputs)}"
         assert main([op, path, "-o", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in names])

@@ -663,18 +663,34 @@ _BAD_INPUT = [
     ("tabulate-nan-row", "tabulate_values",
      lambda: vk.tabulate_values(_COST, [[0.5], [np.nan]], "sup", 1.0, 0.1), vk.NonFinite,
      "initial state is not finite in tabulate_values"),
+    # a NaN lagrangian or obstacle past x = 0.3 gave [nan nan] in both modes
+    ("tabulate-nan-lagrangian", "tabulate_values",
+     lambda: vk.tabulate_values(vk.LagrangianProblem(
+         _UNIT_T, lambda X, F: np.where(X[:, 0] > 0.3, np.nan, 1.0), 0.0, vk.abs_obstacle),
+         [[-5.0], [0.25]], "inf", 1.0, 0.1), vk.NonFinite,
+     r"cost is NaN at row 1 and t = 0.1 in tabulate_values"),
+    ("tabulate-nan-obstacle", "tabulate_values",
+     lambda: vk.tabulate_values(vk.LagrangianProblem(
+         _UNIT_T, vk.unit_lagrangian, 0.0, lambda X: np.where(X[:, 0] > 0.3, np.nan, 0.0)),
+         [[-5.0], [0.25]], "sup", 1.0, 0.1), vk.NonFinite,
+     r"cost is NaN at row 1 and t = 0.1 in tabulate_values"),
     ("solve-char-many-nan-row", "solve_char_many",
      lambda: vk.solve_char_many(_transport_char(), [0.5, 0.5], [[0.5], [np.nan]], 0.1),
-     ValueError, "an exit time requires x in K"),
+     ValueError, r"an exit time requires x in K: row 1 \[nan\] is not finite"),
+    # a start outside K was refused without its row
+    ("solve-char-many-outside-row", "solve_char_many",
+     lambda: vk.solve_char_many(_transport_char(), [0.5, 0.5], [[0.5], [11.0]], 0.1),
+     ValueError, r"an exit time requires x in K: row 1 \[11.0\] is outside K"),
     ("exit-time-nan-x", "exit_time",
      lambda: vk.exit_time(_UNIT_T, _UNIT_K, [np.nan], 1.0, 0.1), ValueError,
-     "an exit time requires x in K"),
+     r"an exit time requires x in K: row 0 \[nan\]"),
+    # a NaN start was stepped and reported as a blow-up
     ("hitting-time-nan-x", "hitting_time",
-     lambda: vk.hitting_time(_UNIT_T, _UNIT_K, [np.nan], 1.0, 0.1), vk.NonFinite,
-     "blew up before hitting C"),
+     lambda: vk.hitting_time(_UNIT_T, _UNIT_K, [np.nan], 1.0, 0.1), ValueError,
+     r"a hitting time requires a finite x: row 0 \[nan\] is not finite"),
     ("capture-margin-nan-x", "capture_margin",
      lambda: vk.capture_margin(_UNIT_T, _UNIT_K, vk.box([0.8], [0.9]), [np.nan], 1.0, 0.1),
-     ValueError, "an exit time requires x in K"),
+     ValueError, r"an exit time requires x in K: row 0 \[nan\]"),
     ("tangent-residual-nan-x", "tangent_residual",
      lambda: vk.tangent_residual(_UNIT_K, [np.nan], [1.0]), ValueError,
      "tangent_residual requires x in K"),

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ import viakit as vk
 from viakit.common import INF
 from viakit.dynamics import rk4_step
 from viakit import epi_hj
-from viakit.epi_hj import CostPath, _cost_history, _epiderivatives, _values_at
+from viakit.epi_hj import CostPath, _epiderivatives, _values_at
 
 import hj_reference
+import value_reference
 
 decay = vk.linear_field(-1.0)
 grow = vk.linear_field(1.0)
@@ -479,7 +482,7 @@ def _check_inf_finishing(dim, timedep, lag, discount, radius, h):
     T, kinds = 1.5, set()
     cases, xs = _inf_cases(dim, timedep, lag, discount, radius)
     for p in cases:
-        times, states, _, cum, J = _cost_history(p, xs, T, h)
+        times, states, _, cum, J = value_reference.cost_history(p, xs, T, h)
         ref = [_ref_finish_inf(CostPath(times, states[:, i], J[:, i], cum[:, i], p))
                for i in range(len(xs))]
         got = vk.tabulate_values(p, xs, "inf", T, h)
@@ -489,7 +492,7 @@ def _check_inf_finishing(dim, timedep, lag, discount, radius, h):
         # CostPath.value_at is a one-row lift of it
         ts = np.linspace(0.0, T, 97) + 0.37 * h
         rows = np.repeat(np.arange(len(xs)), len(ts))
-        got = _values_at(p, times, states, cum, rows, np.tile(ts, len(xs)))
+        got = _values_at(p, times, states, cum, 0, rows, np.tile(ts, len(xs)))
         paths = [vk.running_cost_path(p, x, T, h) for x in xs]
         ref = [_ref_value_at(paths[r], t) for r, t in zip(rows, np.tile(ts, len(xs)))]
         assert got.tobytes() == np.array(ref).tobytes()
@@ -518,31 +521,137 @@ def test_inf_finishing_branches_covered():
         assert kind in kinds, sorted(kinds)
 
 
-def test_tabulate_values_bounds_its_history(monkeypatch):
-    """Under a small history budget the row chunks keep the traced peak below
-    the size of the whole history, which one unchunked sweep stores, and
-    every value is bitwise that of the unchunked sweep."""
+# -- the block-wise value engine against the whole-history engine it replaced -
+
+
+def _stairs(x):
+    """A staircase obstacle in {0, ..., 4}: J ties on its plateaus, in many blocks."""
+    return np.round(2.0 * np.cos(3.0 * x[:, 0])) + 2.0
+
+
+def _block_cases(dim, timedep, lag, discount, radius):
+    """(problem, rows, modes): _inf_cases' problems in every mode, a steep
+    ramp inside their box (J falls toward the far edge, so the minimum sits
+    beside an INF node i + 1), the staircase, and a lagrangian of -2 past
+    x1 = 0.9 (J falls while u climbs, so 'lyapunov' fails its descent test
+    where a row crosses it)."""
+    cases, xs = _inf_cases(dim, timedep, lag, discount, radius)
+    field = cases[0].field
+    modes = ("sup", "inf", "lyapunov")
+    box = cases[0].obstacle
+    ramp = vk.LagrangianProblem(field, _LAGRANGIANS[lag], discount,
+                                lambda X: box(X) + 10.0 * (1.0 - X[:, 0]))
+    out = [(p, xs, modes[:2]) for p in cases + [ramp]]
+    out.append((vk.LagrangianProblem(field, vk.zero_lagrangian, discount, _stairs), xs, modes))
+    drop = vk.LagrangianProblem(field, lambda X, F: np.where(X[:, 0] > 0.9, -2.0, 0.0),
+                                discount, vk.abs_obstacle)
+    out.append((drop, xs[xs[:, 0] < 0.9], modes))
+    return out
+
+
+def _check_blocks(cases, T, h):
+    """tabulate_values == value_reference's, bytewise or with the same error, at
+    blocks of 1, 2 and 3 nodes and the default; returns the cases' kinds."""
+    kinds = set()
+    for p, xs, modes in cases:
+        m, dim = xs.shape
+        try:
+            times, _, _, _, J = value_reference.cost_history(p, xs, T, h)
+        except vk.NonFinite:
+            kinds.add("blow-up")
+        else:
+            kinds |= _extremum_kinds(J)
+        for mode in modes:
+            try:
+                want = value_reference.tabulate_values(p, xs, mode, T, h)
+            except (vk.NonFinite, vk.DescentViolation) as e:
+                want = e
+                kinds.add(type(e).__name__)
+            for nodes in (1, 2, 3, None):
+                budget = epi_hj.BLOCK_FLOATS if nodes is None else nodes * m * dim
+                with mock.patch.object(epi_hj, "BLOCK_FLOATS", budget):
+                    if isinstance(want, Exception):
+                        with pytest.raises(type(want), match=re.escape(str(want))):
+                            vk.tabulate_values(p, xs, mode, T, h)
+                    else:
+                        got = vk.tabulate_values(p, xs, mode, T, h)
+                        assert got.tobytes() == want.tobytes(), (mode, nodes)
+    return kinds
+
+
+def _extremum_kinds(J):
+    """Where the rows' first minimum and maximum of J fall against blocks of 2
+    and 3 nodes, and whether they tie, peak at the horizon or are all INF."""
+    k, kinds = len(J), set()
+    finite = ~np.all(J >= INF, axis=0)
+    if not finite.all():
+        kinds.add("all-INF")
+    for name, arg, ext in (("min", np.argmin, np.min), ("max", np.argmax, np.max)):
+        i = arg(J, axis=0)[finite]
+        for b in (2, 3):
+            if np.any((i % b == 0) & (i > 0)):
+                kinds.add(f"{name} first in block")
+            if np.any((i % b == b - 1) & (i < k - 1)):
+                kinds.add(f"{name} last in block")
+        if np.any(np.sum(J == ext(J, axis=0), axis=0)[finite] > 1):
+            kinds.add(f"{name} tie")
+    if np.any(np.argmax(J, axis=0)[finite] == k - 1):
+        kinds.add("peak at the horizon")
+    return kinds
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.sampled_from([1, 2]), timedep=st.booleans(),
+       lag=st.sampled_from(sorted(_LAGRANGIANS)),
+       discount=st.sampled_from([0.0, 0.35]) | st.floats(0.0, 0.6),
+       radius=st.floats(0.004, 0.2), h=st.sampled_from([0.023, 0.05, 0.1]))
+def test_value_blocks_match_the_whole_history(dim, timedep, lag, discount, radius, h):
+    _check_blocks(_block_cases(dim, timedep, lag, discount, radius), 1.5, h)
+
+
+def test_value_blocks_cover_their_edges():
+    """Fixed cases (one 2-D, time-dependent and discounted) put the first
+    minimum and maximum on the first and the last node of a block, tie them,
+    peak at the horizon, leave rows all INF, fail the descent test, blow up
+    and have no rows."""
+    blow = vk.LagrangianProblem(vk.VectorField(1, lambda t, x: 50.0 * x * x, name="blow"),
+                                vk.zero_lagrangian, 0.0, vk.abs_obstacle)
+    none = np.zeros((0, 1))
+    kinds = _check_blocks(_block_cases(1, False, "half", 0.0, 0.01)
+                          + [(blow, np.array([[-0.5], [0.5]]), ("sup", "inf")),
+                             (P_INF, none, ("sup", "inf")),
+                             (P_SUP, none, ("lyapunov",))], 1.5, 0.05)
+    kinds |= _check_blocks(_block_cases(2, True, "speed", 0.35, 0.1), 1.5, 0.023)
+    assert kinds >= {"min first in block", "min last in block", "max first in block",
+                     "max last in block", "min tie", "max tie", "peak at the horizon",
+                     "all-INF", "DescentViolation", "NonFinite", "blow-up"}, sorted(kinds)
+
+
+def test_tabulate_values_bounds_its_history():
+    """In blocks of 10 nodes the traced peak stays below one (k, rows) float
+    array, which the whole-history reference exceeds, and every value is
+    bitwise the reference's."""
     p = vk.minimal_time_problem(decay, vk.ball([0.0], 0.1))
     xs = np.linspace(-2.0, 2.0, 200)[:, None]
     T, h = 3.0, 0.01
-    nodes = int(round(T / h)) + 1
+    history = (int(round(T / h)) + 1) * len(xs) * 8
 
-    def traced(budget):
-        monkeypatch.setattr(epi_hj, "HISTORY_FLOATS", budget)
+    def traced(tabulate, mode):
         tracemalloc.start()
         try:
-            vals = vk.tabulate_values(p, xs, "inf", T, h)
+            vals = tabulate(p, xs, mode, T, h)
             return vals, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    whole, whole_peak = traced(nodes * len(xs))
-    chunked, chunked_peak = traced(nodes * 10)
-    history = nodes * len(xs) * 8
-    assert chunked_peak < history < whole_peak
-    assert chunked.tobytes() == whole.tobytes()
-    assert np.all(whole[np.abs(xs[:, 0]) <= 0.1] == 0.0)
-    assert np.all(np.isfinite(whole) & (whole < INF))
+    for mode in ("sup", "inf"):
+        want, whole_peak = traced(value_reference.tabulate_values, mode)
+        with mock.patch.object(epi_hj, "BLOCK_FLOATS", 10 * len(xs)):
+            got, peak = traced(vk.tabulate_values, mode)
+        assert peak < history < whole_peak
+        assert got.tobytes() == want.tobytes()
+    assert np.all(got[np.abs(xs[:, 0]) <= 0.1] == 0.0)
+    assert np.all(np.isfinite(got) & (got < INF))
 
 
 def test_epigraph_distance_is_a_lower_bound():
