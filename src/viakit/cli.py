@@ -337,8 +337,8 @@ def _demo4d(s: _Section):
 
 
 def _eval(c: _Section, domain, name: str):
-    """The eval times and rows of c: rows of the domain's dimension inside it, times
-    finite and >= 0."""
+    """The eval times and rows of c: finite rows of the domain's dimension inside it,
+    times finite and >= 0."""
     ev = c.sub("eval")
     if "ts" in ev and "xs" in ev:
         ts, xs = ev.read("ts", "vector"), ev.read("xs", "rows")
@@ -357,6 +357,8 @@ def _eval(c: _Section, domain, name: str):
         pts = lattice_points([np.linspace(a, b, int(n)) for a, b, n in spans])
         ts, xs = pts[:, 0], pts[:, 1:]
     _check_dims(domain.dim, "eval", xs.shape[1])
+    _refuse(~np.isfinite(xs).all(axis=1), lambda i: f"eval row {i} {xs[i].tolist()} is not finite",
+            partial(ConfigError, section="eval"))
     _require_inside(domain, xs, "eval", name)
     for bad, rule in ((~np.isfinite(ts), "be finite"), (ts < 0.0, "be >= 0")):
         _refuse(bad, lambda i: f"eval time {i} ({ts[i]}) must {rule}",
@@ -460,8 +462,8 @@ _SCHEMA = {
     "integrate": (_integrate, ("x0", "vector"), "field", _HORIZON_STEP, (("t0", "finite", 0.0),)),
     "flow": (_flow, ("x0", "vector"), "field", ("t", "finite", "step", _REQUIRED), ()),
     "reach": (_reach, ("seeds", "rows"), "field", ("t", "horizon", "step", _REQUIRED), ()),
-    "exit-time": (_first_time, ("x0", "rows"), "field", _HORIZON_STEP, _SET),
-    "hitting-time": (_first_time, ("x0", "rows"), "field", _HORIZON_STEP, _SET),
+    "exit-time": (_first_time, ("x0", "finite-rows"), "field", _HORIZON_STEP, _SET),
+    "hitting-time": (_first_time, ("x0", "finite-rows"), "field", _HORIZON_STEP, _SET),
     "viab": (_sweep, ("grid", _grid), "field", _HORIZON_STEP, _SET),
     "capt": (_sweep, ("grid", _grid), "field", _HORIZON_STEP, _SET),
     "viable-capt": (_sweep, ("grid", _grid), "field", _HORIZON_STEP,

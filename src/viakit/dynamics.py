@@ -185,21 +185,19 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
 
     Raises:
         NonFinite: if a row starts non-finite (at once) or blows up before
-            t1 (while the blocks are drawn).
+            t1 (once the nodes before the blow-up are drawn).
     """
     if not _finite_rows(xs).all():
         raise NonFinite(f"initial state is not finite in {what}")
-    n_full, rem, n_steps = _schedule(t0, t1, step)
-    j = np.arange(n_steps)
-    # each node's t + h as _march's shared schedule takes it, with t = t0 + j * step
-    times = np.concatenate([[t0], t0 + j * step + np.where(j < n_full, step, rem)])
+    times = np.array([t0] + [t + h for t, h in step_schedule(t0, t1, step)], dtype=float)
 
     def blocks():
         buf = np.empty((min(block or len(times), len(times)),) + xs.shape)
         buf[0], first, n = xs, 0, 1
         live = np.ones(len(xs), dtype=bool)
         for rows, _, _, _, new in _march(field, xs.copy(), t0, t1, step, live):
-            if len(rows) < len(xs):
+            if len(rows) < len(xs):  # the nodes before it first, so a fault there is named first
+                yield first, buf[:n]
                 raise NonFinite(f"state blew up during {what}")
             if n == len(buf):
                 yield first, buf

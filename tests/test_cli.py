@@ -977,11 +977,21 @@ def test_cli_import_leaves_csgraph_unloaded():
      {"seeds": [[None], [0.2]]}, "'seeds' in section 'config' must be a 2-D numeric list"),
     ("pde-graph", GRAPH_CFG, {"graph": dict(GRAPH_CFG["graph"], seed_lo=[math.nan])},
      "'seed_lo' in section 'graph' must be a 1-D list of finite numbers"),
+    ("hitting-time", ET_CFG, {"x0": [[math.nan]]},
+     "'x0' in section 'config' must be a 2-D list of finite numbers, got [[nan]]"),
+    ("exit-time", ET_CFG, {"set": {"kind": "halfspace", "normal": [1.0], "offset": 0.0},
+                           "x0": [[-math.inf]]},
+     "'x0' in section 'config' must be a 2-D list of finite numbers, got [[-inf]]"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], K={"kind": "halfspace", "normal": [1.0],
+                                                          "offset": 0.0}),
+                           "eval": {"ts": [0.5], "xs": [[-math.inf]]}},
+     "eval row 0 [-inf] is not finite"),
 ], ids=["grid-lo-dict", "set-kind-list", "field-kind-dict", "grid-counts-overflow",
         "eval-ts-nan-scalar", "velocity-2d", "matrix-nan", "points-3d", "out-dim-overflow",
         "seed-lo-short", "seeds-per-face-overflow", "demo4d-step-text", "ball-nan-center",
         "box-nan-bound", "polynomial-nan-coefficient", "points-null", "x0-null",
-        "seeds-null", "seed-lo-nan"])
+        "seeds-null", "seed-lo-nan", "hitting-time-nan-x0", "exit-time-inf-x0-halfspace",
+        "pde-char-inf-eval-halfspace"])
 def test_malformed_leaf_exit_2(tmp_path, capsys, op, base, edit, key):
     """Each leaf is read into its declared form before anything runs: no CSV, no traceback."""
     cfg = _write(tmp_path, "leaf.json", dict(base, **edit))

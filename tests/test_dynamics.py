@@ -1,5 +1,6 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
+from viakit import epi_hj
 from viakit.dynamics import _bisect, _march, _record, rk4_step, step_schedule
 
 
@@ -567,6 +569,22 @@ _UNIT_K = vk.box([0.0], [1.0])
 _COST = vk.LagrangianProblem(vk.linear_field(-1.0), vk.unit_lagrangian, 0.0, vk.abs_obstacle)
 _PHI_CHAR = vk.CharProblem(**_CHAR, phi=_UNIT_T, phi_constraint=lambda T, X, Y: np.zeros(len(X)))
 
+#: NaN past x = 0.3 on x' = 1: from -0.55 at t = 0.9, from 0.25 at t = 0.1
+_NAN_PAST = vk.LagrangianProblem(_UNIT_T, lambda X, F: np.where(X[:, 0] > 0.3, np.nan, 1.0),
+                                 0.0, vk.abs_obstacle)
+#: x' = x^2: the row from 2 blows up near t = 0.5, the row from -1 (x = -1/(1 + t))
+#: reads a NaN lagrangian from t = 0.3
+_NAN_THEN_BLOWUP = vk.LagrangianProblem(
+    vk.VectorField(1, lambda t, x: x * x, name="square"),
+    lambda X, F: np.where((X[:, 0] > -0.8) & (X[:, 0] < 0.0), np.nan, 1.0), 0.0, vk.abs_obstacle)
+
+
+def _one_node_blocks(call):
+    """call() with the value engine marching one node per block."""
+    with mock.patch.object(epi_hj, "BLOCK_FLOATS", 1):
+        return call()
+
+
 #: (id, the public name called, call, error, match): each row poisons one
 #: argument, and the call must refuse it, naming the row where there is one.
 _BAD_INPUT = [
@@ -674,6 +692,22 @@ _BAD_INPUT = [
          _UNIT_T, vk.unit_lagrangian, 0.0, lambda X: np.where(X[:, 0] > 0.3, np.nan, 0.0)),
          [[-5.0], [0.25]], "sup", 1.0, 0.1), vk.NonFinite,
      r"cost is NaN at row 1 and t = 0.1 in tabulate_values"),
+    # the first node that holds a NaN is named, and its lowest row, whatever the block
+    ("tabulate-nan-first-node", "tabulate_values",
+     lambda: vk.tabulate_values(_NAN_PAST, [[-0.55], [0.25]], "inf", 1.0, 0.1), vk.NonFinite,
+     r"cost is NaN at row 1 and t = 0.1 in tabulate_values"),
+    ("tabulate-nan-first-node-one-node-blocks", "tabulate_values",
+     lambda: _one_node_blocks(lambda: vk.tabulate_values(
+         _NAN_PAST, [[-0.55], [0.25]], "sup", 1.0, 0.1)), vk.NonFinite,
+     r"cost is NaN at row 1 and t = 0.1 in tabulate_values"),
+    # a NaN cost before a blow-up in the same block is named first, as across blocks
+    ("tabulate-nan-before-blow-up", "tabulate_values",
+     lambda: vk.tabulate_values(_NAN_THEN_BLOWUP, [[2.0], [-1.0]], "inf", 1.0, 0.1),
+     vk.NonFinite, r"cost is NaN at row 1 and t = 0.3\d* in tabulate_values"),
+    ("tabulate-nan-before-blow-up-one-node-blocks", "tabulate_values",
+     lambda: _one_node_blocks(lambda: vk.tabulate_values(
+         _NAN_THEN_BLOWUP, [[2.0], [-1.0]], "inf", 1.0, 0.1)),
+     vk.NonFinite, r"cost is NaN at row 1 and t = 0.3\d* in tabulate_values"),
     ("solve-char-many-nan-row", "solve_char_many",
      lambda: vk.solve_char_many(_transport_char(), [0.5, 0.5], [[0.5], [np.nan]], 0.1),
      ValueError, r"an exit time requires x in K: row 1 \[nan\] is not finite"),
