@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
-from .dynamics import VectorField, _advance, _finite_rows, _march
+from .dynamics import VectorField, _advance, _finite_rows, _march, _schedule, rk4_step
 from .errors import NonFinite, ParamDomain
 from .kernels import _first_events, exit_time, lattice_points
 from .sets import PointCloudSet, SetOracle, _ladder_min, _merge_points, _tangent_residuals
@@ -94,29 +94,45 @@ class CharProblem:
 # ---------------------------------------------------------------------------
 
 
-def _backward_exits(phi: VectorField, K: SetOracle, ts, xs, h: float) -> np.ndarray:
-    """Per row, min(t, first time the backward flow from x leaves K).
+def _backward_exits(back: VectorField, K: SetOracle, ts, xs, h: float):
+    """Per row, tau = min(t, first time the backward flow from x leaves K).
 
-    One event sweep of -phi over all rows, each up to its own horizon t,
-    with exits refined to a fixed 1e-8; rows with t = 0 take no step and
-    read 0.
+    One event sweep of back (the field -phi) over all rows, each up to its
+    own horizon t, with exits refined to a fixed 1e-8; rows with t = 0
+    take no step and read 0.  Returns (tau, x, exits), x and exits as
+    :func:`kernels._event_sweep` gives them.
     """
     if np.any(ts < 0):
         raise ValueError("backward_exit_time requires t >= 0")
-    ex, _ = _first_events(phi.negated(), xs, ts, h, K=K, refine_tol=1e-8)
-    return np.where(ts == 0.0, 0.0, np.where(ex >= INF, ts, np.minimum(ex, ts)))
+    ex, _, x, exits = _first_events(back, xs, ts, h, K=K, refine_tol=1e-8)
+    return np.where(ts == 0.0, 0.0, np.where(ex >= INF, ts, np.minimum(ex, ts))), x, exits
 
 
 def _exitors(phi: VectorField, K: SetOracle, ts, xs, h: float):
     """Per-row feet (s, c) of the characteristics through the rows (t, x).
 
-    Each row flows back by its own tau on ``step_schedule(0, tau, h)``'s
-    nodes, as :func:`flow` does; rows with tau = 0 keep x.
+    c is where the backward flow from x reaches on ``step_schedule(0, tau,
+    h)``'s nodes, as :func:`flow` gives it, read from the exit sweep's own
+    states rather than marched a second time.  A row with no exit (tau =
+    t) or no step (t = 0) stopped the sweep there.  An exit row's tau lies
+    in its bracket step j, from node t_j, so the schedule has j or j + 1
+    full steps (j + 1 when tau is within 1e-9 steps of t_{j+1}): c is the
+    state before or after that step, and one RK4 sub-step of the schedule's
+    tail from there when it has one.
+
+    Raises:
+        NonFinite: if the sweep blows up first, or a tail sub-step does.
     """
-    tau = _backward_exits(phi, K, ts, xs, h)
-    c = xs.copy()
-    if not _advance(phi.negated(), c, 0.0, tau, h).all():
-        raise NonFinite("state blew up during the backward flow")
+    back = phi.negated()
+    tau, c, (rows, t_j, _, x_j) = _backward_exits(back, K, ts, xs, h)
+    n_full, rem, n_steps = _schedule(0.0, tau[rows], h)
+    start = np.where((n_full * h > t_j)[:, None], c[rows], x_j)  # after the step, or before
+    tail = n_steps > n_full
+    if tail.any():
+        start[tail] = rk4_step(back, (n_full * h)[tail, None], start[tail], rem[tail, None])
+        if not _finite_rows(start[tail]).all():
+            raise NonFinite("state blew up during the backward flow")
+    c[rows] = start
     return ts - tau, c
 
 
@@ -127,7 +143,7 @@ def _rows(t, x):
 
 def backward_exit_time(phi: VectorField, K: SetOracle, t: float, x, h: float) -> float:
     """min(t, first time the backward flow from x leaves K), refined to 1e-8."""
-    return float(_backward_exits(phi, K, *_rows(t, x), h)[0])
+    return float(_backward_exits(phi.negated(), K, *_rows(t, x), h)[0][0])
 
 
 def exitor(phi: VectorField, K: SetOracle, t: float, x, h: float):
@@ -224,8 +240,9 @@ def solve_char_many(prob: CharProblem, ts, xs, h: float):
     """Single-valued solution values at the rows (t, x), y-independent speed.
 
     Backtracks every row to the data manifold in one backward event
-    sweep (per-row horizon t) and one backward flow (per-row tau), reads
-    the data at all feet in one batched read, then integrates
+    sweep (per-row horizon t), whose own states give the feet (at most one
+    RK4 sub-step per exit row, see :func:`_exitors`), reads the data at
+    all feet in one batched read, then integrates
     y' = g(tau, x(tau), y) forward along all characteristics at once,
     each row from its own s to its own t.  The unique-solution caveat
     applies: each row follows the one RK4-selected characteristic.

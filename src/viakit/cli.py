@@ -385,7 +385,7 @@ def _reach(field, seeds, t, step, out, **_):
 
 def _first_time(op, field, K, x0, horizon, step, csv, **_):
     sets = {"K": K} if op == "exit-time" else {"C": K}  # the set is left, or entered
-    exits, hits = _first_events(field, x0, horizon, step, **sets)
+    exits, hits, _, _ = _first_events(field, x0, horizon, step, **sets)
     csvio.write_values(csv, x0, exits if op == "exit-time" else hits)
 
 

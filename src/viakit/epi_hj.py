@@ -141,7 +141,8 @@ class CostPath:
 BLOCK_FLOATS = 1 << 14
 
 
-def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, block=None):
+def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, block=None,
+                 zero_l: bool = False):
     """J along the RK4 trajectory of every row of xs, block by block as it marches.
 
     Returns (times, blocks): the (k,) node times, and an iterator over
@@ -155,6 +156,8 @@ def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, b
             meets a NaN lagrangian or obstacle (naming the first node that
             holds one, and its lowest row); whichever comes first in node
             order, whatever the block size.
+        NonzeroLagrangian: with zero_l, at the first node where l is
+            nonzero (naming its lowest such row), if that comes first.
     """
     times, blocks = _record(p.field, xs, 0.0, T_max, h, "tabulate_values", block)
     # over the whole of times once: a block's own np.exp could round apart
@@ -180,6 +183,11 @@ def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, b
             J = np.where(U >= INF, INF, w[j:j + b] * U + cum)
             J = np.where(J > p.value_cap, INF, J)
             bad = np.isnan(L) | np.isnan(J)  # a NaN obstacle reads NaN in J
+            if zero_l:  # the nodes before the first one with a NaN
+                off = (L != 0.0) & (np.cumsum(bad.any(axis=1)) == 0)[:, None]
+                _refuse(off.any(axis=1), lambda i: "lyapunov needs a lagrangian that is 0 at "
+                        f"every point: l = {L[i, np.argmax(off[i])]} at row "
+                        f"{np.argmax(off[i])} and t = {times[j + i]}", NonzeroLagrangian)
             _refuse(bad.any(axis=1), lambda i: f"the cost is NaN at row {np.argmax(bad[i])} "
                     f"and t = {times[j + i]} in tabulate_values", NonFinite)
             yield j, states, U, cum, J
@@ -352,7 +360,8 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
     Raises:
         NonFinite: if any row starts non-finite, blows up before T_max, or
             meets a NaN lagrangian or obstacle.
-        NonzeroLagrangian: in mode 'lyapunov', if l is nonzero at a row.
+        NonzeroLagrangian: in mode 'lyapunov', if l is nonzero at any node
+            of a row's path (naming the first such node and its lowest row).
         DescentViolation: in mode 'lyapunov', if u(x(t)) <= e^{-at} *
             value fails beyond 1e-6 along a row's path (T_max too small
             or sampling too coarse).
@@ -360,10 +369,9 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
     if mode not in ("sup", "inf", "lyapunov"):
         raise ValueError("mode must be 'sup', 'inf' or 'lyapunov'")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if mode == "lyapunov" and np.any(np.asarray(p.lagrangian(xs, p.field(0.0, xs))) != 0.0):
-        raise NonzeroLagrangian("lyapunov needs a lagrangian that is 0 at every point")
     m, dim = xs.shape
-    times, blocks = _cost_blocks(p, xs, T_max, h, max(1, BLOCK_FLOATS // max(m * dim, 1)))
+    times, blocks = _cost_blocks(p, xs, T_max, h, max(1, BLOCK_FLOATS // max(m * dim, 1)),
+                                 zero_l=mode == "lyapunov")
     if mode == "inf":
         return _finish_inf(p, times, *_fold_inf(times, blocks, m, dim))
     U = np.empty((len(times), m)) if mode == "lyapunov" else None
@@ -397,6 +405,7 @@ def lyapunov(p: LagrangianProblem, x, T_max: float, h: float) -> float:
     """value_sup specialization for l = 0, with the descent inequality verified.
 
     Raises:
+        NonzeroLagrangian: if l is nonzero at a node of the path.
         DescentViolation: if u(x(t)) <= e^{-at} * result fails beyond 1e-6
             along the trajectory (T_max too small or sampling too coarse).
     """

@@ -170,10 +170,13 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None):
     shorter last step is bracketed there.  refine_tol defaults to
     ``REFINE_FRAC * max(T_max, 1)`` per row.
 
-    Returns (inside, exit_times, hit_times, failed), inside the rows' start
-    membership of K (all True without K); missing events are INF.
-    Rows whose integration blows up get failed=True and keep whatever
-    events were already found.
+    Returns (inside, exit_times, hit_times, failed, x, exits), inside the
+    rows' start membership of K (all True without K); missing events are
+    INF.  Rows whose integration blows up get failed=True and keep whatever
+    events were already found.  x holds each row's state where it left the
+    march: after its exit or hit step, at its horizon, its start for a row
+    with no step, NaN for a blow-up.  exits (None without K) holds the exit
+    brackets: (rows, step starts, step sizes, states before the step).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n = len(X0)
@@ -186,14 +189,15 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None):
     need_exit = np.zeros(n, dtype=bool)
     need_hit = np.zeros(n, dtype=bool)
     events = []  # (rows still looking, event times, crossed(rows), brackets)
+    none = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, X0.shape[1])))
     if K is not None:
         need_exit = inside.copy()
         exit_t[~need_exit] = 0.0
-        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X), []))
+        events.append((need_exit, exit_t, lambda X: ~K.contains_many(X), [none]))
     if C is not None:
         need_hit = ~C.contains_many(X0)
         hit_t[~need_hit] = 0.0
-        events.append((need_hit, hit_t, C.contains_many, []))
+        events.append((need_hit, hit_t, C.contains_many, [none]))
 
     x = X0.copy()
     live = need_exit | need_hit
@@ -208,18 +212,18 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None):
                 pick = np.flatnonzero(sub)[crossed(new[sub])]
             if len(pick):
                 # t and hj are scalars, or (k, 1) columns on per-row horizons
-                t_f, h_f = (np.broadcast_to(a, (len(rows), 1))[pick, 0] for a in (t, hj))
+                t_f, h_f = (a[pick, 0] if np.ndim(a) else np.full(len(pick), a)
+                            for a in (t, hj))
                 done = rows[pick]
                 brackets.append((done, t_f, h_f, prev[pick]))
                 need[done] = False
                 live[done] = need_exit[done] | need_hit[done]  # retired once it needs nothing
     refine_tol = np.broadcast_to(refine_tol, (n,))
-    for _, times, crossed, brackets in events:
-        if brackets:
-            found, t0, hs, x0 = (np.concatenate(a) for a in zip(*brackets))
-            times[found] = _refine_crossings(field, crossed, t0, x0, hs, refine_tol[found])
+    brackets = [tuple(np.concatenate(a) for a in zip(*b)) for *_, b in events]
+    for (_, times, crossed, _), (found, t0, hs, x0) in zip(events, brackets):
+        times[found] = _refine_crossings(field, crossed, t0, x0, hs, refine_tol[found])
     failed = ~live & (need_exit | need_hit)
-    return inside, exit_t, hit_t, failed
+    return inside, exit_t, hit_t, failed, x, brackets[0] if K is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +234,8 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None):
 def _first_events(field, X0, T_max, h, K=None, C=None, refine_tol=None):
     """Exit times of K and hitting times of C of the rows X0, from one :func:`_event_sweep`.
 
-    A missing event reads INF.
+    Returns (exit_times, hit_times, x, exits), the last two as the sweep
+    gives them.  A missing event reads INF.
 
     Raises:
         ValueError: naming the first row that is not finite or, with K,
@@ -242,13 +247,14 @@ def _first_events(field, X0, T_max, h, K=None, C=None, refine_tol=None):
         "a hitting time requires a finite x"
     _refuse(~np.isfinite(X0).all(axis=1),
             lambda i: f"{need}: row {i} {X0[i].tolist()} is not finite")
-    inside, ex, ht, failed = _event_sweep(field, X0, T_max, h, K=K, C=C, refine_tol=refine_tol)
+    inside, ex, ht, failed, x, exits = _event_sweep(field, X0, T_max, h, K=K, C=C,
+                                                   refine_tol=refine_tol)
     _refuse(~inside, lambda i: f"{need}: row {i} {X0[i].tolist()} is outside K")
     if np.any(failed & (ex >= INF) & (ht >= INF)):  # an event not looked for reads INF
         what = "either event" if K is not None and C is not None else \
             "exiting K" if K is not None else "hitting C"
         raise NonFinite(f"trajectory blew up before {what}")
-    return ex, ht
+    return ex, ht, x, exits
 
 
 def exit_time(field: VectorField, K: SetOracle, x, T_max: float, h: float,
@@ -271,7 +277,7 @@ def capture_margin(field: VectorField, K: SetOracle, C: SetOracle, x,
     leaves K.  Conventions: hit never found -> +INF; hit found but no
     exit by T_max -> -INF.
     """
-    ex, ht = _first_events(field, _one_row(x), T_max, h, K=K, C=C)
+    ex, ht, _, _ = _first_events(field, _one_row(x), T_max, h, K=K, C=C)
     return float(_margin_of(ex, ht)[0])
 
 
@@ -315,7 +321,7 @@ def _grid_events(field, grid: GridSpec, T_max, h, workers, K=None, C=None):
     nodes = grid.nodes()
     parts = _run_chunks(lambda s, e: _event_sweep(field, nodes[s:e], T_max, h, K=K, C=C),
                         len(nodes), workers)
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    return tuple(np.concatenate(a) for a in zip(*(part[:4] for part in parts)))
 
 
 def viab_field(field: VectorField, K: SetOracle, grid: GridSpec, T_max: float,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cloud_reference
+import exitor_reference
 import residual_reference
 import trace_reference
 import viakit as vk
@@ -115,6 +117,145 @@ def test_exitor_4d_regime_three_matches_backward_flow():
                     atol=1e-12)
     # and it agrees with the numerically reversed characteristic flow
     assert_allclose(c, vk.flow(PHI4, -tau2, x, 1e-4), atol=1e-9)
+
+
+# -- feet from the exit sweep against two backward marches --------------------
+
+
+def _wobble(t, x):
+    return np.concatenate([np.cos(3.0 * t) - 0.2 * x[:, :1],
+                           0.7 * np.sin(t) * x[:, :1] + 0.1 * x[:, 1:]], axis=1)
+
+
+#: (phi, K): speeds whose backward flow leaves K through 0 (0.8) or 4 (-0.6),
+#: a time-dependent speed in 1-D and one in the plane
+_FEET = {
+    "transport": (vk.transport_field([0.8]), vk.box([0.0], [4.0])),
+    "reverse": (vk.transport_field([-0.6]), vk.box([0.0], [4.0])),
+    "time": (vk.VectorField(1, lambda t, x: np.cos(3.0 * t) + 0.5 - 0.2 * x, name="time"),
+             vk.box([0.0], [4.0])),
+    "plane": (vk.VectorField(2, _wobble, name="wobble"), vk.ball([0.0, 0.0], 1.0)),
+}
+
+
+def _feet_rows(kind, h, rows):
+    """(ts, xs) from (k, off, off2, mode) draws.  An exit time e = (k + off) h
+    places the start for the transports (off near 0 or 1: an exit on or next to
+    a node); mode picks t: 0, e - off2 h (no exit; at e the exit is at t), in
+    the shorter tail step of t's schedule, a step or more past e, or anywhere;
+    mode "edge" starts on the boundary of K."""
+    ts, xs = [], []
+    for k, off, off2, mode in rows:
+        e = (k + off) * h
+        t = {"zero": 0.0, "short": max(e - off2 * h, 0.0),
+             "tail": e + off2 * (math.ceil(e / h + 1e-9) * h - e),
+             "past": e + (1.0 + 3.0 * off2) * h, "any": (k + off2) * h,
+             "edge": (k + off2) * h}[mode]
+        if kind == "plane":
+            r = 1.0 if mode == "edge" else min(e / 3.0, 1.0)
+            x = [r * math.cos(6.0 * off2), r * math.sin(6.0 * off2)]
+        elif mode == "edge":
+            x = [4.0 * round(off2)]
+        else:
+            x = [min(0.8 * e, 4.0) if kind != "reverse" else max(4.0 - 0.6 * e, 0.0)]
+        ts.append(t)
+        xs.append(x)
+    return np.array(ts), np.array(xs)
+
+
+def _assert_feet_match(phi, K, ts, xs, h):
+    """_exitors, exitor and solve_char_many bitwise as with the two-march feet."""
+    want = exitor_reference.exitors(phi, K, ts, xs, h)
+    got = characteristics._exitors(phi, K, ts, xs, h)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    for i, (t, x) in enumerate(zip(ts, xs)):
+        s, c = vk.exitor(phi, K, t, x, h)
+        s_w, c_w = exitor_reference.exitors(phi, K, ts[i:i + 1], xs[i:i + 1], h)
+        assert (np.float64(s).tobytes(), c.tobytes()) == (s_w.tobytes(), c_w[0].tobytes())
+    data = vk.BoundaryData(lambda X: np.sin(X.sum(axis=1, keepdims=True)),
+                           lambda S, X: np.cos(3.0 * S) + X[:, :1])
+    prob = vk.CharProblem(lambda t, x, y: -0.4 * y * (1.0 + t), K, data, 1, phi=phi,
+                          x_tol=1e-3)
+    got = vk.solve_char_many(prob, ts, xs, h)
+    with mock.patch.object(characteristics, "_exitors", exitor_reference.exitors):
+        want = vk.solve_char_many(prob, ts, xs, h)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    return want[0]
+
+
+_OFF = st.sampled_from([0.0, 1e-13, 0.4e-9, 1.5e-9, 1e-7, 0.5, 1.0 - 1e-7, 1.0 - 0.4e-9,
+                        1.0 - 1e-13]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_FEET)), h=st.sampled_from([0.1, 0.07, 0.125, 0.023]),
+       rows=st.lists(st.tuples(st.integers(0, 25), _OFF, _OFF,
+                               st.sampled_from(["zero", "short", "tail", "past", "any",
+                                                "edge"])), min_size=1, max_size=8))
+def test_feet_match_two_backward_marches(kind, h, rows):
+    phi, K = _FEET[kind]
+    _assert_feet_match(phi, K, *_feet_rows(kind, h, rows), h)
+
+
+def _foot_kinds(phi, K, ts, xs, h):
+    """Which ways a row's foot is read from the sweep: see the test below."""
+    tau, _, (rows, t_j, h_j, _) = characteristics._backward_exits(phi.negated(), K, ts, xs, h)
+    n_full, rem, n_steps = vk.dynamics._schedule(0.0, tau[rows], h)
+    on_next = n_full * h > t_j
+    kinds = {"t = 0"} if np.any(ts == 0.0) else set()
+    if np.any((tau == ts) & (ts > 0.0) & ~np.isin(np.arange(len(ts)), rows)):
+        kinds.add("no exit")
+    if np.any(h_j < h):
+        kinds.add("exit in the row's shorter tail step")
+    if np.any(~on_next & (n_steps == n_full)):
+        kinds.add("exit on a node")
+    if np.any(on_next & (tau[rows] == n_full * h)):
+        kinds.add("exit on the next node")
+    if np.any(on_next & (tau[rows] != n_full * h)):
+        kinds.add("tau within 1e-9 h of the next node")
+    if np.any(n_steps > n_full):
+        kinds.add("tail sub-step")
+    if np.any(K.boundary_distance_many(xs) == 0.0):
+        kinds.add("start on the boundary")
+    return kinds
+
+
+def test_feet_cover_their_cases():
+    """Fixed rows read every kind of foot, bitwise as the two-march feet, on a
+    constant and a time-dependent speed; a tail sub-step that blows up raises
+    the same NonFinite."""
+    rows = [(3, 0.5, 0.0, "zero"), (6, 0.3, 0.2, "short"), (8, 0.0, 0.0, "short"),
+            (6, 0.3, 0.5, "tail"), (4, 0.6, 0.0, "past"), (0, 0.0, 0.0, "edge"),
+            (5, 1.0 - 1e-13, 0.0, "past"), (7, 1.0 - 1e-13, 0.0, "past")]
+    phi, K = _FEET["transport"]
+    kinds = set()
+    # at h = 16 a bisected exit just after a node lies within 1e-9 h of it
+    for h, hrows in ((0.1, rows), (16.0, [(0, 1e-13, 0.0, "past")])):
+        ts, xs = _feet_rows("transport", h, hrows)
+        kinds |= _foot_kinds(phi, K, ts, xs, h)
+        _assert_feet_match(phi, K, ts, xs, h)
+    assert kinds == {"t = 0", "no exit", "exit in the row's shorter tail step", "exit on a node",
+                     "exit on the next node", "tau within 1e-9 h of the next node",
+                     "tail sub-step", "start on the boundary"}, sorted(kinds)
+    for kind in ("time", "plane"):
+        _assert_feet_match(*_FEET[kind], *_feet_rows(kind, 0.07, rows), 0.07)
+
+    # a speed that is finite only at times on the h/2 lattice (exact for h =
+    # 1/8): the sweep's steps are finite, the tail sub-step to tau is not
+    h = 0.125
+
+    def lattice(t, x):
+        q = np.asarray(t) / (0.5 * h)
+        return np.where(q == np.round(q), 1.0, np.inf) * np.ones_like(x)
+
+    phi = vk.VectorField(1, lattice, name="lattice")
+    ts, xs = np.array([2.0, 0.5]), np.array([[1.3], [0.2]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for exitors in (exitor_reference.exitors, characteristics._exitors):
+            with pytest.raises(vk.NonFinite, match="^state blew up during the backward flow$"):
+                exitors(phi, K, ts, xs, h)
+        with pytest.raises(vk.NonFinite, match="^state blew up during the backward flow$"):
+            vk.exitor(phi, K, 2.0, [1.3], h)
 
 
 def test_product_exit_time_min_rule():

@@ -534,6 +534,67 @@ def test_march_matches_rows_stepped_alone(kind, per_row, survivors):
     assert np.array_equal(live, live_want)
 
 
+def _rk4_expression(field, t, x, h):
+    """The RK4 step as one expression, as it was written before its work slots."""
+    f = field.eval if np.ndim(x) == 2 else field
+    half = 0.5 * h
+    t_half = t + half
+    k1 = f(t, x)
+    k2 = f(t_half, x + half * k1)
+    k3 = f(t_half, x + half * k2)
+    k4 = f(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("kind", ["wobble", "identity", "view"])
+@pytest.mark.parametrize("shape", ["scalar", "column", "one-row"])
+def test_rk4_step_in_work_slots_has_the_expression_bits(kind, shape):
+    """rk4_step gives the one expression's bits with and without work slots,
+    also when the field returns its input (identity) or a view of it, and
+    leaves its input as it was."""
+    field = vk.VectorField(2, {"wobble": lambda t, x: np.sin(3.0 * t) * x[:, ::-1] - 0.2 * x,
+                               "identity": lambda t, x: x,
+                               "view": lambda t, x: x[:, ::-1]}[kind])
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (7, 2))
+    t, h = 0.3, 0.07
+    if shape == "column":
+        t, h = rng.uniform(0.0, 1.0, (7, 1)), rng.uniform(0.01, 0.1, (7, 1))
+    elif shape == "one-row":
+        x = x[0]
+    x0 = x.copy()
+    want = _rk4_expression(field, t, x, h)
+    work = np.full((6,) + x.shape, np.nan)
+    for _ in range(2):  # slots that hold the last step's values
+        got = rk4_step(field, t, x, h, work)
+        assert got.tobytes() == want.tobytes() and np.shares_memory(got, work[5])
+    assert rk4_step(field, t, x, h).tobytes() == want.tobytes()
+    assert x.tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_march_drops_a_row_retired_mid_march_at_once(per_row):
+    """A row whose live entry the caller clears is out of the next step, and x
+    holds its state at retirement from then on: on a shared schedule, and on a
+    per-row one at a step where no row takes its last step."""
+    field = vk.VectorField(1, lambda t, x: np.cos(t) - 0.3 * x)
+    x0 = np.linspace(-1.0, 1.0, 4)[:, None]
+    # per row, 10, 20, 16 and 30 steps of 0.1: none ends at step 4
+    t1 = np.array([1.0, 2.0, 1.55, 3.0]) if per_row else 1.0
+    x, live = x0.copy(), np.ones(4, dtype=bool)
+    seen, at_retirement = [], None
+    for j, (rows, _, _, _, new) in enumerate(_march(field, x, 0.0, t1, 0.1, live)):
+        seen.append(rows.tolist())
+        if at_retirement is not None:
+            assert x[2].tobytes() == at_retirement
+        if j == 4:
+            at_retirement = new[list(rows).index(2)].tobytes()
+            live[2] = False
+    assert [2 in r for r in seen] == [True] * 5 + [False] * (len(seen) - 5)
+    assert seen[5] == [0, 1, 3]
+    assert x[2].tobytes() == at_retirement
+
+
 def _nan_from(t_bad):
     """A 1-D field that reads NaN from time t_bad on, and 1 before it."""
     return vk.VectorField(1, lambda t, x: np.where(np.asarray(t) >= t_bad, np.nan, 1.0)
@@ -577,6 +638,11 @@ _NAN_PAST = vk.LagrangianProblem(_UNIT_T, lambda X, F: np.where(X[:, 0] > 0.3, n
 _NAN_THEN_BLOWUP = vk.LagrangianProblem(
     vk.VectorField(1, lambda t, x: x * x, name="square"),
     lambda X, F: np.where((X[:, 0] > -0.8) & (X[:, 0] < 0.0), np.nan, 1.0), 0.0, vk.abs_obstacle)
+
+
+#: x' = 1 with l = 1 on (0.3, 0.5) and a zero obstacle
+_PULSE = vk.LagrangianProblem(_UNIT_T, lambda X, F: ((X[:, 0] > 0.3) & (X[:, 0] < 0.5)) * 1.0,
+                              0.0, vk.zero_obstacle)
 
 
 def _one_node_blocks(call):
@@ -708,6 +774,14 @@ _BAD_INPUT = [
      lambda: _one_node_blocks(lambda: vk.tabulate_values(
          _NAN_THEN_BLOWUP, [[2.0], [-1.0]], "inf", 1.0, 0.1)),
      vk.NonFinite, r"cost is NaN at row 1 and t = 0.3\d* in tabulate_values"),
+    # l was tested at the start rows only: a path through l = 1 on (0.3, 0.5) read 0.2
+    ("lyapunov-nonzero-along-the-path", "lyapunov",
+     lambda: vk.lyapunov(_PULSE, [0.0], 1.0, 0.1), vk.NonzeroLagrangian,
+     r"0 at every point: l = 1.0 at row 0 and t = 0.3\d*$"),
+    ("lyapunov-nonzero-first-node-one-node-blocks", "tabulate_values",
+     lambda: _one_node_blocks(lambda: vk.tabulate_values(
+         _PULSE, [[-0.2], [0.0]], "lyapunov", 1.0, 0.1)), vk.NonzeroLagrangian,
+     r"0 at every point: l = 1.0 at row 1 and t = 0.3\d*$"),
     ("solve-char-many-nan-row", "solve_char_many",
      lambda: vk.solve_char_many(_transport_char(), [0.5, 0.5], [[0.5], [np.nan]], 0.1),
      ValueError, r"an exit time requires x in K: row 1 \[nan\] is not finite"),
@@ -753,13 +827,12 @@ _NO_BAD_INPUT_ROW = {
     "flow": "a one-row lift of integrate, reversed for t < 0",
     "value_sup": "a one-row lift of tabulate_values",
     "value_inf": "a one-row lift of tabulate_values",
-    "lyapunov": "a one-row lift of tabulate_values",
     "minimal_time": "a one-row lift of tabulate_values",
     "minimal_length": "a one-row lift of tabulate_values",
     "running_cost_path": "one row's history from tabulate_values' value engine",
     "solve_char": "a one-row lift of solve_char_many",
     "backward_exit_time": "a one-row lift of solve_char_many's backward exit sweep",
-    "exitor": "a one-row lift of solve_char_many's backward exit sweep and flow",
+    "exitor": "a one-row lift of solve_char_many's backward exit sweep and its feet",
     "abs_obstacle": "an obstacle: a callable the toolkit takes, not an entry point",
     "zero_obstacle": "an obstacle: a callable the toolkit takes, not an entry point",
     "zero_lagrangian": "a lagrangian: a callable the toolkit takes, not an entry point",

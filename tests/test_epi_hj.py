@@ -533,8 +533,8 @@ def _block_cases(dim, timedep, lag, discount, radius):
     """(problem, rows, modes): _inf_cases' problems in every mode, a steep
     ramp inside their box (J falls toward the far edge, so the minimum sits
     beside an INF node i + 1), the staircase, and a lagrangian of -2 past
-    x1 = 0.9 (J falls while u climbs, so 'lyapunov' fails its descent test
-    where a row crosses it)."""
+    x1 = 0.9 (J falls while u climbs; 'lyapunov' refuses it as nonzero
+    where a row crosses it, at the node the whole history names)."""
     cases, xs = _inf_cases(dim, timedep, lag, discount, radius)
     field = cases[0].field
     modes = ("sup", "inf", "lyapunov")
@@ -564,7 +564,7 @@ def _check_blocks(cases, T, h):
         for mode in modes:
             try:
                 want = value_reference.tabulate_values(p, xs, mode, T, h)
-            except (vk.NonFinite, vk.DescentViolation) as e:
+            except (vk.NonFinite, vk.DescentViolation, vk.NonzeroLagrangian) as e:
                 want = e
                 kinds.add(type(e).__name__)
             for nodes in (1, 2, 3, None):
@@ -624,7 +624,7 @@ def test_value_blocks_cover_their_edges():
     kinds |= _check_blocks(_block_cases(2, True, "speed", 0.35, 0.1), 1.5, 0.023)
     assert kinds >= {"min first in block", "min last in block", "max first in block",
                      "max last in block", "min tie", "max tie", "peak at the horizon",
-                     "all-INF", "DescentViolation", "NonFinite", "blow-up"}, sorted(kinds)
+                     "all-INF", "NonzeroLagrangian", "NonFinite", "blow-up"}, sorted(kinds)
 
 
 def test_tabulate_values_bounds_its_history():

@@ -304,12 +304,13 @@ def test_event_sweep_returns_start_membership():
     # a row outside K is not looked at for an exit: it reads 0 and never fails
     K = vk.box([-1.0], [1.0])
     x0 = np.array([[0.5], [2.0], [-0.5], [-3.0]])
-    inside, ex, ht, failed = _event_sweep(grow, x0, 2.0, 0.05, K=K)
+    inside, ex, ht, failed, _, _ = _event_sweep(grow, x0, 2.0, 0.05, K=K)
     assert inside.dtype == bool and inside.tolist() == [True, False, True, False]
     assert ex[1] == ex[3] == 0.0 and abs(ex[0] - math.log(2.0)) <= 1e-6
     assert (ht >= INF).all() and not failed.any()
     # without K every row counts as inside
-    inside, ex, ht, _ = _event_sweep(grow, x0, 2.0, 0.05, C=vk.box([1.5], [5.0]))
+    inside, ex, ht, _, _, exits = _event_sweep(grow, x0, 2.0, 0.05, C=vk.box([1.5], [5.0]))
+    assert exits is None
     assert inside.dtype == bool and inside.all() and (ex >= INF).all()
     assert ht[1] == 0.0 and abs(ht[0] - math.log(3.0)) <= 1e-6
 
@@ -466,7 +467,7 @@ def test_per_row_horizons_match_scalar_sweeps():
     x0 = np.array([[0.9], [0.0], [-0.5], [0.99], [0.3]])
     T = np.array([0.4375, 2.0, 0.0, 0.13, 1.19])
     for tol in (None, 1e-8):
-        _, ex, _, failed = _event_sweep(ramp, x0, T, h, K=K, refine_tol=tol)
+        _, ex, _, failed, _, _ = _event_sweep(ramp, x0, T, h, K=K, refine_tol=tol)
         assert not failed.any()
         for i in range(len(x0)):
             assert ex[i] == vk.exit_time(ramp, K, x0[i], T[i], h, refine_tol=tol)

@@ -5,7 +5,9 @@ block: one march records the (k, m, dim) state history, ``cost_history``
 builds the (k, m) obstacle, running cost and J arrays from it, and the modes
 finish with ``np.argmax``/``np.argmin`` over the whole of J.  Its row chunks
 are left out: they changed no value.  The tests require the block-wise engine
-to agree with it bit for bit.
+to agree with it bit for bit.  Its 'lyapunov' mode tests l at every node of
+the history, as the engine does since it stopped taking a lagrangian that is
+0 at the start rows only.
 """
 
 import math
@@ -138,9 +140,16 @@ def tabulate_values(p, xs, mode, T_max, h):
     if mode not in ("sup", "inf", "lyapunov"):
         raise ValueError("mode must be 'sup', 'inf' or 'lyapunov'")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if mode == "lyapunov" and np.any(np.asarray(p.lagrangian(xs, p.field(0.0, xs))) != 0.0):
-        raise NonzeroLagrangian("lyapunov needs a lagrangian that is 0 at every point")
     times, states, U, cum, J = cost_history(p, xs, T_max, h)
+    if mode == "lyapunov":  # l at every node of the whole history, first node first
+        k, m = states.shape[:2]
+        flat = states.reshape(k * m, xs.shape[1])
+        L = np.asarray(p.lagrangian(flat, p.field(np.repeat(times, m)[:, None], flat)),
+                       dtype=float)
+        if np.any(L != 0.0):
+            node, row = divmod(int(np.argmax(L != 0.0)), m)
+            raise NonzeroLagrangian("lyapunov needs a lagrangian that is 0 at every point: "
+                                    f"l = {L[node * m + row]} at row {row} and t = {times[node]}")
     if mode == "inf":
         return finish_inf(p, times, states, cum, J)
     vals = finish_sup(J)
