@@ -16,8 +16,8 @@ one thread whatever N is.  The only environment override is
 
 Exit codes: 0 success; 2 config error (with a field diagnostic), a grid
 too large to index, or a config file or output directory that cannot be
-read or made; 3 numeric failure (NonFinite, CapTooSmall, DescentViolation,
-ParamDomain, float overflow, or a MemoryError), naming the operation.
+read or made; 3 numeric failure (NonFinite, CapTooSmall, ParamDomain,
+float overflow, or a MemoryError), naming the operation.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
                      hj_check_sup, indicator_obstacle, lift, minimal_length_problem,
                      minimal_time_problem, speed_lagrangian, tabulate_values,
                      unit_lagrangian, zero_lagrangian, zero_obstacle)
-from .errors import (CapTooSmall, ConfigError, DescentViolation, NonFinite,
-                     NonzeroLagrangian, ParamDomain)
+from .errors import CapTooSmall, ConfigError, NonFinite, NonzeroLagrangian, ParamDomain
 # exit_time and hitting_time stay importable here: perfbench/tracer.py wraps them
 from .kernels import (CHUNK_ROWS, GridSpec, _first_events, capt_field, discrete_kernel,
                       exit_time, hitting_time, lattice_points, viab_field,
@@ -577,8 +576,7 @@ def main(argv=None) -> int:
     except (ConfigError, NonzeroLagrangian) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonFinite, CapTooSmall, DescentViolation, ParamDomain, OverflowError,
-            MemoryError) as exc:
+    except (NonFinite, CapTooSmall, ParamDomain, OverflowError, MemoryError) as exc:
         print(f"numeric failure in {op!r}: {exc}", file=sys.stderr)
         return 3
 

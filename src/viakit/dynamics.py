@@ -95,38 +95,22 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def rk4_step(field: VectorField, t, x: np.ndarray, h, work=None) -> np.ndarray:
+def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step; broadcasts over a leading batch axis of x.
 
     (m, dim) rows go to ``field.eval`` as they are; one (dim,) state is
     lifted to a row by ``field(t, x)``.  t and h are scalars, or (m, 1)
     columns of per-row start times and step sizes for (m, dim) rows;
     each row's arithmetic is the same either way.
-
-    work holds six float arrays of x's shape, none of them x: the three
-    stage states, the weighted sum, a temporary and the output, which is
-    returned.  Each has its own slot, so a field may return its input or a
-    view of it.  Without work they are allocated; the bits are the same.
     """
-    return _rk4(field, t, x, h, np.empty((6,) + np.shape(x)) if work is None else work)
-
-
-def _rk4(field: VectorField, t, x, h, work) -> np.ndarray:
-    """:func:`rk4_step` with its work arrays required: the one RK4 formula."""
     f = field.eval if np.ndim(x) == 2 else field
-    s1, s2, s3, acc, tmp, out = work
     half = 0.5 * h
     t_half = t + half
-    # each ufunc writes its third (out) argument
     k1 = f(t, x)
-    k2 = f(t_half, np.add(x, np.multiply(half, k1, s1), s1))
-    k3 = f(t_half, np.add(x, np.multiply(half, k2, s2), s2))
-    k4 = f(t + h, np.add(x, np.multiply(h, k3, s3), s3))
-    # ((k1 + 2 k2) + 2 k3) + k4, then x + h/6 times it: each rounding as written out
-    np.add(k1, np.multiply(2.0, k2, acc), acc)
-    np.add(acc, np.multiply(2.0, k3, tmp), acc)
-    np.add(acc, k4, acc)
-    return np.add(x, np.multiply(h / 6.0, acc, acc), out)
+    k2 = f(t_half, x + half * k1)
+    k3 = f(t_half, x + half * k2)
+    k4 = f(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _schedule(t0, t1, step):
@@ -267,18 +251,14 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     blows up, and the rest are compacted.  x is written when rows leave
     and at the end, so when the march ends it holds each row's last state
     (a retired row's state at retirement, NaN for a blow-up); during the
-    march it is stale.  The march is stepped in one (7, rows, dim) array
-    of :func:`rk4_step` work slots, allocated once: five for the stages
-    and two outputs taken in turn, so a step's start state survives it.
-    After a yield the work set is compacted only when the live count
-    changed or a row took its last step.
+    march it is stale.  After a yield the work set is compacted only when
+    the live count changed or a row took its last step.
 
     Yields (rows, t, h, prev, new) after each step: the ascending indices
     of the rows just advanced, their start times and step sizes (scalars,
     or (k, 1) columns for per-row schedules), and their (k, dim) states
     before and after the step, in the order of rows.  None of them is to
-    be written, nor kept past the next step: the states are work slots
-    that later steps write over.
+    be written, nor kept past the next step.
     """
     t0, t1 = (float(a[0]) if np.ndim(a) and len(a) and np.all(a == a[0]) else a
               for a in (t0, t1))
@@ -290,16 +270,9 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), live.shape)
         sched = (t0[rows], n_full[rows], rem[rows], n_steps[rows])
     n_max = int(np.max(n_steps, initial=0))
-    buf = list(np.empty((7, len(rows)) + x.shape[1:]))
-
-    def slots(k):
-        """The two work tuples over the first k rows: outputs in slots 5 and 6."""
-        v = [a[:k] for a in buf]
-        return tuple(v[:6]), tuple(v[:5] + v[6:])
-
     # the fewest steps of a work row: the first step after which one leaves
     last = int(np.min(sched[3], initial=n_max)) if per_row else n_max
-    work, w = slots(len(rows)), x[rows]
+    w = x[rows]
     count = np.count_nonzero(live)  # every work row is live after each compaction
     for j in range(n_max):
         if len(rows) == 0:
@@ -309,7 +282,7 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
             h = np.where(sched[1] > j, step, sched[2])[:, None]
         else:
             t, h = t0 + j * step, (step if j < n_full else float(rem))
-        prev, w = w, _rk4(field, t, w, h, work[j % 2])
+        prev, w = w, rk4_step(field, t, w, h)
         if not _clears_blowup(w):
             good = _finite_rows(w)
             if not good.all():
@@ -320,7 +293,6 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
                 sched = tuple(a[good] for a in sched)
                 if per_row:
                     t, h = t[good], h[good]
-                work = slots(len(rows))
         yield rows, t, h, prev, w
         if np.count_nonzero(live) == count and j + 1 < last:
             continue  # every work row is still live and has a step left
@@ -331,7 +303,6 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
             gone = np.flatnonzero(~keep)
             x[rows[gone]] = w.take(gone, axis=0)
             rows, w, sched = rows[kept], w.take(kept, axis=0), tuple(a[kept] for a in sched)
-            work = slots(len(rows))
         last = int(np.min(sched[3], initial=n_max)) if per_row else n_max
     x[rows] = w
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
 from .dynamics import VectorField, _bisect, _record, rk4_step
-from .errors import CapTooSmall, DescentViolation, NonFinite, NonzeroLagrangian
+from .errors import CapTooSmall, NonFinite, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
@@ -146,10 +146,10 @@ def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, b
     """J along the RK4 trajectory of every row of xs, block by block as it marches.
 
     Returns (times, blocks): the (k,) node times, and an iterator over
-    (j, states, U, cum, J) for the nodes j, ..., j + b - 1 (b at most block,
+    (j, states, cum, J) for the nodes j, ..., j + b - 1 (b at most block,
     by default all k): their (b, m, dim) states and (b, m) arrays of the
-    obstacle u, the running cost int_0^{t_j} e^{a tau} l dtau and J
-    (INF-clamped).  A block is not to be written, nor kept past the next one.
+    running cost int_0^{t_j} e^{a tau} l dtau and J (INF-clamped).  A
+    block is not to be written, nor kept past the next one.
 
     Raises:
         NonFinite: if a row starts non-finite, blows up before T_max, or
@@ -190,7 +190,7 @@ def _cost_blocks(p: LagrangianProblem, xs: np.ndarray, T_max: float, h: float, b
                         f"{np.argmax(off[i])} and t = {times[j + i]}", NonzeroLagrangian)
             _refuse(bad.any(axis=1), lambda i: f"the cost is NaN at row {np.argmax(bad[i])} "
                     f"and t = {times[j + i]} in tabulate_values", NonFinite)
-            yield j, states, U, cum, J
+            yield j, states, cum, J
 
     return times, costs()
 
@@ -221,21 +221,19 @@ def _values_at(p: LagrangianProblem, times, states, cum, first, rows, t) -> np.n
     return np.where((ut >= INF) | (J > p.value_cap), INF, J)
 
 
-def _fold_sup(times, blocks, m: int, U=None) -> np.ndarray:
+def _fold_sup(times, blocks, m: int) -> np.ndarray:
     """sup_t J per row from the blocks; INF where it reaches INF or peaks at the horizon.
 
     Keeps per row the running maximum and its first node: a block's
     maximum replaces it only when strictly larger, as ``np.argmax`` takes
-    the first attainment.  U, when given, receives the (k, m) obstacle.
+    the first attainment.
     """
     top, at, cols = np.full(m, -np.inf), np.zeros(m, dtype=int), np.arange(m)
-    for j, _, Ub, _, J in blocks:
+    for j, _, _, J in blocks:
         i = np.argmax(J, axis=0)
         v = J[i, cols]
         up = v > top
         top, at = np.where(up, v, top), np.where(up, j + i, at)
-        if U is not None:
-            U[j:j + len(J)] = Ub
     # a peak at the horizon is still climbing: divergent at desk scale
     return np.where((top >= INF) | (at == len(times) - 1), INF, top)
 
@@ -253,7 +251,7 @@ def _fold_inf(times, blocks, m: int, dim: int):
     low, at, cols = np.full(m, np.inf), np.zeros(m, dtype=int), np.arange(m)
     window = (np.zeros((3, m, dim)), np.zeros((3, m)), np.zeros((3, m)))
     edge = tuple(np.zeros_like(w[0]) for w in window)  # the node before the block
-    for j, states, _, cum, J in blocks:
+    for j, states, cum, J in blocks:
         block = (states, cum, J)
         late = np.flatnonzero(at == j - 1)  # minima on the previous block's last node
         for w, a in zip(window, block):
@@ -348,23 +346,21 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
     mode 'sup' gives sup_t J(t) over [0, T_max] (INF if divergent),
     'inf' gives inf_t J(t) with the arg-min bracket golden-section
     refined to 1e-8 in t, and 'lyapunov' the 'sup' value of a problem
-    with l = 0, with the descent inequality verified.  Each value is
+    whose l is 0 at every node of every path, so J = e^{at} u there and
+    u(x(t)) <= e^{-at} * value holds at every node.  Each value is
     taken along the one RK4-selected solution from its row, so where
     solutions are not unique 'sup' is a lower and 'inf' an upper bound.
     The scalar operations are one-row lifts of this.  The sweep hands
     its costs over in blocks of :data:`BLOCK_FLOATS` floats of state, and
     each mode folds a block into a few running values per row before the
-    next, so only 'lyapunov' keeps a (steps, rows) array (its obstacle
-    history); no value depends on the block size.
+    next, so no mode keeps a (steps, rows) array; no value depends on the
+    block size.
 
     Raises:
         NonFinite: if any row starts non-finite, blows up before T_max, or
             meets a NaN lagrangian or obstacle.
         NonzeroLagrangian: in mode 'lyapunov', if l is nonzero at any node
             of a row's path (naming the first such node and its lowest row).
-        DescentViolation: in mode 'lyapunov', if u(x(t)) <= e^{-at} *
-            value fails beyond 1e-6 along a row's path (T_max too small
-            or sampling too coarse).
     """
     if mode not in ("sup", "inf", "lyapunov"):
         raise ValueError("mode must be 'sup', 'inf' or 'lyapunov'")
@@ -374,20 +370,13 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
                                  zero_l=mode == "lyapunov")
     if mode == "inf":
         return _finish_inf(p, times, *_fold_inf(times, blocks, m, dim))
-    U = np.empty((len(times), m)) if mode == "lyapunov" else None
-    vals = _fold_sup(times, blocks, m, U)
-    if mode == "lyapunov":
-        ok = vals < INF
-        bound = np.exp(-p.discount * times)[:, None] * vals[ok] + 1e-6
-        if np.any(U[:, ok] > bound):
-            raise DescentViolation("u(x(t)) exceeded e^{-at} * value along the path")
-    return vals
+    return _fold_sup(times, blocks, m)
 
 
 def running_cost_path(p: LagrangianProblem, x, T_max: float, h: float) -> CostPath:
     """Sampled cost J along the trajectory from x; J(0) = u(x)."""
     times, blocks = _cost_blocks(p, _one_row(x), T_max, h)
-    (_, states, _, cum, J), = blocks  # the whole history is one block
+    (_, states, cum, J), = blocks  # the whole history is one block
     return CostPath(times, states[:, 0], J[:, 0], cum[:, 0], p)
 
 
@@ -402,12 +391,12 @@ def value_inf(p: LagrangianProblem, x, T_max: float, h: float) -> float:
 
 
 def lyapunov(p: LagrangianProblem, x, T_max: float, h: float) -> float:
-    """value_sup specialization for l = 0, with the descent inequality verified.
+    """value_sup specialization for l = 0, which is checked at every node of the path.
+
+    At every node u(x(t)) <= e^{-at} * result, as J = e^{at} u there.
 
     Raises:
         NonzeroLagrangian: if l is nonzero at a node of the path.
-        DescentViolation: if u(x(t)) <= e^{-at} * result fails beyond 1e-6
-            along the trajectory (T_max too small or sampling too coarse).
     """
     return float(tabulate_values(p, _one_row(x), "lyapunov", T_max, h)[0])
 

@@ -22,7 +22,12 @@ class NonzeroLagrangian(ViakitError, ValueError):
 
 
 class DescentViolation(ViakitError):
-    """The verified Lyapunov descent inequality failed beyond tolerance."""
+    """Kept for callers that catch it; nothing raises it.
+
+    ``lyapunov`` refuses a lagrangian that is nonzero at any node with
+    :class:`NonzeroLagrangian`, and with l = 0 the descent inequality
+    holds at every node by construction.
+    """
 
 
 class CapTooSmall(ViakitError):

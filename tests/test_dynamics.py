@@ -534,44 +534,6 @@ def test_march_matches_rows_stepped_alone(kind, per_row, survivors):
     assert np.array_equal(live, live_want)
 
 
-def _rk4_expression(field, t, x, h):
-    """The RK4 step as one expression, as it was written before its work slots."""
-    f = field.eval if np.ndim(x) == 2 else field
-    half = 0.5 * h
-    t_half = t + half
-    k1 = f(t, x)
-    k2 = f(t_half, x + half * k1)
-    k3 = f(t_half, x + half * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-@pytest.mark.parametrize("kind", ["wobble", "identity", "view"])
-@pytest.mark.parametrize("shape", ["scalar", "column", "one-row"])
-def test_rk4_step_in_work_slots_has_the_expression_bits(kind, shape):
-    """rk4_step gives the one expression's bits with and without work slots,
-    also when the field returns its input (identity) or a view of it, and
-    leaves its input as it was."""
-    field = vk.VectorField(2, {"wobble": lambda t, x: np.sin(3.0 * t) * x[:, ::-1] - 0.2 * x,
-                               "identity": lambda t, x: x,
-                               "view": lambda t, x: x[:, ::-1]}[kind])
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1.0, 1.0, (7, 2))
-    t, h = 0.3, 0.07
-    if shape == "column":
-        t, h = rng.uniform(0.0, 1.0, (7, 1)), rng.uniform(0.01, 0.1, (7, 1))
-    elif shape == "one-row":
-        x = x[0]
-    x0 = x.copy()
-    want = _rk4_expression(field, t, x, h)
-    work = np.full((6,) + x.shape, np.nan)
-    for _ in range(2):  # slots that hold the last step's values
-        got = rk4_step(field, t, x, h, work)
-        assert got.tobytes() == want.tobytes() and np.shares_memory(got, work[5])
-    assert rk4_step(field, t, x, h).tobytes() == want.tobytes()
-    assert x.tobytes() == x0.tobytes()
-
-
 @pytest.mark.parametrize("per_row", [False, True])
 def test_march_drops_a_row_retired_mid_march_at_once(per_row):
     """A row whose live entry the caller clears is out of the next step, and x

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 from viakit import cli, dynamics, epi_hj, kernels
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -21,3 +22,18 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert (cli.main, kernels.rk4_step, epi_hj.CostPath.value_at,
             vars(dynamics.VectorField)["__call__"]) == before
+
+
+def test_tracer_counts_every_march_step(monkeypatch):
+    """Every batched march steps through the traced name: 10 steps of 3 rows."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        dynamics.reach_set(dynamics.linear_field(-1.0), 1.0, np.zeros((3, 1)), 0.1)
+        totals = tracer.totals()
+    finally:
+        tracer.uninstall()
+    assert (totals["dynamics.batched_steps"], totals["dynamics.batched_rows"]) == (10, 30)
