@@ -28,7 +28,6 @@ from .dynamics import (
 from .errors import (
     CapTooSmall,
     ConfigError,
-    DescentViolation,
     NoConvergence,
     NonFinite,
     NonzeroLagrangian,

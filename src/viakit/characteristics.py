@@ -478,9 +478,10 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     for sub, t, hs, _, zn in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
         inside = prob.domain.margin_many(zn[:, :n]) <= 0.0
         live[sub[~inside]] = False
+        kept = np.flatnonzero(inside)  # integer takes: a boolean mask of 2-D rows copies slower
         tau = np.broadcast_to(t + hs, (len(sub), 1))  # a scalar on a shared schedule
-        pts.append(np.concatenate([tau[inside], zn[inside]], axis=1))
-        idxs.append(sub[inside])
+        pts.append(np.concatenate([tau.take(kept, axis=0), zn.take(kept, axis=0)], axis=1))
+        idxs.append(sub.take(kept))
 
     points = np.vstack(pts)
     keep = _merge_points(points, h / 2.0)

@@ -173,6 +173,16 @@ def _clears_blowup(x: np.ndarray) -> bool:
                 < BLOWUP_NORM)
 
 
+def _clear_nodes(states: np.ndarray) -> int:
+    """How many leading nodes of the (b, m, dim) states have every row pass :func:`_finite_rows`."""
+    flat = states.reshape(-1, states.shape[2])
+    if len(flat) == 0 or _clears_blowup(flat):
+        return len(states)
+    with np.errstate(over="ignore"):  # the squares of rows past the blow-up may overflow
+        good = _finite_rows(flat).reshape(states.shape[:2]).all(axis=1)
+    return len(states) if good.all() else int(np.argmin(good))
+
+
 def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str,
             block=None):
     """Node times and the RK4 states of the rows of xs from :func:`_march`, block by block.
@@ -183,9 +193,19 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
     block's array is reused for the next one: it is not to be written, nor
     kept past the next block.
 
+    The march does not test each step for a blow-up: each block is tested
+    once it is filled, and only its nodes before the first one with a row
+    that fails :func:`_finite_rows` are drawn (no block is drawn empty).
+    The rows are stepped independently, so those nodes hold the same bits
+    as under a per-step test, and the same error comes at every block size.
+    A field that raises on a row past a blow-up in the block being filled
+    is reported as that blow-up.  The march's floating-point warnings are
+    off while a block fills; a state they would warn of fails the test.
+
     Raises:
         NonFinite: if a row starts non-finite (at once) or blows up before
-            t1 (once the nodes before the blow-up are drawn).
+            t1 (once the nodes before the blow-up are drawn; with one
+            block, after the march reaches t1).
     """
     if not _finite_rows(xs).all():
         raise NonFinite(f"initial state is not finite in {what}")
@@ -194,16 +214,28 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
     def blocks():
         buf = np.empty((min(block or len(times), len(times)),) + xs.shape)
         buf[0], first, n = xs, 0, 1
-        live = np.ones(len(xs), dtype=bool)
-        for rows, _, _, _, new in _march(field, xs.copy(), t0, t1, step, live):
-            if len(rows) < len(xs):  # the nodes before it first, so a fault there is named first
-                yield first, buf[:n]
-                raise NonFinite(f"state blew up during {what}")
-            if n == len(buf):
-                yield first, buf
-                first, n = first + n, 0
-            buf[n], n = new, n + 1
-        yield first, buf[:n]
+        steps = _march(field, xs.copy(), t0, t1, step, np.ones(len(xs), dtype=bool),
+                       retire_blowups=False)
+        end, cause = False, None
+        while not end:
+            # a blown-up row goes on being stepped to the block's end; its overflows are
+            # silenced while the block fills, and never across a yield of the block
+            with np.errstate(all="ignore"):
+                try:
+                    while n < len(buf):
+                        buf[n], n = next(steps)[4], n + 1
+                except StopIteration:
+                    end = True
+                except Exception as e:
+                    if _clear_nodes(buf[:n]) == n:
+                        raise
+                    end, cause = True, e  # the field failed on a row past a blow-up
+            ok = _clear_nodes(buf[:n])
+            if ok:  # the nodes before a blow-up first, so a fault there is named first
+                yield first, buf[:ok]
+            if ok < n:
+                raise NonFinite(f"state blew up during {what}") from cause
+            first, n = first + n, 0
 
     return times, blocks()
 
@@ -215,7 +247,8 @@ def integrate(field: VectorField, x0, t0: float, t1: float, step: float) -> Traj
 
     Raises:
         NonFinite: if any state component becomes NaN/inf or the norm
-            passes the blow-up guard before t1.
+            passes the blow-up guard before t1.  The history is tested as
+            one block, so a blow-up is found once the march reaches t1.
     """
     times, blocks = _record(field, _one_row(x0), t0, t1, step, "integrate")
     (_, states), = blocks  # the whole history is one block
@@ -232,7 +265,8 @@ def flow(field: VectorField, t: float, x, step: float):
     return integrate(field.negated() if t < 0 else field, x, 0.0, abs(t), step).states[-1]
 
 
-def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray):
+def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray,
+           retire_blowups: bool = True):
     """The batched RK4 stepping core behind every row sweep; a generator.
 
     Advances the live rows of x (shape (m, dim)) from t0 to t1, each row
@@ -243,7 +277,11 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     times or steps raise ValueError.
     A stepped row that fails :func:`_finite_rows` is retired (live
     cleared) and set to NaN.  Callers retire rows by clearing ``live`` in
-    place, for the rows just yielded.
+    place, for the rows just yielded.  With retire_blowups False no step
+    is tested and a blown-up row goes on being stepped, NaN or inf; only
+    :func:`_record`, which tests each block of states it keeps, asks for
+    that (the event sweeps, :func:`_advance` and ``graph_sample`` need the
+    step at which a row blows up).
 
     Only the rows live at the start (and, on per-row schedules, with at
     least one step) are stepped, held in one work array in ascending index
@@ -283,7 +321,7 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
         else:
             t, h = t0 + j * step, (step if j < n_full else float(rem))
         prev, w = w, rk4_step(field, t, w, h)
-        if not _clears_blowup(w):
+        if retire_blowups and not _clears_blowup(w):
             good = _finite_rows(w)
             if not good.all():
                 live[rows[~good]] = False

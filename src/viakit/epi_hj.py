@@ -63,7 +63,7 @@ def lift(p: LagrangianProblem) -> VectorField:
 
     def ev(t, z):
         x, out = z[:, :n], np.empty(z.shape)
-        out[:, :n] = fx = p.field(t, x)
+        out[:, :n] = fx = p.field.eval(t, x)
         out[:, n] = -p.discount * z[:, n] - np.asarray(p.lagrangian(x, fx), dtype=float)
         return out
 
@@ -74,35 +74,35 @@ def lift(p: LagrangianProblem) -> VectorField:
 
 
 def zero_lagrangian(x, p):
-    return np.zeros(len(np.atleast_2d(x)))
+    return np.zeros(len(x))
 
 
 def unit_lagrangian(x, p):
-    return np.ones(len(np.atleast_2d(x)))
+    return np.ones(len(x))
 
 
 def const_lagrangian(c: float):
-    return lambda x, p: np.full(len(np.atleast_2d(x)), float(c))
+    return lambda x, p: np.full(len(x), float(c))
 
 
 def speed_lagrangian(x, p):
     """l(x, p) = |p|, evaluated along trajectories as |f(x)| (arc length)."""
-    return np.linalg.norm(np.atleast_2d(p), axis=1)
+    return np.linalg.norm(p, axis=1)
 
 
 def abs_obstacle(x):
-    return np.linalg.norm(np.atleast_2d(x), axis=1)
+    return np.linalg.norm(x, axis=1)
 
 
 def zero_obstacle(x):
-    return np.zeros(len(np.atleast_2d(x)))
+    return np.zeros(len(x))
 
 
 def indicator_obstacle(K: SetOracle):
     """psi_K: 0 on K, +inf off it."""
 
     def u(x):
-        return np.where(K.contains_many(np.atleast_2d(x)), 0.0, INF)
+        return np.where(K.contains_many(x), 0.0, INF)
 
     return u
 
@@ -374,7 +374,12 @@ def tabulate_values(p: LagrangianProblem, xs, mode: str, T_max: float, h: float)
 
 
 def running_cost_path(p: LagrangianProblem, x, T_max: float, h: float) -> CostPath:
-    """Sampled cost J along the trajectory from x; J(0) = u(x)."""
+    """Sampled cost J along the trajectory from x; J(0) = u(x).
+
+    Raises:
+        NonFinite: as :func:`tabulate_values` does.  The history is one
+            block, so a blow-up is found once the march reaches T_max.
+    """
     times, blocks = _cost_blocks(p, _one_row(x), T_max, h)
     (_, states, cum, J), = blocks  # the whole history is one block
     return CostPath(times, states[:, 0], J[:, 0], cum[:, 0], p)

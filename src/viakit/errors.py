@@ -21,15 +21,6 @@ class NonzeroLagrangian(ViakitError, ValueError):
     """A Lyapunov value was asked of a problem whose running cost is not 0."""
 
 
-class DescentViolation(ViakitError):
-    """Kept for callers that catch it; nothing raises it.
-
-    ``lyapunov`` refuses a lagrangian that is nonzero at any node with
-    :class:`NonzeroLagrangian`, and with l = 0 the descent inequality
-    holds at every node by construction.
-    """
-
-
 class CapTooSmall(ViakitError):
     """An epigraph envelope touched the top of the value grid."""
 

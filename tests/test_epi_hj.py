@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -609,22 +611,75 @@ def test_value_blocks_match_the_whole_history(dim, timedep, lag, discount, radiu
     _check_blocks(_block_cases(dim, timedep, lag, discount, radius), 1.5, h)
 
 
+#: x' = 50 x^2: the row from 0.5 overflows to inf within a few steps of 0.05
+_BLOW = vk.LagrangianProblem(vk.VectorField(1, lambda t, x: 50.0 * x * x, name="blow"),
+                             vk.zero_lagrangian, 0.0, vk.abs_obstacle)
+
+
 def test_value_blocks_cover_their_edges():
     """Fixed cases (one 2-D, time-dependent and discounted) put the first
     minimum and maximum on the first and the last node of a block, tie them,
     peak at the horizon, leave rows all INF, hold a nonzero lagrangian in
     mode 'lyapunov', blow up and have no rows."""
-    blow = vk.LagrangianProblem(vk.VectorField(1, lambda t, x: 50.0 * x * x, name="blow"),
-                                vk.zero_lagrangian, 0.0, vk.abs_obstacle)
     none = np.zeros((0, 1))
     kinds = _check_blocks(_block_cases(1, False, "half", 0.0, 0.01)
-                          + [(blow, np.array([[-0.5], [0.5]]), ("sup", "inf")),
+                          + [(_BLOW, np.array([[-0.5], [0.5]]), ("sup", "inf")),
                              (P_INF, none, ("sup", "inf")),
                              (P_SUP, none, ("lyapunov",))], 1.5, 0.05)
     kinds |= _check_blocks(_block_cases(2, True, "speed", 0.35, 0.1), 1.5, 0.023)
     assert kinds >= {"min first in block", "min last in block", "max first in block",
                      "max last in block", "min tie", "max tie", "peak at the horizon",
                      "all-INF", "NonzeroLagrangian", "NonFinite", "blow-up"}, sorted(kinds)
+
+
+def _strict(f):
+    """f, but raising its own error on a row that is not finite."""
+    def ev(t, x):
+        if not np.isfinite(x).all():
+            raise ZeroDivisionError("the field got a row that is not finite")
+        return f(t, x)
+    return ev
+
+
+def test_blow_up_is_found_per_block_without_warnings():
+    """The march tests each filled block, not each step: a blown-up row is
+    stepped on to the block's end, yet every block size, and the one-block
+    histories of integrate and running_cost_path, raise the same NonFinite
+    with no RuntimeWarning; so does a field that fails on the blown-up row,
+    while a field failing on finite rows keeps its own error."""
+    def problem(name, f):
+        return vk.LagrangianProblem(vk.VectorField(1, f, name=name), vk.zero_lagrangian, 0.0,
+                                    vk.abs_obstacle)
+
+    # x' = x^2 from 0.5 passes nodes near 1e162, whose squares overflow in a norm
+    cases = [(_BLOW, 0.05), (problem("strict", _strict(_BLOW.field.eval)), 0.05),
+             (problem("square", lambda t, x: x * x), 0.01)]
+    xs = np.array([[-0.5], [0.5]])
+    # an error filter turns a warning into an exception; always records it
+    for action, (p, h) in itertools.product(("error", "always"), cases):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            for nodes in (1, 2, 3, None):
+                budget = epi_hj.BLOCK_FLOATS if nodes is None else nodes * len(xs)
+                with mock.patch.object(epi_hj, "BLOCK_FLOATS", budget):
+                    for mode in ("sup", "inf"):
+                        with pytest.raises(vk.NonFinite,
+                                           match="^state blew up during tabulate_values$"):
+                            vk.tabulate_values(p, xs, mode, 3.0, h)
+            with pytest.raises(vk.NonFinite, match="^state blew up during integrate$"):
+                vk.integrate(p.field, [0.5], 0.0, 3.0, h)
+            with pytest.raises(vk.NonFinite, match="^state blew up during tabulate_values$"):
+                vk.running_cost_path(p, [0.5], 3.0, h)
+        assert caught == [], (action, p.field.name, [str(w.message) for w in caught])
+
+    def picky(t, x):
+        if np.any(x > 0.3):
+            raise ZeroDivisionError("past 0.3")
+        return np.ones_like(x)
+
+    with pytest.raises(ZeroDivisionError, match="past 0.3"):
+        vk.tabulate_values(vk.LagrangianProblem(vk.VectorField(1, picky), vk.zero_lagrangian,
+                                                0.0, vk.abs_obstacle), [[0.0]], "sup", 1.0, 0.1)
 
 
 def test_tabulate_values_bounds_its_history():
