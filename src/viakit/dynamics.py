@@ -174,7 +174,7 @@ def _clears_blowup(x: np.ndarray) -> bool:
 
 
 def _clear_nodes(states: np.ndarray) -> int:
-    """How many leading nodes of the (b, m, dim) states have every row pass :func:`_finite_rows`."""
+    """How many leading nodes of the (b, m, dim) states pass :func:`_finite_rows` in every row."""
     flat = states.reshape(-1, states.shape[2])
     if len(flat) == 0 or _clears_blowup(flat):
         return len(states)

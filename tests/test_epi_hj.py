@@ -632,15 +632,6 @@ def test_value_blocks_cover_their_edges():
                      "all-INF", "NonzeroLagrangian", "NonFinite", "blow-up"}, sorted(kinds)
 
 
-def _strict(f):
-    """f, but raising its own error on a row that is not finite."""
-    def ev(t, x):
-        if not np.isfinite(x).all():
-            raise ZeroDivisionError("the field got a row that is not finite")
-        return f(t, x)
-    return ev
-
-
 def test_blow_up_is_found_per_block_without_warnings():
     """The march tests each filled block, not each step: a blown-up row is
     stepped on to the block's end, yet every block size, and the one-block
@@ -651,8 +642,18 @@ def test_blow_up_is_found_per_block_without_warnings():
         return vk.LagrangianProblem(vk.VectorField(1, f, name=name), vk.zero_lagrangian, 0.0,
                                     vk.abs_obstacle)
 
+    def strict(t, x):  # _BLOW's field, raising its own error on a row that is not finite
+        if not np.isfinite(x).all():
+            raise ZeroDivisionError("the field got a row that is not finite")
+        return 50.0 * x * x
+
+    def picky(t, x):
+        if np.any(x > 0.3):
+            raise ZeroDivisionError("past 0.3")
+        return np.ones_like(x)
+
     # x' = x^2 from 0.5 passes nodes near 1e162, whose squares overflow in a norm
-    cases = [(_BLOW, 0.05), (problem("strict", _strict(_BLOW.field.eval)), 0.05),
+    cases = [(_BLOW, 0.05), (problem("strict", strict), 0.05),
              (problem("square", lambda t, x: x * x), 0.01)]
     xs = np.array([[-0.5], [0.5]])
     # an error filter turns a warning into an exception; always records it
@@ -671,15 +672,8 @@ def test_blow_up_is_found_per_block_without_warnings():
             with pytest.raises(vk.NonFinite, match="^state blew up during tabulate_values$"):
                 vk.running_cost_path(p, [0.5], 3.0, h)
         assert caught == [], (action, p.field.name, [str(w.message) for w in caught])
-
-    def picky(t, x):
-        if np.any(x > 0.3):
-            raise ZeroDivisionError("past 0.3")
-        return np.ones_like(x)
-
     with pytest.raises(ZeroDivisionError, match="past 0.3"):
-        vk.tabulate_values(vk.LagrangianProblem(vk.VectorField(1, picky), vk.zero_lagrangian,
-                                                0.0, vk.abs_obstacle), [[0.0]], "sup", 1.0, 0.1)
+        vk.tabulate_values(problem("picky", picky), [[0.0]], "sup", 1.0, 0.1)
 
 
 def test_tabulate_values_bounds_its_history():
