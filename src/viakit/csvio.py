@@ -3,8 +3,9 @@
 All floats are written with 17 significant digits; the +/-INF sentinels
 are emitted literally as ``inf`` and ``-inf``.  Node ordering is the
 producing grid's row-major order, so repeated runs are byte-identical.
-Tables are written BLOCK rows at a time, and each distinct bit pattern of
-a column is formatted once per block.
+Tables are written BLOCK rows at a time.  Within a block, a column that
+repeats its values has each distinct bit pattern formatted once; a column
+of mostly distinct values is formatted in place, value by value.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ def _write_rows(path, header, *columns):
 
     Each column is an (N,) or (N, k) array; values >= INF read ``inf`` and
     values <= -INF read ``-inf``.  Rows are written BLOCK at a time, one
-    ``%`` and one ``write`` per block, and each distinct bit pattern of a
-    column is formatted once per block, its text reused for every row that
-    holds it.  ``%.17g`` is a function of the float64 bits, so these are
+    ``%`` and one ``write`` per block, and each table column is handled
+    per block by how many distinct bit patterns it holds there.  With at
+    most half the block's rows, each distinct pattern is formatted once
+    and its text reused for every row that holds it (a graph cloud's t and
+    y).  With more (a graph cloud's x), formatting each value once and
+    then looking the texts up would cost more than it saves, so the
+    column's values go to the block's ``%`` as Python floats under its own
+    ``%.17g``.  ``%.17g`` is a function of the float64 bits, so both give
     the bytes of one format per value; keying on bits rather than values
     keeps ``0.0`` apart from ``-0.0`` and NaNs of different payloads apart.
     """
@@ -35,17 +41,23 @@ def _write_rows(path, header, *columns):
     table[table >= INF] = np.inf
     table[table <= -INF] = -np.inf
     bits = table.view(np.uint64)
-    fmt = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), BLOCK):
             block = bits[start:start + BLOCK]
             text = np.empty(block.shape, dtype=object)
+            specs = []
             for j in range(block.shape[1]):
                 keys, inverse = np.unique(block[:, j], return_inverse=True)
-                vals = keys.view(np.float64).tolist()
-                distinct = ("%.17g," * len(vals) % tuple(vals)).split(",")
-                text[:, j] = np.array(distinct[:-1], dtype=object)[inverse]
+                if 2 * len(keys) > len(block):
+                    text[:, j] = table[start:start + BLOCK, j]  # as Python floats
+                    specs.append("%.17g")
+                else:
+                    vals = keys.view(np.float64).tolist()
+                    distinct = ("%.17g," * len(vals) % tuple(vals)).split(",")
+                    text[:, j] = np.array(distinct[:-1], dtype=object)[inverse]
+                    specs.append("%s")
+            fmt = ",".join(specs) + "\n"
             fh.write((fmt * len(block)) % tuple(text.ravel().tolist()))
 
 

@@ -153,7 +153,8 @@ def step_schedule(t0: float, t1: float, step: float):
 
 def _finite_rows(x: np.ndarray) -> np.ndarray:
     """Mask of the (m, dim) rows of x whose norm is finite and at most BLOWUP_NORM."""
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):  # rows past about 1.3e154 overflow their squares
+        norms = np.linalg.norm(x, axis=1)
     return np.isfinite(norms) & (norms <= BLOWUP_NORM)
 
 
@@ -178,8 +179,7 @@ def _clear_nodes(states: np.ndarray) -> int:
     flat = states.reshape(-1, states.shape[2])
     if len(flat) == 0 or _clears_blowup(flat):
         return len(states)
-    with np.errstate(over="ignore"):  # the squares of rows past the blow-up may overflow
-        good = _finite_rows(flat).reshape(states.shape[:2]).all(axis=1)
+    good = _finite_rows(flat).reshape(states.shape[:2]).all(axis=1)
     return len(states) if good.all() else int(np.argmin(good))
 
 

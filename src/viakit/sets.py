@@ -470,8 +470,12 @@ def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
     ascending order and is merged on its own, so the keep mask is the
     greedy loop's over the whole cloud.
 
-    Within a slab, a sparse slab's close pairs (i < j) are scanned once in
-    order of i, so keep[i] is final when i's pairs come up.  A tight cluster
+    Each slab's KD-tree splits its cells at their midpoints
+    (``balanced_tree=False``), which builds faster than median splits and
+    queries no slower on time-level clouds and tight clusters alike.  Within a slab, a sparse slab's
+    close pairs (i < j) are put in (i, j) order by one in-place sort of the
+    keys i * n + j and scanned once, so keep[i] is final when i's pairs
+    come up; the order of the js of one i does not matter.  A tight cluster
     of c rows has c^2/2 pairs, so when the slab's rows average more than 12
     neighbours (on every (len(points) // 1024)-th row of the slab; a full
     count costs as much as the pair query) each kept row's neighbours are
@@ -502,10 +506,14 @@ def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _merge_slab(points: np.ndarray, radius: float, stride: int) -> np.ndarray:
-    """:func:`_merge_points`' greedy keep mask over one slab's rows."""
+    """:func:`_merge_points`' greedy keep mask over one slab's rows.
+
+    The slab's tree splits at midpoints; a sparse slab's pairs come in
+    (i, j) order from one in-place sort of the int64 keys i * n + j.
+    """
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(points)
+    tree = cKDTree(points, balanced_tree=False)
     if tree.query_ball_point(points[::stride], radius, return_length=True).mean() > 12:
         keep = np.ones(len(points), dtype=bool)
         for i in range(len(points)):
@@ -515,9 +523,13 @@ def _merge_slab(points: np.ndarray, radius: float, stride: int) -> np.ndarray:
         return keep
     pairs = tree.query_pairs(radius, output_type="ndarray")
     del tree  # its copy of the points would otherwise add to the pair arrays' peak
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    keep = [True] * len(points)
-    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+    n = len(points)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    del pairs
+    keys.sort()
+    first, second = np.divmod(keys, n)
+    keep = [True] * n
+    for i, j in zip(first.tolist(), second.tolist()):
         if keep[i]:
             keep[j] = False
     return np.array(keep)

@@ -92,6 +92,55 @@ def test_write_rows_with_heavy_repeats(tmp_path, n):
     assert (tmp_path / "empty.csv").read_bytes() == b"\n" * (n + 1)
 
 
+def _scatter_specials(rng, column):
+    """column with about 5% of its rows set to SPECIAL values and NaNs of NAN_BITS."""
+    odd = np.concatenate([SPECIAL, np.array(NAN_BITS, dtype=np.uint64).view(np.float64)])
+    rows = np.flatnonzero(rng.random(len(column)) < 0.05)
+    column[rows] = odd[rows % len(odd)]
+    return column
+
+
+def test_write_rows_chooses_per_column_and_block(tmp_path):
+    """A column is formatted in place in a block where more than half its
+    rows hold distinct bit patterns and through its distinct texts where
+    not, beside columns that always or never repeat, and every choice gives
+    the per-value formatter's bytes: all distinct in block 0, eight values
+    in block 1, exactly BLOCK / 2 patterns (2 * keys == rows) in block 2,
+    BLOCK / 2 + 1 in block 3 and 51 of a 100-row tail; SPECIAL values and
+    NaNs of different payloads scattered through the distinct rows."""
+    rng = np.random.default_rng(27)
+    B = csvio.BLOCK
+    half = rng.standard_normal(B // 2)
+    mixed = np.concatenate([
+        _scatter_specials(rng, rng.standard_normal(B) * 10.0 ** rng.integers(-300, 300, B)),
+        np.repeat(np.append(rng.standard_normal(6), [0.0, -0.0]), B // 8),
+        half[rng.permutation(np.arange(B) % (B // 2))],
+        np.append(half, rng.standard_normal(B // 2 + 1))[rng.permutation(np.arange(B) % (B // 2 + 1))],
+        rng.standard_normal(51)[np.arange(100) % 51]])
+    assert len(mixed) > 2 * B and len(np.unique(mixed[2 * B:3 * B].view(np.uint64))) == B // 2
+    distinct = _scatter_specials(rng, rng.standard_normal(len(mixed)))
+    levels = np.repeat(np.linspace(0.0, 1.2, 121), -(-len(mixed) // 121))[:len(mixed)]
+    columns = [levels, mixed, distinct, np.stack([levels[::-1], mixed[::-1]], 1)]
+    header = [f"c{i}" for i in range(5)]
+    cloud_reference.write_rows(tmp_path / "want.csv", header, np.column_stack(columns))
+    csvio._write_rows(tmp_path / "got.csv", header, *columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_graphcloud_shaped_table(tmp_path):
+    """A graph cloud's columns, 121 repeated t levels, distinct x (with SPECIAL
+    values and NaNs of NAN_BITS scattered in) and 401 repeated y, give the
+    per-value formatter's bytes."""
+    rng = np.random.default_rng(401)
+    t = np.repeat(np.linspace(0.0, 1.2, 121), 401)
+    y = np.tile(-1.01 * np.linspace(-1.0, 1.0, 401), 121)
+    x = _scatter_specials(rng, -(y / 1.01) * (1.0 - 1.01 * t) + 1e-3 * rng.standard_normal(len(t)))
+    table = np.column_stack([t, x, y])
+    cloud_reference.write_rows(tmp_path / "want.csv", ["t", "x1", "y1"], table)
+    csvio._write_rows(tmp_path / "got.csv", ["t", "x1", "y1"], table)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.one_of(st.booleans(), st.sampled_from([0, 1, 0.5, np.nan])),
                 min_size=5, max_size=5))

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -391,20 +392,26 @@ def test_march_retires_exactly_the_rows_finite_rows_retires(dim, per_row):
     rows = _blowup_rows(dim)
     # unequal ends keep the schedule per row; every row takes one step
     t1 = np.linspace(0.05, 0.1, len(rows)) if per_row else 0.1
-    with np.errstate(over="ignore"):
-        keep = vk.dynamics._finite_rows(rows)
+    keep = vk.dynamics._finite_rows(rows)
     assert 0 < keep.sum() < len(rows)
     # all rows in one batch, then each row alone, where the cheap bound decides
     for batch in [np.arange(len(rows))] + [[i] for i in range(len(rows))]:
         x, live = rows[batch].copy(), np.ones(len(batch), dtype=bool)
         span = t1[batch] if per_row else t1
-        with np.errstate(over="ignore"):
-            (stepped, _, _, prev, _), = _march(zero, x, 0.0, span, 0.1, live)
+        (stepped, _, _, prev, _), = _march(zero, x, 0.0, span, 0.1, live)
         assert np.array_equal(live, keep[batch])
         assert np.array_equal(np.asarray(batch)[stepped], np.asarray(batch)[keep[batch]])
         assert np.array_equal(prev, rows[batch][keep[batch]])
         assert np.array_equal(x[live], rows[batch][live])
         assert np.isnan(x[~live]).all()
+
+
+def test_finite_rows_refuses_a_huge_row_without_warning():
+    # 1e200 squared overflows inside the norm; the row is refused, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keep = vk.dynamics._finite_rows(np.array([[1e200, 0.0], [1.0, 2.0]]))
+    assert keep.tolist() == [False, True]
 
 
 def test_linear_matrix_field_rows_do_not_depend_on_batch():

@@ -430,6 +430,30 @@ def test_merge_points_slabs_match_per_row_loop(dim, h, t0, sizes, spacing, close
                           cloud_reference.merge_points(points, radius))
 
 
+@pytest.mark.parametrize("factor", [1.0 - 2.0 ** -20, 1.0, 1.0 + 2.0 ** -20])
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_merge_points_chained_levels_match_per_row_loop(factor, diagonal, shuffle):
+    """Levels 2r apart in t of 801 rows on a line, each row's only earlier
+    neighbour the previous row of its level (the shape of a shock graph,
+    where the greedy keep alternates along each level), spaced factor * r:
+    just under the radius, at it (exact binary steps along one axis, or a
+    diagonal step whose computed length sits at r within rounding) and just
+    over it.  The dedup keeps the per-row loop's rows."""
+    radius, levels, per_level = 2.0 ** -8, 12, 801
+    k = np.arange(per_level) - per_level // 2
+    step = factor * radius / (math.sqrt(2.0) if diagonal else 1.0)
+    line = np.column_stack([k * step, k * step if diagonal else np.zeros(per_level)])
+    rows = [np.column_stack([np.full(per_level, 2 * radius * j), line]) for j in range(levels)]
+    points = np.concatenate(rows)
+    order = np.random.default_rng(8).permutation(len(points)) if shuffle else np.arange(len(points))
+    keep = _merge_points(points[order], radius)
+    assert np.array_equal(keep, cloud_reference.merge_points(points[order], radius))
+    if not shuffle and not (diagonal and factor == 1.0):
+        alternate = factor <= 1.0
+        assert np.array_equal(keep, np.tile(k % 2 == 0 if alternate else k == k, levels))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("column", [0, 1])
 @pytest.mark.parametrize("row", [0, -1])
