@@ -472,10 +472,11 @@ def _merge_points(points: np.ndarray, radius: float) -> np.ndarray:
 
     Each slab's KD-tree splits its cells at their midpoints
     (``balanced_tree=False``), which builds faster than median splits and
-    queries no slower on time-level clouds and tight clusters alike.  Within a slab, a sparse slab's
-    close pairs (i < j) are put in (i, j) order by one in-place sort of the
-    keys i * n + j and scanned once, so keep[i] is final when i's pairs
-    come up; the order of the js of one i does not matter.  A tight cluster
+    queries no slower on time-level clouds and tight clusters alike.
+    Within a slab, a sparse slab's close pairs (i < j) are put in (i, j)
+    order by one in-place sort of the keys i * n + j and scanned once, so
+    keep[i] is final when i's pairs come up; the order of the js of one i
+    does not matter.  A tight cluster
     of c rows has c^2/2 pairs, so when the slab's rows average more than 12
     neighbours (on every (len(points) // 1024)-th row of the slab; a full
     count costs as much as the pair query) each kept row's neighbours are

@@ -450,8 +450,8 @@ def test_merge_points_chained_levels_match_per_row_loop(factor, diagonal, shuffl
     keep = _merge_points(points[order], radius)
     assert np.array_equal(keep, cloud_reference.merge_points(points[order], radius))
     if not shuffle and not (diagonal and factor == 1.0):
-        alternate = factor <= 1.0
-        assert np.array_equal(keep, np.tile(k % 2 == 0 if alternate else k == k, levels))
+        want = k % 2 == 0 if factor <= 1.0 else np.ones(per_level, dtype=bool)
+        assert np.array_equal(keep, np.tile(want, levels))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
