@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
+from .common import (INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan,
+                     _row_norms)
 from .dynamics import VectorField, _advance, _finite_rows, _march, _schedule, rk4_step
 from .errors import NonFinite, ParamDomain
 from .kernels import _first_events, exit_time, lattice_points
@@ -499,7 +500,7 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _refuse_nan("query_graph", t=t, x=x)
     mask = (np.abs(cloud.times - t) <= radius) & \
-        (np.linalg.norm(cloud.states - x, axis=1) <= radius)
+        (_row_norms(cloud.states - x) <= radius)
     ys = cloud.outputs[mask]
     if len(ys) == 0:
         return []
@@ -510,7 +511,7 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     # Any candidate radius above tol works: cKDTree's squared-distance test may
     # round differently from norm <= tol, and the norm filter fixes the edges.
     pairs = cKDTree(ys).query_pairs(2.0 * cloud.tol, output_type="ndarray")
-    pairs = pairs[np.linalg.norm(ys[pairs[:, 0]] - ys[pairs[:, 1]], axis=1) <= cloud.tol]
+    pairs = pairs[_row_norms(ys[pairs[:, 0]] - ys[pairs[:, 1]]) <= cloud.tol]
     edges = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(len(ys), len(ys)))
     count, label = connected_components(edges, directed=False)
@@ -699,6 +700,5 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
             NonFinite)
     n = cloud.state_dim
     want = cloud.points[pick, 1:]
-    err = np.linalg.norm(z[:, :n] - want[:, :n], axis=1) + \
-        np.linalg.norm(z[:, n:] - want[:, n:], axis=1)
+    err = _row_norms(z[:, :n] - want[:, :n]) + _row_norms(z[:, n:] - want[:, n:])
     return float(err.max())

@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import csvio
-from .common import _refuse
+from .common import _refuse, _row_norms
 # solve_char stays importable here: perfbench/tracer.py wraps cli.solve_char
 from .characteristics import (BoundaryData, CharProblem, demo4d, graph_sample,
                               solve_char, solve_char_many)
@@ -444,7 +444,7 @@ def _demo4d_run(oracle, domain, ts, xs, step, out, **_):
             1,
             phi=demographic_field(oracle.rho, oracle.sigma, oracle.beta, oracle.b))
         u_num, reached = solve_char_many(prob, ts, xs, step)
-        diffs = np.where(reached, np.linalg.norm(u_num - us, axis=1), np.nan)
+        diffs = np.where(reached, _row_norms(u_num - us), np.nan)
         csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, diffs[:, None])
 
 

@@ -27,6 +27,25 @@ def _exp(v) -> np.ndarray:
     return np.fromiter(map(math.exp, v), float, len(v))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the (m, k) rows of x: ``np.linalg.norm(x, axis=1)``, bit for bit.
+
+    The norm's own expression, ``sqrt(add.reduce(x * x, axis=1))``, with
+    its reduction over one or two columns written out (the reduction runs
+    row by row, slowly on short rows).  Squares are at least +0, so one
+    square, or a sum of two in either order with or without a +-0 start,
+    has the same bits.  The one row-norm rule of the toolkit.
+    """
+    x = np.asarray(x, dtype=float)
+    s = x * x
+    k = s.shape[1]
+    if k == 1:
+        return np.sqrt(s[:, 0])
+    if k == 2:
+        return np.sqrt(s[:, 0] + s[:, 1])
+    return np.sqrt(np.add.reduce(s, axis=1))
+
+
 def _ladder(h_max: float, h_min: float) -> np.ndarray:
     """The geometric step ladder h_max, h_max/2, ... down to h_min (1e-12 slack)."""
     if not (h_min > 0.0 and np.isfinite(h_max)):  # else halving never ends (NaN: no rung)

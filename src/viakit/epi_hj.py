@@ -29,7 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan
+from .common import (INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan,
+                     _row_norms)
 from .dynamics import VectorField, _bisect, _record, rk4_step
 from .errors import CapTooSmall, NonFinite, NonzeroLagrangian
 from .kernels import GridSpec, TimeField, capt_field, viab_field
@@ -59,12 +60,12 @@ class LagrangianProblem:
 
 def lift(p: LagrangianProblem) -> VectorField:
     """State-cost dynamics (x, y) -> (f(x), -a y - l(x, f(x)))."""
-    n = p.field.dim
+    n, f, cost, a = p.field.dim, p.field.eval, p.lagrangian, -p.discount
 
     def ev(t, z):
         x, out = z[:, :n], np.empty(z.shape)
-        out[:, :n] = fx = p.field.eval(t, x)
-        out[:, n] = -p.discount * z[:, n] - np.asarray(p.lagrangian(x, fx), dtype=float)
+        out[:, :n] = fx = f(t, x)
+        np.subtract(a * z[:, n], np.asarray(cost(x, fx), dtype=float), out=out[:, n])
         return out
 
     return VectorField(n + 1, ev, name=p.field.name + "+cost")
@@ -87,11 +88,11 @@ def const_lagrangian(c: float):
 
 def speed_lagrangian(x, p):
     """l(x, p) = |p|, evaluated along trajectories as |f(x)| (arc length)."""
-    return np.linalg.norm(p, axis=1)
+    return _row_norms(p)
 
 
 def abs_obstacle(x):
-    return np.linalg.norm(x, axis=1)
+    return _row_norms(x)
 
 
 def zero_obstacle(x):
@@ -560,7 +561,7 @@ def repeller_condition(p: LagrangianProblem, samples) -> RepellerCondition:
     lagrangian, naming the sample.
     """
     X = _finite_samples(np.atleast_2d(np.asarray(samples, dtype=float)))
-    norms = np.linalg.norm(X, axis=1)
+    norms = _row_norms(X)
     keep = np.flatnonzero(norms > 0)
     if not len(keep):
         raise ValueError("repeller_condition: no nonzero sample is left")

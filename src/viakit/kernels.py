@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF, _one_row, _refuse
+from .common import INF, _one_row, _refuse, _row_norms
 from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
 from .errors import NoConvergence, NonFinite
 from .sets import SetOracle
@@ -201,15 +201,20 @@ def _event_sweep(field, X0, T_max, h, K=None, C=None, refine_tol=None):
 
     x = X0.copy()
     live = need_exit | need_hit
+    one = len(events) == 1
     for rows, t, hj, prev, new in _march(field, x, 0.0, T_max, h, live):
+        if len(rows) == 0:
+            continue  # every row blew up in this step
         for need, _, crossed, brackets in events:
-            sub = need[rows]
-            if not sub.any():
-                continue
-            if sub.all():
+            # with one kind every row yielded still looks for it: a row retires once it
+            # needs nothing, so its mask need not be gathered
+            sub = None if one else need[rows]
+            if sub is None or sub.all():
                 pick = np.flatnonzero(crossed(new))
-            else:
+            elif sub.any():
                 pick = np.flatnonzero(sub)[crossed(new[sub])]
+            else:
+                continue
             if len(pick):
                 # t and hj are scalars, or (k, 1) columns on per-row horizons
                 t_f, h_f = (a[pick, 0] if np.ndim(a) else np.full(len(pick), a)
@@ -379,7 +384,7 @@ def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,
 
     idx = np.flatnonzero(alive)
     pts = nodes[idx]
-    speed = np.linalg.norm(field(0.0, pts), axis=1)
+    speed = _row_norms(field(0.0, pts))
     radius = grid.cell_diagonal + h * speed
 
     parts = _run_chunks(lambda s, e: reach_set(field, h, pts[s:e], flow_step),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF, _ladder, _one_row
+from .common import INF, _ladder, _one_row, _row_norms
 from .errors import Unsupported
 
 
@@ -155,7 +155,7 @@ class Ball(SetOracle):
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.linalg.norm(X - self.center, axis=1) - self.radius
+        return _row_norms(X - self.center) - self.radius
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -240,7 +240,7 @@ class PointCloudSet(SetOracle):
         if self._tree is None:
             raise Unsupported("cannot project onto the empty set")
         y = np.asarray(y, dtype=float)
-        d = np.linalg.norm(self.points - y, axis=1)
+        d = _row_norms(self.points - y)
         best = d.min()
         idx = int(np.flatnonzero(d <= best + 1e-12 * (1.0 + best))[0])
         return self.points[idx].copy()

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import viakit as vk
 from viakit import epi_hj
+from viakit.common import _row_norms
 from viakit.dynamics import _bisect, _march, _record, rk4_step, step_schedule
 
 
@@ -412,6 +413,52 @@ def test_finite_rows_refuses_a_huge_row_without_warning():
         warnings.simplefilter("error")
         keep = vk.dynamics._finite_rows(np.array([[1e200, 0.0], [1.0, 2.0]]))
     assert keep.tolist() == [False, True]
+
+
+_NORM_ENTRIES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -3e-170, 1e-300, 1.0, -2.5,
+                          3.7e10, 1e154, -1.4e154, 1e170, 1e200, -1e200, np.inf, -np.inf,
+                          np.nan, -np.nan])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_row_norms_have_the_bits_of_linalg_norm(k):
+    # subnormal and 1e-160 squares underflow, 1e154-1e200 squares overflow to inf
+    rng = np.random.default_rng(k)
+    with np.errstate(over="ignore"):
+        for _ in range(50):
+            z = rng.choice(_NORM_ENTRIES, size=(40, 7))
+            z[rng.random(z.shape) < 0.3] = rng.normal(size=1)
+            for x in (np.ascontiguousarray(z[:, :k]), z[:, :k]):  # C-ordered and strided
+                assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+    assert _row_norms(np.zeros((0, k))).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_clears_blowup_matches_the_abs_form(dim):
+    # against np.abs(x).max(), with NaN, +-inf and entries on the bound's edge
+    # scattered in; passing it must still imply _finite_rows
+    c = math.sqrt(dim) * (1.0 + 1e-12 + dim * 2.0 ** -52)
+    edge = vk.BLOWUP_NORM / c
+    near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf),
+            vk.BLOWUP_NORM / math.sqrt(dim), np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(dim)
+    seen = set()
+    for _ in range(400):
+        x = rng.normal(size=(int(rng.integers(1, 6)), dim)) * 10.0 ** rng.uniform(0, 11)
+        for _ in range(int(rng.integers(0, 3))):
+            x[rng.integers(len(x)), rng.integers(dim)] = rng.choice([-1, 1]) * rng.choice(near)
+        got = vk.dynamics._clears_blowup(x)
+        with np.errstate(invalid="ignore"):
+            assert got == bool(np.abs(x).max() * c < vk.BLOWUP_NORM)
+        assert not got or vk.dynamics._finite_rows(x).all()
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_transport_growth_of_a_huge_velocity_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vk.transport_field([1e200, 0.0]).growth_c == math.inf
 
 
 def test_linear_matrix_field_rows_do_not_depend_on_batch():

@@ -129,6 +129,37 @@ def test_lifted_field_cost_slope():
     assert v[0] == pytest.approx(-0.7)
 
 
+def _lift_eval_written_out(p, t, z):
+    """The lifted field as the expression it replaced: per call lookups, an assigned column."""
+    n = p.field.dim
+    x, out = z[:, :n], np.empty(z.shape)
+    out[:, :n] = fx = p.field.eval(t, x)
+    out[:, n] = -p.discount * z[:, n] - np.asarray(p.lagrangian(x, fx), dtype=float)
+    return out
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_lift_has_the_bits_of_the_written_out_expression(discount, n):
+    # a zero cost entry keeps its sign: -0.0 * y - 0.0 is -0.0 for y >= +0.0
+    def as_list(x, p):  # a lagrangian returning a Python list, with -0.0 entries
+        return [-0.0 if v < 0 else v for v in x[:, 0].tolist()]
+
+    rng = np.random.default_rng(n)
+    field = vk.linear_field(-1.0, dim=n) if n == 1 else vk.rotation_field(0.8)
+    y = np.array([0.0, -0.0, -1.5, 2.25, -0.0, 0.0, -3e-310, 7.0])
+    z = np.column_stack([rng.normal(size=(len(y), n)), y])
+    z[::3, :n] = 0.0
+    for lagrangian in (vk.zero_lagrangian, vk.unit_lagrangian, vk.speed_lagrangian,
+                       vk.const_lagrangian(-0.0), as_list):
+        p = vk.LagrangianProblem(field, lagrangian, discount, vk.abs_obstacle)
+        for t in (0.0, np.full((len(y), 1), 0.3)):
+            got = epi_hj.lift(p).eval(t, z)
+            assert got.tobytes() == _lift_eval_written_out(p, t, z).tobytes()
+    zero = epi_hj.lift(vk.LagrangianProblem(field, vk.zero_lagrangian, 0.0, vk.abs_obstacle))
+    assert (np.signbit(zero.eval(0.0, z)[:, n]) == ~np.signbit(y)).all()
+
+
 def test_epigraph_envelope_matches_abs(tmp_path):
     grid = vk.GridSpec([-2.0, 0.0], [2.0, 3.0], [100, 100])
     res = vk.epigraph_value_field(P_SUP, grid, "sup", 8.0, 2e-2)

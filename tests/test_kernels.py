@@ -315,6 +315,23 @@ def test_event_sweep_returns_start_membership():
     assert ht[1] == 0.0 and abs(ht[0] - math.log(3.0)) <= 1e-6
 
 
+@pytest.mark.parametrize("per_row", [False, True])
+def test_two_kind_sweep_has_the_bits_of_one_kind_sweeps(per_row):
+    # x' = x^2 - 1: rows in (-0.9, 1) fall to -1 and leave K at -0.9, those above
+    # 0 hit C on the way; the row from 1.5 blows up (norm past 1e12) inside K
+    field = vk.VectorField(1, lambda t, x: x * x - 1.0, name="riccati")
+    K, C = vk.box([-0.9], [1e13]), vk.box([-0.5], [0.0])
+    x0 = np.array([[0.95], [0.6], [0.2], [-0.3], [-0.85], [1.5], [-0.7], [0.0], [0.8]])
+    T = np.linspace(1.0, 3.0, len(x0)) if per_row else 3.0
+    _, ex, ht, failed, _, _ = _event_sweep(field, x0, T, 0.05, K=K, C=C)
+    _, ex_k, _, failed_k, _, _ = _event_sweep(field, x0, T, 0.05, K=K)
+    _, _, ht_c, failed_c, _, _ = _event_sweep(field, x0, T, 0.05, C=C)
+    assert ex.tobytes() == ex_k.tobytes() and ht.tobytes() == ht_c.tobytes()
+    assert (failed == (failed_k | failed_c)).all() and np.flatnonzero(failed).tolist() == [5]
+    # rows 1, 2 and 8 hit C while looking for their exit; -0.3 and 0.0 start in C
+    assert (ex < INF).sum() >= 5 and ((0.0 < ht) & (ht < INF)).sum() >= 3
+
+
 def test_exit_time_blowup_propagates():
     quad = vk.VectorField(1, lambda t, x: x * x, name="quadratic")
     huge = vk.box([-1e11], [1e11])  # blow-up hits before the boundary does

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import numpy as np
-from viakit import cli, dynamics, epi_hj, kernels
+from viakit import cli, dynamics, epi_hj, kernels, sets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +37,23 @@ def test_tracer_counts_every_march_step(monkeypatch):
     finally:
         tracer.uninstall()
     assert (totals["dynamics.batched_steps"], totals["dynamics.batched_rows"]) == (10, 30)
+
+
+def test_tracer_counts_one_membership_test_per_step(monkeypatch):
+    """An event-free K-only sweep tests its start once, then each step once, through contains_many."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    grid = kernels.GridSpec([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    K = sets.box([-2.0, -2.0], [2.0, 2.0])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tf = kernels.viab_field(dynamics.linear_field(-1.0, dim=2), K, grid, 1.0, 0.1)
+        totals = tracer.totals()
+    finally:
+        tracer.uninstall()
+    assert (tf.values >= kernels.INF).all()  # no node leaves K
+    assert totals["dynamics.batched_steps"] == 10
+    assert totals["sets.membership_calls"] == totals["dynamics.batched_steps"] + 1
+    assert totals["sets.membership_rows"] == 11 * 25
