@@ -40,7 +40,7 @@ def test_tracer_counts_every_march_step(monkeypatch):
 
 
 def test_tracer_counts_one_membership_test_per_step(monkeypatch):
-    """An event-free K-only sweep tests its start once, then each step once, through contains_many."""
+    """An event-free K-only sweep calls contains_many once on its start and once per step."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
