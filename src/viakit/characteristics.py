@@ -35,8 +35,9 @@ from .common import (INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _re
                      _row_norms)
 from .dynamics import VectorField, _advance, _finite_rows, _march, _schedule, rk4_step
 from .errors import NonFinite, ParamDomain
-from .kernels import _first_events, exit_time, lattice_points
-from .sets import PointCloudSet, SetOracle, _ladder_min, _merge_points, _tangent_residuals
+from .kernels import GridSpec, _first_events, capt_field, exit_time, lattice_points
+from .sets import (PointCloudSet, SetOracle, Sublevel, _ladder_min, _merge_points,
+                   _tangent_residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +268,10 @@ def solve_char_many(prob: CharProblem, ts, xs, h: float):
     fwd = np.flatnonzero(reached & (ts - s > 0.0))
     if len(fwd):
         z = np.concatenate([c[fwd], values[fwd]], axis=1)
-        if not _finite_rows(z).all():
-            raise NonFinite("state blew up at the data manifold")
-        if not _advance(_coupled_field(prob), z, s[fwd], ts[fwd], h).all():
-            raise NonFinite("state blew up along a characteristic")
+        _refuse(~_finite_rows(z), lambda i: f"state blew up at the data manifold of row {fwd[i]}",
+                NonFinite)
+        _refuse(~_advance(_coupled_field(prob), z, s[fwd], ts[fwd], h),
+                lambda i: f"state blew up along the characteristic of row {fwd[i]}", NonFinite)
         values[fwd] = z[:, n:]
     return values, reached
 
@@ -407,8 +408,7 @@ class GraphCloud:
     points: np.ndarray       # (m, 1 + n + p)
     state_dim: int
     out_dim: int
-    tol: float
-    step: float
+    step: float              # the sweep's step h, also query_graph's merge radius
     seed_index: np.ndarray   # (m,) row into seeds
     seeds: np.ndarray        # (k, 1 + n + p): (s, c, y0)
 
@@ -434,6 +434,11 @@ def _char_rhs(prob: CharProblem, t, X, Y):
     return dx, prob.g(t, X, Y)
 
 
+def _graph_direction(prob: CharProblem, T, X, Y) -> np.ndarray:
+    """The (m, 1 + n + p) rows (1, f, g) of the graph's direction at (T, X, Y); T is (m, 1)."""
+    return np.concatenate([np.ones((len(X), 1)), *_char_rhs(prob, T, X, Y)], axis=1)
+
+
 def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
                  seed_lo, seed_hi, boundary_points=None) -> GraphCloud:
     """Sweep characteristics from the data manifold; accumulate Graph(U).
@@ -443,14 +448,14 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
     impulse times or a uniform time grid.  Integrates the characteristic
     system forward from each seed's own start s to T (the nodes of
     ``step_schedule(s, T, h)``), recording every step while the state
-    stays in K; rows that blow up are skipped from there on.  Points
-    closer than h/2 are merged, and the cloud's tol is h.  No seed in K
-    gives an empty cloud.
+    stays in K (by ``contains_many``, the seeds' own test); rows that blow
+    up are skipped from there on.  Points closer than h/2 are merged, and
+    the cloud's step is h.  No seed in K gives an empty cloud.
 
     Raises:
         ValueError: if T < 0, or seed_lo or seed_hi holds a NaN.
         NonFinite: if a seed's (state, output) row is not finite or
-            passes the blow-up norm.
+            passes the blow-up norm (naming the first such seed).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -470,14 +475,14 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
         C = np.concatenate([C, np.repeat(xi, len(times), axis=0)])
     initial = S == 0.0  # boundary seeds start at s > 0
     seeds = np.column_stack([S, C, _read(prob.data, C, initial, ~initial, S)])
-    if not _finite_rows(seeds[:, 1:]).all():
-        raise NonFinite("a seed is not finite or passes the blow-up norm in graph_sample")
+    _refuse(~_finite_rows(seeds[:, 1:]), lambda i: f"seed {i} {seeds[i].tolist()} is not finite"
+            " or passes the blow-up norm in graph_sample", NonFinite)
     z = seeds[:, 1:].copy()
     pts = [seeds]
     idxs = [np.arange(len(seeds))]
     live = np.ones(len(seeds), dtype=bool)
     for sub, t, hs, _, zn in _march(_coupled_field(prob), z, seeds[:, 0], T, h, live):
-        inside = prob.domain.margin_many(zn[:, :n]) <= 0.0
+        inside = prob.domain.contains_many(zn[:, :n])
         live[sub[~inside]] = False
         kept = np.flatnonzero(inside)  # integer takes: a boolean mask of 2-D rows copies slower
         tau = np.broadcast_to(t + hs, (len(sub), 1))  # a scalar on a shared schedule
@@ -486,13 +491,13 @@ def graph_sample(prob: CharProblem, T: float, h: float, seeds_per_face: int,
 
     points = np.vstack(pts)
     keep = _merge_points(points, h / 2.0)
-    return GraphCloud(points[keep], n, p, h, h, np.concatenate(idxs)[keep], seeds)
+    return GraphCloud(points[keep], n, p, h, np.concatenate(idxs)[keep], seeds)
 
 
 def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     """Clustered output values of cloud points near (t, x).
 
-    Single-linkage clustering with merge radius cloud.tol (the connected
+    Single-linkage clustering with merge radius cloud.step (the connected
     components of the pairs within it); returns the cluster means, each
     over its rows in index order, sorted lexicographically (deterministic).
     A NaN t or x raises ValueError.
@@ -508,10 +513,10 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    # Any candidate radius above tol works: cKDTree's squared-distance test may
-    # round differently from norm <= tol, and the norm filter fixes the edges.
-    pairs = cKDTree(ys).query_pairs(2.0 * cloud.tol, output_type="ndarray")
-    pairs = pairs[_row_norms(ys[pairs[:, 0]] - ys[pairs[:, 1]]) <= cloud.tol]
+    # Any candidate radius above the step works: cKDTree's squared-distance test may
+    # round differently from norm <= step, and the norm filter fixes the edges.
+    pairs = cKDTree(ys).query_pairs(2.0 * cloud.step, output_type="ndarray")
+    pairs = pairs[_row_norms(ys[pairs[:, 0]] - ys[pairs[:, 1]]) <= cloud.step]
     edges = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(len(ys), len(ys)))
     count, label = connected_components(edges, directed=False)
@@ -560,8 +565,7 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
     pick = eligible[np.linspace(0, len(eligible) - 1,
                                 min(n_samples, len(eligible))).astype(int)]
     Z, n = cloud.points[pick], cloud.state_dim
-    V = np.concatenate([np.ones((len(Z), 1)),
-                        *_char_rhs(prob, Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:])], axis=1)
+    V = _graph_direction(prob, Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:])
     initial, bnd, _ = _manifold(prob.data, Z[:, 0], Z[:, 1:1 + n], prob.domain, h, prob.x_tol)
     fwd = _tangent_residuals(oracle, Z, V, h, 8.0 * h)
     off = ~(initial | bnd)
@@ -601,7 +605,7 @@ def phi_invariance_check(prob: CharProblem, samples, h: float) -> PhiInvarianceR
     n = prob.state_dim
     Z = _finite_samples(np.asarray(samples, dtype=float).reshape(-1, 1 + n + prob.out_dim))
     T, X, Y = Z[:, :1], Z[:, 1:1 + n], Z[:, 1 + n:]
-    W = np.concatenate([np.ones_like(T), *_char_rhs(prob, T, X, Y)], axis=1)
+    W = _graph_direction(prob, T, X, Y)
     on = np.zeros(len(X), dtype=bool) if prob.data.boundary is None else \
         prob.domain.boundary_distance_many(X) <= prob.x_tol
     U = np.asarray(prob.data.initial(X), dtype=float)
@@ -634,9 +638,6 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
     """
     from scipy.spatial import cKDTree
 
-    from .kernels import GridSpec, capt_field
-    from .sets import Sublevel
-
     if prob.state_dim != 1 or prob.out_dim != 1:
         raise ValueError("gridded cross-check is provided for 1+1-D problems only")
     if not isinstance(grid3d, GridSpec) or grid3d.dim != 3:
@@ -653,8 +654,7 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
     target = Sublevel(data_margin, 3)
 
     def ev(_, Z):
-        dx, dy = _char_rhs(prob, Z[:, :1], Z[:, 1:2], Z[:, 2:])
-        return -np.concatenate([np.ones((len(Z), 1)), dx, dy], axis=1)
+        return -_graph_direction(prob, Z[:, :1], Z[:, 1:2], Z[:, 2:])
 
     rev = VectorField(3, ev, name="reversed-characteristic")
     T_scan = float(grid3d.hi[0] - grid3d.lo[0]) + 4.0 * eps

@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .common import INF
-from .dynamics import Trajectory
-from .epi_hj import HJReport
 
 # Rows formatted by one ``%`` and written by one ``write``: about 0.25 MB
 # of text at three columns, whatever the table's length.
@@ -61,7 +59,8 @@ def _write_rows(path, header, *columns):
             fh.write((fmt * len(block)) % tuple(text.ravel().tolist()))
 
 
-def write_trajectory(path, traj: Trajectory):
+def write_trajectory(path, traj):
+    """Rows (t, x...) of a ``dynamics.Trajectory``."""
     header = ["t"] + [f"x{i+1}" for i in range(traj.dim)]
     _write_rows(path, header, traj.times, traj.states)
 
@@ -78,7 +77,8 @@ def write_values(path, xs, values, label: str = "value"):
     _write_rows(path, header, xs, values)
 
 
-def write_hj_report(path, report: HJReport):
+def write_hj_report(path, report):
+    """Rows (x..., residual_fwd, residual_bwd, complementarity) of an ``epi_hj.HJReport``."""
     dim = report.samples.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + \
         ["residual_fwd", "residual_bwd", "complementarity"]

@@ -9,9 +9,11 @@ state is materialized.
 Everything here is pure.  ``VectorField.eval`` must be safe to call
 concurrently and is batch-only: it receives ``x`` as ``(m, dim)`` rows
 and ``t`` as a scalar or an ``(m, 1)`` per-row column.  Single states
-are lifted to one row by ``VectorField.__call__``.  Every row sweep
-(reachable sets, event sweeps, graph sweeps, value tabulation) steps
-through one batched RK4 core, :func:`_march`.
+are lifted to one row by ``VectorField.__call__``.  Every step is
+:func:`rk4_step` on :func:`_schedule`'s nodes.  The sweeps that retire
+rows (reachable sets, event sweeps, graph sweeps) march through one
+live-row core, :func:`_march`, with one blow-up policy; value tabulation
+(:func:`_record`) retires no row and steps every row itself.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def _clear_nodes(states: np.ndarray) -> int:
 
 def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: float, what: str,
             block=None):
-    """Node times and the RK4 states of the rows of xs from :func:`_march`, block by block.
+    """Node times and the RK4 states of the rows of xs, block by block.
 
     Returns (times, blocks): the (k,) node times, and an iterator over
     (j, states) with the (b, m, dim) states of the nodes j, ..., j + b - 1
@@ -195,9 +197,10 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
     block's array is reused for the next one: it is not to be written, nor
     kept past the next block.
 
-    The march does not test each step for a blow-up: each block is tested
-    once it is filled, and only its nodes before the first one with a row
-    that fails :func:`_finite_rows` are drawn (no block is drawn empty).
+    Every row takes every :func:`rk4_step` of :func:`step_schedule`, and
+    none is retired, so no step is tested for a blow-up: each block is
+    tested once it is filled, and only its nodes before the first one with
+    a row that fails :func:`_finite_rows` are drawn (no block is drawn empty).
     The rows are stepped independently, so those nodes hold the same bits
     as under a per-step test, and the same error comes at every block size.
     A field that raises on a row past a blow-up in the block being filled
@@ -215,9 +218,9 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
 
     def blocks():
         buf = np.empty((min(block or len(times), len(times)),) + xs.shape)
-        buf[0], first, n = xs, 0, 1
-        steps = _march(field, xs.copy(), t0, t1, step, np.ones(len(xs), dtype=bool),
-                       retire_blowups=False)
+        # C order, as a gathered work array: a field's row products may round by layout
+        buf[0], first, n, x = xs, 0, 1, np.ascontiguousarray(xs)
+        steps = step_schedule(t0, t1, step)
         end, cause = False, None
         while not end:
             # a blown-up row goes on being stepped to the block's end; its overflows are
@@ -225,7 +228,9 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
             with np.errstate(all="ignore"):
                 try:
                     while n < len(buf):
-                        buf[n], n = next(steps)[4], n + 1
+                        t, h = next(steps)
+                        buf[n] = x = rk4_step(field, t, x, h)
+                        n += 1
                 except StopIteration:
                     end = True
                 except Exception as e:
@@ -267,9 +272,8 @@ def flow(field: VectorField, t: float, x, step: float):
     return integrate(field.negated() if t < 0 else field, x, 0.0, abs(t), step).states[-1]
 
 
-def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray,
-           retire_blowups: bool = True):
-    """The batched RK4 stepping core behind every row sweep; a generator.
+def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray):
+    """The batched RK4 stepping core behind every sweep that retires rows; a generator.
 
     Advances the live rows of x (shape (m, dim)) from t0 to t1, each row
     on :func:`_schedule`'s nodes: ``t0 + j*step`` and a shorter tail.  t0
@@ -279,11 +283,7 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     times or steps raise ValueError.
     A stepped row that fails :func:`_finite_rows` is retired (live
     cleared) and set to NaN.  Callers retire rows by clearing ``live`` in
-    place, for the rows just yielded.  With retire_blowups False no step
-    is tested and a blown-up row goes on being stepped, NaN or inf; only
-    :func:`_record`, which tests each block of states it keeps, asks for
-    that (the event sweeps, :func:`_advance` and ``graph_sample`` need the
-    step at which a row blows up).
+    place, for the rows just yielded.
 
     Only the rows live at the start (and, on per-row schedules, with at
     least one step) are stepped, held in one work array in ascending index
@@ -323,7 +323,7 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
         else:
             t, h = t0 + j * step, (step if j < n_full else float(rem))
         prev, w = w, rk4_step(field, t, w, h)
-        if retire_blowups and not _clears_blowup(w):
+        if not _clears_blowup(w):
             good = _finite_rows(w)
             if not good.all():
                 live[rows[~good]] = False

@@ -27,6 +27,7 @@ of point-cloud sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -269,10 +270,10 @@ class Product(SetOracle):
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full(len(X), -np.inf)
-        for f, s in zip(self.factors, self._slices):
-            out = np.maximum(out, f.margin_many(X[:, s]))
-        return out
+        # a fold, as in Union and Intersection: np.max(..., axis=0) reduces one row's
+        # margins in one contiguous pass, which drops a member's NaN sign
+        return reduce(np.maximum, [f.margin_many(X[:, s])
+                                   for f, s in zip(self.factors, self._slices)])
 
     def distance_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -301,10 +302,7 @@ class Union(SetOracle):
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full(len(X), np.inf)
-        for m in self.members:
-            out = np.minimum(out, m.margin_many(X))
-        return out
+        return reduce(np.minimum, [m.margin_many(X) for m in self.members])
 
     def distance_many(self, X):
         return np.min([m.distance_many(X) for m in self.members], axis=0)
@@ -331,10 +329,7 @@ class Intersection(SetOracle):
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full(len(X), -np.inf)
-        for m in self.members:
-            out = np.maximum(out, m.margin_many(X))
-        return out
+        return reduce(np.maximum, [m.margin_many(X) for m in self.members])
 
     def distance_many(self, X):
         return np.max([m.distance_many(X) for m in self.members], axis=0)

@@ -44,7 +44,7 @@ def query_graph(cloud, t: float, x, radius: float):
 
     for i in range(len(ys)):
         for j in range(i + 1, len(ys)):
-            if np.linalg.norm(ys[i] - ys[j]) <= cloud.tol:
+            if np.linalg.norm(ys[i] - ys[j]) <= cloud.step:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(len(ys)):

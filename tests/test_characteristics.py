@@ -616,7 +616,7 @@ def test_graph_sample_y_independent_single_fiber():
     ys = vk.query_graph(cloud, 0.5, [2.0], 0.02)
     u = vk.solve_char(prob, 0.5, [2.0], 0.01)
     assert len(ys) == 1
-    assert abs(ys[0][0] - u[0]) <= 2 * cloud.tol
+    assert abs(ys[0][0] - u[0]) <= 2 * cloud.step
 
 
 def test_graph_sample_zero_horizon_is_seeds():
@@ -647,7 +647,7 @@ def test_query_graph_matches_union_find(out_dim, count, tol, gap, seed, noise, f
     m = len(ys)
     points = np.column_stack([rng.choice([1.0, 1.005, 1.02], m),
                               rng.choice([-0.01, 0.0, 0.03], m), ys])
-    cloud = GraphCloud(points, 1, out_dim, tol, tol, np.zeros(m, dtype=int), points[:1])
+    cloud = GraphCloud(points, 1, out_dim, tol, np.zeros(m, dtype=int), points[:1])
     x = [5.0] if far else [0.0]
     got = vk.query_graph(cloud, 1.0, x, 0.01)
     want = cloud_reference.query_graph(cloud, 1.0, x, 0.01)
@@ -659,7 +659,7 @@ def test_query_graph_transport_value():
     cloud = vk.graph_sample(prob, 1.0, 0.01, 81, [0.0], [4.0])
     ys = vk.query_graph(cloud, 0.5, [2.0], 0.02)
     assert len(ys) == 1
-    assert abs(ys[0][0] - math.sin(1.5)) <= 2 * cloud.tol
+    assert abs(ys[0][0] - math.sin(1.5)) <= 2 * cloud.step
 
 
 def test_frankowska_residual_transport():
@@ -686,8 +686,7 @@ def test_frankowska_residual_corrupted_cloud():
     pts = cloud.points.copy()
     rng = np.random.default_rng(0)
     pts[:, -1] += 0.2 * rng.standard_normal(len(pts))
-    bad = vk.GraphCloud(pts, 1, 1, cloud.tol, cloud.step,
-                        cloud.seed_index, cloud.seeds)
+    bad = vk.GraphCloud(pts, 1, 1, cloud.step, cloud.seed_index, cloud.seeds)
     rep = vk.frankowska_residual(bad, prob, 50)
     assert rep.max_forward > 10 * 5 * cloud.step
 
@@ -748,8 +747,8 @@ def test_graph_capture_crosscheck_transport():
 
 def test_graph_capture_crosscheck_rejects_high_dim():
     prob = _demo_problem()
-    cloud = vk.GraphCloud(np.zeros((1, 6)), 4, 1, 0.01, 0.01,
-                          np.zeros(1, dtype=int), np.zeros((1, 6)))
+    cloud = vk.GraphCloud(np.zeros((1, 6)), 4, 1, 0.01, np.zeros(1, dtype=int),
+                          np.zeros((1, 6)))
     with pytest.raises(ValueError):
         vk.graph_capture_crosscheck(prob, cloud,
                                     vk.GridSpec([0.0], [1.0], [4]), 0.05)
@@ -785,6 +784,17 @@ def test_graph_sample_impulse_slices():
                             boundary_points=[[0.0]])
     seed_times = sorted(set(np.round(cloud.seeds[:, 0], 12)))
     assert seed_times == [0.0, 0.5, 1.0]
+
+
+def test_graph_sample_keeps_the_rows_its_seed_test_admits():
+    """A point-cloud domain admits rows within 1e-9: a seed 5e-10 off its one
+    point passes the seed test, and the march keeps it by the same test."""
+    zero = lambda t, x, y: np.zeros_like(x)
+    prob = vk.CharProblem(zero, vk.point_cloud_set([[0.0]]),
+                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1, f=zero)
+    cloud = vk.graph_sample(prob, 0.3, 0.1, 1, [5e-10], [5e-10])
+    assert_allclose(cloud.times, [0.0, 0.1, 0.2, 0.3], rtol=0.0, atol=1e-15)
+    assert np.all(cloud.states == 5e-10) and np.all(cloud.outputs == 1.0)
 
 
 def test_graph_sample_lists_each_step_in_seed_order():

@@ -307,6 +307,17 @@ def test_step_schedule_is_one_rule(t0, step, n, offset, offset2):
     assert abs(last - t1) <= 2e-9 * step + 1e-14
 
 
+def test_record_steps_a_strided_start_as_its_contiguous_copy():
+    """A matrix field's row products can round by memory layout, so _record steps
+    C-ordered rows, as a gathered work array is: a column of a wide array as the
+    start gives the bits of its contiguous copy."""
+    rng = np.random.default_rng(0)
+    field = vk.linear_field(-np.eye(40) + 0.1 * rng.standard_normal((40, 40)))
+    B = rng.standard_normal((40, 400))
+    got = vk.integrate(field, B[:, 0], 0.0, 0.3, 0.1).states
+    assert got.tobytes() == vk.integrate(field, B[:, 0].copy(), 0.0, 0.3, 0.1).states.tobytes()
+
+
 def test_bisect_skips_narrow_entries_and_stops_after_80_rounds():
     calls = []
 
@@ -625,11 +636,14 @@ _NAN_FIELD = vk.VectorField(1, lambda t, x: np.full_like(x, np.nan), name="nan")
 _RAMP = vk.GridFunction(vk.GridSpec([0.0], [1.0], [4]), np.linspace(0.0, 1.0, 5))
 
 
-def _transport_char(g=lambda t, x, y: np.zeros_like(y)):
-    """x' = 1 on [0, 10] from y = 1, with the output field g."""
-    return vk.CharProblem(g, vk.box([0.0], [10.0]),
-                          vk.BoundaryData(lambda X: np.ones((len(X), 1))), 1,
+def _transport_char(g=lambda t, x, y: np.zeros_like(y), u0=lambda X: np.ones((len(X), 1))):
+    """x' = 1 on [0, 10] from y = u0(x), with the output field g."""
+    return vk.CharProblem(g, vk.box([0.0], [10.0]), vk.BoundaryData(u0), 1,
                           phi=vk.transport_field([1.0]))
+
+
+#: y = 1e300 from x > 0.6: past the blow-up norm
+_HUGE_PAST = _transport_char(u0=lambda X: np.where(X[:, :1] > 0.6, 1e300, 1.0))
 
 
 def _cloud():
@@ -758,6 +772,18 @@ _BAD_INPUT = [
     ("graph-sample-nan-seed-lo", "graph_sample",
      lambda: vk.graph_sample(_transport_char(), 1.0, 0.1, 5, [np.nan], [1.0]), ValueError,
      r"graph_sample: seed_lo = \[nan\] holds a NaN"),
+    # the three refusals below named no row
+    ("graph-sample-huge-seed", "graph_sample",
+     lambda: vk.graph_sample(_HUGE_PAST, 1.0, 0.1, 5, [0.0], [1.0]), vk.NonFinite,
+     r"seed 3 \[0\.0, 0\.75, 1e\+300\] is not finite or passes the blow-up norm in graph_sample"),
+    ("solve-char-many-huge-foot", "solve_char_many",
+     lambda: vk.solve_char_many(_HUGE_PAST, [0.5, 0.5, 0.5], [[0.5], [3.0], [4.0]], 0.1),
+     vk.NonFinite, "state blew up at the data manifold of row 1$"),
+    # row 0 takes no forward step (t = s = 0), so row 1 is the first stepped one
+    ("solve-char-many-blowup", "solve_char_many",
+     lambda: vk.solve_char_many(_transport_char(lambda t, x, y: 1e3 * y * y), [0.0, 0.5],
+                                [[0.5], [0.5]], 0.1),
+     vk.NonFinite, "state blew up along the characteristic of row 1$"),
     ("integrate-nan-x0", "integrate", lambda: vk.integrate(_UNIT_T, [np.nan], 0.0, 1.0, 0.1),
      vk.NonFinite, "initial state is not finite in integrate"),
     ("tabulate-nan-row", "tabulate_values",

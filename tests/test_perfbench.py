@@ -57,3 +57,25 @@ def test_tracer_counts_one_membership_test_per_step(monkeypatch):
     assert totals["dynamics.batched_steps"] == 10
     assert totals["sets.membership_calls"] == totals["dynamics.batched_steps"] + 1
     assert totals["sets.membership_rows"] == 11 * 25
+
+
+def test_tracer_counts_every_recorded_step(monkeypatch):
+    """integrate and the value engine step every row through the traced rk4_step:
+    one batched step per node after the first, in one block or one node per block."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    prob = epi_hj.LagrangianProblem(dynamics.linear_field(-1.0), epi_hj.unit_lagrangian, 0.0,
+                                    epi_hj.abs_obstacle)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traj = dynamics.integrate(dynamics.linear_field(-1.0), [1.0], 0.0, 1.05, 0.1)
+        integrated = tracer.totals()["dynamics.batched_steps"]
+        monkeypatch.setattr(epi_hj, "BLOCK_FLOATS", 1)
+        epi_hj.tabulate_values(prob, [[0.5], [-0.25]], "sup", 1.05, 0.1)
+        tabulated = tracer.totals()["dynamics.batched_steps"] - integrated
+    finally:
+        tracer.uninstall()
+    assert integrated == len(traj.times) - 1 == 11
+    assert tabulated == 11

@@ -315,6 +315,47 @@ def test_product_rules():
     assert P.boundary_distance([0.5, 0.0]) == pytest.approx(0.5)
 
 
+def _member_loop_margin(K, X):
+    """A composite's margins as its member loop folded them, from a +-inf start."""
+    if isinstance(K, vk.product):
+        parts, fold, start = [f.margin_many(X[:, s]) for f, s in zip(K.factors, K._slices)], \
+            np.maximum, -np.inf
+    else:
+        parts = [m.margin_many(X) for m in K.members]
+        fold, start = (np.minimum, np.inf) if isinstance(K, vk.union) else (np.maximum, -np.inf)
+    out = np.full(len(X), start)
+    for part in parts:
+        out = fold(out, part)
+    return out
+
+
+_PRIMITIVES = (vk.box([0.0, -1.0], [1.0, 1.0]), vk.ball([0.5, 0.0], 1.0),
+               vk.halfspace([1.0, -1.0], 0.25))
+_CLOUD = vk.point_cloud_set([[0.0, 0.0], [1.0, -0.5], [-0.0, 2.0]])
+_EDGES = [0.0, -0.0, INF, -INF, 0.5, -1.25, 3.0]
+
+
+@pytest.mark.parametrize("K, finite", [
+    (vk.union(*_PRIMITIVES), False), (vk.intersection(*_PRIMITIVES), False),
+    (vk.product(vk.box([0.0], [1.0]), vk.ball([0.5], 1.0)), False),
+    (vk.union(_PRIMITIVES[0], _CLOUD), True), (vk.intersection(_CLOUD, _PRIMITIVES[2]), True),
+    (vk.product(vk.halfspace([-1.0], 0.0), vk.point_cloud_set([[0.0], [1.0]])), True),
+], ids=["union", "intersection", "product", "union-cloud", "intersection-cloud",
+        "product-cloud"])
+def test_composite_margins_have_the_bits_of_the_member_loop(K, finite):
+    """The composite margins have the bits of the old fold from +-inf, NaN signs and
+    signed zeros included, in margin_many and in the one-row margin (where
+    np.max(..., axis=0) gives a NaN of its own); a point cloud's KD-tree refuses
+    non-finite rows, so its composites take finite ones."""
+    edges = _EDGES if finite else _EDGES + [np.nan, -np.nan, np.inf, -np.inf]
+    X = lattice_points([np.array(edges)] * 2)
+    with np.errstate(invalid="ignore"):  # the halfspace's dot product of (inf, -inf) rows
+        want = _member_loop_margin(K, X)
+        assert K.margin_many(X).tobytes() == want.tobytes()
+        assert np.array([K.margin(x) for x in X]).tobytes() == \
+            np.concatenate([_member_loop_margin(K, x[None]) for x in X]).tobytes()
+
+
 def test_sublevel_membership():
     S = vk.sublevel(lambda z: np.atleast_2d(z)[:, 0] ** 2 - 1.0, 1, lipschitz=2.0)
     assert S.contains([0.5]) and not S.contains([1.5])
