@@ -28,7 +28,6 @@ from .dynamics import (
 from .errors import (
     CapTooSmall,
     ConfigError,
-    NoConvergence,
     NonFinite,
     NonzeroLagrangian,
     ParamDomain,
@@ -36,7 +35,6 @@ from .errors import (
     ViakitError,
 )
 from .sets import (
-    PointCloud,
     SetOracle,
     ball,
     box,

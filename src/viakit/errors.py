@@ -13,10 +13,6 @@ class Unsupported(ViakitError):
     """The requested operation has no analytic rule for this set kind."""
 
 
-class NoConvergence(ViakitError):
-    """An iteration that must terminate failed to (guards implementation bugs)."""
-
-
 class NonzeroLagrangian(ViakitError, ValueError):
     """A Lyapunov value was asked of a problem whose running cost is not 0."""
 

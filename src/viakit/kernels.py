@@ -27,7 +27,7 @@ import numpy as np
 
 from .common import INF, _one_row, _refuse, _row_norms
 from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
-from .errors import NoConvergence, NonFinite
+from .errors import NonFinite
 from .sets import SetOracle
 
 #: default exit-time refinement: |error| <= REFINE_FRAC * max(T_max, 1)
@@ -368,11 +368,8 @@ def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,
     speed) from every surviving node; iterate to the fixed point.
 
     Returns:
-        (alive, iterations): boolean node mask and the sweep count.
-
-    Raises:
-        NoConvergence: if the iteration count exceeds the node count
-            (impossible for monotone deletion; guards bugs).
+        (alive, iterations): boolean node mask and the sweep count, at most
+        the in-K node count plus 1 (each sweep but the last deletes a node).
     """
     nodes = grid.nodes()
     inside = K.contains_many(nodes)
@@ -398,8 +395,6 @@ def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,
     iterations = 0
     while True:
         iterations += 1
-        if iterations > len(nodes) + 1:
-            raise NoConvergence("discrete_kernel failed to reach a fixed point")
         survivors = pts[live]
         if len(survivors) == 0:
             break

@@ -19,14 +19,18 @@ exact analytic rules; composites are built on top:
                     divided by a declared Lipschitz constant (a lower
                     bound), projection is Unsupported
 
+A composite folds its members' results with np.minimum or np.maximum in
+member order, so each one-row rule has the bits of its batch row (a NaN
+keeps its member's sign).  ``PointCloudSet`` is the one finite-point-set
+type: ``set_limit`` takes point arrays and returns one.
+
 Also here: the contingent-direction residual test (a finite-ladder proxy
 for liminf_{h->0+} d(x+hv, K)/h) and finite Painleve-Kuratowski limits
-of point-cloud sequences.
+of sequences of point arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -222,7 +226,7 @@ class PointCloudSet(SetOracle):
         from scipy.spatial import cKDTree
 
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        super().__init__(points.shape[1] if points.size else 1)
+        super().__init__(points.shape[1])
         self.points = points
         self._tree = cKDTree(points) if points.size else None
 
@@ -270,8 +274,8 @@ class Product(SetOracle):
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        # a fold, as in Union and Intersection: np.max(..., axis=0) reduces one row's
-        # margins in one contiguous pass, which drops a member's NaN sign
+        # a fold, as in every composite rule: an axis-0 reduction of the stacked
+        # margins takes one row in one contiguous pass, which drops a member's NaN sign
         return reduce(np.maximum, [f.margin_many(X[:, s])
                                    for f, s in zip(self.factors, self._slices)])
 
@@ -287,25 +291,29 @@ class Product(SetOracle):
 
     def boundary_distance_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._outside_or(X, np.min([f.boundary_distance_many(X[:, s])
-                                           for f, s in zip(self.factors, self._slices)], axis=0))
+        return self._outside_or(X, reduce(np.minimum, [
+            f.boundary_distance_many(X[:, s]) for f, s in zip(self.factors, self._slices)]))
 
 
-class Union(SetOracle):
-    kind = "union"
+class _Members(SetOracle):
+    """A composite of one or more members of one dimension."""
 
     def __init__(self, *members: SetOracle):
         if len({m.dim for m in members}) != 1:
-            raise ValueError("union needs one or more members of one dimension")
+            raise ValueError(f"{self.kind} needs one or more members of one dimension")
         super().__init__(members[0].dim)
         self.members = members
+
+
+class Union(_Members):
+    kind = "union"
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return reduce(np.minimum, [m.margin_many(X) for m in self.members])
 
     def distance_many(self, X):
-        return np.min([m.distance_many(X) for m in self.members], axis=0)
+        return reduce(np.minimum, [m.distance_many(X) for m in self.members])
 
     def project(self, y):
         dists = [m.distance(y) for m in self.members]
@@ -313,26 +321,20 @@ class Union(SetOracle):
 
     def boundary_distance_many(self, X):
         # valid for disjoint members; good enough for boundary-data dispatch
-        return np.min([m.boundary_distance_many(X) for m in self.members], axis=0)
+        return reduce(np.minimum, [m.boundary_distance_many(X) for m in self.members])
 
 
-class Intersection(SetOracle):
+class Intersection(_Members):
     """Intersection; distance() is a certified lower bound (max of members)."""
 
     kind = "intersection"
-
-    def __init__(self, *members: SetOracle):
-        if len({m.dim for m in members}) != 1:
-            raise ValueError("intersection needs one or more members of one dimension")
-        super().__init__(members[0].dim)
-        self.members = members
 
     def margin_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return reduce(np.maximum, [m.margin_many(X) for m in self.members])
 
     def distance_many(self, X):
-        return np.max([m.distance_many(X) for m in self.members], axis=0)
+        return reduce(np.maximum, [m.distance_many(X) for m in self.members])
 
     def project(self, y):
         """Alternating projections (at most 50 sweeps); the result certifies the upper bound."""
@@ -348,8 +350,8 @@ class Intersection(SetOracle):
         return z
 
     def boundary_distance_many(self, X):
-        return self._outside_or(X, np.min([np.abs(m.margin_many(X)) for m in self.members],
-                                          axis=0))
+        return self._outside_or(X, reduce(np.minimum, [np.abs(m.margin_many(X))
+                                                       for m in self.members]))
 
 
 class Complement(SetOracle):
@@ -424,28 +426,8 @@ def empty_set(dim: int) -> PointCloudSet:
 
 
 # ---------------------------------------------------------------------------
-# Point clouds and Painleve-Kuratowski limits
+# Point-cloud dedup and Painleve-Kuratowski limits
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """A finite point list with a merge radius; points >= tol/2 apart."""
-
-    points: np.ndarray
-    tol: float = 0.0
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        points = points[_merge_points(points, self.tol / 2.0)]
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def as_oracle(self) -> PointCloudSet:
-        return PointCloudSet(self.points)
 
 
 _MERGE_SAMPLE = 1024  # about this many rows decide the dedup route
@@ -566,32 +548,24 @@ def tangent_residual(K: SetOracle, x, v, h_min: float = 1e-6, h_max: float = 1e-
     return float(_tangent_residuals(K, _one_row(x), _one_row(v), h_min, h_max)[0])
 
 
-def set_limit(clouds, mode: str, eps: float) -> PointCloud:
+def set_limit(clouds, mode: str, eps: float) -> PointCloudSet:
     """Finite proxy for the upper/lower limit of a sequence of point clouds.
 
-    "Infinitely many" is approximated by the tail (the last half of the
-    sequence): upper mode keeps candidates within eps of at least half
-    of the tail clouds, lower mode requires all tail clouds.  Candidates
-    are drawn from the union of all cloud points.
+    The clouds are (m_i, dim) point arrays; m_i may be 0.  "Infinitely
+    many" is approximated by the tail (the last half of the sequence):
+    upper mode keeps candidates within eps of at least half of the tail
+    clouds, lower mode requires all tail clouds (an empty one, whose
+    margin is INF, admits none).  Candidates are drawn from the union of
+    all cloud points, and the kept ones are merged greedily at radius
+    eps / 2 (see :func:`_merge_points`).
     """
     clouds = list(clouds)
     if len(clouds) < 2:
         raise ValueError("set_limit needs at least two clouds")
     if mode not in ("upper", "lower"):
         raise ValueError("mode must be 'upper' or 'lower'")
-    from scipy.spatial import cKDTree
-
-    tail = clouds[len(clouds) // 2:]
-    trees = [cKDTree(np.atleast_2d(c.points)) for c in tail if len(c.points)]
-    candidates = np.vstack([np.atleast_2d(c.points) for c in clouds if len(c.points)])
-    counts = np.zeros(len(candidates), dtype=int)
-    for tree in trees:
-        d, _ = tree.query(candidates)
-        counts += (d <= eps)
-    if mode == "upper":
-        selected = candidates[counts * 2 >= len(tail)]
-    elif len(trees) < len(tail):
-        selected = candidates[:0]  # an empty tail cloud defeats the lower limit
-    else:
-        selected = candidates[counts == len(tail)]
-    return PointCloud(selected, tol=eps)
+    tail = [PointCloudSet(c) for c in clouds[len(clouds) // 2:]]
+    candidates = np.vstack(clouds)
+    counts = sum(K.margin_many(candidates) <= eps for K in tail)
+    selected = candidates[counts * 2 >= len(tail) if mode == "upper" else counts == len(tail)]
+    return PointCloudSet(selected[_merge_points(selected, eps / 2.0)])

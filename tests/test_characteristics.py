@@ -286,6 +286,11 @@ def test_product_exit_time_all_infinite():
     assert vk.product_exit_time(fields, sets, [1.0], 1e-2, t_scan=20.0) >= INF
 
 
+def test_product_exit_time_is_zero_outside_an_axis_set():
+    sets = [vk.box([0.0], [1.0]), vk.box([0.0], [1.0])]
+    assert vk.product_exit_time([one, one], sets, [0.5, 2.0], 1e-2) == 0.0
+
+
 # -- boundary traces ----------------------------------------------------------
 
 
@@ -743,6 +748,19 @@ def test_graph_capture_crosscheck_transport():
     chk = vk.graph_capture_crosscheck(prob, cloud, grid, 0.05, eps=eps)
     assert chk.cloud_in_basin == 1.0
     assert chk.basin_to_cloud <= 2.0 * eps
+
+
+def test_graph_capture_crosscheck_defaults_and_empty_basin():
+    """The default eps is the grid's cell diagonal; a negative eps dilates the data
+    manifold to nothing, so no node is captured, no sampled cloud point is in the
+    basin and the worst basin-to-cloud distance is inf."""
+    prob = _transport_problem()
+    cloud = vk.graph_sample(prob, 1.0, 0.02, 41, [0.0], [3.0], boundary_points=[[0.0]])
+    grid = vk.GridSpec([0.0, 0.0, -1.1], [1.0, 3.0, 1.1], [6, 12, 12])
+    assert vk.graph_capture_crosscheck(prob, cloud, grid, 0.05) == \
+        vk.graph_capture_crosscheck(prob, cloud, grid, 0.05, eps=grid.cell_diagonal)
+    chk = vk.graph_capture_crosscheck(prob, cloud, grid, 0.05, eps=-0.1)
+    assert chk.cloud_in_basin == 0.0 and chk.basin_to_cloud == np.inf
 
 
 def test_graph_capture_crosscheck_rejects_high_dim():

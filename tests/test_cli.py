@@ -577,6 +577,12 @@ GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [
      "'out_dim' in section 'pde' must be 1"),
     ("pde-graph", GRAPH_CFG, {"pde": OUTPUT_PDE_2D, "graph": GRAPH_2D},
      "section 'pde.K' has dimension 2, but the field has dimension 1"),
+    # "points": [] reads as one row of no numbers: a point cloud of dimension 0
+    ("viab", VIAB_CFG, {"set": {"kind": "point-cloud", "points": []}},
+     "section 'set' has dimension 0, but the field has dimension 1"),
+    ("viab", VIAB_CFG, {"field": {"kind": "rotation"}, "set": {"kind": "point-cloud",
+                                                               "points": []}},
+     "section 'set' has dimension 0, but the field has dimension 2"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
@@ -587,7 +593,8 @@ GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [
         "product-factors-number", "box-lo-overflow", "impulses-number", "impulses-text",
         "boundary-points-number", "boundary-points-text", "boundary-points-dim",
         "pde-char-eval-dim", "demo4d-eval-3-columns", "demo4d-eval-5-columns",
-        "pde-out-dim-2", "pde-output-field-on-2d-k"])
+        "pde-out-dim-2", "pde-output-field-on-2d-k", "point-cloud-no-points-1d",
+        "point-cloud-no-points-2d"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2

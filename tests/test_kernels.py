@@ -169,6 +169,27 @@ def test_discrete_kernel_rotation_disk():
     assert np.array_equal(alive, inside)
 
 
+@pytest.mark.parametrize("field", [decay, grow], ids=["contracting", "expanding"])
+def test_discrete_kernel_sweeps_at_most_the_in_k_nodes_plus_one(field):
+    """Each sweep but the last deletes at least one in-K node, so the sweep count
+    is at most the in-K node count plus 1."""
+    K = vk.box([-1.0], [1.0])
+    grid = vk.GridSpec([-1.5], [1.5], [61])
+    alive, iters = vk.discrete_kernel(field, K, grid, 0.5, flow_step=1e-2)
+    in_k = int(K.contains_many(grid.nodes()).sum())
+    assert 1 <= iters <= in_k + 1
+    # the contracting field keeps every in-K node in one sweep; the expanding one deletes
+    assert (alive.sum() == in_k) == (iters == 1) == (field is decay)
+
+
+def test_discrete_kernel_default_flow_step_is_a_hundredth_of_h():
+    K = vk.box([-1.0], [1.0])
+    grid = vk.GridSpec([-1.0], [1.0], [41])
+    alive, iters = vk.discrete_kernel(grow, K, grid, 0.5)
+    want_alive, want_iters = vk.discrete_kernel(grow, K, grid, 0.5, flow_step=0.5 / 100)
+    assert np.array_equal(alive, want_alive) and iters == want_iters
+
+
 def test_discrete_kernel_empty_set():
     grid = vk.GridSpec([0.0], [1.0], [10])
     alive, iters = vk.discrete_kernel(one, vk.empty_set(1), grid, 1.0)

@@ -12,7 +12,7 @@ import trace_reference
 import viakit as vk
 from viakit.common import INF
 from viakit.kernels import lattice_points
-from viakit.sets import PointCloud, _merge_points, _tangent_residuals
+from viakit.sets import _merge_points, _tangent_residuals
 
 
 unit_ball = vk.ball([0.0, 0.0], 1.0)
@@ -333,27 +333,98 @@ _PRIMITIVES = (vk.box([0.0, -1.0], [1.0, 1.0]), vk.ball([0.5, 0.0], 1.0),
                vk.halfspace([1.0, -1.0], 0.25))
 _CLOUD = vk.point_cloud_set([[0.0, 0.0], [1.0, -0.5], [-0.0, 2.0]])
 _EDGES = [0.0, -0.0, INF, -INF, 0.5, -1.25, 3.0]
+# (composite, whether a member is a point cloud, whose KD-tree refuses non-finite rows)
+_COMPOSITES = {
+    "union": (vk.union(*_PRIMITIVES), False),
+    "intersection": (vk.intersection(*_PRIMITIVES), False),
+    "product": (vk.product(vk.box([0.0], [1.0]), vk.ball([0.5], 1.0)), False),
+    "union-cloud": (vk.union(_PRIMITIVES[0], _CLOUD), True),
+    "intersection-cloud": (vk.intersection(_CLOUD, _PRIMITIVES[2]), True),
+    "product-cloud": (vk.product(vk.halfspace([-1.0], 0.0), vk.point_cloud_set([[0.0], [1.0]])),
+                      True),
+}
 
 
-@pytest.mark.parametrize("K, finite", [
-    (vk.union(*_PRIMITIVES), False), (vk.intersection(*_PRIMITIVES), False),
-    (vk.product(vk.box([0.0], [1.0]), vk.ball([0.5], 1.0)), False),
-    (vk.union(_PRIMITIVES[0], _CLOUD), True), (vk.intersection(_CLOUD, _PRIMITIVES[2]), True),
-    (vk.product(vk.halfspace([-1.0], 0.0), vk.point_cloud_set([[0.0], [1.0]])), True),
-], ids=["union", "intersection", "product", "union-cloud", "intersection-cloud",
-        "product-cloud"])
+def _edge_rows(finite):
+    """The lattice of edge values in 2-D: signed zeros, +-INF and, unless finite, +-NaN
+    and +-inf."""
+    edges = _EDGES if finite else _EDGES + [np.nan, -np.nan, np.inf, -np.inf]
+    return lattice_points([np.array(edges)] * 2)
+
+
+@pytest.mark.parametrize("K, finite", _COMPOSITES.values(), ids=_COMPOSITES.keys())
 def test_composite_margins_have_the_bits_of_the_member_loop(K, finite):
     """The composite margins have the bits of the old fold from +-inf, NaN signs and
     signed zeros included, in margin_many and in the one-row margin (where
     np.max(..., axis=0) gives a NaN of its own); a point cloud's KD-tree refuses
     non-finite rows, so its composites take finite ones."""
-    edges = _EDGES if finite else _EDGES + [np.nan, -np.nan, np.inf, -np.inf]
-    X = lattice_points([np.array(edges)] * 2)
+    X = _edge_rows(finite)
     with np.errstate(invalid="ignore"):  # the halfspace's dot product of (inf, -inf) rows
         want = _member_loop_margin(K, X)
         assert K.margin_many(X).tobytes() == want.tobytes()
         assert np.array([K.margin(x) for x in X]).tobytes() == \
             np.concatenate([_member_loop_margin(K, x[None]) for x in X]).tobytes()
+
+
+# (composite, rule): every distance rule, and the boundary rules of the composites
+# whose members are primitives (a point cloud has no boundary rule)
+_DISTANCE_RULES = [(name, "distance") for name in _COMPOSITES] + \
+    [(name, "boundary_distance") for name, (_, cloud) in _COMPOSITES.items() if not cloud]
+
+
+@pytest.mark.parametrize("name, rule", _DISTANCE_RULES,
+                         ids=[f"{name}-{rule}" for name, rule in _DISTANCE_RULES])
+def test_composite_distances_have_the_bits_of_their_one_row_lifts(name, rule):
+    """Row i of distance_many and boundary_distance_many has the bits of the one-row
+    distance(x_i) and boundary_distance(x_i), NaN signs and signed zeros included:
+    the composite rules fold their members in order, where np.min/np.max(..., axis=0)
+    over a one-row stack gave a NaN of its own."""
+    K, finite = _COMPOSITES[name]
+    X = _edge_rows(finite)
+    with np.errstate(invalid="ignore"):  # the halfspace's dot product of (inf, -inf) rows
+        rows = np.array([getattr(K, rule)(x) for x in X])
+        assert getattr(K, rule + "_many")(X).tobytes() == rows.tobytes()
+
+
+def _stacked_rule(K, X, rule):
+    """A union or intersection distance, or a composite boundary distance, as the
+    np.min/np.max(..., axis=0) over the stacked member results gave it."""
+    if rule == "distance":
+        stack = np.min if isinstance(K, vk.union) else np.max
+        return stack([m.distance_many(X) for m in K.members], axis=0)
+    if isinstance(K, vk.product):
+        return K._outside_or(X, np.min([f.boundary_distance_many(X[:, s])
+                                        for f, s in zip(K.factors, K._slices)], axis=0))
+    if isinstance(K, vk.union):
+        return np.min([m.boundary_distance_many(X) for m in K.members], axis=0)
+    return K._outside_or(X, np.min([np.abs(m.margin_many(X)) for m in K.members], axis=0))
+
+
+_FOLDED_RULES = [(name, rule) for name, rule in _DISTANCE_RULES
+                 if not (name.startswith("product") and rule == "distance")]
+
+
+@pytest.mark.parametrize("name, rule", _FOLDED_RULES,
+                         ids=[f"{name}-{rule}" for name, rule in _FOLDED_RULES])
+def test_composite_distance_folds_match_the_stacked_reduction_on_batches(name, rule):
+    """On two or more rows, the folds have the bits of the stacked axis-0 reduction
+    they replaced: on the whole edge lattice and on each pair of its rows."""
+    K, finite = _COMPOSITES[name]
+    X = _edge_rows(finite)
+    with np.errstate(invalid="ignore"):
+        for rows in [X] + [X[i:i + 2] for i in range(len(X) - 1)]:
+            assert getattr(K, rule + "_many")(rows).tobytes() == \
+                _stacked_rule(K, rows, rule).tobytes()
+
+
+def test_complement_projects_onto_box_and_halfspace_faces():
+    """From inside a box or halfspace, the complement projects onto the nearest
+    face; a box with no finite face has none to project onto."""
+    assert vk.complement(unit_box).project([0.3, 0.5]).tolist() == [0.0, 0.5]
+    with pytest.raises(vk.Unsupported, match="box has no finite face"):
+        vk.complement(vk.whole_space(2)).project([0.3, 0.5])
+    assert vk.complement(vk.halfspace([1.0, 0.0], 0.5)).project([0.0, 1.0]).tolist() == \
+        [0.5, 1.0]
 
 
 def test_sublevel_membership():
@@ -363,8 +434,9 @@ def test_sublevel_membership():
 
 
 def test_point_cloud_merge_invariant():
-    pc = PointCloud(np.array([[0.0], [0.04], [1.0]]), tol=0.1)
-    d = np.abs(pc.points - pc.points.T)
+    points = np.array([[0.0], [0.04], [1.0]])
+    points = points[_merge_points(points, 0.05)]
+    d = np.abs(points - points.T)
     np.fill_diagonal(d, 1.0)
     assert d.min() >= 0.05
 
@@ -399,7 +471,7 @@ def test_merge_points_dense_cluster_keeps_memory_linear():
     """A tight cluster of c rows has c^2/2 close pairs: 3000 rows give 4.5M, a
     72 MB pair list.  The dedup queries each kept row's neighbours there
     instead, holding memory linear in the rows, and keeps what the per-row
-    loop keeps; so does a PointCloud of the same rows."""
+    loop keeps; so does set_limit on two copies of the rows."""
     rng = np.random.default_rng(5)
     points = np.concatenate([1e-3 * rng.uniform(-1.0, 1.0, (3000, 2)),
                              rng.uniform(2.0, 50.0, (500, 2))])
@@ -411,7 +483,7 @@ def test_merge_points_dense_cluster_keeps_memory_linear():
         tracemalloc.stop()
     assert peak < 8e6
     assert np.array_equal(keep, cloud_reference.merge_points(points, 0.5))
-    assert np.array_equal(PointCloud(points, tol=1.0).points, points[keep])
+    assert np.array_equal(vk.set_limit([points, points], "upper", 1.0).points, points[keep])
 
 
 @pytest.mark.parametrize("per_row", [0.5, 3.0, 20.0])
@@ -513,50 +585,88 @@ def test_merge_points_rejects_non_finite_rows_anywhere(value, column, row):
 
 def test_set_limit_singletons():
     # K_n = {1/n}: the limit {0} is recovered within eps (plus the tail offset)
-    clouds = [PointCloud(np.array([[1.0 / n]])) for n in range(1, 101)]
+    clouds = [np.array([[1.0 / n]]) for n in range(1, 101)]
     out = vk.set_limit(clouds, "upper", 0.05)
-    assert len(out) >= 1
-    assert out.as_oracle().distance([0.0]) <= 0.05
+    assert len(out.points) >= 1
+    assert out.distance([0.0]) <= 0.05
     assert np.all(np.abs(out.points) <= 2 * 0.05)
 
 
 def test_set_limit_decreasing_boxes():
     # samples of [0, 1 + 1/n]: the limit is [0, 1]; the finite proxy
     # overshoots by at most eps plus the widest tail box
-    clouds = [PointCloud(np.linspace(0.0, 1.0 + 1.0 / n, 30)[:, None])
-              for n in range(1, 60)]
+    clouds = [np.linspace(0.0, 1.0 + 1.0 / n, 30)[:, None] for n in range(1, 60)]
     up = vk.set_limit(clouds, "upper", 0.05)
     low = vk.set_limit(clouds, "lower", 0.05)
     slack = 0.05 + 1.0 / 30
     assert np.all(up.points <= 1.0 + slack + 1e-9)
     assert np.all(low.points <= 1.0 + slack + 1e-9)
-    assert len(low) >= 1
+    assert len(low.points) >= 1
     # samples well inside [0, 1] survive in the lower limit
     for probe in (0.0, 0.5, 0.95):
-        assert low.as_oracle().distance([probe]) <= 0.05
+        assert low.distance([probe]) <= 0.05
 
 
 def test_set_limit_alternating():
-    clouds = [PointCloud(np.array([[float(n % 2)]])) for n in range(100)]
+    clouds = [np.array([[float(n % 2)]]) for n in range(100)]
     up = vk.set_limit(clouds, "upper", 0.01)
     low = vk.set_limit(clouds, "lower", 0.01)
     vals = sorted(float(p[0]) for p in up.points)
     assert vals == [0.0, 1.0]
-    assert len(low) == 0
+    assert len(low.points) == 0 and low.dim == 1
 
 
 def test_set_limit_lower_subset_of_upper():
     rng = np.random.default_rng(3)
-    clouds = [PointCloud(rng.uniform(-1, 1, size=(8, 1))) for _ in range(20)]
+    clouds = [rng.uniform(-1, 1, size=(8, 1)) for _ in range(20)]
     up = vk.set_limit(clouds, "upper", 0.3)
     low = vk.set_limit(clouds, "lower", 0.3)
-    if len(low) and len(up):
-        oracle = up.as_oracle()
+    if len(low.points) and len(up.points):
         for pnt in low.points:
-            assert oracle.distance(pnt) <= 0.3 + 1e-9
+            assert up.distance(pnt) <= 0.3 + 1e-9
 
 
 def test_empty_set():
     E = vk.empty_set(2)
     assert not E.contains([0.0, 0.0])
     assert E.distance([0.0, 0.0]) >= INF
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_empty_set_has_its_dimension(k):
+    """A zero-row point cloud takes its dimension from its columns, so it joins a
+    union of that dimension and leaves the other member's margins as they are."""
+    E = vk.empty_set(k)
+    assert E.dim == k
+    B = vk.ball(np.zeros(k), 1.0)
+    U = vk.union(B, E)
+    X = np.linspace(-2.0, 2.0, 5 * k).reshape(5, k)
+    assert U.dim == k
+    assert U.margin_many(X).tobytes() == B.margin_many(X).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["upper", "lower"])
+def test_set_limit_matches_the_point_cloud_reference(dim, mode):
+    """set_limit's points have the bits of the reference PointCloud route's on 50
+    random sequences of clouds near a coarse lattice, empty clouds included; where
+    every cloud is empty, the reference finds no candidates and raises, and
+    set_limit returns the empty set of the clouds' dimension."""
+    rng = np.random.default_rng(7 * dim + (mode == "upper"))
+    for _ in range(50):
+        clouds = []
+        for m in rng.integers(0, 6, int(rng.integers(2, 7))):
+            jitter = rng.choice([0.0, 1e-3, 0.1])
+            clouds.append(0.25 * rng.integers(0, 4, (m, dim)) +
+                          jitter * rng.standard_normal((m, dim)))
+        eps = float(rng.choice([0.05, 0.2, 0.5]))
+        got = vk.set_limit(clouds, mode, eps)
+        assert got.dim == dim
+        if not any(len(c) for c in clouds):
+            with pytest.raises(ValueError):
+                cloud_reference.set_limit(map(cloud_reference.PointCloud, clouds), mode, eps)
+            assert got.points.shape == (0, dim)
+            continue
+        want = cloud_reference.set_limit(map(cloud_reference.PointCloud, clouds), mode, eps)
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
