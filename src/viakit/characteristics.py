@@ -635,6 +635,10 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
     manifold: that basin is the solution graph computed the other way
     around.  Only sized for 1+1-dimensional problems; the forward sweep
     is the scalable route.
+
+    Raises:
+        ValueError: for a problem that is not 1+1-D, a grid that is not
+            (tau, x, y), or a grid that holds no cloud point.
     """
     from scipy.spatial import cKDTree
 
@@ -642,6 +646,10 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
         raise ValueError("gridded cross-check is provided for 1+1-D problems only")
     if not isinstance(grid3d, GridSpec) or grid3d.dim != 3:
         raise ValueError("need a (tau, x, y) grid")
+    inside = np.all((cloud.points >= grid3d.lo) & (cloud.points <= grid3d.hi), axis=1)
+    if not inside.any():
+        raise ValueError(f"no cloud point lies in the grid from {grid3d.lo.tolist()} "
+                         f"to {grid3d.hi.tolist()}")
     if eps is None:
         eps = grid3d.cell_diagonal
 
@@ -663,7 +671,6 @@ def graph_capture_crosscheck(prob: CharProblem, cloud: GraphCloud,
     nodes = grid3d.nodes()
 
     cloud_tree = cKDTree(cloud.points)
-    inside = np.all((cloud.points >= grid3d.lo) & (cloud.points <= grid3d.hi), axis=1)
     pts = cloud.points[inside]
     pick = np.linspace(0, len(pts) - 1, min(500, len(pts))).astype(int)
     node_tree = cKDTree(nodes)

@@ -310,6 +310,9 @@ def _pde(s: _Section):
     """The characteristic problem of s and its domain pde.K, whose dimension it has."""
     K = _set(s.sub("K"))
     n = K.dim
+    if n == 0:  # a point cloud's "points": [] reads as one row of no numbers
+        raise ConfigError("section 'pde.K' has dimension 0: the domain needs at least one "
+                          "coordinate", section="pde.K")
     data = BoundaryData(_function(s.sub("u0"), n),
                         _function(s.sub("v"), 1 + n) if "v" in s else None,
                         tuple(s.read("impulses", "vector").tolist()) if "impulses" in s else None)

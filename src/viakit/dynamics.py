@@ -97,6 +97,21 @@ class Trajectory:
         return self.states.shape[1]
 
 
+def _add_into(x, y):
+    """x + y, written into y when y can hold the sum exactly, else a fresh array.
+
+    y must be an array the caller made and no one else has seen.  Under
+    ``casting="safe"`` numpy refuses the write (TypeError) when the sum's
+    dtype is wider than y's, and refuses it (ValueError) when x broadcasts
+    y to a larger shape, so a write that goes through has the bits and the
+    dtype of ``x + y``.
+    """
+    try:
+        return np.add(x, y, out=y, casting="safe")
+    except (TypeError, ValueError):
+        return x + y
+
+
 def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step; broadcasts over a leading batch axis of x.
 
@@ -104,15 +119,39 @@ def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     lifted to a row by ``field(t, x)``.  t and h are scalars, or (m, 1)
     columns of per-row start times and step sizes for (m, dim) rows;
     each row's arithmetic is the same either way.
+
+    The result is ``x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` on the stage
+    points ``x + (h / 2) k1``, ``x + (h / 2) k2`` and ``x + h k3``, with
+    the operations of that plain expression in its order, bit for bit.  A
+    step writes only into arrays it made itself: each stage point is
+    summed into its own product (``(h / 2) k1``, ``(h / 2) k2``, ``h k3``)
+    before the field sees it, and the weighted sum accumulates in
+    ``2 k2``, which is returned.  It never writes into x, a field's output
+    or a stage point the field has seen, so a field may return its input
+    or a cached array.  Where a velocity is not x's dtype and shape (a
+    float32 velocity for float64 rows, or an (m, 1) velocity for (m, 2)
+    rows), a stage point that its product cannot hold exactly is left to
+    numpy to allocate, and so is the whole weighted sum when ``2 k2``
+    cannot hold it: the step returns the plain expression's bits, dtype
+    and shape.
     """
-    f = field.eval if np.ndim(x) == 2 else field
+    f = field.eval if x.ndim == 2 else field
     half = 0.5 * h
     t_half = t + half
     k1 = f(t, x)
-    k2 = f(t_half, x + half * k1)
-    k3 = f(t_half, x + half * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t_half, _add_into(x, half * k1))
+    k3 = f(t_half, _add_into(x, half * k2))
+    k4 = f(t + h, _add_into(x, h * k3))
+    sixth = h / 6.0
+    acc = 2.0 * k2
+    try:
+        np.add(k1, acc, out=acc, casting="safe")
+        np.add(acc, 2.0 * k3, out=acc, casting="safe")
+        np.add(acc, k4, out=acc, casting="safe")
+        np.multiply(sixth, acc, out=acc, casting="safe")
+        return np.add(x, acc, out=acc, casting="safe")
+    except (TypeError, ValueError):  # acc cannot hold a sum exactly: see _add_into
+        return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _schedule(t0, t1, step):

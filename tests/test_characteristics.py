@@ -763,6 +763,16 @@ def test_graph_capture_crosscheck_defaults_and_empty_basin():
     assert chk.cloud_in_basin == 0.0 and chk.basin_to_cloud == np.inf
 
 
+def test_graph_capture_crosscheck_refuses_a_grid_without_cloud_points():
+    """A grid that holds no cloud point is named, not reported as a nan share."""
+    prob = _transport_problem()
+    cloud = vk.graph_sample(prob, 1.0, 0.02, 41, [0.0], [3.0], boundary_points=[[0.0]])
+    grid = vk.GridSpec([0.0, 0.0, 5.0], [1.0, 3.0, 6.0], [6, 12, 12])
+    with pytest.raises(ValueError, match=r"no cloud point lies in the grid from "
+                                         r"\[0.0, 0.0, 5.0\] to \[1.0, 3.0, 6.0\]"):
+        vk.graph_capture_crosscheck(prob, cloud, grid, 0.05)
+
+
 def test_graph_capture_crosscheck_rejects_high_dim():
     prob = _demo_problem()
     cloud = vk.GraphCloud(np.zeros((1, 6)), 4, 1, 0.01, np.zeros(1, dtype=int),

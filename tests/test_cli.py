@@ -583,6 +583,11 @@ GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [
     ("viab", VIAB_CFG, {"field": {"kind": "rotation"}, "set": {"kind": "point-cloud",
                                                                "points": []}},
      "section 'set' has dimension 0, but the field has dimension 2"),
+    ("pde-char", PDE_CFG, {"pde": dict(PDE_CFG["pde"], K={"kind": "point-cloud", "points": []})},
+     "section 'pde.K' has dimension 0: the domain needs at least one coordinate"),
+    ("pde-graph", GRAPH_CFG, {"pde": dict(GRAPH_CFG["pde"], K={"kind": "point-cloud",
+                                                               "points": []})},
+     "section 'pde.K' has dimension 0: the domain needs at least one coordinate"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
@@ -594,7 +599,8 @@ GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [
         "boundary-points-number", "boundary-points-text", "boundary-points-dim",
         "pde-char-eval-dim", "demo4d-eval-3-columns", "demo4d-eval-5-columns",
         "pde-out-dim-2", "pde-output-field-on-2d-k", "point-cloud-no-points-1d",
-        "point-cloud-no-points-2d"])
+        "point-cloud-no-points-2d", "pde-char-point-cloud-no-points",
+        "pde-graph-point-cloud-no-points"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2

@@ -13,6 +13,8 @@ from viakit import epi_hj
 from viakit.common import _row_norms
 from viakit.dynamics import _bisect, _march, _record, rk4_step, step_schedule
 
+import rk4_reference
+
 
 def test_zero_field_constant():
     f = vk.VectorField(1, lambda t, x: np.zeros_like(x), name="zero")
@@ -487,6 +489,58 @@ def test_linear_matrix_field_rows_do_not_depend_on_batch():
     states, ok = vk.reach_set(f, 1.0, X, 0.01)
     assert ok.all()
     assert np.array([vk.flow(f, 1.0, x, 0.01) for x in X]).tobytes() == states.tobytes()
+
+
+def _rk4_fields():
+    """Every built-in field, a lifted cost, and fields whose velocity is not x's dtype or shape."""
+    A = np.random.default_rng(3).normal(size=(3, 3))
+    lifted = vk.LagrangianProblem(vk.logistic_field(1.0, 2.0), vk.speed_lagrangian, 0.5,
+                                  vk.abs_obstacle)
+    return {"linear": vk.linear_field(-0.7, 2), "matrix": vk.linear_field(A),
+            "rotation": vk.rotation_field(1.3), "logistic": vk.logistic_field(1.0, 2.0),
+            "transport": vk.transport_field([1.0, -0.5]),
+            "demographic": vk.demographic_field(0.3, 0.2, 1.0, 2.0),
+            "negated": vk.rotation_field(1.3).negated(), "lift": epi_hj.lift(lifted),
+            "float32": vk.VectorField(2, lambda t, x: (np.cos(x) * (1.0 + t)).astype(np.float32)),
+            "column": vk.VectorField(2, lambda t, x: x[:, :1] * x[:, 1:] - t)}
+
+
+@pytest.mark.parametrize("name", list(_rk4_fields()))
+def test_rk4_step_has_the_plain_expressions_bits(name):
+    """Scalar and (m, 1) t and h, and a (dim,) state: the reference's bits, dtype and shape.
+
+    The rows include a -nan, an inf and a row whose velocities overflow, so
+    NaN signs are compared too.
+    """
+    field = _rk4_fields()[name]
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-2.0, 2.0, (9, field.dim))
+    x[1, 0], x[2, -1], x[3] = -np.nan, np.inf, 1e200
+    t_col, h_col = rng.uniform(0.0, 1.0, (9, 1)), rng.uniform(0.01, 0.2, (9, 1))
+    with np.errstate(all="ignore"):
+        for t, state, h in ((0.3, x, 0.05), (t_col, x, h_col), (0.3, x[0], 0.05)):
+            new, ref = rk4_step(field, t, state, h), rk4_reference.rk4_step(field, t, state, h)
+            assert (new.dtype, new.shape) == (ref.dtype, ref.shape)
+            assert new.tobytes() == ref.tobytes()
+
+
+def test_rk4_step_writes_no_array_a_field_saw():
+    """A field that returns its input, or one cached array, finds it unchanged after the step."""
+    seen = []
+
+    def echo(t, x):
+        seen.append((x, x.copy()))
+        return x
+
+    x = np.random.default_rng(4).normal(size=(6, 2))
+    cache = x[::-1] * 3.0
+    kept = x.copy(), cache.copy()
+    for field in (vk.VectorField(2, echo), vk.VectorField(2, lambda t, x: cache)):
+        for t, h in ((0.3, 0.05), (np.full((6, 1), 0.3), np.full((6, 1), 0.05))):
+            assert rk4_step(field, t, x, h).tobytes() == \
+                rk4_reference.rk4_step(field, t, x, h).tobytes()
+    assert len(seen) == 16 and all(a.tobytes() == b.tobytes() for a, b in seen)
+    assert x.tobytes() == kept[0].tobytes() and cache.tobytes() == kept[1].tobytes()
 
 
 def _march_fields():
