@@ -509,8 +509,8 @@ def _rk4_fields():
 def test_rk4_step_has_the_plain_expressions_bits(name):
     """Scalar and (m, 1) t and h, and a (dim,) state: the reference's bits, dtype and shape.
 
-    The rows include a -nan, an inf and a row whose velocities overflow, so
-    NaN signs are compared too.
+    The rows include a -nan, an inf and a row of 1e200, on which the
+    nonlinear fields overflow, so NaN signs are compared too.
     """
     field = _rk4_fields()[name]
     rng = np.random.default_rng(9)
