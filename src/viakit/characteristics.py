@@ -693,6 +693,7 @@ def replay_check(cloud: GraphCloud, prob: CharProblem, fraction: float = 0.01) -
     sample of points and returns the worst reconstruction error.
 
     Raises:
+        ValueError: if the cloud is empty (no seed of graph_sample lay in K).
         NonFinite: if a replayed path blows up.
     """
     if len(cloud) == 0:

@@ -15,8 +15,10 @@ one thread whatever N is.  The only environment override is
 ``VIAKIT_OUT`` for the output directory.
 
 Exit codes: 0 success; 2 config error (with a field diagnostic), a grid
-too large to index, or a config file or output directory that cannot be
-read or made; 3 numeric failure (NonFinite, CapTooSmall, ParamDomain,
+too large to index, a config file or output directory that cannot be
+read or made, or a set kind with no rule for what the run asks of it
+(Unsupported: the boundary distance of a point-cloud ``pde.K`` with a
+datum ``v``); 3 numeric failure (NonFinite, CapTooSmall, ParamDomain,
 float overflow, or a MemoryError), naming the operation.
 """
 
@@ -45,7 +47,8 @@ from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
                      hj_check_sup, indicator_obstacle, lift, minimal_length_problem,
                      minimal_time_problem, speed_lagrangian, tabulate_values,
                      unit_lagrangian, zero_lagrangian, zero_obstacle)
-from .errors import CapTooSmall, ConfigError, NonFinite, NonzeroLagrangian, ParamDomain
+from .errors import (CapTooSmall, ConfigError, NonFinite, NonzeroLagrangian, ParamDomain,
+                     Unsupported)
 # exit_time and hitting_time stay importable here: perfbench/tracer.py wraps them
 from .kernels import (CHUNK_ROWS, GridSpec, _first_events, capt_field, discrete_kernel,
                       exit_time, hitting_time, lattice_points, viab_field,
@@ -373,34 +376,35 @@ def _eval(c: _Section, domain, name: str):
 
 
 def _integrate(field, x0, t0, horizon, step, out, **_):
-    csvio.write_trajectory(out("trajectory.csv"), integrate(field, x0, t0, horizon, step))
+    traj = integrate(field, x0, t0, horizon, step)
+    csvio.write_table(out("trajectory.csv"), t=traj.times, x=traj.states)
 
 
 def _flow(field, x0, t, step, out, **_):
-    csvio.write_points(out("flow.csv"), flow(field, t, x0, step)[None, :])
+    csvio.write_table(out("flow.csv"), x=flow(field, t, x0, step)[None, :])
 
 
 def _reach(field, seeds, t, step, out, **_):
     pts, ok = reach_set(field, t, seeds, step)
-    csvio.write_values(out("reach.csv"), pts, ok.astype(float), label="ok")
+    csvio.write_table(out("reach.csv"), x=pts, ok=ok)
 
 
 def _first_time(op, field, K, x0, horizon, step, csv, **_):
     sets = {"K": K} if op == "exit-time" else {"C": K}  # the set is left, or entered
     exits, hits, _, _ = _first_events(field, x0, horizon, step, **sets)
-    csvio.write_values(csv, x0, exits if op == "exit-time" else hits)
+    csvio.write_table(csv, x=x0, value=exits if op == "exit-time" else hits)
 
 
 def _sweep(op, field, K, grid, horizon, step, csv, workers, C=None, **_):
     sweep = {"viab": viab_field, "capt": capt_field, "viable-capt": viable_capt_field}[op]
     sets = (K,) if C is None else (K, C)
     tf = sweep(field, *sets, grid, horizon, step, workers=workers)
-    csvio.write_values(csv, grid.nodes(), tf.values)
+    csvio.write_table(csv, x=grid.nodes(), value=tf.values)
 
 
 def _kernel(field, K, grid, step, flow_step, out, workers, **_):
     alive, _ = discrete_kernel(field, K, grid, step, flow_step=flow_step, workers=workers)
-    csvio.write_values(out("kernel.csv"), grid.nodes(), alive, label="member")
+    csvio.write_table(out("kernel.csv"), x=grid.nodes(), member=alive)
 
 
 #: The tabulate_values mode behind each value subcommand.
@@ -412,7 +416,8 @@ ARRIVAL_PROBLEMS = {"mintime": minimal_time_problem, "minlength": minimal_length
 
 def _values(op, field, points, horizon, step, csv, problem=None, K=None, **_):
     p = ARRIVAL_PROBLEMS[op](field, K) if op in ARRIVAL_PROBLEMS else problem
-    csvio.write_values(csv, points, tabulate_values(p, points, VALUE_MODES[op], horizon, step))
+    csvio.write_table(csv, x=points,
+                      value=tabulate_values(p, points, VALUE_MODES[op], horizon, step))
 
 
 def _hj_check(problem, grid, horizon, step, mode, points, tol, out, **_):
@@ -420,25 +425,27 @@ def _hj_check(problem, grid, horizon, step, mode, points, tol, out, **_):
     field_fn = GridFunction(grid, tabulate_values(problem, nodes, mode, horizon, step))
     check = hj_check_sup if mode == "sup" else hj_check_inf
     report = check(problem, field_fn, points, tol=tol)
-    csvio.write_hj_report(out("hj_residuals.csv"), report)
-    csvio.write_values(out("value_field.csv"), nodes, field_fn.values)
+    csvio.write_table(out("hj_residuals.csv"), x=report.samples,
+                      residual_fwd=report.residual_fwd, residual_bwd=report.residual_bwd,
+                      complementarity=report.complementarity)
+    csvio.write_table(out("value_field.csv"), x=nodes, value=field_fn.values)
     print(f"hj-check {mode}: {len(report.violations)} violation(s)")
 
 
 def _pde_char(pde, ts, xs, step, out, **_):
     us, _ = solve_char_many(pde, ts, xs, step)
-    csvio.write_solution_field(out("pde_solution.csv"), ts, xs, us)
+    csvio.write_table(out("pde_solution.csv"), t=ts, x=xs, u=us)
 
 
 def _pde_graph(pde, T, step, seeds_per_face, seed_lo, seed_hi, boundary_points, out, **_):
     cloud = graph_sample(pde, T, step, seeds_per_face, seed_lo, seed_hi,
                          boundary_points=boundary_points)
-    csvio.write_graphcloud(out("graph_cloud.csv"), cloud)
+    csvio.write_table(out("graph_cloud.csv"), t=cloud.times, x=cloud.states, y=cloud.outputs)
 
 
 def _demo4d_run(oracle, domain, ts, xs, step, out, **_):
     us = oracle.solve_many(ts, xs)
-    csvio.write_solution_field(out("demo4d_solution.csv"), ts, xs, us)
+    csvio.write_table(out("demo4d_solution.csv"), t=ts, x=xs, u=us)
     if step is not None:
         prob = CharProblem(
             lambda t, x, y: -oracle.A * y, domain,
@@ -448,7 +455,7 @@ def _demo4d_run(oracle, domain, ts, xs, step, out, **_):
             phi=demographic_field(oracle.rho, oracle.sigma, oracle.beta, oracle.b))
         u_num, reached = solve_char_many(prob, ts, xs, step)
         diffs = np.where(reached, _row_norms(u_num - us), np.nan)
-        csvio.write_solution_field(out("demo4d_diff.csv"), ts, xs, diffs[:, None])
+        csvio.write_table(out("demo4d_diff.csv"), t=ts, x=xs, u=diffs[:, None])
 
 
 _HORIZON_STEP = ("horizon", "horizon", "step", _REQUIRED)
@@ -518,6 +525,9 @@ def _validate(op: str, cfg) -> dict:
     _check_dims(field_dim, data, dim)
     if op == "exit-time":  # an exit time starts inside its set
         _require_inside(v["K"], v["x0"], "x0", "the set")
+    if op == "pde-char" and v["pde"].phi is None:  # solve_char_many follows x' = phi(t, x)
+        raise ConfigError("pde-char needs a y-independent speed: section 'pde.phi', "
+                          "not 'pde.f'", section="pde.phi")
     if span_form == "eval":
         v["ts"], v["xs"] = _eval(c, v["domain"], "pde.K" if data == "pde" else "the demo4d domain")
         t0, t1 = 0.0, v["ts"]
@@ -576,7 +586,7 @@ def main(argv=None) -> int:
         _SCHEMA[op][0](op=op, out=out, csv=out(op.replace("-", "_") + ".csv"),
                        workers=args.workers, **values)
         return 0
-    except (ConfigError, NonzeroLagrangian) as exc:
+    except (ConfigError, NonzeroLagrangian, Unsupported) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NonFinite, CapTooSmall, ParamDomain, OverflowError, MemoryError) as exc:

@@ -1,11 +1,9 @@
-"""CSV export with a fixed, diffable format.
+"""CSV export with a fixed, diffable format: one writer, :func:`write_table`.
 
 All floats are written with 17 significant digits; the +/-INF sentinels
 are emitted literally as ``inf`` and ``-inf``.  Node ordering is the
 producing grid's row-major order, so repeated runs are byte-identical.
-Tables are written BLOCK rows at a time.  Within a block, a column that
-repeats its values has each distinct bit pattern formatted once; a column
-of mostly distinct values is formatted in place, value by value.
+Tables are written BLOCK rows at a time (see :func:`_write_rows`).
 """
 
 from __future__ import annotations
@@ -59,43 +57,14 @@ def _write_rows(path, header, *columns):
             fh.write((fmt * len(block)) % tuple(text.ravel().tolist()))
 
 
-def write_trajectory(path, traj):
-    """Rows (t, x...) of a ``dynamics.Trajectory``."""
-    header = ["t"] + [f"x{i+1}" for i in range(traj.dim)]
-    _write_rows(path, header, traj.times, traj.states)
+def write_table(path, /, **columns):
+    """Write the columns to path as one CSV table, in keyword order.
 
-
-def write_points(path, points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    header = [f"x{i+1}" for i in range(points.shape[1])]
-    _write_rows(path, header, points)
-
-
-def write_values(path, xs, values, label: str = "value"):
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    header = [f"x{i+1}" for i in range(xs.shape[1])] + [label]
-    _write_rows(path, header, xs, values)
-
-
-def write_hj_report(path, report):
-    """Rows (x..., residual_fwd, residual_bwd, complementarity) of an ``epi_hj.HJReport``."""
-    dim = report.samples.shape[1]
-    header = [f"x{i+1}" for i in range(dim)] + \
-        ["residual_fwd", "residual_bwd", "complementarity"]
-    _write_rows(path, header, report.samples, report.residual_fwd, report.residual_bwd,
-                report.complementarity)
-
-
-def write_graphcloud(path, cloud):
-    n, p = cloud.state_dim, cloud.out_dim
-    header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(p)]
-    _write_rows(path, header, cloud.points)
-
-
-def write_solution_field(path, ts, xs, us):
-    """Rows (t, x..., u...) of a solution sampled on an evaluation lattice."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    header = ["t"] + [f"x{i+1}" for i in range(xs.shape[1])] + \
-        [f"u{i+1}" for i in range(us.shape[1])]
-    _write_rows(path, header, ts, xs, us)
+    A 1-D column is one table column under its name; an (N, k) column is k
+    table columns named ``name1`` ... ``namek``.  Every column has N rows.
+    """
+    header = []
+    for name, column in columns.items():
+        shape = np.shape(column)
+        header += [name] if len(shape) == 1 else [f"{name}{i + 1}" for i in range(shape[1])]
+    _write_rows(path, header, *columns.values())

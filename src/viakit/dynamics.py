@@ -301,16 +301,6 @@ def integrate(field: VectorField, x0, t0: float, t1: float, step: float) -> Traj
     return Trajectory(times, states[:, 0], step)
 
 
-def flow(field: VectorField, t: float, x, step: float):
-    """The reachable-map value at time t from x.
-
-    Nonnegative t integrates f forward; negative t integrates the
-    reversed field -f over |t| (the inverse flow).  At t = 0 x comes
-    back unchanged once it passes the start check.
-    """
-    return integrate(field.negated() if t < 0 else field, x, 0.0, abs(t), step).states[-1]
-
-
 def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndarray):
     """The batched RK4 stepping core behind every sweep that retires rows; a generator.
 
@@ -434,6 +424,26 @@ def reach_set(field: VectorField, t: float, seeds, step: float):
         raise ValueError("reach_set requires t >= 0")
     x = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     return x, _advance(field, x, 0.0, t, step)
+
+
+def flow(field: VectorField, t: float, x, step: float):
+    """The reachable-map value at time t from x: a one-row lift of :func:`reach_set`.
+
+    Nonnegative t integrates f forward; negative t integrates the
+    reversed field -f over |t| (the inverse flow).  At t = 0 x comes
+    back unchanged once it passes the start check.  No history is kept.
+
+    Raises:
+        NonFinite: if x is not finite (at t = 0 too) or the state blows up.
+    """
+    x = _one_row(x)
+    if not _finite_rows(x).all():
+        raise NonFinite("initial state is not finite in flow")
+    with np.errstate(all="ignore"):  # as in _record: a state that would warn blows up
+        states, ok = reach_set(field.negated() if t < 0 else field, abs(t), x, step)
+    if not ok[0]:
+        raise NonFinite("state blew up during flow")
+    return states[0]
 
 
 def verify_growth(field: VectorField, states, times=(0.0,)) -> float:

@@ -20,7 +20,6 @@ changes nothing in the results (bit-identical gather).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +312,9 @@ def _run_chunks(fn, n: int, workers: int):
     spans = _chunks(n, workers)
     if len(spans) <= 1:
         return [fn(s, e) for s, e in spans]
+    # imported here: with the logging module it loads, it is ~6 ms of importing the CLI
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=len(spans)) as pool:
         return list(pool.map(lambda se: fn(*se), spans))
 

@@ -101,14 +101,14 @@ class SetOracle:
 
 
 class Box(SetOracle):
-    """Axis-aligned box [lo, hi]; infinite bounds allowed (halfspaces/slabs)."""
+    """Axis-aligned box [lo, hi]; infinite bounds allowed (halfspaces/slabs), NaN refused."""
 
     kind = "box"
 
     def __init__(self, lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound is not <= either
             raise ValueError("box needs lo <= hi componentwise")
         super().__init__(len(lo))
         self.lo, self.hi = lo, hi
@@ -153,6 +153,8 @@ class Ball(SetOracle):
 
     def __init__(self, center, radius: float):
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        if np.isnan(center).any():
+            raise ValueError("center must not be NaN")
         if not radius >= 0:  # NaN too
             raise ValueError("radius must be nonnegative")
         super().__init__(len(center))
@@ -191,6 +193,8 @@ class Halfspace(SetOracle):
     def __init__(self, normal, offset: float):
         normal = np.atleast_1d(np.asarray(normal, dtype=float))
         nn = np.linalg.norm(normal)
+        if np.isnan(normal).any() or np.isnan(offset):
+            raise ValueError("normal and offset must not be NaN")
         if nn == 0:
             raise ValueError("normal must be nonzero")
         super().__init__(len(normal))

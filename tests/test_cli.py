@@ -588,6 +588,17 @@ GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [
     ("pde-graph", GRAPH_CFG, {"pde": dict(GRAPH_CFG["pde"], K={"kind": "point-cloud",
                                                                "points": []})},
      "section 'pde.K' has dimension 0: the domain needs at least one coordinate"),
+    # solve_char_many follows x' = phi(t, x); pde-graph still takes f
+    ("pde-char", PDE_CFG, {"pde": {**{k: v for k, v in PDE_CFG["pde"].items() if k != "phi"},
+                                   "f": {"kind": "output"}}},
+     "pde-char needs a y-independent speed: section 'pde.phi'"),
+    # a datum v needs the domain's boundary distance, which a point cloud has no rule for
+    ("pde-char", PDE_CFG, {"pde": {"K": {"kind": "point-cloud", "points": [[0.0], [0.5], [1.0]]},
+                                   "phi": {"kind": "transport", "velocity": [1.0]},
+                                   "u0": {"kind": "affine", "weights": [1.0]},
+                                   "v": {"kind": "affine", "weights": [1.0, 0.0]}},
+                           "eval": {"ts": [0.5], "xs": [[0.5]]}},
+     "boundary_distance not available for kind 'point-cloud'"),
 ], ids=["box-lo-above-hi", "ball-negative-radius", "rotation-on-1d-set",
         "rotation-on-1d-grid", "dim-not-int", "explicit-dim-on-1d-set", "matrix-on-1d-grid",
         "matrix-not-square", "exit-time-x0-dim", "transport-on-1d-set", "empty-points", "obstacle-set-dim", "mintime-set-dim",
@@ -600,7 +611,8 @@ GRAPH_2D = {"T": 0.5, "seeds_per_face": 3, "seed_lo": [-1.0, -1.0], "seed_hi": [
         "pde-char-eval-dim", "demo4d-eval-3-columns", "demo4d-eval-5-columns",
         "pde-out-dim-2", "pde-output-field-on-2d-k", "point-cloud-no-points-1d",
         "point-cloud-no-points-2d", "pde-char-point-cloud-no-points",
-        "pde-graph-point-cloud-no-points"])
+        "pde-graph-point-cloud-no-points", "pde-char-output-speed",
+        "pde-char-point-cloud-boundary-datum"])
 def test_config_constructor_and_dimension_errors_exit_2(tmp_path, capsys, op, base, edit, key):
     cfg = _write(tmp_path, "dims.json", dict(base, **edit))
     assert main([op, cfg, "-o", str(tmp_path)]) == 2
@@ -773,8 +785,8 @@ def test_characteristic_csvs_match_per_row_references(tmp_path):
                                tuple(p["impulses"]) if p.get("impulses") else None)
         return vk.CharProblem(lambda t, x, y: -0.7 * y, vk.box([0.0], [np.inf]), data, 1, **speed)
 
-    def same(path, write, *table):
-        write(str(tmp_path / "want.csv"), *table)
+    def same(path, **columns):
+        csvio.write_table(str(tmp_path / "want.csv"), **columns)
         assert (tmp_path / path).read_bytes() == (tmp_path / "want.csv").read_bytes(), path
 
     def solve(prob, ts, xs, h):
@@ -786,24 +798,24 @@ def test_characteristic_csvs_match_per_row_references(tmp_path):
     ts, xs = grid[:, 0], grid[:, 1:]
     us = solve(prob, ts, xs, 0.05)
     assert np.isnan(us).any() and not np.isnan(us).all()  # feet on and between the slices
-    same("pde-char/pde_solution.csv", csvio.write_solution_field, ts, xs, us)
+    same("pde-char/pde_solution.csv", t=ts, x=xs, u=us)
 
     gprob = problem(graph_pde, f=lambda t, x, y: y)
     cloud = vk.graph_sample(gprob, 0.6, 0.05, 9, [0.0], [1.0], boundary_points=[[0.0]])
-    same("pde-graph/graph_cloud.csv", csvio.write_graphcloud, cloud)
+    same("pde-graph/graph_cloud.csv", t=cloud.times, x=cloud.states, y=cloud.outputs)
 
     o = vk.demo4d(*(demo[k] for k in ("rho", "sigma", "beta", "b", "r2", "A")),
                   *(_row_function(demo[k], 4) for k in ("u0", "v1", "v_r2")))
     ts, xs = np.array(demo_cfg["eval"]["ts"]), np.array(demo_cfg["eval"]["xs"])
     exact = np.array([trace_reference.demo4d_value(o, t, x) for t, x in zip(ts, xs)])
-    same("demo4d/demo4d_solution.csv", csvio.write_solution_field, ts, xs, exact)
+    same("demo4d/demo4d_solution.csv", t=ts, x=xs, u=exact)
     K4 = vk.product(vk.box([0.0], [np.inf]), vk.box([0.0], [o.r2]),
                     vk.box([0.0], [np.inf]), vk.box([0.0], [o.b]))
     face = lambda S, X: o.v1(S, X[:, 1:]) if X[0, 0] <= 1e-6 else o.v_r2(S, X[:, [0, 2, 3]])
     dprob = vk.CharProblem(lambda t, x, y: -o.A * y, K4, vk.BoundaryData(o.u0, face), 1,
                            phi=vk.demographic_field(o.rho, o.sigma, o.beta, o.b))
     diffs = [[float(np.linalg.norm(u - e))] for u, e in zip(solve(dprob, ts, xs, 0.05), exact)]
-    same("demo4d/demo4d_diff.csv", csvio.write_solution_field, ts, xs, np.array(diffs))
+    same("demo4d/demo4d_diff.csv", t=ts, x=xs, u=np.array(diffs))
 
 
 def test_reach_and_hitting(tmp_path):
@@ -951,6 +963,13 @@ def test_cli_import_leaves_csgraph_unloaded():
     importing the CLI loads none of it."""
     probe = ("import sys, viakit.cli; "
              "print('scipy.sparse.csgraph' in sys.modules, 'scipy' in sys.modules)")
+    assert _python("-c", probe).split() == ["False", "False"]
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    """kernels imports concurrent.futures only when a sweep splits across threads."""
+    probe = ("import sys, viakit.cli; "
+             "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)")
     assert _python("-c", probe).split() == ["False", "False"]
 
 

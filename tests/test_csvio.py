@@ -127,7 +127,7 @@ def test_write_rows_chooses_per_column_and_block(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_write_graphcloud_shaped_table(tmp_path):
+def test_graph_cloud_shaped_table(tmp_path):
     """A graph cloud's columns, 121 repeated t levels, distinct x (with SPECIAL
     values and NaNs of NAN_BITS scattered in) and 401 repeated y, give the
     per-value formatter's bytes."""
@@ -149,5 +149,5 @@ def test_write_boolfield_matches_per_value_formatter(tmp_path_factory, mask):
     out = tmp_path_factory.mktemp("bool")
     rows = (np.concatenate([x, [1.0 if m else 0.0]]) for x, m in zip(grid.nodes(), mask))
     cloud_reference.write_rows(out / "want.csv", ["x1", "member"], rows)
-    csvio.write_values(out / "got.csv", grid.nodes(), np.array(mask, dtype=bool), label="member")
+    csvio.write_table(out / "got.csv", x=grid.nodes(), member=np.array(mask, dtype=bool))
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

@@ -55,6 +55,31 @@ def test_flow_decay():
     assert abs(vk.flow(vk.linear_field(-1.0), math.log(2.0), [1.0], 1e-3)[0] - 0.5) <= 1e-6
 
 
+def test_flow_keeps_no_history():
+    """flow steps one row through reach_set's march: its traced peak over 200,000
+    steps stays under 64 KB, where integrate's times and states take megabytes."""
+    import tracemalloc
+
+    f = vk.linear_field(-1.0)
+    vk.flow(f, 0.01, [1.0], 1e-3)  # first-call allocations are not the march's
+    tracemalloc.start()
+    try:
+        out = vk.flow(f, 200.0, [1.0], 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert out.shape == (1,) and 0.0 < out[0] < 1e-80
+
+
+@pytest.mark.parametrize("t, x0", [(10.0, 5.0), (-10.0, -5.0)])
+def test_flow_blowup_raises(t, x0):
+    """x' = x^2 from 5, and its reversed field from -5, blow up at |t| = 0.2."""
+    square = vk.VectorField(1, lambda t, x: x * x, name="square")
+    with pytest.raises(vk.NonFinite, match="blew up during flow"):
+        vk.flow(square, t, [x0], 1e-2)
+
+
 def test_reach_set_zero_time():
     seeds = [[1.0], [2.0]]
     pts, ok = vk.reach_set(vk.linear_field(-1.0), 0.0, seeds, 1e-3)
@@ -210,10 +235,10 @@ def test_verify_growth_helper():
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    from viakit.csvio import write_trajectory
+    from viakit.csvio import write_table
     traj = vk.integrate(vk.rotation_field(), [1.0, 0.0], 0.0, 0.5, 0.1)
     path = tmp_path / "traj.csv"
-    write_trajectory(path, traj)
+    write_table(path, t=traj.times, x=traj.states)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x1,x2"
     vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
@@ -920,7 +945,8 @@ _ROW_ARGS = {"x", "x0", "xs", "c", "t", "seeds", "states", "samples", "sample_po
 #: The public callables taking such an argument that have no _BAD_INPUT row, and why.
 _NO_BAD_INPUT_ROW = {
     "reach_set": "flags each row that blows up, a NaN seed included, with ok False",
-    "flow": "a one-row lift of integrate, reversed for t < 0",
+    "flow": "a one-row lift of reach_set, reversed for t < 0; a non-finite start or "
+            "a blow-up raises NonFinite",
     "value_sup": "a one-row lift of tabulate_values",
     "value_inf": "a one-row lift of tabulate_values",
     "minimal_time": "a one-row lift of tabulate_values",

@@ -302,12 +302,12 @@ def test_chunks_floor_and_cover(n, workers):
 
 
 def test_timefield_csv_sentinel(tmp_path):
-    from viakit.csvio import write_values
+    from viakit.csvio import write_table
     K = vk.box([-1.0], [1.0])
     grid = vk.GridSpec([-1.0], [1.0], [4])
     tf = vk.viab_field(grow, K, grid, 5.0, 1e-2)
     path = tmp_path / "tf.csv"
-    write_values(path, grid.nodes(), tf.values)
+    write_table(path, x=grid.nodes(), value=tf.values)
     text = path.read_text()
     assert text.splitlines()[0] == "x1,value"
     assert ",inf" in text  # the node at 0 never exits

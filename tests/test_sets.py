@@ -288,8 +288,15 @@ def test_union_min_rule():
     (lambda: vk.ball([0.0], float("nan")), "radius must be nonnegative"),
     (lambda: vk.ball([0.0], -1.0), "radius must be nonnegative"),
     (lambda: vk.sphere([0.0, 0.0], float("nan")), "radius must be nonnegative"),
+    # a NaN parameter would make a set that contains no point
+    (lambda: vk.box([float("nan")], [1.0]), "box needs lo <= hi componentwise"),
+    (lambda: vk.box([0.0, -np.inf], [1.0, float("nan")]), "box needs lo <= hi componentwise"),
+    (lambda: vk.ball([float("nan")], 1.0), "center must not be NaN"),
+    (lambda: vk.halfspace([float("nan")], 0.0), "normal and offset must not be NaN"),
+    (lambda: vk.halfspace([1.0], float("nan")), "normal and offset must not be NaN"),
 ], ids=["union-dims", "intersection-dims", "union-empty", "ball-nan", "ball-negative",
-        "sphere-nan"])
+        "sphere-nan", "box-nan-lo", "box-nan-hi", "ball-nan-center", "halfspace-nan-normal",
+        "halfspace-nan-offset"])
 def test_set_constructors_reject_bad_parts(make, message):
     with pytest.raises(ValueError) as exc:
         make()
