@@ -53,9 +53,9 @@ from .sets import (
 )
 from .viable_euler import ViableResult, viable_step, viable_trajectory
 from .kernels import (
+    GridFunction,
     GridSpec,
     RepellerReport,
-    TimeField,
     capt_field,
     capture_margin,
     discrete_kernel,
@@ -67,7 +67,6 @@ from .kernels import (
 )
 from .epi_hj import (
     EpigraphResult,
-    GridFunction,
     HJReport,
     LagrangianProblem,
     abs_obstacle,

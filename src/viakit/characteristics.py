@@ -500,10 +500,10 @@ def query_graph(cloud: GraphCloud, t: float, x, radius: float):
     Single-linkage clustering with merge radius cloud.step (the connected
     components of the pairs within it); returns the cluster means, each
     over its rows in index order, sorted lexicographically (deterministic).
-    A NaN t or x raises ValueError.
+    A NaN t, x or radius raises ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _refuse_nan("query_graph", t=t, x=x)
+    _refuse_nan("query_graph", t=t, x=x, radius=radius)
     mask = (np.abs(cloud.times - t) <= radius) & \
         (_row_norms(cloud.states - x) <= radius)
     ys = cloud.outputs[mask]
@@ -548,8 +548,11 @@ def frankowska_residual(cloud: GraphCloud, prob: CharProblem, n_samples: int,
     At each sampled cloud point the direction (1, f, g) must be
     contingent to the cloud; away from the data manifold so must
     (-1, -f, -g).  Residuals are tangent residuals against the cloud as a
-    point-cloud oracle, on the ladder from 8h down to its step h.
+    point-cloud oracle, on the ladder from 8h down to its step h.  An
+    n_samples below 1, an empty cloud or no interior point raises ValueError.
     """
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be positive, not {n_samples}")
     if len(cloud) == 0:
         raise ValueError("the cloud is empty: no seed of graph_sample lay in K")
     h = cloud.step

@@ -42,7 +42,7 @@ from .characteristics import (BoundaryData, CharProblem, demo4d, graph_sample,
 from .dynamics import (VectorField, _schedule, demographic_field, flow, integrate,
                        linear_field, logistic_field, reach_set, rotation_field,
                        transport_field)
-from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
+from .epi_hj import (LagrangianProblem, abs_obstacle,
                      const_lagrangian, epigraph_oracle, hj_check_inf,
                      hj_check_sup, indicator_obstacle, lift, minimal_length_problem,
                      minimal_time_problem, speed_lagrangian, tabulate_values,
@@ -50,9 +50,9 @@ from .epi_hj import (GridFunction, LagrangianProblem, abs_obstacle,
 from .errors import (CapTooSmall, ConfigError, NonFinite, NonzeroLagrangian, ParamDomain,
                      Unsupported)
 # exit_time and hitting_time stay importable here: perfbench/tracer.py wraps them
-from .kernels import (CHUNK_ROWS, GridSpec, _first_events, capt_field, discrete_kernel,
-                      exit_time, hitting_time, lattice_points, viab_field,
-                      viable_capt_field)
+from .kernels import (CHUNK_ROWS, GridFunction, GridSpec, _first_events, capt_field,
+                      discrete_kernel, exit_time, hitting_time, lattice_points,
+                      viab_field, viable_capt_field)
 from .sets import (ball, box, complement, halfspace, intersection,
                    point_cloud_set, product, sphere, union)
 

@@ -33,7 +33,7 @@ from .common import (INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _re
                      _row_norms)
 from .dynamics import VectorField, _bisect, _record, rk4_step
 from .errors import CapTooSmall, NonFinite, NonzeroLagrangian
-from .kernels import GridSpec, TimeField, capt_field, viab_field
+from .kernels import GridFunction, GridSpec, capt_field, viab_field
 from .sets import SetOracle, Sublevel
 
 
@@ -447,56 +447,9 @@ def epigraph_oracle(obstacle, state_dim: int, lipschitz: float = math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Values on a state grid with multilinear interpolation (INF-aware)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if len(values) != self.grid.node_count:
-            raise ValueError("values length must match the grid node count")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def interp(self, x) -> float:
-        """The value at one point; a one-row lift of :meth:`interp_many`."""
-        return float(self.interp_many(_one_row(x))[0])
-
-    def interp_many(self, X) -> np.ndarray:
-        """Multilinear interpolation at the (m, dim) rows of X (INF-aware).
-
-        Corners of weight below 1e-12 are skipped; an INF value at any other
-        corner, or lying outside the grid (an infinite entry included), makes
-        a row INF.  A row that holds a NaN raises ValueError.  Corners and
-        axis factors go in one fixed order, so no value depends on the batch.
-        """
-        g = self.grid
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        _refuse(np.isnan(X).any(axis=1),
-                lambda i: f"interp_many: row {i} {X[i].tolist()} holds a NaN")
-        sp = g.spacing
-        inside = np.all((X >= g.lo - 1e-9 * sp) & (X <= g.hi + 1e-9 * sp), axis=1)
-        pos = (np.where(inside[:, None], X, g.lo) - g.lo) / sp
-        base = np.clip(np.floor(pos).astype(int), 0, g.counts - 1)
-        frac = pos - base
-        total, wsum, blocked = np.zeros(len(X)), np.zeros(len(X)), ~inside
-        for corner in range(1 << g.dim):
-            offs = np.array([(corner >> k) & 1 for k in range(g.dim)])
-            w = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
-            use = w >= 1e-12
-            v = self.values[np.ravel_multi_index(tuple((base + offs).T), g.shape)]
-            blocked |= use & (v >= INF)
-            total = np.where(use, total + w * v, total)
-            wsum = np.where(use, wsum + w, wsum)
-        return np.where(blocked | ~(wsum > 0), INF, total / wsum)
-
-
-@dataclass(frozen=True)
 class EpigraphResult:
     envelope: GridFunction   # least y in the kernel/basin per state node
-    time_field: TimeField    # the raw (x, y)-grid exit/hitting field
+    time_field: GridFunction  # the raw (x, y)-grid exit/hitting field
 
 
 def epigraph_value_field(p: LagrangianProblem, grid2d: GridSpec, mode: str,

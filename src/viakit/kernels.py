@@ -39,7 +39,7 @@ CHUNK_ROWS = 6144
 
 
 # ---------------------------------------------------------------------------
-# Grids and time fields
+# Grids and values on them
 # ---------------------------------------------------------------------------
 
 
@@ -103,23 +103,24 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class TimeField:
-    """Per-node nonnegative times (INF sentinel for +infinity).
+class GridFunction:
+    """One value per grid node (INF sentinel for +infinity), with multilinear interpolation.
 
-    ``inside`` marks nodes that satisfied the operation's membership
-    precondition (e.g. nodes of K for an exit field); values at nodes
-    with inside=False are the convention stated by the producing op.
+    ``inside`` (all True by default) marks the nodes that met the producing
+    operation's membership precondition (e.g. nodes of K for an exit field);
+    values at the other nodes are the convention that operation states.
     """
 
     grid: GridSpec
     values: np.ndarray
-    inside: np.ndarray
+    inside: np.ndarray = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        inside = np.asarray(self.inside, dtype=bool)
+        inside = np.ones(len(values)) if self.inside is None else self.inside
+        inside = np.asarray(inside, dtype=bool)
         if len(values) != self.grid.node_count or len(inside) != len(values):
-            raise ValueError("field length must match the grid node count")
+            raise ValueError("values and inside need one entry per grid node")
         values.flags.writeable = False
         inside.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -132,6 +133,38 @@ class TimeField:
     def sublevel(self, T: float) -> np.ndarray:
         """Mask of nodes with value <= T (e.g. the T-capture basin)."""
         return self.values <= T
+
+    def interp(self, x) -> float:
+        """The value at one point; a one-row lift of :meth:`interp_many`."""
+        return float(self.interp_many(_one_row(x))[0])
+
+    def interp_many(self, X) -> np.ndarray:
+        """Multilinear interpolation at the (m, dim) rows of X (INF-aware).
+
+        Corners of weight below 1e-12 are skipped; an INF value at any other
+        corner, or lying outside the grid (an infinite entry included), makes
+        a row INF.  A row that holds a NaN raises ValueError.  Corners and
+        axis factors go in one fixed order, so no value depends on the batch.
+        """
+        g = self.grid
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        _refuse(np.isnan(X).any(axis=1),
+                lambda i: f"interp_many: row {i} {X[i].tolist()} holds a NaN")
+        sp = g.spacing
+        inside = np.all((X >= g.lo - 1e-9 * sp) & (X <= g.hi + 1e-9 * sp), axis=1)
+        pos = (np.where(inside[:, None], X, g.lo) - g.lo) / sp
+        base = np.clip(np.floor(pos).astype(int), 0, g.counts - 1)
+        frac = pos - base
+        total, wsum, blocked = np.zeros(len(X)), np.zeros(len(X)), ~inside
+        for corner in range(1 << g.dim):
+            offs = np.array([(corner >> k) & 1 for k in range(g.dim)])
+            w = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
+            use = w >= 1e-12
+            v = self.values[np.ravel_multi_index(tuple((base + offs).T), g.shape)]
+            blocked |= use & (v >= INF)
+            total = np.where(use, total + w * v, total)
+            wsum = np.where(use, wsum + w, wsum)
+        return np.where(blocked | ~(wsum > 0), INF, total / wsum)
 
 
 # ---------------------------------------------------------------------------
@@ -332,33 +365,33 @@ def _grid_events(field, grid: GridSpec, T_max, h, workers, K=None, C=None):
 
 
 def viab_field(field: VectorField, K: SetOracle, grid: GridSpec, T_max: float,
-               h: float, workers: int = 1) -> TimeField:
+               h: float, workers: int = 1) -> GridFunction:
     """Exit time of K at every grid node; {value >= T} is the T-viability kernel.
 
     Nodes outside K are marked inside=False and get value 0 (they are
     already out).  Per-node integration failures are recorded as 0.
     """
     inside, ex, _, failed = _grid_events(field, grid, T_max, h, workers, K=K)
-    return TimeField(grid, np.where(~inside | (failed & (ex >= INF)), 0.0, ex), inside)
+    return GridFunction(grid, np.where(~inside | (failed & (ex >= INF)), 0.0, ex), inside)
 
 
 def capt_field(field: VectorField, C: SetOracle, grid: GridSpec, T_max: float,
-               h: float, workers: int = 1) -> TimeField:
+               h: float, workers: int = 1) -> GridFunction:
     """Hitting time of C at every grid node; {value <= T} is the T-capture basin.
 
     Nodes already in C get 0. A node whose integration blows up without
     hitting keeps INF (it never reached C).
     """
     inside, _, ht, _ = _grid_events(field, grid, T_max, h, workers, C=C)
-    return TimeField(grid, ht, inside)
+    return GridFunction(grid, ht, inside)
 
 
 def viable_capt_field(field: VectorField, K: SetOracle, C: SetOracle,
                       grid: GridSpec, T_max: float, h: float,
-                      workers: int = 1) -> TimeField:
+                      workers: int = 1) -> GridFunction:
     """Capture margin at every in-K node; {value <= 0} is the viable-capture basin."""
     inside, ex, ht, _ = _grid_events(field, grid, T_max, h, workers, K=K, C=C)
-    return TimeField(grid, np.where(inside, _margin_of(ex, ht), INF), inside)
+    return GridFunction(grid, np.where(inside, _margin_of(ex, ht), INF), inside)
 
 
 def discrete_kernel(field: VectorField, K: SetOracle, grid: GridSpec,

@@ -2,10 +2,10 @@
 
 Sets are represented by oracles rather than meshes; every construction
 downstream consumes only membership, distance, and projection.  A kind
-implements the ``*_many`` rules on ``(m, dim)`` rows, and the scalar
-rules lift one state to one row (point clouds: 1e-9 membership
-tolerance).  The primitive kinds (box, ball, halfspace, point cloud) have
-exact analytic rules; composites are built on top:
+implements the ``*_many`` rules on ``(m, dim)`` rows, the scalar rules
+lift one state to one row, and every kind's membership is margin <= 0.
+The primitive kinds (box, ball, halfspace, point cloud) have exact
+analytic rules; composites are built on top:
 
   * product       - exact (per-factor slices)
   * union         - exact (min of member distances, argmin projection)
@@ -44,7 +44,7 @@ class SetOracle:
 
     A kind implements the ``*_many`` rules on ``(m, dim)`` rows; ``margin``,
     ``contains``, ``distance`` and ``boundary_distance`` lift one state to
-    one row of them, and point clouds use a 1e-9 membership tolerance.
+    one row of them.  Membership is ``margin_many(X) <= 0`` for every kind.
     """
 
     kind = "abstract"
@@ -222,7 +222,8 @@ class Halfspace(SetOracle):
 
 
 class PointCloudSet(SetOracle):
-    """A finite set of points; projection ties break to the lowest index."""
+    """The union of closed 1e-9 balls (for round-off) around finite points: the margin
+    is the KD distance less 1e-9.  Projection ties break to the lowest index."""
 
     kind = "point-cloud"
 
@@ -235,15 +236,15 @@ class PointCloudSet(SetOracle):
         self._tree = cKDTree(points) if points.size else None
 
     def margin_many(self, X):
+        return self.distance_many(X) - 1e-9
+
+    def distance_many(self, X):
+        """Exact distances of (m, dim) rows to the nearest point (INF for no point)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._tree is None:
             return np.full(len(X), INF)
         d, _ = self._tree.query(X)
         return np.asarray(d, dtype=float)
-
-    def contains_many(self, X):
-        # membership tolerance for float round-off on exact points
-        return self.margin_many(X) <= 1e-9
 
     def project(self, y):
         if self._tree is None:
@@ -258,6 +259,14 @@ class PointCloudSet(SetOracle):
 # ---------------------------------------------------------------------------
 # Composites
 # ---------------------------------------------------------------------------
+
+
+def _square(d: float) -> float:
+    """d ** 2 by libm's pow, the one-row product rule's bits; inf where it overflows."""
+    try:
+        return d ** 2
+    except OverflowError:
+        return np.inf
 
 
 class Product(SetOracle):
@@ -285,8 +294,7 @@ class Product(SetOracle):
 
     def distance_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        # squared as Python floats, by libm's pow, as the one-row rule did
-        return np.sqrt(sum(np.array([d ** 2 for d in f.distance_many(X[:, s]).tolist()])
+        return np.sqrt(sum(np.array([_square(d) for d in f.distance_many(X[:, s]).tolist()])
                            for f, s in zip(self.factors, self._slices)))
 
     def project(self, y):
@@ -559,7 +567,7 @@ def set_limit(clouds, mode: str, eps: float) -> PointCloudSet:
     many" is approximated by the tail (the last half of the sequence):
     upper mode keeps candidates within eps of at least half of the tail
     clouds, lower mode requires all tail clouds (an empty one, whose
-    margin is INF, admits none).  Candidates are drawn from the union of
+    distance is INF, admits none).  Candidates are drawn from the union of
     all cloud points, and the kept ones are merged greedily at radius
     eps / 2 (see :func:`_merge_points`).
     """
@@ -570,6 +578,6 @@ def set_limit(clouds, mode: str, eps: float) -> PointCloudSet:
         raise ValueError("mode must be 'upper' or 'lower'")
     tail = [PointCloudSet(c) for c in clouds[len(clouds) // 2:]]
     candidates = np.vstack(clouds)
-    counts = sum(K.margin_many(candidates) <= eps for K in tail)
+    counts = sum(K.distance_many(candidates) <= eps for K in tail)
     selected = candidates[counts * 2 >= len(tail) if mode == "upper" else counts == len(tail)]
     return PointCloudSet(selected[_merge_points(selected, eps / 2.0)])

@@ -1206,6 +1206,9 @@ def test_scipy_spatial_loads_only_where_a_tree_is_built(tmp_path):
     assert [tuple(seen[i]) for i in range(len(FUZZ_CONFIGS))] == [(0, b) for b in builds]
 
 
+# ROADMAP item 6: some malformed leaves overflow a field or a speed square on rows
+# the march then refuses (exit 3), and numpy warns of it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_malformed_leaf_exits_0_2_or_3(tmp_path_factory, data):

@@ -196,6 +196,27 @@ def test_discrete_kernel_empty_set():
     assert not alive.any() and iters == 0
 
 
+def test_discrete_kernel_every_image_blows_up():
+    """No in-K node has a finite one-step image, so none survives the first sweep."""
+    nan = vk.VectorField(1, lambda t, x: np.full_like(x, np.nan), name="nan")
+    alive, iters = vk.discrete_kernel(nan, vk.box([0.0], [1.0]), vk.GridSpec([0.0], [1.0], [4]),
+                                      0.1)
+    assert not alive.any() and iters == 1
+
+
+def test_grid_fields_are_grid_functions():
+    """The grid fields return the one grid-valued type, whose inside marks the nodes
+    of K; built from values alone, a GridFunction is inside at every node."""
+    assert vk.GridFunction is kernels.GridFunction is vk.epi_hj.GridFunction
+    K = vk.box([0.0], [1.0])
+    grid = vk.GridSpec([-0.5], [1.5], [8])
+    tf = vk.viab_field(one, K, grid, 5.0, 1e-2)
+    assert isinstance(tf, vk.GridFunction)
+    assert tf.inside.tolist() == K.contains_many(grid.nodes()).tolist()
+    assert tf.interp([0.375]) == pytest.approx(0.625, abs=1e-6)
+    assert vk.GridFunction(grid, tf.values).inside.tolist() == [True] * 9
+
+
 def test_repeller_transport():
     K = vk.box([0.0], [1.0])
     grid = vk.GridSpec([0.0], [1.0], [50])

@@ -150,6 +150,24 @@ def test_boundary_distance_unsupported_kinds():
             K.boundary_distance(inside[0])
 
 
+@pytest.mark.parametrize("K, message", [
+    (vk.empty_set(2), "cannot project onto the empty set"),
+    (vk.sublevel(lambda X: X[:, 0], 2), "sublevel sets have no analytic projection"),
+], ids=["empty-cloud", "sublevel"])
+def test_projection_unsupported_kinds(K, message):
+    with pytest.raises(vk.Unsupported, match=message):
+        K.project([0.0, 0.0])
+
+
+def test_product_distance_overflow_reads_inf():
+    """A factor distance whose square overflows reads inf, as Box and Ball
+    distances there do; it raised a bare OverflowError."""
+    P = vk.product(vk.halfspace([1.0], 0.0), vk.box([0.0], [1.0]))
+    assert P.distance([1e200, 0.5]) == np.inf
+    assert P.distance_many([[1e200, 0.5], [3.0, 2.0]]).tolist() == [np.inf, math.sqrt(10.0)]
+    assert vk.tangent_residual(P, [0.0, 0.5], [1e205, 0.0]) == np.inf
+
+
 def test_complement_boundary_distance_is_its_base_rule():
     # off a box corner the distance is Euclidean, not the L-infinity excess
     x = [1.0 + 7e-7, 1.0 + 7e-7]
@@ -294,9 +312,11 @@ def test_union_min_rule():
     (lambda: vk.ball([float("nan")], 1.0), "center must not be NaN"),
     (lambda: vk.halfspace([float("nan")], 0.0), "normal and offset must not be NaN"),
     (lambda: vk.halfspace([1.0], float("nan")), "normal and offset must not be NaN"),
+    (lambda: vk.halfspace([0.0, 0.0], 1.0), "normal must be nonzero"),
+    (lambda: vk.product(), "product needs at least one factor"),
 ], ids=["union-dims", "intersection-dims", "union-empty", "ball-nan", "ball-negative",
         "sphere-nan", "box-nan-lo", "box-nan-hi", "ball-nan-center", "halfspace-nan-normal",
-        "halfspace-nan-offset"])
+        "halfspace-nan-offset", "halfspace-zero-normal", "product-empty"])
 def test_set_constructors_reject_bad_parts(make, message):
     with pytest.raises(ValueError) as exc:
         make()
@@ -426,8 +446,9 @@ def test_composite_distance_folds_match_the_stacked_reduction_on_batches(name, r
 
 def test_complement_projects_onto_box_and_halfspace_faces():
     """From inside a box or halfspace, the complement projects onto the nearest
-    face; a box with no finite face has none to project onto."""
+    face, a lo or a hi one; a box with no finite face has none to project onto."""
     assert vk.complement(unit_box).project([0.3, 0.5]).tolist() == [0.0, 0.5]
+    assert vk.complement(unit_box).project([0.3, 0.9]).tolist() == [0.3, 1.0]
     with pytest.raises(vk.Unsupported, match="box has no finite face"):
         vk.complement(vk.whole_space(2)).project([0.3, 0.5])
     assert vk.complement(vk.halfspace([1.0, 0.0], 0.5)).project([0.0, 1.0]).tolist() == \
@@ -631,6 +652,58 @@ def test_set_limit_lower_subset_of_upper():
     if len(low.points) and len(up.points):
         for pnt in low.points:
             assert up.distance(pnt) <= 0.3 + 1e-9
+
+
+def test_set_oracle_is_the_one_membership_rule():
+    """No kind overrides contains_many: membership is margin_many(X) <= 0."""
+    kinds = [c for c in vars(vk.sets).values()
+             if isinstance(c, type) and issubclass(c, vk.SetOracle)]
+    assert len(kinds) > 5
+    assert [c for c in kinds if "contains_many" in vars(c)] == [vk.SetOracle]
+
+
+_TWO_POINTS = vk.point_cloud_set([[0.1], [0.3]])
+_FAR_BOX = vk.box([5.0], [6.0])
+
+
+@pytest.mark.parametrize("K, x", [
+    (vk.union(_TWO_POINTS, _FAR_BOX), [0.1 + 1e-12]),
+    (vk.intersection(_TWO_POINTS, vk.box([0.0], [1.0])), [0.1 + 1e-12]),
+    (vk.product(_TWO_POINTS, vk.box([0.0], [1.0])), [0.1 + 1e-12, 0.5]),
+    # the node 0.10000000000000009 of GridSpec([-1], [1], [20])
+    (vk.union(_TWO_POINTS, _FAR_BOX), vk.GridSpec([-1.0], [1.0], [20]).nodes()[11]),
+], ids=["union", "intersection", "product", "union-grid-node"])
+def test_composites_keep_the_clouds_tolerance(K, x):
+    """A point within 1e-9 of a cloud point is in the cloud, and so in every
+    composite that folds the cloud's margin."""
+    assert 0.0 < abs(x[0] - 0.1) <= 1e-9
+    assert _TWO_POINTS.contains(x[:1])
+    assert K.contains(x) and K.contains_many(np.array([x]))[0]
+
+
+def test_point_cloud_is_the_union_of_its_1e9_balls():
+    """The margin is the exact KD distance less 1e-9; the complement of a cloud
+    is the closure of the complement of those balls."""
+    x = np.array([[0.1], [0.1 + 5e-10], [0.1 + 2e-9], [0.15]])
+    d = np.abs(x[:, 0] - 0.1)
+    assert _TWO_POINTS.distance_many(x).tolist() == d.tolist()
+    assert _TWO_POINTS.margin_many(x).tolist() == (d - 1e-9).tolist()
+    assert _TWO_POINTS.contains_many(x).tolist() == [True, True, False, False]
+    C = vk.complement(_TWO_POINTS)
+    assert C.contains_many(x).tolist() == [False, False, True, True]
+    assert C.distance([0.1]) == 1e-9
+
+
+@pytest.mark.parametrize("mode", ["upper", "lower"])
+def test_set_limit_counts_exact_distances(mode):
+    """A candidate 1e-10 farther than eps from a tail cloud is not within eps of it,
+    as in the reference; the cloud's 1e-9 margin slack is not counted."""
+    near, far = np.array([[0.0]]), np.array([[0.2 + 1e-10]])
+    clouds = [near, far, near, far, far]  # the tail is near, far, far
+    got = vk.set_limit(clouds, mode, 0.2)
+    want = cloud_reference.set_limit(map(cloud_reference.PointCloud, clouds), mode, 0.2)
+    assert got.points.shape == want.points.shape
+    assert got.points.tobytes() == want.points.tobytes()
 
 
 def test_empty_set():

@@ -26,7 +26,7 @@ def distance(K, x) -> float:
     if isinstance(K, (sets.Ball, sets.Halfspace)):
         return max(K.margin(x), 0.0)
     if isinstance(K, sets.PointCloudSet):
-        return K.margin(x)
+        return float(K._tree.query(x)[0]) if K._tree is not None else INF
     if isinstance(K, sets.Product):
         return float(np.sqrt(sum(distance(f, x[s]) ** 2 for f, s in zip(K.factors, K._slices))))
     if isinstance(K, sets.Union):
