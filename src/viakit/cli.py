@@ -30,7 +30,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -110,8 +109,7 @@ class _Section:
 
     def __init__(self, value, where: str):
         if not isinstance(value, dict):
-            raise ConfigError(f"section {where!r} must be a JSON object, got {value!r}",
-                              section=where)
+            raise ConfigError(f"section {where!r} must be a JSON object, got {value!r}")
         self.value, self.where = value, where
 
     def __contains__(self, key) -> bool:
@@ -134,7 +132,7 @@ class _Section:
         if default is not _REQUIRED and key not in s:
             return default
         if key not in s.value:
-            raise ConfigError(f"missing {key!r} in section {s.where!r}", section=s.where)
+            raise ConfigError(f"missing {key!r} in section {s.where!r}")
         value = s.value[key]
         if form is None:
             return value
@@ -145,11 +143,10 @@ class _Section:
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            raise ConfigError(f"{key!r} in section {s.where!r} must be {what}, got {value!r}",
-                              section=s.where)
+            raise ConfigError(f"{key!r} in section {s.where!r} must be {what}, got {value!r}")
         if length is not None and x.shape != (length,):
             raise ConfigError(f"{key!r} in section {s.where!r} must be a vector of length "
-                              f"{length}, got shape {x.shape}", section=s.where)
+                              f"{length}, got shape {x.shape}")
         return x
 
 
@@ -157,8 +154,7 @@ def _kind(s: _Section, table: dict, what: str):
     """The entry of table under s's kind."""
     kind = s.read("kind")
     if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"unknown {what} kind {kind!r} in section {s.where!r}",
-                          section=s.where)
+        raise ConfigError(f"unknown {what} kind {kind!r} in section {s.where!r}")
     return table[kind]
 
 
@@ -166,14 +162,13 @@ def _check_dims(dim: int, where: str, d: int):
     """ConfigError unless the dimension d of section where is dim."""
     if d != dim:
         raise ConfigError(f"section {where!r} has dimension {d}, but the field has "
-                          f"dimension {dim}", section=where)
+                          f"dimension {dim}")
 
 
 def _require_inside(K, rows, where: str, set_name: str):
     """ConfigError naming the first of ``rows`` outside ``K``."""
     _refuse(~K.contains_many(rows),
-            lambda i: f"{where} row {i} {rows[i].tolist()} is outside {set_name}",
-            partial(ConfigError, section=where))
+            lambda i: f"{where} row {i} {rows[i].tolist()} is outside {set_name}", ConfigError)
 
 
 def _field(s: _Section, dim: int) -> VectorField:
@@ -228,7 +223,7 @@ def _set(s: _Section, dim=None):
     try:
         K = _kind(s, _SETS, "set")(s)
     except ValueError as exc:  # a constructor's own check, e.g. box lo > hi
-        raise ConfigError(f"{exc} in section {s.where!r}", section=s.where) from exc
+        raise ConfigError(f"{exc} in section {s.where!r}") from exc
     if dim is not None:
         _check_dims(dim, s.where, K.dim)
     return K
@@ -305,7 +300,7 @@ def _grid(s: _Section):
         grid = GridSpec(lo, s.read("hi", "vector", length=len(lo)),
                         s.read("counts", "counts", length=len(lo)))
     except ValueError as exc:
-        raise ConfigError(f"{exc} in section 'grid'", section="grid") from exc
+        raise ConfigError(f"{exc} in section 'grid'") from exc
     return {"grid": grid}, grid.dim
 
 
@@ -315,7 +310,7 @@ def _pde(s: _Section):
     n = K.dim
     if n == 0:  # a point cloud's "points": [] reads as one row of no numbers
         raise ConfigError("section 'pde.K' has dimension 0: the domain needs at least one "
-                          "coordinate", section="pde.K")
+                          "coordinate")
     data = BoundaryData(_function(s.sub("u0"), n),
                         _function(s.sub("v"), 1 + n) if "v" in s else None,
                         tuple(s.read("impulses", "vector").tolist()) if "impulses" in s else None)
@@ -323,7 +318,7 @@ def _pde(s: _Section):
     g = _kind(gs, _OUTPUT_FIELDS, "g")(gs)
     if s.read("out_dim", "count", 1) != 1:
         raise ConfigError("'out_dim' in section 'pde' must be 1: each data function gives "
-                          "one number", section="pde")
+                          "one number")
     if "f" in s:  # x' = y: the state has the output's dimension
         prob = CharProblem(g, K, data, 1, f=_kind(s.sub("f"), {"output": lambda t, x, y: y}, "f"))
     else:
@@ -348,7 +343,7 @@ def _eval(c: _Section, domain, name: str):
     if "ts" in ev and "xs" in ev:
         ts, xs = ev.read("ts", "vector"), ev.read("xs", "rows")
         if len(ts) != len(xs):
-            raise ConfigError("eval.ts and eval.xs must have equal length", section="eval")
+            raise ConfigError("eval.ts and eval.xs must have equal length")
     else:
         try:
             spans = np.array([ev.read("t_range"), *ev.read("x_range")], dtype=float)
@@ -358,16 +353,15 @@ def _eval(c: _Section, domain, name: str):
             ok = False
         if not ok:
             raise ConfigError("eval.t_range and each eval.x_range entry must be "
-                              "[lo, hi, count] with a count >= 1", section="eval")
+                              "[lo, hi, count] with a count >= 1")
         pts = lattice_points([np.linspace(a, b, int(n)) for a, b, n in spans])
         ts, xs = pts[:, 0], pts[:, 1:]
     _check_dims(domain.dim, "eval", xs.shape[1])
     _refuse(~np.isfinite(xs).all(axis=1), lambda i: f"eval row {i} {xs[i].tolist()} is not finite",
-            partial(ConfigError, section="eval"))
+            ConfigError)
     _require_inside(domain, xs, "eval", name)
     for bad, rule in ((~np.isfinite(ts), "be finite"), (ts < 0.0, "be >= 0")):
-        _refuse(bad, lambda i: f"eval time {i} ({ts[i]}) must {rule}",
-                partial(ConfigError, section="eval"))
+        _refuse(bad, lambda i: f"eval time {i} ({ts[i]}) must {rule}", ConfigError)
     return ts, xs
 
 
@@ -527,7 +521,7 @@ def _validate(op: str, cfg) -> dict:
         _require_inside(v["K"], v["x0"], "x0", "the set")
     if op == "pde-char" and v["pde"].phi is None:  # solve_char_many follows x' = phi(t, x)
         raise ConfigError("pde-char needs a y-independent speed: section 'pde.phi', "
-                          "not 'pde.f'", section="pde.phi")
+                          "not 'pde.f'")
     if span_form == "eval":
         v["ts"], v["xs"] = _eval(c, v["domain"], "pde.K" if data == "pde" else "the demo4d domain")
         t0, t1 = 0.0, v["ts"]
@@ -539,7 +533,7 @@ def _validate(op: str, cfg) -> dict:
         try:
             _schedule(t0, t1, h)
         except ValueError as exc:
-            raise ConfigError(f"{span!r} from {t0!r}: {exc}", section=span) from None
+            raise ConfigError(f"{span!r} from {t0!r}: {exc}") from None
     return v
 
 

@@ -46,6 +46,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(s, axis=1))
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only copy of a as a dtype array of one axis or more: a record's own array."""
+    a = np.array(a, dtype=dtype, ndmin=1)
+    a.flags.writeable = False
+    return a
+
+
 def _ladder(h_max: float, h_min: float) -> np.ndarray:
     """The geometric step ladder h_max, h_max/2, ... down to h_min (1e-12 slack)."""
     if not (h_min > 0.0 and np.isfinite(h_max)):  # else halving never ends (NaN: no rung)

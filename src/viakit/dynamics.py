@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import BLOWUP_NORM, _finite_samples, _one_row, _refuse, _row_norms
+from .common import BLOWUP_NORM, _finite_samples, _frozen, _one_row, _refuse, _row_norms
 from .errors import NonFinite
 
 
@@ -76,16 +76,13 @@ class Trajectory:
     step: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+        times, states = _frozen(self.times, float), _frozen(self.states, float)
         if states.ndim == 1:
             states = states[:, None]
         if len(times) != len(states):
             raise ValueError("times and states must have equal length")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        times.flags.writeable = False
-        states.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -251,6 +248,8 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
             t1 (once the nodes before the blow-up are drawn; with one
             block, after the march reaches t1).
     """
+    if xs.shape[1] != field.dim:
+        raise ValueError(f"{field.dim}-D field {field.name}: rows of width {xs.shape[1]}")
     if not _finite_rows(xs).all():
         raise NonFinite(f"initial state is not finite in {what}")
     times = np.array([t0] + [t + h for t, h in step_schedule(t0, t1, step)], dtype=float)
@@ -329,6 +328,8 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
     before and after the step, in the order of rows.  None of them is to
     be written, nor kept past the next step.
     """
+    if x.shape[1] != field.dim:
+        raise ValueError(f"{field.dim}-D field {field.name}: rows of width {x.shape[1]}")
     t0, t1 = (float(a[0]) if np.ndim(a) and len(a) and np.all(a == a[0]) else a
               for a in (t0, t1))
     n_full, rem, n_steps = _schedule(t0, t1, step)
@@ -379,9 +380,11 @@ def _march(field: VectorField, x: np.ndarray, t0, t1, step: float, live: np.ndar
 def _advance(field: VectorField, x: np.ndarray, t0, t1, step: float) -> np.ndarray:
     """March every row of x (in place) from t0 to t1; the live mask at the end.
 
-    Rows that blew up are NaN with live False; times are as in :func:`_march`.
+    Rows that fail :func:`_finite_rows` at the start or blow up are NaN with
+    live False; times are as in :func:`_march`.
     """
-    live = np.ones(len(x), dtype=bool)
+    live = _finite_rows(x)
+    x[~live] = np.nan
     for _ in _march(field, x, t0, t1, step, live):
         pass
     return live

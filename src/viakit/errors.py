@@ -27,7 +27,3 @@ class ParamDomain(ViakitError):
 
 class ConfigError(ViakitError):
     """Bad or missing entry in a problem-definition file."""
-
-    def __init__(self, message, section=None):
-        super().__init__(message)
-        self.section = section

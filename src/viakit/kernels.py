@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import INF, _one_row, _refuse, _row_norms
+from .common import INF, _frozen, _one_row, _refuse, _row_norms
 from .dynamics import VectorField, _bisect, _march, reach_set, rk4_step
 from .errors import NonFinite
 from .sets import SetOracle
@@ -58,15 +58,12 @@ class GridSpec:
     counts: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        counts = np.atleast_1d(np.asarray(self.counts, dtype=int))
+        lo, hi = (_frozen(a, float) for a in (self.lo, self.hi))
+        counts = _frozen(self.counts, int)
         if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("grid needs finite lo < hi componentwise")
         if np.any(counts < 2):
             raise ValueError("grid needs at least 2 cells per axis")
-        for a in (lo, hi, counts):
-            a.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
@@ -116,13 +113,10 @@ class GridFunction:
     inside: np.ndarray = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        inside = np.ones(len(values)) if self.inside is None else self.inside
-        inside = np.asarray(inside, dtype=bool)
+        values = _frozen(self.values, float)
+        inside = _frozen(np.ones(len(values)) if self.inside is None else self.inside, bool)
         if len(values) != self.grid.node_count or len(inside) != len(values):
             raise ValueError("values and inside need one entry per grid node")
-        values.flags.writeable = False
-        inside.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "inside", inside)
 
@@ -148,6 +142,8 @@ class GridFunction:
         """
         g = self.grid
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != g.dim:
+            raise ValueError(f"grid of dimension {g.dim}: rows of width {X.shape[1]}")
         _refuse(np.isnan(X).any(axis=1),
                 lambda i: f"interp_many: row {i} {X[i].tolist()} holds a NaN")
         sp = g.spacing

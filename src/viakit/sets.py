@@ -2,8 +2,8 @@
 
 Sets are represented by oracles rather than meshes; every construction
 downstream consumes only membership, distance, and projection.  A kind
-implements the ``*_many`` rules on ``(m, dim)`` rows, the scalar rules
-lift one state to one row, and every kind's membership is margin <= 0.
+implements private rules on ``(m, dim)`` rows that ``SetOracle``'s public
+rules have width-checked, and every kind's membership is margin <= 0.
 The primitive kinds (box, ball, halfspace, point cloud) have exact
 analytic rules; composites are built on top:
 
@@ -42,9 +42,10 @@ from .errors import Unsupported
 class SetOracle:
     """A closed subset of R^dim described by membership/distance/projection.
 
-    A kind implements the ``*_many`` rules on ``(m, dim)`` rows; ``margin``,
-    ``contains``, ``distance`` and ``boundary_distance`` lift one state to
-    one row of them.  Membership is ``margin_many(X) <= 0`` for every kind.
+    The ``*_many`` rules convert ``(m, dim)`` rows once (:meth:`_rows`) and
+    call the kind's ``_margin``, ``_distance`` or ``_boundary_distance``;
+    ``margin``, ``contains``, ``distance`` and ``boundary_distance`` lift one
+    state to one row.  Membership is ``margin_many(X) <= 0`` for every kind.
     """
 
     kind = "abstract"
@@ -52,10 +53,17 @@ class SetOracle:
     def __init__(self, dim: int):
         self.dim = int(dim)
 
+    def _rows(self, X) -> np.ndarray:
+        """X as (m, dim) float rows; ValueError for rows of another width."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"{self.kind} of dimension {self.dim}: rows of width {X.shape[-1]}")
+        return X
+
     # -- membership --------------------------------------------------------
     def margin_many(self, X) -> np.ndarray:
         """Signed residuals of (m, dim) rows: <= 0 inside, > 0 outside."""
-        raise NotImplementedError
+        return self._margin(self._rows(X))
 
     def contains_many(self, X) -> np.ndarray:
         return self.margin_many(X) <= 0.0
@@ -70,7 +78,10 @@ class SetOracle:
     def distance_many(self, X) -> np.ndarray:
         """Euclidean distances of (m, dim) rows to the set (exact for primitive kinds);
         by default the positive margin, exact where the margin is a signed distance."""
-        return np.maximum(self.margin_many(X), 0.0)
+        return self._distance(self._rows(X))
+
+    def _distance(self, X) -> np.ndarray:
+        return np.maximum(self._margin(X), 0.0)
 
     def distance(self, x) -> float:
         return float(self.distance_many(x)[0])
@@ -82,14 +93,17 @@ class SetOracle:
     # -- boundary helpers (used by characteristics) -------------------------
     def boundary_distance_many(self, X) -> np.ndarray:
         """Distances of (m, dim) rows to the topological boundary of the set."""
+        return self._boundary_distance(self._rows(X))
+
+    def _boundary_distance(self, X) -> np.ndarray:
         raise Unsupported(f"boundary_distance not available for kind {self.kind!r}")
 
     def boundary_distance(self, x) -> float:
         return float(self.boundary_distance_many(x)[0])
 
     def _outside_or(self, X, inside):
-        """distance_many on the rows of X off the set, inside on the others."""
-        return np.where(self.margin_many(X) > 0.0, self.distance_many(X), inside)
+        """The distance of the checked rows of X off the set, inside on the others."""
+        return np.where(self._margin(X) > 0.0, self._distance(X), inside)
 
     def _project_to_boundary_from_inside(self, y) -> np.ndarray:
         raise Unsupported(f"no analytic interior boundary projection for kind {self.kind!r}")
@@ -113,20 +127,18 @@ class Box(SetOracle):
         super().__init__(len(lo))
         self.lo, self.hi = lo, hi
 
-    def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _margin(self, X):
         return np.max(np.maximum(self.lo - X, X - self.hi), axis=1)
 
-    def distance_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _distance(self, X):
         D = np.ascontiguousarray(np.maximum(np.maximum(self.lo - X, X - self.hi), 0.0))
-        return np.sqrt(np.vecdot(D, D))  # per row, the bits of the 1-D norm (see Halfspace)
+        with np.errstate(over="ignore"):  # a row past about 1.3e154 off the box reads inf
+            return np.sqrt(np.vecdot(D, D))  # per row, the bits of the 1-D norm (see Halfspace)
 
     def project(self, y):
         return np.clip(np.asarray(y, dtype=float), self.lo, self.hi)
 
-    def boundary_distance_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _boundary_distance(self, X):
         gaps = np.minimum(X - self.lo, self.hi - X)
         gaps = np.where(np.isfinite(gaps), gaps, np.inf).min(axis=1)  # the nearest finite face
         return self._outside_or(X, np.where(np.isinf(gaps), INF, gaps))
@@ -160,8 +172,7 @@ class Ball(SetOracle):
         super().__init__(len(center))
         self.center, self.radius = center, float(radius)
 
-    def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _margin(self, X):
         return _row_norms(X - self.center) - self.radius
 
     def project(self, y):
@@ -171,8 +182,8 @@ class Ball(SetOracle):
             return y.copy()
         return self.center + (self.radius / r) * (y - self.center)
 
-    def boundary_distance_many(self, X):
-        return np.abs(self.margin_many(X))
+    def _boundary_distance(self, X):
+        return np.abs(self._margin(X))
 
     def _project_to_boundary_from_inside(self, y):
         y = np.asarray(y, dtype=float)
@@ -202,10 +213,10 @@ class Halfspace(SetOracle):
         self._unit = normal / nn
         self._scaled_offset = offset / nn
 
-    def margin_many(self, X):
+    def _margin(self, X):
         # vecdot over C-ordered rows gives each row the bits of its own 1-D dot
         # product, whatever its batch; a matrix product does not
-        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+        X = np.ascontiguousarray(X)
         return np.vecdot(X, self._unit) - self._scaled_offset
 
     def project(self, y):
@@ -213,8 +224,8 @@ class Halfspace(SetOracle):
         m = self.margin(y)
         return y - max(m, 0.0) * self._unit
 
-    def boundary_distance_many(self, X):
-        return np.abs(self.margin_many(X))
+    def _boundary_distance(self, X):
+        return np.abs(self._margin(X))
 
     def _project_to_boundary_from_inside(self, y):
         y = np.asarray(y, dtype=float)
@@ -235,12 +246,11 @@ class PointCloudSet(SetOracle):
         self.points = points
         self._tree = cKDTree(points) if points.size else None
 
-    def margin_many(self, X):
-        return self.distance_many(X) - 1e-9
+    def _margin(self, X):
+        return self._distance(X) - 1e-9
 
-    def distance_many(self, X):
+    def _distance(self, X):
         """Exact distances of (m, dim) rows to the nearest point (INF for no point)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._tree is None:
             return np.full(len(X), INF)
         d, _ = self._tree.query(X)
@@ -285,15 +295,13 @@ class Product(SetOracle):
             self._slices.append(slice(start, start + f.dim))
             start += f.dim
 
-    def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _margin(self, X):
         # a fold, as in every composite rule: an axis-0 reduction of the stacked
         # margins takes one row in one contiguous pass, which drops a member's NaN sign
         return reduce(np.maximum, [f.margin_many(X[:, s])
                                    for f, s in zip(self.factors, self._slices)])
 
-    def distance_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _distance(self, X):
         return np.sqrt(sum(np.array([_square(d) for d in f.distance_many(X[:, s]).tolist()])
                            for f, s in zip(self.factors, self._slices)))
 
@@ -301,8 +309,7 @@ class Product(SetOracle):
         y = np.asarray(y)
         return np.concatenate([f.project(y[s]) for f, s in zip(self.factors, self._slices)])
 
-    def boundary_distance_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _boundary_distance(self, X):
         return self._outside_or(X, reduce(np.minimum, [
             f.boundary_distance_many(X[:, s]) for f, s in zip(self.factors, self._slices)]))
 
@@ -320,18 +327,17 @@ class _Members(SetOracle):
 class Union(_Members):
     kind = "union"
 
-    def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _margin(self, X):
         return reduce(np.minimum, [m.margin_many(X) for m in self.members])
 
-    def distance_many(self, X):
+    def _distance(self, X):
         return reduce(np.minimum, [m.distance_many(X) for m in self.members])
 
     def project(self, y):
         dists = [m.distance(y) for m in self.members]
         return self.members[int(np.argmin(dists))].project(y)
 
-    def boundary_distance_many(self, X):
+    def _boundary_distance(self, X):
         # valid for disjoint members; good enough for boundary-data dispatch
         return reduce(np.minimum, [m.boundary_distance_many(X) for m in self.members])
 
@@ -341,11 +347,10 @@ class Intersection(_Members):
 
     kind = "intersection"
 
-    def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _margin(self, X):
         return reduce(np.maximum, [m.margin_many(X) for m in self.members])
 
-    def distance_many(self, X):
+    def _distance(self, X):
         return reduce(np.maximum, [m.distance_many(X) for m in self.members])
 
     def project(self, y):
@@ -361,7 +366,7 @@ class Intersection(_Members):
                 break
         return z
 
-    def boundary_distance_many(self, X):
+    def _boundary_distance(self, X):
         return self._outside_or(X, reduce(np.minimum, [np.abs(m.margin_many(X))
                                                        for m in self.members]))
 
@@ -376,7 +381,7 @@ class Complement(SetOracle):
         super().__init__(base.dim)
         self.base = base
 
-    def margin_many(self, X):
+    def _margin(self, X):
         return -self.base.margin_many(X)
 
     def project(self, y):
@@ -385,7 +390,7 @@ class Complement(SetOracle):
             return y.copy()
         return self.base._project_to_boundary_from_inside(y)
 
-    def boundary_distance_many(self, X):
+    def _boundary_distance(self, X):
         return self.base.boundary_distance_many(X)  # the set and its complement share it
 
 
@@ -402,12 +407,11 @@ class Sublevel(SetOracle):
         self.fn = fn
         self.lipschitz = float(lipschitz)
 
-    def margin_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _margin(self, X):
         return np.asarray(self.fn(X), dtype=float).reshape(len(X))
 
-    def distance_many(self, X):
-        return super().distance_many(X) / self.lipschitz
+    def _distance(self, X):
+        return super()._distance(X) / self.lipschitz
 
     def project(self, y):
         raise Unsupported("sublevel sets have no analytic projection")

@@ -87,6 +87,16 @@ def test_reach_set_zero_time():
     assert_allclose(pts, seeds)
 
 
+def test_reach_set_flags_bad_seeds_at_every_time():
+    """A NaN seed and one past the blow-up norm read NaN with ok False at t = 0, as
+    after a step; at t = 0 both were kept as good states."""
+    seeds = [[np.nan], [1e13], [0.5]]
+    for t in (0.0, 0.1):
+        pts, ok = vk.reach_set(vk.linear_field(-1.0), t, seeds, 0.1)
+        assert ok.tolist() == [False, False, True]
+        assert np.isnan(pts[:2]).all() and np.isfinite(pts[2]).all()
+
+
 def test_reach_set_decay():
     pts, ok = vk.reach_set(vk.linear_field(-1.0), math.log(2.0), [[1.0], [2.0]], 1e-3)
     assert ok.all()
@@ -227,6 +237,25 @@ def test_trajectory_checks_its_samples():
         vk.Trajectory([0.0, 0.5], [[1.0]], 0.5)
     with pytest.raises(ValueError, match="times must be strictly increasing"):
         vk.Trajectory([0.0, 0.5, 0.5], [1.0, 2.0, 3.0], 0.5)
+
+
+def test_records_freeze_their_own_copies():
+    """A record's arrays are read-only copies: the caller's arrays stay writable."""
+    lo, hi, counts = np.zeros(1), np.ones(1), np.array([4])
+    grid = vk.GridSpec(lo, hi, counts)
+    values, inside = np.zeros(5), np.ones(5, dtype=bool)
+    gf = vk.GridFunction(grid, values, inside)
+    times, states = np.array([0.0, 0.5]), np.array([[1.0], [2.0]])
+    traj = vk.Trajectory(times, states, 0.5)
+    for mine, theirs in ((lo, grid.lo), (hi, grid.hi), (counts, grid.counts),
+                         (values, gf.values), (inside, gf.inside), (times, traj.times),
+                         (states, traj.states)):
+        mine[0] = mine[0]  # still writable
+        assert not theirs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            theirs[0] = theirs[0]
+    values[0] = 7.0
+    assert gf.values[0] == 0.0
 
 
 def test_eval_dimension():
@@ -992,6 +1021,35 @@ _BAD_INPUT = [
     ("reach-set-negative-t", "reach_set",
      lambda: vk.reach_set(_UNIT_T, -1.0, [[0.5]], 0.1), ValueError,
      "reach_set requires t >= 0"),
+    # rows of another width than the field's broadcast into a state
+    ("reach-set-short-row", "reach_set",
+     lambda: vk.reach_set(vk.linear_field(1.0, dim=2), 0.5, [[0.5]], 0.1), ValueError,
+     "2-D field linear: rows of width 1"),
+    ("reach-set-short-row-at-t0", "reach_set",
+     lambda: vk.reach_set(vk.linear_field(1.0, dim=2), 0.0, [[0.5]], 0.1), ValueError,
+     "2-D field linear: rows of width 1"),
+    ("integrate-short-x0", "integrate",
+     lambda: vk.integrate(vk.linear_field(1.0, dim=2), [0.5], 0.0, 1.0, 0.1), ValueError,
+     "2-D field linear: rows of width 1"),
+    ("tabulate-short-row", "tabulate_values",
+     lambda: vk.tabulate_values(_COST, [[0.5, 0.5]], "sup", 1.0, 0.1), ValueError,
+     "1-D field .*: rows of width 2"),
+    # GridFunction.interp([0.5]) on a 2-D grid read the value at (0.5, 0.5)
+    ("interp-short-row", "GridFunction",
+     lambda: vk.GridFunction(vk.GridSpec([0.0, 0.0], [1.0, 1.0], [2, 2]),
+                             np.zeros(9)).interp([0.5]), ValueError,
+     "grid of dimension 2: rows of width 1"),
+    # a short row broadcast into a wrong answer: True, 2.83 (the distance of (3, 3)),
+    # and 0.693 (the exit time from (0.5, 0.5))
+    ("product-contains-short-row", "product",
+     lambda: vk.product(vk.box([0.0], [1.0]), vk.ball([0.0, 0.0], 1.0)).contains([0.5, 0.2]),
+     ValueError, "product of dimension 3: rows of width 2"),
+    ("box-distance-short-row", "box",
+     lambda: vk.box([-1.0, -1.0], [1.0, 1.0]).distance([3.0]), ValueError,
+     "box of dimension 2: rows of width 1"),
+    ("exit-time-short-x", "exit_time",
+     lambda: vk.exit_time(vk.linear_field(1.0, dim=2), vk.box([-1.0, -1.0], [1.0, 1.0]),
+                          [0.5], 5.0, 0.01), ValueError, "of dimension 2: rows of width 1"),
     ("integrate-zero-step", "integrate", lambda: vk.integrate(_UNIT_T, [0.5], 0.0, 1.0, 0.0),
      ValueError, "step must be positive"),
     ("viable-step-zero-h", "viable_step",

@@ -168,6 +168,14 @@ def test_product_distance_overflow_reads_inf():
     assert vk.tangent_residual(P, [0.0, 0.5], [1e205, 0.0]) == np.inf
 
 
+def test_box_distance_overflow_reads_inf_without_a_warning():
+    """A row whose squared distance overflows reads inf; it warned "overflow
+    encountered in vecdot", an error under the suite's RuntimeWarning filter."""
+    B = vk.box([0.0], [1.0])
+    assert B.distance([1e200]) == np.inf
+    assert B.distance_many([[1e200], [3.0]]).tolist() == [np.inf, 2.0]
+
+
 def test_complement_boundary_distance_is_its_base_rule():
     # off a box corner the distance is Euclidean, not the L-infinity excess
     x = [1.0 + 7e-7, 1.0 + 7e-7]
@@ -655,11 +663,68 @@ def test_set_limit_lower_subset_of_upper():
 
 
 def test_set_oracle_is_the_one_membership_rule():
-    """No kind overrides contains_many: membership is margin_many(X) <= 0."""
+    """Only SetOracle defines the public *_many rules: membership is margin_many(X)
+    <= 0, and every kind implements private rules on width-checked rows."""
     kinds = [c for c in vars(vk.sets).values()
              if isinstance(c, type) and issubclass(c, vk.SetOracle)]
     assert len(kinds) > 5
-    assert [c for c in kinds if "contains_many" in vars(c)] == [vk.SetOracle]
+    assert [c for c in kinds if any(n.endswith("_many") for n in vars(c))] == [vk.SetOracle]
+
+
+_BOX_2D = vk.box([0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("K", [
+    _BOX_2D, vk.ball([0.0, 0.0], 1.0), vk.halfspace([1.0, 0.0], 0.0),
+    vk.point_cloud_set([[0.0, 0.0]]), vk.product(vk.box([0.0], [1.0]), vk.box([0.0], [1.0])),
+    vk.union(_BOX_2D, vk.ball([3.0, 0.0], 1.0)),
+    vk.intersection(_BOX_2D, vk.ball([0.0, 0.0], 1.0)),
+    vk.complement(_BOX_2D), vk.sublevel(lambda X: X[:, 0], 2),
+], ids=lambda K: K.kind)
+@pytest.mark.parametrize("rows", [[0.5], [[0.5, 0.5, 0.5]], np.zeros((2, 3))],
+                         ids=["short-row", "long-row", "long-rows"])
+def test_every_rule_refuses_rows_of_another_width(K, rows):
+    """Rows whose width is not the set's dimension broadcast into a wrong answer;
+    every public rule refuses them, naming the kind, the dimension and the width."""
+    width = np.atleast_2d(rows).shape[1]
+    for rule in (K.margin_many, K.contains_many, K.distance_many, K.boundary_distance_many,
+                 K.margin, K.contains, K.distance, K.boundary_distance):
+        with pytest.raises(ValueError, match=f"{K.kind} of dimension 2: rows of width {width}"):
+            rule(rows)
+
+
+class _Slab(vk.SetOracle):
+    """A custom kind by its private margin alone: the slab 1 <= x <= 2."""
+
+    kind = "slab"
+
+    def _margin(self, X):
+        return np.abs(X[:, 0] - 1.5) - 0.5
+
+
+class _Fixed(vk.SetOracle):
+    """A custom kind that overrides a public rule, as residual_reference._Fiber does."""
+
+    def distance_many(self, X):
+        return np.full(len(np.atleast_2d(X)), 7.0)
+
+
+def test_custom_kinds_implement_private_rules_and_compose():
+    """A custom kind implements _margin on checked rows and gets every public rule;
+    one that overrides a public rule still composes: composites call their members'
+    public rules."""
+    S, X = _Slab(1), [[1.5], [3.0], [-1.0]]
+    assert S.margin_many(X).tolist() == [-0.5, 1.0, 2.0]
+    assert S.contains_many(X).tolist() == [True, False, False]
+    assert S.distance_many(X).tolist() == [0.0, 1.0, 2.0] and S.distance([0.0]) == 1.0
+    with pytest.raises(vk.Unsupported):
+        S.boundary_distance_many(X)
+    with pytest.raises(ValueError, match="slab of dimension 1: rows of width 2"):
+        S.margin([1.0, 2.0])
+    far = vk.box([10.0], [11.0])
+    assert vk.union(S, far).distance_many(X).tolist() == [0.0, 1.0, 2.0]
+    assert vk.union(_Fixed(1), far).distance_many(X).tolist() == [7.0, 7.0, 7.0]
+    assert vk.product(S, far).contains([1.5, 10.5])
 
 
 _TWO_POINTS = vk.point_cloud_set([[0.1], [0.3]])
