@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import csvio
-from .common import _refuse, _row_norms
+from .common import _Filled, _refuse, _row_norms
 # solve_char stays importable here: perfbench/tracer.py wraps cli.solve_char
 from .characteristics import (BoundaryData, CharProblem, demo4d, graph_sample,
                               solve_char, solve_char_many)
@@ -291,7 +291,8 @@ def _decay(s: _Section):
     return lambda t, x, y: -lam * y
 
 
-_OUTPUT_FIELDS = {"zero": lambda s: lambda t, x, y: np.zeros_like(y), "decay": _decay}
+_ZERO_OUTPUT = _Filled(0.0)  # g = 0 of y's shape: on float64 rows a shared read-only block
+_OUTPUT_FIELDS = {"zero": lambda s: lambda t, x, y: _ZERO_OUTPUT.like(y), "decay": _decay}
 
 
 def _grid(s: _Section):

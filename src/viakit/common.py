@@ -53,6 +53,49 @@ def _frozen(a, dtype) -> np.ndarray:
     return a
 
 
+_FLOAT64 = np.dtype(float)  # the one native float64 dtype, so ``is`` tells it
+
+
+class _Filled:
+    """``np.full(shape, value)`` as a read-only view of one shared float64 block.
+
+    The one cache rule of the constant built-ins (fields, lagrangians,
+    obstacles), sound because the toolkit never writes into a callable's
+    output.  ``fill(shape)`` has the bits, dtype and shape of
+    ``np.full(shape, value)`` and is the first shape[0] rows of the slot's
+    block.  A request for more rows, or for rows of another shape, builds a
+    block of exactly that shape and replaces the slot; no block is written
+    once it is in the slot, so threads share it without a lock, and the
+    slot holds at most the largest block asked for.  The last view handed
+    out is handed out again, unsliced, for the same shape.
+    """
+
+    __slots__ = ("value", "_block", "_last")
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+        self._block = self._last = _frozen((), float)
+
+    def __call__(self, shape: tuple) -> np.ndarray:
+        view = self._last  # each attribute is read once: a thread may replace it meanwhile
+        if view.shape != shape:
+            view = self._block[:shape[0]]
+            if view.shape != shape:  # too few rows, or rows of another shape
+                view = np.empty(shape)
+                view[...] = self.value
+                view.flags.writeable = False
+                self._block = view
+            self._last = view
+        return view
+
+    def like(self, x) -> np.ndarray:
+        """``np.full_like(x, value)``, shared as above when x is a float64 array of rows."""
+        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
+            view = self._last  # __call__'s first test, inlined to save a call per hit
+            return view if view.shape == x.shape else self(x.shape)
+        return np.full_like(x, self.value)
+
+
 def _ladder(h_max: float, h_min: float) -> np.ndarray:
     """The geometric step ladder h_max, h_max/2, ... down to h_min (1e-12 slack)."""
     if not (h_min > 0.0 and np.isfinite(h_max)):  # else halving never ends (NaN: no rung)

@@ -8,11 +8,13 @@ state is materialized.
 
 Everything here is pure.  ``VectorField.eval`` must be safe to call
 concurrently and is batch-only: it receives ``x`` as ``(m, dim)`` rows
-and ``t`` as a scalar or an ``(m, 1)`` per-row column.  Single states
-are lifted to one row by ``VectorField.__call__``.  Every step is
-:func:`rk4_step` on :func:`_schedule`'s nodes.  The sweeps that retire
-rows (reachable sets, event sweeps, graph sweeps) march through one
-live-row core, :func:`_march`, with one blow-up policy; value tabulation
+and ``t`` as a scalar or an ``(m, 1)`` per-row column.  The toolkit
+only reads what a field, lagrangian or obstacle returns, so it may be a
+shared read-only array.  Single states are lifted to one row by
+``VectorField.__call__``.  Every step is :func:`rk4_step` on
+:func:`_schedule`'s nodes.  The sweeps that retire rows (reachable sets,
+event sweeps, graph sweeps) march through one live-row core,
+:func:`_march`, with one blow-up policy; value tabulation
 (:func:`_record`) retires no row and steps every row itself.
 """
 
@@ -24,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import BLOWUP_NORM, _finite_samples, _frozen, _one_row, _refuse, _row_norms
+from .common import (BLOWUP_NORM, _Filled, _finite_samples, _frozen, _one_row, _refuse,
+                     _row_norms)
 from .errors import NonFinite
 
 
@@ -50,10 +53,14 @@ class VectorField:
     name: str = "field"
 
     def __call__(self, t, x):
-        """Velocity at ``(m, dim)`` rows, or at one ``(dim,)`` state lifted to a row."""
+        """Velocity at ``(m, dim)`` rows, or at one ``(dim,)`` state lifted to a row.
+
+        The rows' velocity is what ``eval`` returns, which may be shared and
+        read-only; the one state's velocity is an array of its own.
+        """
         x = np.asarray(x, dtype=float)
         v = np.asarray(self.eval(t, _one_row(x) if x.ndim == 1 else x), dtype=float)
-        return v[0] if x.ndim == 1 else v
+        return v[0].copy() if x.ndim == 1 else v
 
     def negated(self) -> "VectorField":
         """The reversed field -f (backward flow generator)."""
@@ -514,17 +521,17 @@ def logistic_closed_form(beta: float, b: float, y0: float, t) -> float:
 
 
 def transport_field(velocity) -> VectorField:
-    """Constant-velocity field f(x) = v."""
+    """Constant-velocity field f(x) = v.
+
+    On float64 (m, k) rows the velocity is a shared read-only block (see
+    :class:`~viakit.common._Filled`): copy it before writing.  Rows of
+    another dtype get a fresh array of their dtype.
+    """
     v = np.atleast_1d(np.asarray(velocity, dtype=float))
-
-    def ev(t, x):
-        out = np.empty_like(x)
-        out[...] = v
-        return out
-
+    fill = _Filled(v)
     with np.errstate(over="ignore"):  # a v past about 1.3e154 overflows its square: c = inf
         c = float(np.linalg.norm(v))
-    return VectorField(len(v), ev, growth_c=c, name="transport")
+    return VectorField(len(v), lambda t, x: fill.like(x), growth_c=c, name="transport")
 
 
 def demographic_field(rho: float, sigma: float, beta: float, b: float) -> VectorField:

@@ -29,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import (INF, _exp, _finite_samples, _ladder, _one_row, _refuse, _refuse_nan,
-                     _row_norms)
+from .common import (INF, _exp, _Filled, _finite_samples, _ladder, _one_row, _refuse,
+                     _refuse_nan, _row_norms)
 from .dynamics import VectorField, _bisect, _record, rk4_step
 from .errors import CapTooSmall, NonFinite, NonzeroLagrangian
 from .kernels import GridFunction, GridSpec, capt_field, viab_field
@@ -71,19 +71,24 @@ def lift(p: LagrangianProblem) -> VectorField:
     return VectorField(n + 1, ev, name=p.field.name + "+cost")
 
 
-# common Lagrangians / obstacles (batched)
+# common Lagrangians / obstacles (batched); the constant ones return a shared
+# read-only (m,) block (see common._Filled): copy it before writing
+
+
+_ZERO, _ONE = _Filled(0.0), _Filled(1.0)
 
 
 def zero_lagrangian(x, p):
-    return np.zeros(len(x))
+    return _ZERO((len(x),))
 
 
 def unit_lagrangian(x, p):
-    return np.ones(len(x))
+    return _ONE((len(x),))
 
 
 def const_lagrangian(c: float):
-    return lambda x, p: np.full(len(x), float(c))
+    fill = _Filled(float(c))
+    return lambda x, p: fill((len(x),))
 
 
 def speed_lagrangian(x, p):
@@ -96,7 +101,7 @@ def abs_obstacle(x):
 
 
 def zero_obstacle(x):
-    return np.zeros(len(x))
+    return _ZERO((len(x),))
 
 
 def indicator_obstacle(K: SetOracle):
@@ -133,8 +138,10 @@ class CostPath:
 #: Float budget (128 KB) of one block of the value engine's march: a block holds
 #: max(1, BLOCK_FLOATS // (rows * dim)) nodes of every row, so the engine's
 #: arrays scale with the rows, not with the steps.  On 201 1-D rows and 4001
-#: nodes (2-core VM) `inf` took 87 ms and traced 1.9 MB at 2^14, against
-#: 97 ms and 7.1 MB at 2^16, 98 ms at 2^13, and 107-121 ms and 52 MB whole.
+#: nodes (minimal time under unit transport, 2-core VM, medians of 31) `inf`
+#: took 77.5 ms and traced 1.5 MB at 2^14, against 72.3 ms and 5.3 MB at 2^16,
+#: 73.5 ms and 2.7 MB at 2^15, 77.9 ms at 2^13, 95.5 ms at 2^12, and 95.2 ms
+#: and 44 MB whole: no other size wins by 7%.
 #: The CLI's `mintime` (rotation to a ball, 700 steps) on 4000, 8200 and 20000
 #: 2-D points, at 2, 1 and 1 nodes a block, ran in 0.30, 0.67 and 1.50 s at
 #: 38-50 MB peak RSS, against 0.44, 0.94 and 2.2 s at 82-86 MB for whole

@@ -60,6 +60,48 @@ def test_workers_byte_identical(tmp_path, monkeypatch):
         (tmp_path / "b" / "viab.csv").read_bytes()
 
 
+_EPIGRAPH = {"kind": "epigraph", "obstacle": {"kind": "abs"}, "state_dim": 1}
+_SHARED_SLOT_SWEEPS = {
+    # a one-element velocity widened to two columns: the transport's shared block
+    "viab": {"field": {"kind": "transport", "velocity": [0.75]},
+             "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+             "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [40, 40]},
+             "horizon": 3.0, "step": 0.02},
+    # the zero lagrangian's shared block inside the lift
+    "capt": {"field": {"kind": "lifted", "field": {"kind": "linear", "a": -1.0},
+                       "lagrangian": {"kind": "zero"}, "obstacle": {"kind": "abs"}},
+             "set": _EPIGRAPH,
+             "grid": {"lo": [-0.8, 0.0], "hi": [0.8, 1.6], "counts": [40, 40]},
+             "horizon": 3.0, "step": 0.02},
+}
+
+
+@pytest.mark.parametrize("sub", list(_SHARED_SLOT_SWEEPS))
+def test_workers_byte_identical_on_shared_constant_blocks(tmp_path, monkeypatch, sub):
+    """Eight threads on unequal chunks ask one built-in's slot for blocks of many lengths.
+
+    1681 rows in chunks of 211 and 204 rows; rows retire at different
+    steps, so the threads' requests grow and shrink the slot while the
+    others read it.  A short switch interval makes the threads interleave.
+    """
+    monkeypatch.setattr("viakit.kernels.CHUNK_ROWS", 100)
+    chunks, spans = [], viakit.kernels._chunks
+    monkeypatch.setattr("viakit.kernels._chunks",
+                        lambda n, workers: chunks.append(spans(n, workers)) or chunks[-1])
+    cfg = _write(tmp_path, f"{sub}.json", _SHARED_SLOT_SWEEPS[sub])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "8"):
+            (tmp_path / workers).mkdir()
+            assert main([sub, cfg, "-o", str(tmp_path / workers), "--workers", workers]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted({e - s for s, e in chunks[1]}) == [204, 211] and len(chunks[1]) == 8
+    assert (tmp_path / "1" / f"{sub}.csv").read_bytes() == \
+        (tmp_path / "8" / f"{sub}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     cfg = _write(tmp_path, "viab.json", VIAB_CFG)
