@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import viakit as vk
-from viakit import cli, epi_hj
+from viakit import cli
 from viakit.characteristics import _coupled_field
 
 
