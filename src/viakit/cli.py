@@ -189,7 +189,8 @@ def _linear(s: _Section, dim: int) -> VectorField:
 
 def _transport(s: _Section, dim: int) -> VectorField:
     v = s.read("velocity", "finites")
-    return replace(transport_field(v), dim=dim) if v.size == 1 else transport_field(v)
+    # a one-element velocity acts on every column, so its speed, growth_c, is |v| sqrt(dim)
+    return transport_field(np.full(dim, v[0]) if v.size == 1 else v)
 
 
 def _polynomial(s: _Section, dim: int) -> VectorField:

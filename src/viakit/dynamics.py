@@ -16,6 +16,13 @@ shared read-only array.  Single states are lifted to one row by
 event sweeps, graph sweeps) march through one live-row core,
 :func:`_march`, with one blow-up policy; value tabulation
 (:func:`_record`) retires no row and steps every row itself.
+
+A constant field (:func:`transport_field` and its :meth:`VectorField.negated`)
+has a :class:`_Constant` evaluator, which holds the step's stage sum
+``((v + 2 v) + 2 v) + v``: its four stages all see v.  :func:`rk4_step`
+steps float64 rows of such a field in one add, with the operations of the
+plain expression per entry and so with its bits.  ``replace(field,
+eval=...)`` puts another evaluator in place, which leaves that path.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import (BLOWUP_NORM, _Filled, _finite_samples, _frozen, _one_row, _refuse,
-                     _row_norms)
+from .common import (BLOWUP_NORM, _FLOAT64, _Filled, _finite_samples, _frozen, _one_row,
+                     _refuse, _row_norms)
 from .errors import NonFinite
 
 
@@ -68,7 +75,9 @@ class VectorField:
         mu = None if self.monotone_mu is None else -self.monotone_mu
         return replace(
             self,
-            eval=lambda t, x: -np.asarray(f(t, x), dtype=float),
+            # -v is exact, so a constant field stays one: a shared block and a one-add step
+            eval=(_Constant(-f.velocity) if type(f) is _Constant
+                  else lambda t, x: -np.asarray(f(t, x), dtype=float)),
             monotone_mu=mu,
             name="-" + self.name,
         )
@@ -138,8 +147,22 @@ def rk4_step(field: VectorField, t, x: np.ndarray, h) -> np.ndarray:
     numpy to allocate, and so is the whole weighted sum when ``2 k2``
     cannot hold it: the step returns the plain expression's bits, dtype
     and shape.
+
+    A field whose evaluator is a :class:`_Constant` (:func:`transport_field`
+    and its negation) steps plain native-float64 (m, dim) rows in one add,
+    ``x + (h / 6) * s``, with the evaluator's stage sum s: the plain
+    expression's operations per entry, so the same bits, dtype and shape,
+    and no call of the evaluator.  It leaves out only the plain step's
+    overflow warning for a velocity past about 3e307.  Other rows (float32,
+    a (dim,) state, rows of another width than v, not an ndarray) and a
+    field whose evaluator was replaced take the general step.
     """
-    f = field.eval if x.ndim == 2 else field
+    f = field.eval
+    if (type(f) is _Constant and type(x) is np.ndarray and x.dtype is _FLOAT64
+            and x.shape[1:] == f.s.shape):
+        return x + (h / 6.0) * f.s
+    if x.ndim != 2:
+        f = field
     half = 0.5 * h
     t_half = t + half
     k1 = f(t, x)
@@ -520,18 +543,47 @@ def logistic_closed_form(beta: float, b: float, y0: float, t) -> float:
     return b / (1.0 + (b / y0 - 1.0) * np.exp(-b * beta * np.asarray(t)))
 
 
+class _Constant:
+    """The evaluator of a constant field f(t, x) = v, which knows its RK4 stage sum.
+
+    A call is ``fill.like(x)``: on float64 (m, k) rows a shared read-only
+    block (see :class:`~viakit.common._Filled`), on rows of another dtype a
+    fresh array of their dtype.  All four RK4 stages see v, so the plain
+    step's weighted sum ``k1 + 2 k2 + 2 k3 + k4`` is, in every row,
+    ``s = ((v + 2 v) + 2 v) + v``: the same operations in the same order.
+    :func:`rk4_step` reads s instead of calling the evaluator.  s is
+    computed once, with overflow silenced: past about 3e307 it is inf, as
+    the plain step's sum (which warns) would be.
+    """
+
+    __slots__ = ("velocity", "fill", "s")
+
+    def __init__(self, velocity):
+        self.velocity = v = _frozen(velocity, float)
+        self.fill = _Filled(v)
+        with np.errstate(over="ignore"):
+            self.s = _frozen(((v + 2.0 * v) + 2.0 * v) + v, float)
+
+    def __call__(self, t, x):
+        return self.fill.like(x)
+
+
 def transport_field(velocity) -> VectorField:
     """Constant-velocity field f(x) = v.
 
     On float64 (m, k) rows the velocity is a shared read-only block (see
     :class:`~viakit.common._Filled`): copy it before writing.  Rows of
-    another dtype get a fresh array of their dtype.
+    another dtype get a fresh array of their dtype.  The evaluator is a
+    :class:`_Constant`, so :func:`rk4_step` takes each step of float64
+    (m, dim) rows in one add, with the plain step's bits; the negated
+    field keeps it, and ``replace(field, eval=...)`` leaves it.
     """
-    v = np.atleast_1d(np.asarray(velocity, dtype=float))
-    fill = _Filled(v)
-    with np.errstate(over="ignore"):  # a v past about 1.3e154 overflows its square: c = inf
-        c = float(np.linalg.norm(v))
-    return VectorField(len(v), lambda t, x: fill.like(x), growth_c=c, name="transport")
+    ev = _Constant(velocity)
+    # |v| by the row-norm rule verify_growth reads, so it reads at most c; a v past
+    # about 1.3e154 overflows its square: c = inf
+    with np.errstate(over="ignore"):
+        c = float(_row_norms(_one_row(ev.velocity))[0])
+    return VectorField(len(ev.velocity), ev, growth_c=c, name="transport")
 
 
 def demographic_field(rho: float, sigma: float, beta: float, b: float) -> VectorField:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,11 +63,19 @@ def test_workers_byte_identical(tmp_path, monkeypatch):
 
 _EPIGRAPH = {"kind": "epigraph", "obstacle": {"kind": "abs"}, "state_dim": 1}
 _SHARED_SLOT_SWEEPS = {
-    # a one-element velocity widened to two columns: the transport's shared block
+    # a one-element velocity widened to two columns: a constant field, whose steps take
+    # rk4_step's one-add path and ask its slot for nothing
     "viab": {"field": {"kind": "transport", "velocity": [0.75]},
              "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
              "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [40, 40]},
              "horizon": 3.0, "step": 0.02},
+    # the transport's shared block inside the lift, whose evaluator steps the general way
+    "viab-lifted-transport": {
+        "field": {"kind": "lifted", "field": {"kind": "transport", "velocity": [0.75]},
+                  "lagrangian": {"kind": "unit"}, "obstacle": {"kind": "abs"}},
+        "set": _EPIGRAPH,
+        "grid": {"lo": [-0.8, 0.0], "hi": [0.8, 1.6], "counts": [40, 40]},
+        "horizon": 3.0, "step": 0.02},
     # the zero lagrangian's shared block inside the lift
     "capt": {"field": {"kind": "lifted", "field": {"kind": "linear", "a": -1.0},
                        "lagrangian": {"kind": "zero"}, "obstacle": {"kind": "abs"}},
@@ -76,19 +85,20 @@ _SHARED_SLOT_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("sub", list(_SHARED_SLOT_SWEEPS))
-def test_workers_byte_identical_on_shared_constant_blocks(tmp_path, monkeypatch, sub):
+@pytest.mark.parametrize("name", list(_SHARED_SLOT_SWEEPS))
+def test_workers_byte_identical_on_shared_constant_blocks(tmp_path, monkeypatch, name):
     """Eight threads on unequal chunks ask one built-in's slot for blocks of many lengths.
 
     1681 rows in chunks of 211 and 204 rows; rows retire at different
     steps, so the threads' requests grow and shrink the slot while the
     others read it.  A short switch interval makes the threads interleave.
     """
+    sub = name.split("-")[0]
     monkeypatch.setattr("viakit.kernels.CHUNK_ROWS", 100)
     chunks, spans = [], viakit.kernels._chunks
     monkeypatch.setattr("viakit.kernels._chunks",
                         lambda n, workers: chunks.append(spans(n, workers)) or chunks[-1])
-    cfg = _write(tmp_path, f"{sub}.json", _SHARED_SLOT_SWEEPS[sub])
+    cfg = _write(tmp_path, f"{sub}.json", _SHARED_SLOT_SWEEPS[name])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -100,6 +110,31 @@ def test_workers_byte_identical_on_shared_constant_blocks(tmp_path, monkeypatch,
     assert sorted({e - s for s, e in chunks[1]}) == [204, 211] and len(chunks[1]) == 8
     assert (tmp_path / "1" / f"{sub}.csv").read_bytes() == \
         (tmp_path / "8" / f"{sub}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_one_element_transport_declares_its_widened_speed(tmp_path, dim):
+    """The velocity v in every column: growth_c is |v| sqrt(dim), which verify_growth
+    reads at most, and the field steps as the one-element field widened by dim did."""
+    for v in (-1.5, 0.1, 2.0 / 3.0, 1e-7):
+        field = cli._field(cli._Section({"kind": "transport", "velocity": [v]}, "field"), dim)
+        lattice = np.random.default_rng(dim).uniform(-3.0, 3.0, (40, dim))
+        lattice[0] = 0.0  # where |f| / (|x| + 1) is largest
+        assert field.dim == dim
+        assert vk.verify_growth(field, lattice, times=(0.0, 1.0)) <= field.growth_c
+        assert field.growth_c == pytest.approx(abs(v) * math.sqrt(dim), rel=1e-15)
+        got, ok = vk.reach_set(field, 0.73, lattice, 0.01)
+        want, ok_w = vk.reach_set(replace(vk.transport_field([v]), dim=dim), 0.73, lattice,
+                                  0.01)
+        assert ok.all() and ok_w.all() and got.tobytes() == want.tobytes()
+    cfg = {"field": {"kind": "transport", "velocity": [0.5]}, "seeds": lattice.tolist(),
+           "t": 0.73, "step": 0.01}
+    for name, velocity in (("one", [0.5]), ("all", [0.5] * dim)):
+        (tmp_path / name).mkdir()
+        cfg["field"]["velocity"] = velocity
+        assert main(["reach", _write(tmp_path, "r.json", cfg), "-o", str(tmp_path / name)]) == 0
+    assert (tmp_path / "one" / "reach.csv").read_bytes() == \
+        (tmp_path / "all" / "reach.csv").read_bytes()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
-from viakit import epi_hj
+from viakit import cli, epi_hj
 from viakit.common import _row_norms
-from viakit.dynamics import _bisect, _march, _record, rk4_step, step_schedule
+from viakit.dynamics import _Constant, _bisect, _march, _record, rk4_step, step_schedule
 
 import rk4_reference
 
@@ -56,20 +57,21 @@ def test_flow_decay():
 
 
 def test_flow_keeps_no_history():
-    """flow steps one row through reach_set's march: its traced peak over 200,000
-    steps stays under 64 KB, where integrate's times and states take megabytes."""
+    """flow steps one row through reach_set's march: its traced peak over 20,000
+    steps stays under 64 KB, where integrate's times and states take hundreds of KB."""
     import tracemalloc
 
     f = vk.linear_field(-1.0)
     vk.flow(f, 0.01, [1.0], 1e-3)  # first-call allocations are not the march's
     tracemalloc.start()
     try:
-        out = vk.flow(f, 200.0, [1.0], 1e-3)
+        out = vk.flow(f, 20.0, [1.0], 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # 20,000 steps: a history of their times and 1-D states would take about 320 KB
     assert peak < 64 * 1024
-    assert out.shape == (1,) and 0.0 < out[0] < 1e-80
+    assert out.shape == (1,) and abs(out[0] / math.exp(-20.0) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("t, x0", [(10.0, 5.0), (-10.0, -5.0)])
@@ -606,6 +608,98 @@ def test_rk4_step_writes_no_array_a_field_saw():
                 rk4_reference.rk4_step(field, t, x, h).tobytes()
     assert len(seen) == 16 and all(a.tobytes() == b.tobytes() for a, b in seen)
     assert x.tobytes() == kept[0].tobytes() and cache.tobytes() == kept[1].tobytes()
+
+
+def _constant_fields():
+    """Constant fields, whose evaluator is a _Constant: float64 rows step in one add.
+
+    2.6's stage sum rounds apart from 6 v and from (v + 2 v) + (2 v + v).
+    """
+    base = vk.transport_field([-0.3, 2.6])
+    return {"plain": base, "one": vk.transport_field([1.0]),
+            "cli-widened": cli._field(cli._Section({"kind": "transport", "velocity": [-1.25]},
+                                                   "field"), 3),
+            "negated": base.negated(), "negated-twice": base.negated().negated(),
+            "inf": vk.transport_field([np.inf, -1.0]), "nan": vk.transport_field([np.nan, -0.5]),
+            "huge": vk.transport_field([1e300, -1e300]),
+            "overflow": vk.transport_field([1e308, -1e308]),
+            "tiny": vk.transport_field([1e-300, 5e-324])}
+
+
+def _step_cases(dim, m):
+    """(t, x, h): scalar t and h, and (m, 1) columns as in _values_at and refinement."""
+    rng = np.random.default_rng(m)
+    x = rng.uniform(-2.0, 2.0, (m, dim))
+    x[:2, 0] = [-np.nan, np.inf][:m]
+    return ((0.3, x, 0.05), (0.3, x, 1e-3),
+            (rng.uniform(0.0, 1.0, (m, 1)), x, rng.uniform(0.01, 0.2, (m, 1))))
+
+
+def _step_and_reference(field, t, x, h):
+    """The step, with the evaluator's calls counted, and the reference's step."""
+    with np.errstate(all="ignore"):
+        ref = rk4_reference.rk4_step(field, t, x, h)
+    with mock.patch.object(_Constant, "__call__", autospec=True,
+                           side_effect=_Constant.__call__) as calls:
+        new = rk4_step(field, t, x, h)
+    assert (new.dtype, new.shape) == (ref.dtype, ref.shape)
+    assert new.tobytes() == ref.tobytes()
+    return calls.call_count
+
+
+@pytest.mark.parametrize("name", list(_constant_fields()))
+def test_constant_field_steps_in_one_add_with_the_plain_bits(name):
+    """Scalar and (m, 1) t and h, at 9 and 0 rows: the reference's bits, dtype and shape,
+    and the evaluator is not called.  Neither building the field nor stepping it warns,
+    whatever the velocity, although the plain sum of a 1e308 velocity overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = _constant_fields()[name]
+        assert type(field.eval) is _Constant
+        for m in (9, 0):
+            for t, x, h in _step_cases(field.dim, m):
+                assert _step_and_reference(field, t, x, h) == 0
+
+
+def test_constant_field_rows_the_one_add_path_leaves():
+    """A replaced evaluator, the widened form of a one-element velocity, float32 rows,
+    a (dim,) state and non-native float64 rows take the general step: four calls, same bits."""
+    base = vk.transport_field([-0.3, 2.5])
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, (9, 2))
+    for field, t, state, h in (
+            (replace(base, eval=lambda t, x: base.eval(t, x)), 0.3, x, 0.05),
+            (replace(vk.transport_field([-1.25]), dim=2), 0.3, x, 0.05),
+            (base, 0.3, x.astype(np.float32), 0.05),
+            (base, 0.3, x[0], 0.05),
+            (base.negated(), 0.3, x[0], 0.05),
+            (base, 0.3, x.astype(">f8"), 0.05),
+            (base, np.full((9, 1), 0.3), x.astype(np.float32), np.full((9, 1), 0.05))):
+        assert _step_and_reference(field, t, state, h) == 4
+    assert type(replace(base, eval=lambda t, x: base.eval(t, x)).negated().eval) \
+        is not _Constant
+
+
+def test_negated_constant_field_is_constant_and_exact():
+    """negated() negates the velocity exactly (NaN signs too) and keeps growth_c."""
+    v = np.array([-0.0, np.nan, 2.5, -np.inf])
+    field = vk.transport_field(v)
+    back = field.negated()
+    assert type(back.eval) is _Constant and back.name == "-transport"
+    assert back.eval.velocity.tobytes() == (-v).tobytes()
+    assert back.negated().eval.velocity.tobytes() == v.tobytes()
+    assert back.growth_c is field.growth_c
+    x = np.zeros((3, 4))
+    assert back.eval(0.0, x).tobytes() == (-np.asarray(field.eval(0.0, x))).tobytes()
+
+
+def test_transport_field_copies_its_velocity():
+    v = np.array([1.0, -2.0])
+    field = vk.transport_field(v)
+    v[0] = 7.0
+    x = np.zeros((4, 2))
+    assert field.eval(0.0, x).tobytes() == np.full((4, 2), [1.0, -2.0]).tobytes()
+    assert rk4_step(field, 0.0, x, 0.1).tobytes() == \
+        rk4_reference.rk4_step(vk.transport_field([1.0, -2.0]), 0.0, x, 0.1).tobytes()
 
 
 def _march_fields():

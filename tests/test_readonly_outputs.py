@@ -151,6 +151,10 @@ BUILTINS = {
                   2),
     "transport-widened": (replace(vk.transport_field([-1.25]), dim=3).eval,
                           _fresh_transport(np.array([-1.25])), 3),
+    # negated() negated the field's fresh array
+    "transport-negated": (vk.transport_field([-0.0, 2.5]).negated().eval,
+                          lambda t, x, f=_fresh_transport(np.array([-0.0, 2.5])):
+                          -np.asarray(f(t, x), dtype=float), 2),
     "zero-lagrangian": (lambda t, x: vk.zero_lagrangian(x, x),
                         lambda t, x: np.zeros(len(x)), 2),
     "unit-lagrangian": (lambda t, x: vk.unit_lagrangian(x, x), lambda t, x: np.ones(len(x)), 2),
@@ -192,9 +196,18 @@ def test_builtin_field_keeps_a_fresh_array_for_rows_of_another_dtype(name):
         assert got.flags.writeable != (x.dtype is np.dtype(float))
 
 
+def test_negated_transport_hands_out_one_shared_block():
+    """The negated field's velocity is the same read-only object on repeated calls."""
+    ev = vk.transport_field([1.0]).negated().eval
+    x = np.zeros((100, 1))
+    first = ev(0.0, x)
+    assert ev(0.5, x) is first and ev(0.0, x.copy()) is first
+    assert not first.flags.writeable and first.tobytes() == np.full((100, 1), -1.0).tobytes()
+
+
 def test_one_state_lift_returns_an_array_of_its_own():
     for field in (vk.transport_field([1.0, -2.0]), replace(vk.transport_field([3.0]), dim=2),
-                  _guarded(vk.rotation_field(1.0))):
+                  vk.transport_field([1.0, -2.0]).negated(), _guarded(vk.rotation_field(1.0))):
         v = field(0.0, np.array([0.5, 0.25]))
         assert v.shape == (2,) and v.flags.writeable
         before = field(0.0, np.array([0.5, 0.25]))
