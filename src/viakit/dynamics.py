@@ -263,15 +263,17 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
     block's array is reused for the next one: it is not to be written, nor
     kept past the next block.
 
-    Every row takes every :func:`rk4_step` of :func:`step_schedule`, and
-    none is retired, so no step is tested for a blow-up: each block is
-    tested once it is filled, and only its nodes before the first one with
-    a row that fails :func:`_finite_rows` are drawn (no block is drawn empty).
-    The rows are stepped independently, so those nodes hold the same bits
-    as under a per-step test, and the same error comes at every block size.
-    A field that raises on a row past a blow-up in the block being filled
-    is reported as that blow-up.  The march's floating-point warnings are
-    off while a block fills; a state they would warn of fails the test.
+    :func:`step_schedule` is walked once: node i > 0 is at t + h of its pair
+    i - 1 and holds the :func:`rk4_step` of node i - 1 by that pair.  No row
+    is retired and no step is tested for a blow-up: each block is tested
+    once filled, and only its nodes before the first one with a row that
+    fails :func:`_finite_rows` are drawn (no block is drawn empty).  Rows
+    are stepped independently, so those nodes hold a per-step test's bits
+    and the error is the same at every block size.  A field that raises on
+    a row past a blow-up in the block being filled is that blow-up
+    (``NonFinite`` from the field's error), and on clean rows its own error.
+    Floating-point warnings are off while a block fills, in one scope that
+    no yield crosses; a state they would warn of fails the test.
 
     Raises:
         NonFinite: if a row starts non-finite (at once) or blows up before
@@ -282,35 +284,32 @@ def _record(field: VectorField, xs: np.ndarray, t0: float, t1: float, step: floa
         raise ValueError(f"{field.dim}-D field {field.name}: rows of width {xs.shape[1]}")
     if not _finite_rows(xs).all():
         raise NonFinite(f"initial state is not finite in {what}")
-    times = np.array([t0] + [t + h for t, h in step_schedule(t0, t1, step)], dtype=float)
+    steps = list(step_schedule(t0, t1, step))
+    times = np.array([t0] + [t + h for t, h in steps], dtype=float)
 
     def blocks():
         buf = np.empty((min(block or len(times), len(times)),) + xs.shape)
         # C order, as a gathered work array: a field's row products may round by layout
-        buf[0], first, n, x = xs, 0, 1, np.ascontiguousarray(xs)
-        steps = step_schedule(t0, t1, step)
-        end, cause = False, None
-        while not end:
+        buf[0], x = xs, np.ascontiguousarray(xs)
+        for first in range(0, len(times), len(buf)):  # node first + r is buf[r]
+            n, cause = min(len(buf), len(times) - first), None
             # a blown-up row goes on being stepped to the block's end; its overflows are
             # silenced while the block fills, and never across a yield of the block
             with np.errstate(all="ignore"):
-                try:
-                    while n < len(buf):
-                        t, h = next(steps)
-                        buf[n] = x = rk4_step(field, t, x, h)
-                        n += 1
-                except StopIteration:
-                    end = True
-                except Exception as e:
-                    if _clear_nodes(buf[:n]) == n:
-                        raise
-                    end, cause = True, e  # the field failed on a row past a blow-up
+                for r in range(0 if first else 1, n):
+                    t, h = steps[first + r - 1]
+                    try:
+                        buf[r] = x = rk4_step(field, t, x, h)
+                    except Exception as e:
+                        if _clear_nodes(buf[:r]) == r:
+                            raise
+                        n, cause = r, e  # the field failed on a row past a blow-up
+                        break
             ok = _clear_nodes(buf[:n])
             if ok:  # the nodes before a blow-up first, so a fault there is named first
                 yield first, buf[:ok]
             if ok < n:
                 raise NonFinite(f"state blew up during {what}") from cause
-            first, n = first + n, 0
 
     return times, blocks()
 
@@ -411,12 +410,14 @@ def _advance(field: VectorField, x: np.ndarray, t0, t1, step: float) -> np.ndarr
     """March every row of x (in place) from t0 to t1; the live mask at the end.
 
     Rows that fail :func:`_finite_rows` at the start or blow up are NaN with
-    live False; times are as in :func:`_march`.
+    live False; times are as in :func:`_march`.  The march runs in one
+    scope with floating-point warnings off: a state that would warn blows up.
     """
     live = _finite_rows(x)
     x[~live] = np.nan
-    for _ in _march(field, x, t0, t1, step, live):
-        pass
+    with np.errstate(all="ignore"):
+        for _ in _march(field, x, t0, t1, step, live):
+            pass
     return live
 
 
@@ -472,8 +473,7 @@ def flow(field: VectorField, t: float, x, step: float):
     x = _one_row(x)
     if not _finite_rows(x).all():
         raise NonFinite("initial state is not finite in flow")
-    with np.errstate(all="ignore"):  # as in _record: a state that would warn blows up
-        states, ok = reach_set(field.negated() if t < 0 else field, abs(t), x, step)
+    states, ok = reach_set(field.negated() if t < 0 else field, abs(t), x, step)
     if not ok[0]:
         raise NonFinite("state blew up during flow")
     return states[0]

@@ -449,11 +449,18 @@ class RepellerReport:
 
 def repeller_check(field: VectorField, K: SetOracle, grid: GridSpec,
                    T_max: float, h: float, workers: int = 1) -> RepellerReport:
-    """True iff every in-K node exits before T_max; also the sup exit time."""
-    tf = viab_field(field, K, grid, T_max, h, workers=workers)
-    vals = tf.values[tf.inside]
-    if len(vals) == 0:
-        return RepellerReport(True, 0.0)
+    """True iff every in-K node exits before T_max; also the sup exit time (0 if none).
+
+    An empty K is a repeller.  A node whose trajectory blows up inside K
+    has neither left K nor stayed in it to T_max, so it gets no verdict.
+
+    Raises:
+        NonFinite: naming the first in-K node that blows up before it
+            leaves K, as :func:`exit_time` does for one state.
+    """
+    inside, ex, _, failed = _grid_events(field, grid, T_max, h, workers, K=K)
+    _refuse(inside & failed & (ex >= INF), lambda i: f"repeller_check: the trajectory from "
+            f"node {i} {grid.nodes()[i].tolist()} blew up before exiting K", NonFinite)
+    vals = ex[inside]
     finite = vals[vals < INF]
-    t_bar = float(finite.max()) if len(finite) else 0.0
-    return RepellerReport(bool(np.all(vals < INF)), t_bar)
+    return RepellerReport(len(finite) == len(vals), float(np.max(finite, initial=0.0)))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viakit as vk
@@ -97,6 +97,21 @@ def test_reach_set_flags_bad_seeds_at_every_time():
         pts, ok = vk.reach_set(vk.linear_field(-1.0), t, seeds, 0.1)
         assert ok.tolist() == [False, False, True]
         assert np.isnan(pts[:2]).all() and np.isfinite(pts[2]).all()
+
+
+def test_reach_set_blows_up_without_warnings():
+    """reach_set silences its march's floating-point warnings as flow does: a row
+    whose cube overflows is a blow-up (NaN, ok False), not an "overflow encountered
+    in power" warning, and the other row keeps flow's bits."""
+    cube = vk.VectorField(1, lambda t, x: x ** 3, name="cube")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, ok = vk.reach_set(cube, 2.0, [[1e11], [0.1]], 0.5)
+        with pytest.raises(vk.NonFinite, match="blew up during flow"):
+            vk.flow(cube, 2.0, [1e11], 0.5)
+        want = vk.flow(cube, 2.0, [0.1], 0.5)
+    assert ok.tolist() == [False, True] and np.isnan(states[0, 0])
+    assert states[1].tobytes() == want.tobytes()
 
 
 def test_reach_set_decay():
@@ -351,8 +366,13 @@ _OFFSETS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(t0=st.floats(-10.0, 10.0), step=st.floats(1e-3, 1.0), n=st.integers(0, 40),
        offset=_OFFSETS, offset2=_OFFSETS)
+@example(t0=0.5, step=0.1, n=0, offset=0.0, offset2=0.0)  # t0 == t1: one node, no step
+@example(t0=0.5, step=0.1, n=7, offset=0.5e-9, offset2=-0.5e-9)  # within 1e-9 steps of 7
+@example(t0=0.5, step=0.1, n=7, offset=0.375, offset2=1.01e-9)  # 7 steps and a tail
 def test_step_schedule_is_one_rule(t0, step, n, offset, offset2):
-    """step_schedule, _march on scalar and (m,) horizons and _record give the same nodes."""
+    """step_schedule, _march on scalar and (m,) horizons and _record give the same
+    nodes; _record's blocks of 1, 2, k - 1 and k nodes and its one block hold the
+    states of a plain rk4_step loop over step_schedule, on 0 rows and on 2."""
     t1, t1b = (t0 + max(n * step + off * step, 0.0) for off in (offset, offset2))
     want = np.array([t + h for t, h in step_schedule(t0, t1, step)])
     want_b = np.array([t + h for t, h in step_schedule(t0, t1b, step)])
@@ -374,6 +394,16 @@ def test_step_schedule_is_one_rule(t0, step, n, offset, offset2):
     assert per_row[1].tobytes() == want_b.tobytes()
     last = want[-1] if len(want) else t0
     assert abs(last - t1) <= 2e-9 * step + 1e-14
+    half = vk.linear_field(0.5)
+    for xs in (np.zeros((0, 1)), np.array([[0.25], [-1.0]])):
+        loop = [xs]
+        for t, h in step_schedule(t0, t1, step):
+            loop.append(rk4_step(half, t, loop[-1], h))
+        k = len(loop)
+        for block in (1, 2, max(k - 1, 1), k, None):
+            got = [(j, s.copy()) for j, s in _record(half, xs, t0, t1, step, "test", block)[1]]
+            assert [j for j, _ in got] == list(range(0, k, block or k))
+            assert np.concatenate([s for _, s in got]).tobytes() == np.array(loop).tobytes()
 
 
 def test_record_steps_a_strided_start_as_its_contiguous_copy():

@@ -665,10 +665,12 @@ def test_value_blocks_cover_their_edges():
 
 def test_blow_up_is_found_per_block_without_warnings():
     """The march tests each filled block, not each step: a blown-up row is
-    stepped on to the block's end, yet every block size, and the one-block
-    histories of integrate and running_cost_path, raise the same NonFinite
-    with no RuntimeWarning; so does a field that fails on the blown-up row,
-    while a field failing on finite rows keeps its own error."""
+    stepped on to the block's end, yet every block size (1, 2, 3, k - 1, k and
+    whole, for k nodes), and the one-block histories of integrate and
+    running_cost_path, raise the same NonFinite with no RuntimeWarning; so does
+    a field that fails on the blown-up row, whose error is the NonFinite's
+    cause where it fails mid-block, while a field failing on finite rows keeps
+    its own error."""
     def problem(name, f):
         return vk.LagrangianProblem(vk.VectorField(1, f, name=name), vk.zero_lagrangian, 0.0,
                                     vk.abs_obstacle)
@@ -691,20 +693,26 @@ def test_blow_up_is_found_per_block_without_warnings():
     for action, (p, h) in itertools.product(("error", "always"), cases):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
-            for nodes in (1, 2, 3, None):
+            k = round(3.0 / h) + 1
+            for nodes in (1, 2, 3, k - 1, k, None):
                 budget = epi_hj.BLOCK_FLOATS if nodes is None else nodes * len(xs)
                 with mock.patch.object(epi_hj, "BLOCK_FLOATS", budget):
                     for mode in ("sup", "inf"):
                         with pytest.raises(vk.NonFinite,
-                                           match="^state blew up during tabulate_values$"):
+                                           match="^state blew up during tabulate_values$") as e:
                             vk.tabulate_values(p, xs, mode, 3.0, h)
+                        if p.field.name == "strict":  # node 2 is inf: the step to node 3 fails
+                            assert isinstance(e.value.__cause__, ZeroDivisionError) == \
+                                (nodes is None or nodes > 3), nodes
             with pytest.raises(vk.NonFinite, match="^state blew up during integrate$"):
                 vk.integrate(p.field, [0.5], 0.0, 3.0, h)
             with pytest.raises(vk.NonFinite, match="^state blew up during tabulate_values$"):
                 vk.running_cost_path(p, [0.5], 3.0, h)
         assert caught == [], (action, p.field.name, [str(w.message) for w in caught])
-    with pytest.raises(ZeroDivisionError, match="past 0.3"):
-        vk.tabulate_values(problem("picky", picky), [[0.0]], "sup", 1.0, 0.1)
+    for nodes in (1, 2, 3, 10, 11):  # 11 nodes: the whole history
+        with mock.patch.object(epi_hj, "BLOCK_FLOATS", nodes), \
+                pytest.raises(ZeroDivisionError, match="past 0.3"):
+            vk.tabulate_values(problem("picky", picky), [[0.0]], "sup", 1.0, 0.1)
 
 
 def test_tabulate_values_bounds_its_history():

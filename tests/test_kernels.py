@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -236,6 +237,26 @@ def test_repeller_empty_vacuous():
     grid = vk.GridSpec([0.0], [1.0], [10])
     rep = vk.repeller_check(one, vk.empty_set(1), grid, 3.0, 1e-2)
     assert rep.is_repeller and rep.t_bar == 0.0
+
+
+def test_repeller_refuses_nodes_that_blow_up_in_k():
+    """x' = 50 x blows up near t = 0.55 inside a box of half-width 1e13: such a node
+    neither exits nor stays, so no verdict (it read as exiting at t = 0).  The error
+    names the first in-K node that blew up, past a node outside K (x = -1), one that
+    exits (x = -0.5, through -0.75) and one that stays (x = 0)."""
+    blow = vk.linear_field(50.0)
+    for K, grid, node in [
+            (vk.box([-1e13], [1e13]), vk.GridSpec([0.5], [1.0], [2]), "node 0 [0.5]"),
+            (vk.box([-0.75], [1e13]), vk.GridSpec([-1.0], [1.0], [4]), "node 3 [0.5]")]:
+        for workers in (1, 2):  # one node a chunk at 2 workers
+            with mock.patch.object(kernels, "CHUNK_ROWS", 1), pytest.raises(
+                    vk.NonFinite, match=re.escape(f"repeller_check: the trajectory from "
+                                                  f"{node} blew up before exiting K")):
+                vk.repeller_check(blow, K, grid, 1.0, 0.01, workers=workers)
+    # with the blowing-up node outside K, the exit and the stay decide
+    rep = vk.repeller_check(blow, vk.box([-0.75], [0.25]), vk.GridSpec([-1.0], [1.0], [4]),
+                            1.0, 0.01)
+    assert not rep.is_repeller and 0.0 < rep.t_bar < 0.01
 
 
 def test_nesting_in_horizon():

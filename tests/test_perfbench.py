@@ -1,8 +1,11 @@
-"""The traced benchmark patches viakit names; a rename must fail here, not in ``--trace 1``."""
+"""The benchmark's tracer patches viakit names and its workloads drive the CLI: a rename,
+a broken config or a broken check must fail here, not in a benchmark run."""
 
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from viakit import cli, dynamics, epi_hj, kernels, sets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -79,3 +82,27 @@ def test_tracer_counts_every_recorded_step(monkeypatch):
         tracer.uninstall()
     assert integrated == len(traj.times) - 1 == 11
     assert tabulated == 11
+
+
+def test_every_workload_passes_its_check_and_fails_its_negative_control(monkeypatch, tmp_path,
+                                                                         capsys):
+    """Every benchmark invocation at seed 1 runs through cli.main, exits 0 and passes
+    its own check, and fails that check once workloads.corrupt_csv alters its output:
+    a broken config or check fails here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv("VIAKIT_OUT", raising=False)  # it would redirect every output
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for inv in workloads.make(name, 1).invocations:
+            config, out = tmp_path / f"{name}-{inv.tag}.json", tmp_path / name / inv.tag
+            config.write_text(json.dumps(inv.config))
+            code = cli.main([inv.subcommand, str(config), "-o", str(out),
+                             "--workers", str(inv.workers)])
+            stdout = capsys.readouterr().out
+            assert code == 0, (name, inv.tag)
+            inv.check(str(out), stdout)
+            csv, column = inv.corrupt
+            workloads.corrupt_csv(out / csv, column)
+            with pytest.raises(workloads.CheckFailed):
+                inv.check(str(out), stdout)
